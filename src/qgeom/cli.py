@@ -601,8 +601,9 @@ def main(argv=None):
         gapwitness.PlateauError,
         gapwitness.ChainTooLargeError,
         RuntimeError,
+        MemoryError,
     ) as e:
-        print(f"computation failed: {e}", file=sys.stderr)
+        print(f"computation failed: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

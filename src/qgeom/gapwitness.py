@@ -1,9 +1,11 @@
 """Exact-diagonalization spin chains, ground-state curves of H + lambda*V,
 jump detection, and spectral-gap upper bounds.
 
-Operators are built as scipy CSR matrices (a 14-site chain is 16384
-dimensional); full-spectrum solves stay dense and are capped at 2^12,
-extremal eigenpairs switch to seeded Lanczos above 2^9.
+Operators are scipy CSR matrices (a 14-site chain is 16384 dimensional),
+assembled directly from Pauli strings as signed permutations.  Extremal
+eigenpairs are dense up to 2^9 and seeded Lanczos above; the Lanczos path
+never densifies.  Full spectra are computed per invariant block (connected
+component of the sparsity graph) and capped at 2^12.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import PAULI
-
 MAX_SITES = 14
 DENSE_LIMIT = 512  # largest dimension diagonalized densely for eigenpairs
 FULL_SPECTRUM_LIMIT = 4096
-
-_LOCAL = {k: sp.csr_matrix(v) for k, v in PAULI.items()}
 
 
 class ChainTooLargeError(ValueError):
@@ -49,7 +47,7 @@ class SpinChainSpec:
                 raise ValueError(f"term sites must be distinct: {sites_t}")
             if any(not 0 <= s < self.sites for s in sites_t):
                 raise ValueError(f"term site out of range: {sites_t}")
-            if any(l not in _LOCAL for l in labels_t):
+            if any(l not in "ixyz" for l in labels_t):
                 raise ValueError(f"unknown Pauli label in {labels_t}")
             if len(sites_t) != len(labels_t):
                 raise ValueError("one label per site required")
@@ -57,20 +55,34 @@ class SpinChainSpec:
         object.__setattr__(self, "terms", tuple(terms))
 
 
-def _string_op(n_sites, placement):
-    out = None
-    for n in range(n_sites):
-        o = placement.get(n, _LOCAL["i"])
-        out = o if out is None else sp.kron(out, o, "csr")
-    return out
-
-
 def build_chain(spec: SpinChainSpec):
-    """Assemble the dense-ordered sparse operator; validated Hermitian."""
-    dim = 2**spec.sites
-    h = sp.csr_matrix((dim, dim), dtype=complex)
+    """Assemble the sparse operator (site 0 is the most significant bit); validated Hermitian.
+
+    A Pauli string maps basis state r to r ^ flip (flip covers its x/y
+    sites) with amplitude coeff * i^#y * (-1)^(parity of r on its y/z sites).
+    """
+    n = spec.sites
+    dim = 2**n
+    r = np.arange(dim)
+    rows, vals = [r[:0]], [np.zeros(0, dtype=complex)]
     for sites_t, labels_t, coeff in spec.terms:
-        h = h + coeff * _string_op(spec.sites, {s: _LOCAL[l] for s, l in zip(sites_t, labels_t)})
+        flip = 0
+        parity = np.zeros(dim, dtype=r.dtype)
+        phase = coeff
+        for s, l in zip(sites_t, labels_t):
+            bit = n - 1 - s
+            if l in "xy":
+                flip |= 1 << bit
+            if l in "yz":
+                parity ^= (r >> bit) & 1
+            if l == "y":
+                phase *= 1j
+        rows.append(r ^ flip)
+        vals.append(np.where(parity == 1, -phase, phase))
+    cols = np.tile(r, len(spec.terms))
+    h = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), cols)), shape=(dim, dim)).tocsr()
+    h.eliminate_zeros()
+    h.data += 0.0  # -0.0 -> +0.0 in real/imaginary parts, as a Kronecker product gives
     if spla.norm(h - h.conj().T) > 1e-9 * max(spla.norm(h), 1.0):
         raise ValueError("assembled chain operator is not Hermitian")
     return h
@@ -105,12 +117,15 @@ def gap_witness_v(n_sites, taper=False):
     return build_chain(SpinChainSpec(sites=n_sites, terms=tuple(terms)))
 
 
+def _dense(m):
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+
 def _lowest_pair(m):
     """(two lowest eigenvalues, ground vector); dense below DENSE_LIMIT."""
     dim = m.shape[0]
-    md = m.toarray() if sp.issparse(m) else np.asarray(m)
     if dim <= DENSE_LIMIT:
-        w, v = np.linalg.eigh(md)
+        w, v = np.linalg.eigh(_dense(m))
         return w[:2], v[:, 0]
     k = min(4, dim - 1)
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
@@ -118,7 +133,7 @@ def _lowest_pair(m):
         w, v = spla.eigsh(m, k=k, which="SA", v0=v0, maxiter=5000)
     except spla.ArpackNoConvergence:
         if dim <= FULL_SPECTRUM_LIMIT:
-            w, v = np.linalg.eigh(md)
+            w, v = np.linalg.eigh(_dense(m))
         else:
             raise
     order = np.argsort(w)
@@ -238,11 +253,21 @@ def gap_upper_bound(curve: GroundCurve, true_gap_value=None, refine_iters=40):
 
 
 def true_gap(h):
-    """E_1 - E_0 with exact degeneracy excluded (threshold 1e-9 * ||H||)."""
-    hd = h.toarray() if sp.issparse(h) else np.asarray(h)
-    if hd.shape[0] > FULL_SPECTRUM_LIMIT:
+    """E_1 - E_0 with exact degeneracy excluded (threshold 1e-9 * ||H||).
+
+    The spectrum is the union of the spectra of the invariant blocks: the
+    connected components of the sparsity graph of |H| (abs keeps purely
+    imaginary couplings, which a real cast would drop).
+    """
+    from scipy.sparse.csgraph import connected_components  # deferred: ~1 MB resident per CLI start
+
+    hs = sp.csr_matrix(h)
+    if hs.shape[0] > FULL_SPECTRUM_LIMIT:
         raise ChainTooLargeError("full-spectrum solve capped at dimension 4096")
-    w = np.linalg.eigvalsh(hd)
+    n_blocks, labels = connected_components(abs(hs), directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(hs[b][:, b].toarray()) for b in blocks]))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     above = w[w > w[0] + 1e-9 * scale]
     if len(above) == 0:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qgeom import core
+from qgeom import core, gapwitness
 from qgeom.cli import main
 
 
@@ -105,6 +105,17 @@ def test_gap_cli_coarse_grid_reports_failure(tmp_path):
          "--steps", 4, "--out", out]
     )
     assert rc == 1
+
+
+def test_gap_cli_memory_error_is_computational_failure(tmp_path, monkeypatch, capsys):
+    # an allocation failure exits 1 with a message, not a traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.00 GiB")
+
+    monkeypatch.setattr(gapwitness, "ground_curve", out_of_memory)
+    rc = run(["gap", "--n", 6, "--gamma", 0.5, "--out", tmp_path / "gap.json"])
+    assert rc == 1
+    assert "computation failed: Unable to allocate 4.00 GiB" in capsys.readouterr().err
 
 
 def test_sep_max_cli(tmp_path):

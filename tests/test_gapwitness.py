@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgeom import core
@@ -10,6 +13,7 @@ from qgeom.gapwitness import (
     ChainTooLargeError,
     PlateauError,
     SpinChainSpec,
+    _lowest_pair,
     build_chain,
     cusp_decomposition_check,
     gap_upper_bound,
@@ -47,6 +51,71 @@ def test_build_chain_hermitian(seed):
         terms.append((sites, labels, float(rng.normal())))
     h = build_chain(SpinChainSpec(n, tuple(terms))).toarray()
     assert np.abs(h - h.conj().T).max() < 1e-12
+
+
+_PAULI_REF = {
+    "i": np.eye(2),
+    "x": np.array([[0, 1], [1, 0]]),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def _kron_reference(spec):
+    dim = 2**spec.sites
+    h = np.zeros((dim, dim), dtype=complex)
+    for sites, labels, coeff in spec.terms:
+        placed = dict(zip(sites, labels))
+        op = np.ones((1, 1))
+        for s in range(spec.sites):
+            op = np.kron(op, _PAULI_REF[placed.get(s, "i")])
+        h += coeff * op
+    return h
+
+
+# quarter-integer parts keep every sum exact, so cancellations are exact zeros
+_quarters = st.integers(-8, 8).map(lambda a: a / 4)
+
+
+@st.composite
+def _chain_specs(draw):
+    n = draw(st.integers(1, 6))
+    hermitian = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        sites = tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+        k = len(sites)
+        labels = draw(
+            st.one_of(
+                st.lists(st.sampled_from("ixyz"), min_size=k, max_size=k),
+                st.just(["y"] * k),
+            )
+        )
+        coeff = complex(draw(_quarters), draw(_quarters))
+        terms.append((sites, tuple(labels), coeff))
+        if hermitian:  # a partner cancelling the imaginary part of the coefficient
+            terms.append((sites, tuple(labels), complex(draw(_quarters), -coeff.imag)))
+    return SpinChainSpec(n, tuple(terms))
+
+
+_XX_YY_CANCEL = SpinChainSpec(
+    3, tuple(t for b in (0, 1) for t in (((b, b + 1), ("x", "x"), 0.5), ((b, b + 1), ("y", "y"), 0.5)))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_specs())
+@example(_XX_YY_CANCEL)
+@example(SpinChainSpec(6, ((tuple(range(6)), ("y",) * 6, 1.0),)))
+def test_build_chain_matches_kron_reference(spec):
+    ref = _kron_reference(spec)
+    if np.abs(ref - ref.conj().T).max() > 0:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            build_chain(spec)
+        return
+    h = build_chain(spec)
+    assert np.array_equal(h.toarray(), ref)
+    assert h.nnz == np.count_nonzero(ref)
 
 
 def test_chain_validation():
@@ -192,6 +261,49 @@ def test_true_gap_xy_ordering():
     curve = ground_curve(h, v, np.linspace(0, 3, 31))
     report = gap_upper_bound(curve, true_gap_value=tg)
     assert tg <= report.epsilon + 1e-6
+
+
+def _dense_gap(hd):
+    # true_gap's degeneracy rule on the full dense spectrum; returns (gap, max(1, ||H||))
+    w = np.linalg.eigvalsh(hd)
+    scale = max(abs(w[0]), abs(w[-1]), 1.0)
+    above = w[w > w[0] + 1e-9 * scale]
+    return (float(above[0] - w[0]) if len(above) else 0.0), scale
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_true_gap_blocks_match_dense(n, gamma):
+    h = xy_hamiltonian(n, gamma)
+    ref, scale = _dense_gap(h.toarray())
+    assert abs(true_gap(h) - ref) <= 1e-10 * scale
+
+
+@pytest.mark.filterwarnings("error")  # a complex -> real cast of H would warn
+def test_true_gap_keeps_imaginary_couplings():
+    n = 6
+    field = build_chain(SpinChainSpec(n, tuple(((s,), ("z",), 0.1 * (s + 1)) for s in range(n))))
+    h = gap_witness_v(n) + field
+    off_diagonal = h - sp.diags(h.diagonal())
+    assert off_diagonal.nnz > 0 and np.all(off_diagonal.data.real == 0)
+    ref, scale = _dense_gap(h.toarray())
+    assert abs(true_gap(h) - ref) <= 1e-10 * scale
+
+
+def test_lowest_pair_lanczos_never_densifies():
+    m = xy_hamiltonian(13, 0.5) + 0.3 * gap_witness_v(13)
+    dim = m.shape[0]
+    tracemalloc.start()
+    try:
+        w2, g = _lowest_pair(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # a dense copy alone would be 1 GiB
+    w, v = spla.eigsh(m, k=4, which="SA", v0=np.full(dim, 1.0 / np.sqrt(dim)), maxiter=5000)
+    order = np.argsort(w)
+    assert np.array_equal(w2, w[order[:2]])
+    assert np.array_equal(g, v[:, order[0]])
 
 
 def test_cusp_check_shared_eigenbasis():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -66,7 +65,6 @@ def write_report(payload, path, args):
         "tool": "qgeom",
         "version": __version__,
         "seed": getattr(args, "seed", 0),
-        "threads": _threads(args),
         "tolerances": payload.pop("_tolerances", {}),
         **payload,
     }
@@ -76,16 +74,6 @@ def write_report(payload, path, args):
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
-
-
-def _threads(args):
-    t = getattr(args, "threads", None)
-    if t is None:
-        t = os.environ.get("QGEOM_THREADS", "1")
-    t = int(t)
-    if t < 1:
-        raise UsageError("--threads must be positive")
-    return t
 
 
 def _load_json(path):
@@ -119,18 +107,12 @@ def load_ladder_state(path):
     return interconvert.LadderState(int(doc.get("offset", 0)), tuple(amps))
 
 
-def _half_from_str(s):
-    if isinstance(s, str):
-        return Fraction(s)
-    return Fraction(s)
-
-
 def load_spinket(path):
     doc = _load_json(path)
     terms = []
     for entry in doc:
         amp = complex(entry["amp"][0], entry["amp"][1])
-        terms.append((_half_from_str(entry["j"]), _half_from_str(entry["m"]), entry.get("tag", ""), amp))
+        terms.append((Fraction(entry["j"]), Fraction(entry["m"]), entry.get("tag", ""), amp))
     return su2.SpinKet.from_terms(terms)
 
 
@@ -354,7 +336,6 @@ def cmd_interconvert(args):
     payload = {
         "convertible": report.convertible,
         "embedding_dim": report.embedding_dim,
-        "singular_retries": report.singular_retries,
         "exact": report.exact,
     }
     if report.convertible:
@@ -489,7 +470,6 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=None, help="JSON report path (default stdout)")
 
     sp = sub.add_parser("jnr", help="joint numerical range approximation")
@@ -591,13 +571,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args)  # validate early
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (
-        interconvert.SingularCirculantError,
         gapwitness.PlateauError,
         gapwitness.ChainTooLargeError,
         RuntimeError,

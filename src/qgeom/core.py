@@ -200,6 +200,17 @@ def choi_state(ch: KrausChannel):
     return phi
 
 
+def is_prime(n):
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
 def choi_matrix_of_map(apply_fn, d):
     """Choi matrix (id (x) F)(|omega><omega|) of an arbitrary linear map F.
 

@@ -1,10 +1,13 @@
 """U(1)-covariant pure-state interconversion on the infinite ladder.
 
 A state with squared amplitudes p can be sent to one with squared
-amplitudes q iff p = w * q for a probability vector w; the test embeds the
-trimmed vectors into a prime-dimensional cyclic space and inverts a
-circulant matrix.  With rational inputs everything runs in exact Fraction
-arithmetic and the verdict is exact.
+amplitudes q iff p = w * q for a probability vector w.  On trimmed supports
+that is exact division of the generating polynomials, and division decides
+it: Fraction long division for rational inputs (the verdict is exact), least
+squares on the banded convolution matrix of q for floats.  The paper's
+construction -- embed both vectors into a prime-dimensional cyclic space and
+invert a circulant matrix -- stays in `circulant` and `cyclic_majorize` as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import convolution_matrix
 from scipy.optimize import nnls
 
 from .core import KrausChannel
+from .core import is_prime as _is_prime_int  # name kept importable for the acceptance suite
+
+NEG_TOL = 1e-9  # float quotient entries above -NEG_TOL are clipped to zero
 
 
 class SingularCirculantError(RuntimeError):
@@ -170,7 +177,7 @@ def _fraction_solve(a, b):
     return [m[i][n] for i in range(n)]
 
 
-def cyclic_majorize(p0, q0, neg_tol=1e-9, rcond_tol=1e-10):
+def cyclic_majorize(p0, q0, neg_tol=NEG_TOL, rcond_tol=1e-10):
     """Weights w with C(w) = C(p) C(q)^{-1}, or None if any entry is negative.
 
     Raises SingularCirculantError when C(q) is singular (reciprocal
@@ -222,25 +229,21 @@ def _next_prime(n):
     return n
 
 
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return n > 1
-
-
 @dataclass
 class CirculantTestReport:
+    """Verdict of `u1_convertible`.
+
+    `embedding_dim` is the prime N the circulant construction uses for this
+    pair (the smallest prime above 2n + 1, n the larger support diameter);
+    the division that decides the verdict does not depend on it.
+    """
+
     convertible: bool
     w: ProbVector | None
     embedding_dim: int
-    singular_retries: int
     exact: bool
     shift: int = 0  # ladder shift: target support start minus source start
+    singular_retries = 0  # division never retries; kept for the perfbench trace probe
 
 
 def _as_probvector(state):
@@ -251,60 +254,58 @@ def _as_probvector(state):
     raise TypeError(f"expected LadderState or ProbVector, got {type(state)}")
 
 
-def u1_convertible(psi, phi, max_retries=10, verify_tol=1e-9):
+def _divide(p: ProbVector, q: ProbVector, verify_tol):
+    """Nonnegative quotient w of p = w * q for vectors starting at 0, or None."""
+    m = len(p.weights) - len(q.weights) + 1
+    if m < 1:
+        return None
+    if p.exact and q.exact:
+        # long division from the low end; trimming makes q_0 > 0
+        r = list(p.weights)
+        w = []
+        for k in range(m):
+            w.append(r[k] / q.weights[0])
+            for j, qj in enumerate(q.weights):
+                r[k + j] -= w[k] * qj
+        if any(r) or min(w) < 0:
+            return None
+        return ProbVector.from_weights(w)
+    # the banded convolution matrix of q has full column rank (q_0 > 0)
+    w = np.linalg.lstsq(convolution_matrix(q.as_floats(), m), p.as_floats(), rcond=None)[0]
+    if w.min() < -NEG_TOL:
+        return None
+    w = ProbVector.from_weights(np.clip(w, 0.0, None))
+    recon = convolve(w, q)
+    if recon.offset != p.offset or len(recon.weights) != len(p.weights):
+        return None
+    if np.abs(recon.as_floats() - p.as_floats()).max() > verify_tol:
+        return None
+    return w
+
+
+def u1_convertible(psi, phi, verify_tol=1e-9):
     """Decide the covariant transformation psi -> phi on the ladder.
 
     Squared amplitudes are trimmed and translated to start at zero (the
-    problem is translation invariant); both vectors embed into the smallest
-    prime dimension N > 2n + 1, climbing the prime ladder whenever C(q) is
-    singular.  A convertible verdict is re-verified through the non-cyclic
-    convolution p = w * q before being reported.
+    problem is translation invariant), so p = w * q is division of the
+    generating polynomials.  Rational inputs are divided exactly: convertible
+    iff the remainder is zero and every quotient weight is nonnegative.  Float
+    inputs solve the convolution system by least squares; quotient entries
+    above -NEG_TOL are clipped, w is renormalized, and the non-cyclic residual
+    |w * q - p| must stay within `verify_tol`.  The paper's circulant
+    construction (`cyclic_majorize` at the prime `embedding_dim`) reaches
+    the same verdict and serves as the oracle in the tests.
     """
     p_raw = _as_probvector(psi)
     q_raw = _as_probvector(phi)
-    p = p_raw.at_origin()
-    q = q_raw.at_origin()
-    exact = p.exact and q.exact
-    n = max(p.diam, q.diam)
-    dim = _next_prime(2 * n + 1)
-    retries = 0
-    while True:
-        zeros_p = [Fraction(0) if exact else 0.0] * (dim - len(p.weights))
-        zeros_q = [Fraction(0) if exact else 0.0] * (dim - len(q.weights))
-        p_emb = list(p.weights) + zeros_p
-        q_emb = list(q.weights) + zeros_q
-        try:
-            w = cyclic_majorize(p_emb, q_emb)
-            break
-        except SingularCirculantError:
-            retries += 1
-            if retries >= max_retries:
-                raise SingularCirculantError(
-                    f"prime ladder exhausted after {max_retries} retries"
-                )
-            dim = _next_prime(dim)
+    exact = p_raw.exact and q_raw.exact
+    dim = _next_prime(2 * max(p_raw.diam, q_raw.diam) + 1)
+    w = _divide(p_raw.at_origin(), q_raw.at_origin(), verify_tol)
     if w is None:
-        return CirculantTestReport(False, None, dim, retries, exact)
-    w_vec = ProbVector.from_weights(w, offset=0)
-    # verify p = w * q non-cyclically on the trimmed supports
-    recon = convolve(w_vec, q)
-    if recon.offset != p.offset or len(recon.weights) != len(p.weights):
-        return CirculantTestReport(False, None, dim, retries, exact)
-    if exact:
-        if tuple(recon.weights) != tuple(p.weights):
-            raise RuntimeError("exact cyclic verdict failed non-cyclic verification")
-    else:
-        err = max(abs(a - b) for a, b in zip(recon.as_floats(), p.as_floats()))
-        if err > 1e-6:
-            raise RuntimeError(
-                f"cyclic verdict failed non-cyclic verification (error {err:.2e})"
-            )
-        if err > verify_tol:
-            # borderline clipped solution: not convertible at tolerance
-            return CirculantTestReport(False, None, dim, retries, exact)
+        return CirculantTestReport(False, None, dim, exact)
     # restore the ladder translation: p_raw = (w shifted) * q_raw
     shift = p_raw.offset - q_raw.offset
-    return CirculantTestReport(True, w_vec.shifted(shift), dim, retries, exact, shift=shift)
+    return CirculantTestReport(True, w.shifted(shift), dim, exact, shift=shift)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from .core import as_density, spin_operators, tensor
+from .core import as_density, choi_matrix_of_map, spin_operators
 
 _CG_CACHE = {}
 
@@ -385,12 +385,7 @@ def zeta_channel_simplex(x0, x1, j=1):
         return x0 * rho + x1 * z1 + x2 * zeta_map(z1)
 
     d = 3
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, k] = 1.0
-            choi += tensor(e, g(e)) / d
+    choi = choi_matrix_of_map(g, d)
     # trace preservation check: Tr_B(choi) must be 1/d
     tb = np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
     if np.abs(tb - np.eye(d) / d).max() > 1e-10:

@@ -15,20 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .core import KrausChannel, as_density, as_hermitian, choi_state
+from .core import KrausChannel, as_density, as_hermitian, choi_state, is_prime
 
 _PHASE_POINT_CACHE = {}
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def check_wh_dims(dims, allow_repeats=False):
@@ -39,7 +28,7 @@ def check_wh_dims(dims, allow_repeats=False):
                 "even dimensions are not supported: the p = 2 case has "
                 "significant difficulties and is explicitly excluded"
             )
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"dimension factor {p} is not prime; factor composites first")
     if not allow_repeats and len(set(dims)) != len(dims):
         raise ValueError(

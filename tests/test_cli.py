@@ -81,6 +81,25 @@ def test_interconvert_example_exact(tmp_path):
     assert len(doc["kraus"]["operators"]) == 3
 
 
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ((1 / 3, 1 / 3, 1 / 3), (1 / 2, 1 / 2)),  # nonnegative quotient, remainder 1/3
+        ((1 / 2, 1 / 2), (1 / 3, 1 / 3, 1 / 3)),  # q wider than p
+    ],
+)
+def test_interconvert_exact_nonzero_remainder(tmp_path, p, q):
+    psi = tmp_path / "psi.json"
+    phi = tmp_path / "phi.json"
+    psi.write_text(json.dumps({"amps": [[np.sqrt(x), 0.0] for x in p]}))
+    phi.write_text(json.dumps({"amps": [[np.sqrt(x), 0.0] for x in q]}))
+    out = tmp_path / "rep.json"
+    assert run(["interconvert", "--psi", psi, "--phi", phi, "--exact", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["convertible"] is False and doc["exact"] is True
+    assert "w" not in doc and "singular_retries" not in doc and "threads" not in doc
+
+
 def test_gap_cli(tmp_path):
     out = tmp_path / "gap.json"
     csv = tmp_path / "curve.csv"
@@ -269,17 +288,3 @@ def test_usage_errors(tmp_path):
     assert run(["sep-max", "--op", op, "--dims", "2,x"]) == 2
     with pytest.raises(SystemExit):
         run(["no-such-command"])
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    ops = tmp_path / "ops.json"
-    write_ops(ops, [core.PAULI_X, core.PAULI_Z])
-    out = tmp_path / "a.json"
-    monkeypatch.setenv("QGEOM_THREADS", "3")
-    assert run(["jnr", "--ops", ops, "--dirs", 16, "--out", out]) == 0
-    assert json.loads(out.read_text())["threads"] == 3
-    monkeypatch.setenv("QGEOM_THREADS", "0")
-    assert run(["jnr", "--ops", ops, "--dirs", 16, "--out", out]) == 2
-    monkeypatch.delenv("QGEOM_THREADS")
-    assert run(["jnr", "--ops", ops, "--dirs", 16, "--out", out, "--threads", "2"]) == 0
-    assert json.loads(out.read_text())["threads"] == 2

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qgeom.interconvert import (
@@ -88,6 +88,73 @@ def test_cyclic_majorize_singular_n12():
         cyclic_majorize(p, q)
     with pytest.raises(SingularCirculantError):
         cyclic_majorize([float(x) for x in p], [float(x) for x in q])
+
+
+def _circulant_verdict(p, q, dim):
+    """The circulant construction at the prime embedding `dim`, checked
+    non-cyclically: the decision path that polynomial division replaced."""
+    zero = F(0) if p.exact and q.exact else 0.0
+    w = cyclic_majorize(
+        list(p.weights) + [zero] * (dim - len(p.weights)),
+        list(q.weights) + [zero] * (dim - len(q.weights)),
+    )
+    if w is None:
+        return None
+    w = ProbVector.from_weights(w)
+    recon = convolve(w, q)
+    if recon.offset != p.offset or len(recon.weights) != len(p.weights):
+        return None
+    if max(abs(float(a) - float(b)) for a, b in zip(recon.weights, p.weights)) > 1e-9:
+        return None
+    return w
+
+
+def _int_weights(max_len, lo):
+    """Integer weight lists with nonzero ends (trimmed supports)."""
+    return st.lists(st.integers(lo, 9), min_size=1, max_size=max_len).filter(
+        lambda ws: ws[0] > 0 and ws[-1] > 0
+    )
+
+
+@st.composite
+def _ladder_pairs(draw):
+    """(p, q) integer weight lists: p = w * q for a w that may have negative
+    entries, or p drawn independently of q."""
+    q = draw(_int_weights(4, 0))
+    if draw(st.booleans()):
+        w = draw(_int_weights(5, -4))
+        assume(sum(w) > 0)
+        p = list(np.convolve(w, q))
+        assume(min(p) >= 0)
+    else:
+        p = draw(_int_weights(8, 0))
+    return [int(x) for x in p], q, draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ladder_pairs(), st.booleans())
+def test_division_matches_circulant_embedding(pair, exact):
+    p_int, q_int, p_off, q_off = pair
+
+    def vec(ws, off):
+        total = sum(ws)
+        return pv([F(x, total) if exact else x / total for x in ws], offset=off)
+
+    p, q = vec(p_int, p_off), vec(q_int, q_off)
+    rep = u1_convertible(p, q)
+    oracle = _circulant_verdict(p.at_origin(), q.at_origin(), rep.embedding_dim)
+    assert rep.exact == exact
+    assert rep.singular_retries == 0
+    assert rep.convertible == (oracle is not None)
+    if oracle is None:
+        return
+    expect = oracle.shifted(p_off - q_off)
+    if exact:
+        assert rep.w == expect
+    else:
+        assert rep.w.offset == expect.offset
+        assert len(rep.w.weights) == len(expect.weights)
+        assert np.abs(rep.w.as_floats() - expect.as_floats()).max() <= 1e-9
 
 
 def test_golden_quartet_to_pair_exact():

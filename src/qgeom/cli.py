@@ -24,10 +24,6 @@ class UsageError(Exception):
     pass
 
 
-class ComputationError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -423,13 +419,10 @@ def cmd_su2(args):
     elif args.action == "chi":
         if a is None:
             raise UsageError("chi needs --a")
-        rng_qs = su2.haar_quaternions(args.samples, seed=args.seed)
-        rows = []
-        for q in rng_qs:
-            g = su2.GroupElement(su2._quat_to_rotvec(q))
-            val = su2.characteristic_function(a, g)
-            rows.append({"v": list(g.v), "chi": val})
-        payload = {"chi_samples": rows}
+        qs = su2.haar_quaternions(args.samples, seed=args.seed)
+        gs = [su2.GroupElement(su2._quat_to_rotvec(q)) for q in qs]
+        chis = su2.characteristic_values(a, [g.v for g in gs]).tolist()
+        payload = {"chi_samples": [{"v": list(g.v), "chi": chi} for g, chi in zip(gs, chis)]}
     elif args.action == "convert":
         if a is None or b is None:
             raise UsageError("convert needs --a and --b")

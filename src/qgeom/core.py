@@ -17,6 +17,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-9
+STACK_ENTRIES = 2**18  # matrix entries per stacked eigensolve; bounds its memory
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -55,6 +56,13 @@ def check_dims(dims, dim):
     if int(np.prod(dims)) != dim:
         raise ValueError(f"local dimensions {dims} do not multiply to {dim}")
     return dims
+
+
+def stack_chunks(count, dim):
+    """Consecutive slices of `count` stacked dim x dim matrices, each holding
+    at most STACK_ENTRIES entries (and at least one matrix)."""
+    step = max(1, STACK_ENTRIES // (dim * dim))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def hermitian_eigensystem(a):
@@ -99,16 +107,20 @@ def partial_transpose(m, dims, which):
 
 
 def expectation(x, rho, imag_tol=1e-10):
-    """<X>_rho = Tr X rho; the tiny imaginary residue is checked and dropped."""
+    """<X>_rho = Tr X rho; the tiny imaginary residue is checked and dropped.
+
+    rho may also be a stack (..., d, d) of operators; the values then come
+    back as an array of the stack's leading shape.
+    """
     x = np.asarray(x, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if x.shape != rho.shape:
+    if x.shape != rho.shape[-2:]:
         raise ValueError(f"dimension mismatch {x.shape} vs {rho.shape}")
-    val = np.trace(x @ rho)
-    scale = max(abs(val), 1.0)
-    if abs(val.imag) > imag_tol * scale:
-        raise ValueError(f"expectation value has imaginary residue {val.imag}")
-    return float(val.real)
+    val = np.trace(x @ rho, axis1=-2, axis2=-1)
+    residue = np.abs(val.imag) > imag_tol * np.maximum(np.abs(val), 1.0)
+    if residue.any():
+        raise ValueError(f"expectation value has imaginary residue {np.abs(val.imag).max()}")
+    return float(val.real) if val.ndim == 0 else val.real
 
 
 def hs_distance(x, y):

@@ -25,7 +25,7 @@ from .core import (
     partial_transpose,
     tensor,
 )
-from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support, unit
+from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support_batch, unit
 
 
 @dataclass
@@ -210,8 +210,7 @@ def qubit_qudit_sep_max(h, dims, directions=400, seed=0):
         raise ValueError(f"first local dimension must be 2, got {dims[0]}")
     hs = _pauli_reductions(h, dims)
 
-    probe = sphere_directions(4, 160, seed=seed)
-    probe_samples = [support(hs, n) for n in probe]
+    probe_samples = support_batch(hs, sphere_directions(4, 160, seed=seed))
     pts = np.array([s.point for s in probe_samples])
     center, basis = _affine_hull(pts)
     r = basis.shape[1]
@@ -223,28 +222,18 @@ def qubit_qudit_sep_max(h, dims, directions=400, seed=0):
         return SepBounds(val, val, witness, meta={"hull_dim": 0, "method": "point"})
 
     dirs_r = sphere_directions(r, directions, seed=seed + 1)
-    inner_pts = []
-    inner_states = []
-    normals_r = []
-    offsets_r = []
-    for nr in dirs_r:
-        n_full = basis @ nr
-        nn = np.linalg.norm(n_full)
-        if nn < 1e-14:
-            continue
-        s = support(hs, n_full / nn)
-        inner_pts.append(s.point)
-        inner_states.append(s.witness)
-        normals_r.append(nr)
-        # exact support offset in reduced coordinates: h_W(B n) - (B n).center
-        offsets_r.append(nn * s.value - n_full @ center)
-    normals_r = np.array(normals_r)
-    offsets_r = np.array(offsets_r)
-    inner_pts = np.array(inner_pts)
+    full = np.array([basis @ nr for nr in dirs_r])
+    norms = np.array([np.linalg.norm(n) for n in full])
+    keep = norms >= 1e-14
+    normals_r, full, norms = dirs_r[keep], full[keep], norms[keep]
+    samples = support_batch(hs, full / norms[:, None])
+    # exact support offset in reduced coordinates: h_W(B n) - (B n).center
+    offsets_r = np.array([nn * s.value - n @ center for s, n, nn in zip(samples, full, norms)])
+    inner_pts = np.array([s.point for s in samples])
 
     lower_idx = int(np.argmax([_qubit_value(p) for p in inner_pts]))
     lower = _qubit_value(inner_pts[lower_idx])
-    witness = _witness_from_qudit_state(h, dims, inner_states[lower_idx])
+    witness = _witness_from_qudit_state(h, dims, samples[lower_idx].witness)
 
     meta = {"hull_dim": r, "method": "halfspace-vertices"}
     try:
@@ -252,15 +241,14 @@ def qubit_qudit_sep_max(h, dims, directions=400, seed=0):
         verts = center + verts_r @ basis.T
         upper = max(_qubit_value(p) for p in verts)
     except (QhullError, ValueError):
-        # Lipschitz-padded sweep of lambda_max((H0 + u.H)/2) over the 2-sphere
+        # Lipschitz-padded sweep of lambda_max((H0 + u.H)/2) over the 2-sphere:
+        # the support of W(H0, ..., H3) along (1, u) scaled by |(1, u)| / 2
         us = sphere_directions(3, max(directions * 4, 1200))
-        vals = [
-            np.linalg.eigvalsh(0.5 * (hs[0] + u[0] * hs[1] + u[1] * hs[2] + u[2] * hs[3]))[-1]
-            for u in us
-        ]
+        ones_u = np.column_stack([np.ones(len(us)), us])
+        scaled = [0.5 * np.linalg.norm(n) * s.value for n, s in zip(ones_u, support_batch(hs, ones_u))]
         lip = 0.5 * np.sqrt(sum(np.linalg.norm(x, 2) ** 2 for x in hs[1:]))
         mesh = _covering_radius_estimate(us)
-        upper = max(vals) + lip * mesh
+        upper = max(scaled) + lip * mesh
         meta["method"] = "lipschitz-sweep"
     upper = max(upper, lower)
     return SepBounds(float(lower), float(upper), witness, meta=meta)
@@ -380,9 +368,10 @@ def ppt_max(h, dims, tol=1e-9, max_outer=4000, stall_limit=25):
     """Maximize Tr(rho H) over PPT states by projected gradient ascent.
 
     Each step projects rho + eta*H back onto the (convex) PPT state set
-    with Dykstra; eta shrinks on stalls.  The iterate is always feasible,
-    so the value is a certified lower bound that converges to the PPT
-    maximum of this convex program.
+    with Dykstra; eta shrinks on stalls.  The final iterate is checked
+    (eigenvalues of rho and rho^TA above -1e-8, |Tr rho - 1| <= 1e-8) and
+    RuntimeError is raised otherwise, so a returned value is a certified
+    lower bound that converges to the PPT maximum of this convex program.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
@@ -408,8 +397,9 @@ def ppt_max(h, dims, tol=1e-9, max_outer=4000, stall_limit=25):
     converged = stall > stall_limit
     w_rho = np.linalg.eigvalsh(rho)
     w_ppt = np.linalg.eigvalsh(partial_transpose(rho, dims, 0))
-    if w_rho[0] < -1e-8 or w_ppt[0] < -1e-8:
-        raise RuntimeError("Dykstra returned an infeasible iterate")
+    trace = np.trace(rho).real
+    if w_rho[0] < -1e-8 or w_ppt[0] < -1e-8 or abs(trace - 1) > 1e-8:
+        raise RuntimeError(f"Dykstra returned an infeasible iterate (trace {trace:.12g})")
     return PPTMaxResult(value=float(val), state=rho, converged=converged, iterations=it)
 
 

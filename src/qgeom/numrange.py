@@ -4,7 +4,8 @@ qutrit boundary classification, and one-shot unitary distinguishability.
 The support function of W(X_1,...,X_k) in direction n is the largest
 eigenvalue of n.X, attained by the top eigenvector; sweeping directions
 yields an inner vertex cloud and outer supporting half-spaces that bracket
-the true range.
+the true range.  Every sweep goes through `support_batch`, which stacks the
+eigensolves of many directions into one call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import linprog, minimize
 
-from .core import as_hermitian, expectation
+from .core import as_hermitian, expectation, stack_chunks
 
 DEGENERACY_GAP = 1e-10
 FLAT_GAP = 1e-8
@@ -94,38 +95,50 @@ class ConvexBodyApprox:
         s = self.outer_normals @ self.inner_vertices.T - self.outer_offsets[:, None]
         return bool(s.max() <= tol)
 
-    def support_inner(self, n):
-        return float((self.inner_vertices @ unit(n)).max())
 
+def support_batch(ops, directions):
+    """Support samples of W(ops), one per row of `directions`, in row order.
 
-def support(ops, n, degeneracy_gap=DEGENERACY_GAP):
-    """Support sample of W(ops) along unit direction n.
-
-    value = lambda_max(sum n_i X_i); point = expectation tuple over the top
-    eigenvector.  The sample is flagged degenerate when the relative gap of
-    the two top eigenvalues falls below `degeneracy_gap`.
+    Each row is normalised; value = lambda_max(sum n_i X_i) and point = the
+    expectation tuple over the top eigenvector.  A sample is flagged
+    degenerate when the relative gap of the two top eigenvalues falls below
+    DEGENERACY_GAP.  The operators are validated once per call, and the
+    eigensolves run stacked, in chunks of core.STACK_ENTRIES matrix entries.
     """
     ops = [as_hermitian(x) for x in ops]
     d = ops[0].shape[0]
     if any(x.shape[0] != d for x in ops):
         raise ValueError("operators must share one dimension")
-    n = unit(n)
-    if len(n) != len(ops):
-        raise ValueError(f"direction length {len(n)} != number of operators {len(ops)}")
-    m = sum(ni * xi for ni, xi in zip(n, ops))
-    w, v = np.linalg.eigh(m)
-    top = v[:, -1]
-    scale = max(abs(w[-1]), abs(w[0]), 1e-30)
-    gap = (w[-1] - w[-2]) / scale if d > 1 else np.inf
-    point = np.array([expectation(x, np.outer(top, top.conj())) for x in ops])
-    return SupportSample(
-        direction=n,
-        value=float(w[-1]),
-        point=point,
-        witness=top,
-        degenerate=bool(gap < degeneracy_gap),
-        gap=float(gap),
-    )
+    rows = np.atleast_2d(np.asarray(directions, dtype=float))
+    dirs = np.array([unit(n) for n in rows]).reshape(rows.shape)
+    if dirs.shape[1] != len(ops):
+        raise ValueError(f"direction length {dirs.shape[1]} != number of operators {len(ops)}")
+    out = []
+    for chunk in stack_chunks(len(dirs), d):
+        n = dirs[chunk]
+        w, v = np.linalg.eigh(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
+        top = np.ascontiguousarray(v[:, :, -1])
+        rho = top[:, :, None] * top.conj()[:, None, :]
+        points = np.stack([expectation(x, rho) for x in ops], axis=1)
+        scale = np.maximum(np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0])), 1e-30)
+        gaps = (w[:, -1] - w[:, -2]) / scale if d > 1 else np.full(len(n), np.inf)
+        out.extend(
+            SupportSample(
+                direction=n[r],
+                value=float(w[r, -1]),
+                point=points[r],
+                witness=top[r],
+                degenerate=bool(gaps[r] < DEGENERACY_GAP),
+                gap=float(gaps[r]),
+            )
+            for r in range(len(n))
+        )
+    return out
+
+
+def support(ops, n):
+    """Support sample of W(ops) along direction n: the one-row support_batch."""
+    return support_batch(ops, [n])[0]
 
 
 def _top_eigenspace(ops, n, rel_tol=1e-9):
@@ -142,16 +155,9 @@ def _face_points(ops, basis, n_dirs=60, seed=1):
     Realizes the one-level recursion of reduced operators: the face is the
     joint numerical range of the eigenspace-restricted operators.
     """
-    k = len(ops)
     reduced = [basis.conj().T @ x @ basis for x in ops]
-    dirs = sphere_directions(k, n_dirs, seed=seed)
-    pts = []
-    for nn in dirs:
-        m = sum(ni * xi for ni, xi in zip(nn, reduced))
-        _, v = np.linalg.eigh(m)
-        top = v[:, -1]
-        pts.append([float(np.real(top.conj() @ y @ top)) for y in reduced])
-    return np.array(pts)
+    dirs = sphere_directions(len(ops), n_dirs, seed=seed)
+    return np.array([s.point for s in support_batch(reduced, dirs)])
 
 
 def jnr_approximate(ops, directions, enrich_degenerate=True):
@@ -162,13 +168,10 @@ def jnr_approximate(ops, directions, enrich_degenerate=True):
     collapse to single inner points.
     """
     ops = [as_hermitian(x) for x in ops]
-    k = len(ops)
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
     inner = []
     normals = []
     offsets = []
-    for n in directions:
-        s = support(ops, n)
+    for s in support_batch(ops, directions):
         inner.append(s.point)
         normals.append(s.direction)
         offsets.append(s.value)

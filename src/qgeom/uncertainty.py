@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import as_density, as_hermitian, expectation
-from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support
+from .core import as_density, as_hermitian, expectation, stack_chunks
+from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support_batch
 
 
 def variance(x, rho):
@@ -39,19 +39,21 @@ class VarianceBound:
         self.certificate_state = as_density(self.certificate_state)
 
 
-def _lambda_min_shifted(x, y, x2, y2, eye, pt):
-    a, b = pt
-    m = x2 - 2 * a * x + a * a * eye + y2 - 2 * b * y + b * b * eye
-    return np.linalg.eigvalsh(m)[0]
+def _shifted_square_sum(x, y, x2, y2, eye, a, b):
+    """(X - a)^2 + (Y - b)^2, stacked over the leading shape of arrays a and b."""
+    a = np.asarray(a)[..., None, None]
+    b = np.asarray(b)[..., None, None]
+    return x2 - 2 * a * x + a * a * eye + y2 - 2 * b * y + b * b * eye
 
 
 def min_sum_variances(x, y, grid=41, refine_from=5):
     """Minimize lambda_min((X-x)^2 + (Y-y)^2) over the spectral box.
 
-    Deterministic coarse grid over the eigenvalue ranges of X and Y
-    followed by Nelder-Mead refinement from the best cells; the
-    certificate state is the minimizing eigenvector's projector, whose
-    expectation values reproduce (x*, y*) at an interior optimum.
+    Deterministic coarse grid over the eigenvalue ranges of X and Y, solved
+    as stacked eigensolves, followed by Nelder-Mead refinement from the
+    best cells; the certificate state is the minimizing eigenvector's
+    projector, whose expectation values reproduce (x*, y*) at an interior
+    optimum.
     """
     x = as_hermitian(x)
     y = as_hermitian(y)
@@ -63,29 +65,28 @@ def min_sum_variances(x, y, grid=41, refine_from=5):
     wy = np.linalg.eigvalsh(y)
 
     def f(pt):
-        return _lambda_min_shifted(x, y, x2, y2, eye, pt)
+        return np.linalg.eigvalsh(_shifted_square_sum(x, y, x2, y2, eye, *pt))[0]
 
-    xs = np.linspace(wx[0], wx[-1], grid)
-    ys = np.linspace(wy[0], wy[-1], grid)
-    coarse = sorted(((f((a, b)), a, b) for a in xs for b in ys), key=lambda t: t[0])
-    best_val, best_pt = coarse[0][0], np.array(coarse[0][1:])
-    for v0, a, b in coarse[:refine_from]:
+    xs, ys = np.meshgrid(np.linspace(wx[0], wx[-1], grid), np.linspace(wy[0], wy[-1], grid), indexing="ij")
+    xs, ys = xs.ravel(), ys.ravel()
+    vals = np.concatenate(
+        [
+            np.linalg.eigvalsh(_shifted_square_sum(x, y, x2, y2, eye, xs[c], ys[c]))[:, 0]
+            for c in stack_chunks(len(xs), x.shape[0])
+        ]
+    )
+    order = np.argsort(vals, kind="stable")  # stable: grid order among equal values
+    best_val, best_pt = vals[order[0]], np.array([xs[order[0]], ys[order[0]]])
+    for i in order[:refine_from]:
         r = minimize(
             f,
-            [a, b],
+            [xs[i], ys[i]],
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
         )
         if r.fun < best_val:
             best_val, best_pt = float(r.fun), np.asarray(r.x)
-    m = (
-        x2
-        - 2 * best_pt[0] * x
-        + best_pt[0] ** 2 * eye
-        + y2
-        - 2 * best_pt[1] * y
-        + best_pt[1] ** 2 * eye
-    )
+    m = _shifted_square_sum(x, y, x2, y2, eye, *best_pt)
     _, v = np.linalg.eigh(m)
     state = np.outer(v[:, 0], v[:, 0].conj())
     return VarianceBound(
@@ -150,6 +151,8 @@ def default_partition(x, tol=1e-4):
 def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
     """(c, delta): c = min over sector pairs of lambda_min(X_i + Y_j).
 
+    One stacked eigensolve per X sector covers every Y sector.
+
     Guarantees c <= min_rho (Delta^2 X + Delta^2 Y) <= c + delta with
     delta = delta_X + delta_Y.
     """
@@ -159,9 +162,8 @@ def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
         raise ValueError("X partition does not contain the spectrum of X")
     if not py.covers(y):
         raise ValueError("Y partition does not contain the spectrum of Y")
-    xs = [sector_bound_operator(x, a, b) for a, b in px.sectors()]
-    ys = [sector_bound_operator(y, a, b) for a, b in py.sectors()]
-    c = min(np.linalg.eigvalsh(xi + yj)[0] for xi in xs for yj in ys)
+    ys = np.stack([sector_bound_operator(y, a, b) for a, b in py.sectors()])
+    c = min(np.linalg.eigvalsh(sector_bound_operator(x, a, b) + ys)[:, 0].min() for a, b in px.sectors())
     return float(c), px.delta + py.delta
 
 
@@ -214,10 +216,7 @@ def paraboloid_certificate(x, y, bound: VarianceBound, directions=None, tol=1e-6
     ssq = x @ x + y @ y
     if directions is None:
         directions = sphere_directions(3, 600)
-    lo = np.inf
-    for n in np.atleast_2d(directions):
-        s = support([x, y, ssq], n)
-        lo = min(lo, s.point[2] - s.point[0] ** 2 - s.point[1] ** 2)
+    lo = min(s.point[2] - s.point[0] ** 2 - s.point[1] ** 2 for s in support_batch([x, y, ssq], directions))
     if lo < bound.value - tol:
         return False
     attained = variance(x, bound.certificate_state) + variance(y, bound.certificate_state)

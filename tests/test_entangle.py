@@ -295,3 +295,10 @@ def test_block_positivity_screening(rng):
         b = core.random_pure(d, rng)
         v = np.kron(a, b)
         assert np.real(v.conj() @ swap @ v) >= -1e-9
+
+
+def test_ppt_max_raises_on_a_non_unit_trace_iterate():
+    # Dykstra stops on the triangle clique matrix with trace 4/3; that is no state
+    tri = clique_matrix(Graph(3, [(0, 1), (0, 2), (1, 2)]))
+    with pytest.raises(RuntimeError, match="trace"):
+        ppt_max(tri, (3, 3))

@@ -1,0 +1,20 @@
+"""Smoke tests of the experiment scripts under scripts/."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_spin_variance_table(capsys):
+    # main asserts c <= bound <= c + delta for each j itself
+    _load("spin_variance_table").main(4)
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split()[0] for r in rows] == ["1/2", "1", "3/2", "2"]

@@ -245,16 +245,19 @@ def choi_apply(choi, rho):
     return d * partial_trace(m, (d, d), 0)
 
 
-def _as_half_integer(j):
-    jf = j if isinstance(j, Fraction) else Fraction(j).limit_denominator(2)
-    if abs(float(jf) - float(j)) > 1e-12 or jf < 0 or jf.denominator not in (1, 2):
-        raise ValueError(f"invalid spin quantum number {j}")
-    return jf
+def as_half_integer(x):
+    """Validate a half-integer quantum number of either sign, returned as a Fraction."""
+    f = x if isinstance(x, Fraction) else Fraction(x).limit_denominator(2)
+    if abs(float(f) - float(x)) > 1e-12 or f.denominator not in (1, 2):
+        raise ValueError(f"{x} is not a half-integer")
+    return f
 
 
 def spin_operators(j):
     """Spin matrices (J_X, J_Y, J_Z) of size 2j+1 in the descending-m J_Z eigenbasis."""
-    jf = _as_half_integer(j)
+    jf = as_half_integer(j)
+    if jf < 0:
+        raise ValueError(f"invalid spin quantum number {j}")
     two_j = int(2 * jf)
     dim = two_j + 1
     jj = float(jf)

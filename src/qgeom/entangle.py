@@ -4,7 +4,9 @@ states; separable/PPT numerical ranges; the maximum-clique hardness matrix.
 Product maxima are NP-hard in general, so the see-saw values are certified
 lower bounds only; rigorous upper bounds exist on the qubit-qudit path,
 where the problem projects onto a convex function over a 4-dimensional
-joint numerical range.
+joint numerical range.  Schmidt-rank-2 maxima come from alternating
+eigensolves over the two rank-2 factors of psi = vec(U V^T), each an exact
+maximization with the other factor fixed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .core import (
     expectation,
     partial_trace,
     partial_transpose,
+    random_density,
     tensor,
 )
 from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support_batch, unit
@@ -63,34 +66,17 @@ class SepBounds:
 
 
 def _reduced_operator(ht, dims, factors, k):
-    """<others| H |others>: the effective operator on factor k."""
+    """<others| H |others>: the effective operator on factor k.
+
+    ht carries bra axes 0..n-1 and ket axes n..2n-1; every factor i != k is
+    contracted as conj(f_i) on bra axis i and f_i on ket axis i.
+    """
     n = len(dims)
-    m = ht
-    # bra axes then ket axes of the remaining factors, None once contracted
-    bra = list(range(n))
-    ket = list(range(n, 2 * n))
-
-    def drop(ax):
-        nonlocal bra, ket
-        bra = [None if b is None else (b - 1 if b > ax else b) for b in bra]
-        ket = [None if q is None else (q - 1 if q > ax else q) for q in ket]
-
-    for i in range(n):
-        if i == k:
-            continue
-        f = factors[i]
-        ax_b = bra[i]
-        m = np.tensordot(f.conj(), m, axes=([0], [ax_b]))
-        bra[i] = None
-        drop(ax_b)
-        ax_k = ket[i]
-        m = np.tensordot(f, m, axes=([0], [ax_k]))
-        ket[i] = None
-        drop(ax_k)
-    # remaining two axes are (bra_k, ket_k) in some order
-    if bra[k] > ket[k]:
-        m = m.T
-    return m
+    args = [ht, list(range(2 * n))]
+    for i, f in enumerate(factors):
+        if i != k:
+            args += [f.conj(), [i], f, [n + i]]
+    return np.einsum(*args, [k, n + k])
 
 
 def seesaw_product_max(h, dims, restarts=32, seed=0, tol=1e-10, max_sweeps=500):
@@ -479,28 +465,25 @@ def ppt_duality_check(dims, samples=60, seed=0, tol=1e-7):
     agree = 0
     results = []
     for _ in range(samples):
-        rank = int(rng.integers(1, d + 1))
-        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
+        rho = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
         is_ppt = bool(np.linalg.eigvalsh(partial_transpose(rho, dims, 0))[0] >= -1e-10)
-        x = np.array([expectation(b, rho) for b in basis])
-        m = sum(xi * gi for xi, gi in zip(x, gens))
-        in_polar = bool(np.linalg.eigvalsh(m)[-1] <= 1 + tol)
+        in_polar = _in_ppt_polar(rho, basis, gens, tol)
         ok = is_ppt == in_polar
         agree += ok
         results.append((is_ppt, in_polar))
     return {"agree": agree, "total": samples, "results": results}
 
 
-def is_ppt_by_duality(rho, dims, tol=1e-8):
-    """Polar-membership PPT test for a single state (spectrahedron duality route)."""
-    d = rho.shape[0]
-    basis = gellmann_basis(d)
-    gens = ppt_dual_generators(dims)
+def _in_ppt_polar(rho, basis, gens, tol):
+    """lambda_max(sum_i Tr(rho G_i) G~_i) <= 1 + tol: rho lies in the polar of W(G~)."""
     x = np.array([expectation(b, rho) for b in basis])
     m = sum(xi * gi for xi, gi in zip(x, gens))
     return bool(np.linalg.eigvalsh(m)[-1] <= 1 + tol)
+
+
+def is_ppt_by_duality(rho, dims, tol=1e-8):
+    """Polar-membership PPT test for a single state (spectrahedron duality route)."""
+    return _in_ppt_polar(rho, gellmann_basis(rho.shape[0]), ppt_dual_generators(dims), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -517,109 +500,64 @@ def _two_level_top(h, psi, phi):
     return float(w[-1]), v[:, -1]
 
 
-def _sphere_quadratic_max(b, c):
-    """Maximize a^dag B a + 2 Re(a^dag c) over unit vectors a.
-
-    Secular equation of the trust-region subproblem: a = (mu - B)^{-1} c
-    with mu >= lambda_max(B) chosen so ||a|| = 1; the degenerate "hard
-    case" (c orthogonal to the top eigenspace with interior solution) adds
-    a top-eigenvector component instead.
-    """
-    b = (b + b.conj().T) / 2
-    w, v = np.linalg.eigh(b)
-    cb = v.conj().T @ np.asarray(c, dtype=complex)
-    if np.linalg.norm(cb) < 1e-15:
-        return v[:, -1]
-    top = w[-1]
-    top_mask = w > top - 1e-12 * max(abs(top), 1.0)
-    if np.linalg.norm(cb[top_mask]) < 1e-12 * np.linalg.norm(cb):
-        rest = ~top_mask
-        a_rest = np.zeros_like(cb)
-        a_rest[rest] = cb[rest] / (top - w[rest])
-        nr = np.linalg.norm(a_rest)
-        if nr <= 1.0:
-            a_rest[np.argmax(top_mask)] = np.sqrt(max(1.0 - nr**2, 0.0))
-            a = v @ a_rest
-            return a / np.linalg.norm(a)
-
-    def norm_at(mu):
-        return np.linalg.norm(cb / (mu - w))
-
-    lo = top + 1e-14 * max(abs(top), 1.0)
-    hi = top + max(1.0, 2 * np.linalg.norm(cb))
-    while norm_at(hi) > 1.0:
-        hi = top + 2 * (hi - top)
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if norm_at(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(abs(hi), 1.0):
-            break
-    a = v @ (cb / (hi - w))
-    return a / np.linalg.norm(a)
-
-
 @dataclass
 class Schmidt2Result:
     value: float
-    pair: tuple  # (ProductAnsatz psi, ProductAnsatz phi), orthogonal
+    pair: tuple  # (ProductAnsatz psi, ProductAnsatz phi), orthogonal on both factors
     mixing_angle: float
     chi: float
+
+
+def _top_factor(m, d, r):
+    """Top eigenvalue of a (d r) x (d r) contraction and its eigenvector as a d x r factor."""
+    w, v = np.linalg.eigh(m.reshape(d * r, d * r))
+    return float(w[-1]), v[:, -1].reshape(d, r)
 
 
 def schmidt2_max(h, dims, restarts=16, seed=0, sweeps=200, tol=1e-11):
     """Heuristic maximum of <H> over Schmidt-rank-2 pure states.
 
-    Optimizes the top eigenvalue of H restricted to span{|a1 b1>, |a2 b2>}
-    with <a1|a2> = 0 or <b1|b2> = 0 enforced per branch; factor updates are
-    exact sphere-constrained quadratic maximizations, so sweeps are
-    monotone.  The doubled-space swap functional chi is evaluated at the
+    A Schmidt-rank-<=2 state is psi = vec(U V^T) with U of size d_A x r and
+    V of size d_B x r, r = min(2, d_A, d_B).  Once V's columns are
+    orthonormal, <psi|H|psi> is a Hermitian form in U with identity Gram
+    matrix, so the top eigenvector of H contracted with V is the exact
+    maximizer over U; likewise for V with U fixed.  Each half-step maximizes
+    over a set that contains the current state, so sweeps are monotone; when
+    min(d_A, d_B) <= 2 one half-step spans the whole space and returns
+    lambda_max(H).  The SVD of the best U V^T gives the pair |a1 b1>, |a2 b2>,
+    orthogonal on both factors (a factor of dimension 1 reuses its only
+    vector).  The doubled-space swap functional chi is evaluated at the
     optimum and must agree with the two-level eigenvalue.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
-    if len(dims) != 2:
-        raise ValueError("schmidt2_max requires a bipartite split")
+    if len(dims) != 2 or h.shape[0] < 2:
+        # the pair |a1 b1>, |a2 b2> must be orthogonal, which C^1 (x) C^1 cannot hold
+        raise ValueError("schmidt2_max requires a bipartite split of dimension >= 2")
     da, db = dims
+    r = min(2, da, db)
     ht = h.reshape(dims + dims)
     rng = np.random.default_rng(seed)
     best = None
-    for start in range(restarts):
-        branch = ("A", "B")[start % 2] if min(da, db) > 1 else ("A" if da > 1 else "B")
-        vecs = []
-        for d in (da, db, da, db):
-            f = rng.normal(size=d) + 1j * rng.normal(size=d)
-            vecs.append(f / np.linalg.norm(f))
-        a1, b1, a2, b2 = vecs
-        if branch == "A":
-            a2 = _orthogonalize(a2, a1)
-        else:
-            b2 = _orthogonalize(b2, b1)
-        prev = -np.inf
-        lam, c = -np.inf, np.array([1.0, 0.0])
+    for _ in range(restarts):
+        u, v = (rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)) for d in dims)
+        lam, prev = -np.inf, -np.inf
         for _ in range(sweeps):
-            for which in range(4):
-                lam, c = _two_level_top(h, np.kron(a1, b1), np.kron(a2, b2))
-                new = _update_factor(ht, dims, (a1, b1, a2, b2), which, c, branch)
-                if which == 0:
-                    a1 = new
-                elif which == 1:
-                    b1 = new
-                elif which == 2:
-                    a2 = new
-                else:
-                    b2 = new
-            lam, c = _two_level_top(h, np.kron(a1, b1), np.kron(a2, b2))
+            v, _ = np.linalg.qr(v)
+            lam, u = _top_factor(np.einsum("jk,ijlm,mn->ikln", v.conj(), ht, v), da, r)
+            u, _ = np.linalg.qr(u)
+            lam, v = _top_factor(np.einsum("ik,ijlm,ln->jkmn", u.conj(), ht, u), db, r)
             if lam - prev < tol:
                 break
             prev = lam
         if best is None or lam > best[0]:
-            best = (lam, (a1, b1, a2, b2), c, branch)
-    lam, (a1, b1, a2, b2), c, branch = best
+            best = (lam, u @ v.T)
+    a, _, bh = np.linalg.svd(best[1])
+    a1, a2 = a[:, 0], a[:, min(1, da - 1)]
+    b1, b2 = bh[0], bh[min(1, db - 1)]
     psi_v = np.kron(a1, b1)
     phi_v = np.kron(a2, b2)
+    lam, c = _two_level_top(h, psi_v, phi_v)
     # doubled-space swap functional at the found point: chi recovers the
     # two-level eigenvalue through <psi x phi|(H x H) SWAP|psi x phi>
     #   = |<psi|H|phi>|^2, entering under the root with a factor 4
@@ -636,60 +574,6 @@ def schmidt2_max(h, dims, restarts=16, seed=0, sweeps=200, tol=1e-11):
         mixing_angle=angle,
         chi=float(chi),
     )
-
-
-def _orthogonalize(v, against):
-    w = v - (against.conj() @ v) * against
-    n = np.linalg.norm(w)
-    if n < 1e-12:
-        w = np.zeros_like(v)
-        w[(np.argmax(np.abs(against)) + 1) % len(v)] = 1.0
-        w = w - (against.conj() @ w) * against
-        n = np.linalg.norm(w)
-    return w / n
-
-
-def _update_factor(ht, dims, vecs, which, c, branch):
-    """Exact update of one factor: quadratic-plus-linear max on the sphere.
-
-    |Psi> = c0 |a1 b1> + c1 |a2 b2> is linear in the chosen factor, so
-    <Psi|H|Psi> = f^dag B f + 2 Re(f^dag v) + const; the orthogonality
-    branch is kept by optimizing in the constrained subspace.
-    """
-    a1, b1, a2, b2 = vecs
-    c0, c1 = c
-    # (partner in own pair, other pair's A factor, other pair's B factor)
-    layout = {
-        0: (b1, a2, b2, c0, c1),
-        1: (a1, a2, b2, c0, c1),
-        2: (b2, a1, b1, c1, c0),
-        3: (a2, a1, b1, c1, c0),
-    }
-    partner, oa, ob, coeff, other_coeff = layout[which]
-    if which in (0, 2):  # A-side factor free, partner lives on B
-        m = np.einsum("ijkl,j,l->ik", ht, partner.conj(), partner)
-        w = np.einsum("ijkl,j,k,l->i", ht, partner.conj(), oa, ob)
-    else:  # B-side factor free
-        m = np.einsum("ijkl,i,k->jl", ht, partner.conj(), partner)
-        w = np.einsum("ijkl,i,k,l->j", ht, partner.conj(), oa, ob)
-    b_eff = (abs(coeff) ** 2) * m
-    v_eff = np.conj(coeff) * other_coeff * w
-
-    constrained = (branch == "A" and which in (0, 2)) or (branch == "B" and which in (1, 3))
-    if constrained:
-        against = {0: a2, 2: a1, 1: b2, 3: b1}[which]
-        q = _complement_basis(against)
-        f = _sphere_quadratic_max(q.conj().T @ b_eff @ q, q.conj().T @ v_eff)
-        out = q @ f
-    else:
-        out = _sphere_quadratic_max(b_eff, v_eff)
-    return out / np.linalg.norm(out)
-
-
-def _complement_basis(v):
-    d = len(v)
-    q, _ = np.linalg.qr(np.column_stack([v, np.eye(d)]))
-    return q[:, 1:d]
 
 
 # ---------------------------------------------------------------------------

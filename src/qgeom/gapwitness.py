@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .numrange import support_batch
+
 MAX_SITES = 14
 DENSE_LIMIT = 512  # largest dimension diagonalized densely for eigenpairs
 FULL_SPECTRUM_LIMIT = 4096
@@ -301,10 +303,8 @@ def cusp_decomposition_check(x, y, psi, n_dirs=120, tol=1e-8, hull_tol=1e-6):
     xp = comp.conj().T @ xd @ comp
     yp = comp.conj().T @ yd @ comp
     th = 2 * np.pi * np.arange(n_dirs) / n_dirs
-    for c, s in zip(np.cos(th), np.sin(th)):
-        h_full = np.linalg.eigvalsh(c * xd + s * yd)[-1]
-        h_perp = np.linalg.eigvalsh(c * xp + s * yp)[-1]
-        h_point = c * ex + s * ey
-        if abs(h_full - max(h_point, h_perp)) > hull_tol * scale:
-            return False
-    return True
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    h_full = np.array([s.value for s in support_batch([xd, yd], dirs)])
+    h_perp = np.array([s.value for s in support_batch([xp, yp], dirs)])
+    h_point = dirs @ np.array([ex, ey])
+    return bool(np.all(np.abs(h_full - np.maximum(h_point, h_perp)) <= hull_tol * scale))

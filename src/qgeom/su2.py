@@ -17,17 +17,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from .core import as_density, choi_matrix_of_map, spin_operators
+from .core import as_density, as_half_integer, choi_matrix_of_map, spin_operators
 
 _CG_CACHE = {}
-
-
-def _half(x):
-    """Validate a half-integer quantum number, returned as a Fraction."""
-    f = x if isinstance(x, Fraction) else Fraction(x).limit_denominator(2)
-    if abs(float(f) - float(x)) > 1e-12 or f.denominator not in (1, 2):
-        raise ValueError(f"{x} is not a half-integer")
-    return f
 
 
 def _fact(n):
@@ -43,7 +35,7 @@ def clebsch_gordan(j1, m1, j2, m2, j, m):
     failure); raises for malformed quantum numbers.  The Racah sum runs in
     Fraction arithmetic; only the final square root is floating point.
     """
-    j1, m1, j2, m2, j, m = (_half(v) for v in (j1, m1, j2, m2, j, m))
+    j1, m1, j2, m2, j, m = (as_half_integer(v) for v in (j1, m1, j2, m2, j, m))
     for jj, mm in ((j1, m1), (j2, m2)):
         if abs(mm) > jj or (jj - mm).denominator != 1:
             raise ValueError(f"invalid input pair (j={jj}, m={mm})")
@@ -101,8 +93,8 @@ class SpinKet:
     def __post_init__(self):
         entries = []
         for (j, m, tag), a in dict(self.amps).items():
-            j = _half(j)
-            m = _half(m)
+            j = as_half_integer(j)
+            m = as_half_integer(m)
             if abs(m) > j or (j - m).denominator != 1:
                 raise ValueError(f"m = {m} incompatible with j = {j}")
             a = complex(a)
@@ -124,7 +116,7 @@ class SpinKet:
                 tag = ""
             else:
                 j, m, tag, a = t
-            key = (_half(j), _half(m), str(tag))
+            key = (as_half_integer(j), as_half_integer(m), str(tag))
             d[key] = d.get(key, 0) + complex(a)
         if normalize:
             n = math.sqrt(sum(abs(a) ** 2 for a in d.values()))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgeom import core
+from qgeom import core, entangle
 from qgeom.core import PAULI_X, PAULI_Y, PAULI_Z, partial_transpose, tensor
 from qgeom.entangle import (
     Graph,
@@ -302,3 +304,65 @@ def test_ppt_max_raises_on_a_non_unit_trace_iterate():
     tri = clique_matrix(Graph(3, [(0, 1), (0, 2), (1, 2)]))
     with pytest.raises(RuntimeError, match="trace"):
         ppt_max(tri, (3, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.integers(1, 4), min_size=2, max_size=4), st.data())
+def test_reduced_operator_matches_dense_contraction(seed, dims, data):
+    rng = np.random.default_rng(seed)
+    dims = tuple(dims)
+    h = core.random_hermitian(int(np.prod(dims)), rng)
+    factors = [core.random_pure(d, rng) for d in dims]
+    k = data.draw(st.integers(0, len(dims) - 1))
+    # <others|: the product of the other factors' columns with the identity on k
+    others = tensor(*[np.eye(d) if i == k else f[:, None] for i, (d, f) in enumerate(zip(dims, factors))])
+    dense = others.conj().T @ h @ others
+    red = entangle._reduced_operator(h.reshape(dims + dims), dims, factors, k)
+    np.testing.assert_allclose(red, dense, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(2, 5), st.booleans())
+def test_schmidt2_is_the_top_eigenvalue_when_a_factor_is_at_most_two(seed, small, other, swap):
+    # every state of C^small (x) C^other has Schmidt rank <= small <= 2
+    dims = (other, small) if swap else (small, other)
+    rng = np.random.default_rng(seed)
+    h = core.random_hermitian(small * other, rng)
+    res = schmidt2_max(h, dims, restarts=2, seed=seed)
+    assert res.value == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_schmidt2_maximally_entangled_projector(d):
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    res = schmidt2_max(np.outer(phi, phi), (d, d), restarts=4, seed=0)
+    assert res.value == pytest.approx(2 / d, abs=1e-9)
+
+
+def test_schmidt2_rejects_a_one_dimensional_space():
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        schmidt2_max(np.array([[0.7]]), (1, 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(3, 3), (3, 4)]))
+def test_schmidt2_between_product_and_top_with_orthogonal_pair(seed, dims):
+    rng = np.random.default_rng(seed)
+    h = core.random_hermitian(dims[0] * dims[1], rng)
+    res = schmidt2_max(h, dims, restarts=6, seed=seed)
+    lower = seesaw_product_max(h, dims, restarts=6, seed=seed).lower
+    assert lower - 1e-9 <= res.value <= np.linalg.eigvalsh(h)[-1] + 1e-9
+    (a1, b1), (a2, b2) = res.pair[0].factors, res.pair[1].factors
+    assert abs(np.vdot(a1, a2)) < 1e-10
+    assert abs(np.vdot(b1, b2)) < 1e-10
+    assert res.chi == pytest.approx(res.value, abs=1e-9)
+
+
+def test_ppt_duality_check_and_single_state_test_agree():
+    dims, tol = (2, 3), 1e-7
+    rep = ppt_duality_check(dims, samples=12, seed=4, tol=tol)
+    rng = np.random.default_rng(4)
+    for is_ppt, in_polar in rep["results"]:
+        rho = core.random_density(6, rng, rank=int(rng.integers(1, 7)))
+        assert is_ppt == bool(np.linalg.eigvalsh(partial_transpose(rho, dims, 0))[0] >= -1e-10)
+        assert in_polar == is_ppt_by_duality(rho, dims, tol=tol)

@@ -292,3 +292,17 @@ def test_antiunitary_point_covariant(rng):
         lhs = antiunitary_point_map(u @ rho @ u.conj().T)
         rhs = u @ antiunitary_point_map(rho) @ u.conj().T
         assert np.abs(lhs - rhs).max() < 1e-9
+
+
+def test_half_integer_validation_is_shared_with_core():
+    assert core.as_half_integer(-1.5) == F(-3, 2)
+    for bad in (F(1, 3), 0.3, 1 / 3):
+        with pytest.raises(ValueError, match="not a half-integer"):
+            core.as_half_integer(bad)
+    with pytest.raises(ValueError):
+        clebsch_gordan(1, F(1, 3), 1, 0, 1, F(1, 3))
+    for j in (-1, -0.5):
+        with pytest.raises(ValueError, match="invalid spin"):
+            core.spin_operators(j)
+    with pytest.raises(ValueError):
+        core.spin_operators(0.3)

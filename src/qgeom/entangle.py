@@ -4,9 +4,11 @@ states; separable/PPT numerical ranges; the maximum-clique hardness matrix.
 Product maxima are NP-hard in general, so the see-saw values are certified
 lower bounds only; rigorous upper bounds exist on the qubit-qudit path,
 where the problem projects onto a convex function over a 4-dimensional
-joint numerical range.  Schmidt-rank-2 maxima come from alternating
-eigensolves over the two rank-2 factors of psi = vec(U V^T), each an exact
-maximization with the other factor fixed.
+joint numerical range.  PPT maxima carry a certified two-sided bracket:
+ADMM over the state set and the PPT cone yields a PPT state below the
+maximum and a weak-duality certificate above it.  Schmidt-rank-2 maxima
+come from alternating eigensolves over the two rank-2 factors of
+psi = vec(U V^T), each an exact maximization with the other factor fixed.
 """
 
 from __future__ import annotations
@@ -301,7 +303,9 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0, inner_directi
 
 
 # ---------------------------------------------------------------------------
-# PPT maximization: projected ascent with Dykstra feasibility projections
+# PPT maximization: two-set ADMM bracketed by a weak-duality certificate
+
+PPT_MAX_ITER = 20000
 
 
 def _project_state(m):
@@ -317,80 +321,73 @@ def _project_state(m):
     return (v * lam) @ v.conj().T
 
 
-def _project_ppt_cone(m, dims):
-    """Projection onto {rho : rho^TA >= 0}; TA is a Frobenius isometry."""
-    m = (m + m.conj().T) / 2
-    t = partial_transpose(m, dims, 0)
-    w, v = np.linalg.eigh(t)
-    t2 = (v * np.maximum(w, 0)) @ v.conj().T
-    return partial_transpose(t2, dims, 0)
-
-
-def dykstra_ppt_state(m, dims, tol=1e-12, max_iter=400):
-    """Dykstra alternating projections onto state set and PPT cone."""
-    x = np.asarray(m, dtype=complex)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_iter):
-        y = _project_state(x + p)
-        p = x + p - y
-        x_new = _project_ppt_cone(y + q, dims)
-        q = y + q - x_new
-        if np.linalg.norm(x_new - x) < tol * max(1.0, np.linalg.norm(x)):
-            return x_new
-        x = x_new
-    return x
-
-
 @dataclass
 class PPTMaxResult:
     value: float
+    upper: float
     state: np.ndarray
     converged: bool
     iterations: int
 
 
-def ppt_max(h, dims, tol=1e-9, max_outer=4000, stall_limit=25):
-    """Maximize Tr(rho H) over PPT states by projected gradient ascent.
+def ppt_max(h, dims, tol=1e-9):
+    """Maximize Tr(rho H) over PPT states; value <= max <= upper.
 
-    Each step projects rho + eta*H back onto the (convex) PPT state set
-    with Dykstra; eta shrinks on stalls.  The final iterate is checked
-    (eigenvalues of rho and rho^TA above -1e-8, |Tr rho - 1| <= 1e-8) and
-    RuntimeError is raised otherwise, so a returned value is a certified
-    lower bound that converges to the PPT maximum of this convex program.
+    Two-set ADMM (Boyd et al. 2011, Wen-Goldfarb-Yin 2010) on H scaled to
+    unit norm: X = P_states(Z - U + H/beta), Z = G P_PSD G (X + U), U += X - Z,
+    with G the partial transpose (an involutive isometry) and beta balanced
+    by the primal and dual residuals.  Each X mixed with 1/d until X^G >= 0
+    is a PPT state, and `state` is the best of them (`value` = Tr(state H)).
+    U is the negative part of X + U in the PPT cone, so Q = -beta |H| U^G
+    >= 0, and weak duality gives Tr(rho H) <= lambda_max(H + Q^G) = `upper`
+    for every PPT state rho.  Stops when upper - value <= tol (`converged`)
+    or after PPT_MAX_ITER iterations.  The state is checked (eigenvalues of
+    rho and rho^G above -1e-8, |Tr rho - 1| <= 1e-8); RuntimeError otherwise.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
     if len(dims) != 2:
         raise ValueError("ppt_max requires a bipartite dimension split")
     d = h.shape[0]
-    rho = dykstra_ppt_state(np.eye(d, dtype=complex) / d, dims)
-    val = expectation(h, rho)
-    eta = 1.0 / max(np.linalg.norm(h, 2), 1e-12)
-    stall = 0
-    it = 0
-    for it in range(1, max_outer + 1):
-        cand = dykstra_ppt_state(rho + eta * h, dims)
-        v2 = expectation(h, cand)
-        if v2 > val + tol:
-            rho, val = cand, v2
-            stall = 0
-        else:
-            eta *= 0.7
-            stall += 1
-            if stall > stall_limit:
-                break
-    converged = stall > stall_limit
+    w = np.linalg.eigvalsh(h)
+    scale = max(-w[0], w[-1]) or 1.0
+    mixed = np.eye(d, dtype=complex) / d
+    z, u, beta = mixed, np.zeros_like(mixed), 1.0
+    value, upper, rho = -np.inf, w[-1], mixed  # U = 0 certifies lambda_max(H)
+    for it in range(1, PPT_MAX_ITER + 1):
+        x = _project_state(z - u + h / (scale * beta))
+        m = np.linalg.eigvalsh(partial_transpose(x, dims, 0))[0]
+        t = -m / (1 / d - m) if m < 0 else 0.0
+        cand = (1 - t) * x + t * mixed
+        v = expectation(h, cand)
+        if v > value:
+            value, rho = v, cand
+        wt, vt = np.linalg.eigh(partial_transpose(x + u, dims, 0))
+        z_prev = z
+        # Moreau: X + U = Z + (its negative part), so U += X - Z in exact form
+        z = partial_transpose((vt * np.maximum(wt, 0)) @ vt.conj().T, dims, 0)
+        u = partial_transpose((vt * np.minimum(wt, 0)) @ vt.conj().T, dims, 0)
+        upper = min(upper, np.linalg.eigvalsh(h - beta * scale * u)[-1])
+        if upper - value <= tol:
+            break
+        r, s = np.linalg.norm(x - z), beta * np.linalg.norm(z - z_prev)
+        if r > 10 * s:
+            beta, u = 2 * beta, u / 2
+        elif s > 10 * r:
+            beta, u = beta / 2, 2 * u
     w_rho = np.linalg.eigvalsh(rho)
     w_ppt = np.linalg.eigvalsh(partial_transpose(rho, dims, 0))
     trace = np.trace(rho).real
     if w_rho[0] < -1e-8 or w_ppt[0] < -1e-8 or abs(trace - 1) > 1e-8:
-        raise RuntimeError(f"Dykstra returned an infeasible iterate (trace {trace:.12g})")
-    return PPTMaxResult(value=float(val), state=rho, converged=converged, iterations=it)
+        raise RuntimeError(f"PPT iterate is not a state (trace {trace:.12g})")
+    return PPTMaxResult(value=float(value), upper=float(upper), state=rho,
+                        converged=bool(upper - value <= tol), iterations=it)
 
 
 def ppt_numerical_range(ops, dims, directions, tol=1e-8):
-    """PPT numerical range by per-direction PPT maximization."""
+    """PPT numerical range: per direction, the ppt_max state is an inner
+    vertex and its certified `upper` the outer offset (rigorous once every
+    bracket has closed to tol)."""
     ops = [as_hermitian(x) for x in ops]
     dims = check_dims(dims, ops[0].shape[0])
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -403,15 +400,12 @@ def ppt_numerical_range(ops, dims, directions, tol=1e-8):
         all_converged &= res.converged
         inner.append([expectation(x, res.state) for x in ops])
         normals.append(n)
-        offsets.append(res.value)
-    inner = np.array(inner)
-    normals = np.array(normals)
-    offsets = np.maximum(np.array(offsets), (normals @ inner.T).max(axis=1))
+        offsets.append(res.upper)
     return ConvexBodyApprox(
-        inner_vertices=inner,
-        outer_normals=normals,
-        outer_offsets=offsets,
-        meta={"outer_rigorous": False, "converged": all_converged},
+        inner_vertices=np.array(inner),
+        outer_normals=np.array(normals),
+        outer_offsets=np.array(offsets),
+        meta={"outer_rigorous": all_converged, "converged": all_converged},
     )
 
 
@@ -483,6 +477,7 @@ def _in_ppt_polar(rho, basis, gens, tol):
 
 def is_ppt_by_duality(rho, dims, tol=1e-8):
     """Polar-membership PPT test for a single state (spectrahedron duality route)."""
+    dims = check_dims(dims, rho.shape[0])
     return _in_ppt_polar(rho, gellmann_basis(rho.shape[0]), ppt_dual_generators(dims), tol)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qgeom import core, gapwitness
+from qgeom import core, entangle, gapwitness
 from qgeom.cli import main
 
 
@@ -261,6 +261,17 @@ def test_sep_and_ppt_jnr_cli(tmp_path):
     assert rc == 0
     doc = json.loads(ppt_out.read_text())
     assert len(doc["inner_vertices"]) == 8
+
+
+def test_ppt_jnr_cli_closes_the_triangle_clique_bracket(tmp_path):
+    ops = tmp_path / "tri.json"
+    write_ops(ops, [entangle.clique_matrix(entangle.Graph(3, [(0, 1), (0, 2), (1, 2)]))])
+    out = tmp_path / "ppt.json"
+    assert run(["ppt-jnr", "--ops", ops, "--dims", "3,3", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["outer_rigorous"] is True
+    # directions +1 and -1: the PPT maximum 2/3 (Friedland-Lim) and minus the minimum 0
+    assert doc["outer_offsets"] == pytest.approx([2 / 3, 0.0], abs=1e-8)
 
 
 def test_wh_convert_cli(tmp_path):

@@ -299,11 +299,67 @@ def test_block_positivity_screening(rng):
         assert np.real(v.conj() @ swap @ v) >= -1e-9
 
 
-def test_ppt_max_raises_on_a_non_unit_trace_iterate():
-    # Dykstra stops on the triangle clique matrix with trace 4/3; that is no state
+def assert_ppt_state(rho, dims, tol):
+    # partial transpose on factor A by its own reshape, not core.partial_transpose
+    da, db = dims
+    pt = rho.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(rho.shape)
+    assert abs(np.trace(rho) - 1) <= tol
+    assert np.linalg.eigvalsh(rho)[0] >= -tol
+    assert np.linalg.eigvalsh(pt)[0] >= -tol
+
+
+def test_ppt_max_brackets_the_triangle_clique_value():
+    # Friedland-Lim (acceptance c04): the PPT maximum of the triangle clique matrix is 2/3
     tri = clique_matrix(Graph(3, [(0, 1), (0, 2), (1, 2)]))
-    with pytest.raises(RuntimeError, match="trace"):
-        ppt_max(tri, (3, 3))
+    res = ppt_max(tri, (3, 3))
+    assert res.value <= 2 / 3 <= res.upper
+    assert res.converged and res.upper - res.value <= 1e-9
+    assert_ppt_state(res.state, (3, 3), 1e-10)
+
+
+def test_ppt_max_closes_a_direction_that_once_gave_an_infeasible_iterate():
+    rng = np.random.default_rng(3)
+    for size in (9, 4, 6, 4, 4, 4):
+        core.random_hermitian(size, rng)
+    triple = [core.random_hermitian(9, rng) for _ in range(3)]
+    h = sum(c * x for c, x in zip(sphere_directions(3, 20)[4], triple))
+    res = ppt_max(h, (3, 3))
+    assert res.converged and res.upper - res.value <= 1e-9
+    assert_ppt_state(res.state, (3, 3), 1e-10)
+    assert res.value == pytest.approx(np.trace(res.state @ h).real, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_ppt_max_bracket_against_outside_oracles(seed, dims):
+    rng = np.random.default_rng(seed)
+    h = core.random_hermitian(dims[0] * dims[1], rng)
+    tol = 1e-9
+    res = ppt_max(h, dims, tol=tol)
+    assert res.value <= res.upper + 1e-12 and res.upper - res.value <= tol
+    assert_ppt_state(res.state, dims, 1e-10)
+    assert res.value == pytest.approx(np.trace(res.state @ h).real, abs=1e-12)
+    assert res.upper <= np.linalg.eigvalsh(h)[-1] + 1e-12
+    lower = seesaw_product_max(h, dims, restarts=8, seed=seed).lower
+    assert lower <= res.upper + 1e-12
+    if dims != (3, 3):
+        # PPT = SEP on 2x2 and 2x3 (Horodecki), so the product maximum meets it
+        assert lower >= res.value - tol - 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("c", [0.0, 2.5, -0.7])
+def test_ppt_max_of_a_multiple_of_the_identity_closes_at_once(dims, c):
+    d = dims[0] * dims[1]
+    res = ppt_max(c * np.eye(d), dims)
+    assert res.iterations == 1 and res.converged
+    assert res.value == pytest.approx(c, abs=1e-12) and res.upper == pytest.approx(c, abs=1e-12)
+    assert_ppt_state(res.state, dims, 1e-10)
+
+
+def test_ppt_by_duality_rejects_mismatched_dims():
+    with pytest.raises(ValueError, match="multiply"):
+        is_ppt_by_duality(np.eye(4) / 4, (2, 3))
 
 
 @settings(max_examples=40, deadline=None)

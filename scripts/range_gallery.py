@@ -43,7 +43,7 @@ def main(outdir="."):
     ops = [embedded(s) for s in (PAULI_X, PAULI_Y, PAULI_Z)]
     full = jnr_approximate(ops, dirs)
     write_obj_mesh(full.inner_vertices, out / "embedded_qubit_full.obj")
-    sep = sep_numerical_range(ops, (2, 2), sphere_directions(3, 300), inner_directions=200)
+    sep = sep_numerical_range(ops, (2, 2), sphere_directions(3, 300))
     write_obj_mesh(sep.inner_vertices, out / "embedded_qubit_sep.obj")
     print("wrote", *[p.name for p in out.glob("*.obj")])
 

@@ -281,15 +281,17 @@ def cmd_sep_max(args):
     h = load_operator(args.op)
     dims = _parse_dims(args.dims)
     if len(dims) == 2 and dims[0] == 2:
-        b = entangle.qubit_qudit_sep_max(h, dims, directions=args.dirs, seed=args.seed)
+        b = entangle.qubit_qudit_sep_max(h, dims, directions=args.dirs)
+        tolerances = {"bracket_gap": entangle.SEP_TOL}
     else:
         b = entangle.seesaw_product_max(h, dims, restarts=args.restarts, seed=args.seed)
+        tolerances = {"seesaw_stagnation": 1e-10}
     payload = {
         "lower": b.lower,
         "upper": b.upper,
         "witness": [f for f in b.witness.factors],
         "meta": {k: _jsonify(v) for k, v in b.meta.items()},
-        "_tolerances": {"seesaw_stagnation": 1e-10},
+        "_tolerances": tolerances,
     }
     write_report(payload, args.out, args)
     return 0
@@ -506,7 +508,7 @@ def build_parser():
     sp.add_argument("--op", required=True)
     sp.add_argument("--dims", required=True)
     sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--dirs", type=int, default=400)
+    sp.add_argument("--dirs", type=int, default=4096, help="evaluation budget")
     common(sp)
     sp.set_defaults(fn=cmd_sep_max)
 

@@ -2,23 +2,22 @@
 states; separable/PPT numerical ranges; the maximum-clique hardness matrix.
 
 Product maxima are NP-hard in general, so the see-saw values are certified
-lower bounds only; rigorous upper bounds exist on the qubit-qudit path,
-where the problem projects onto a convex function over a 4-dimensional
-joint numerical range.  PPT maxima carry a certified two-sided bracket:
-ADMM over the state set and the PPT cone yields a PPT state below the
-maximum and a weak-duality certificate above it.  Schmidt-rank-2 maxima
-come from alternating eigensolves over the two rank-2 factors of
-psi = vec(U V^T), each an exact maximization with the other factor fixed.
+lower bounds only.  On a (2, d) split the product maximum is the maximum of
+a convex function over the Bloch sphere, which a branch and bound on
+geodesic triangles brackets from both sides.  PPT maxima carry a certified
+two-sided bracket: ADMM over the state set and the PPT cone yields a PPT
+state below the maximum and a weak-duality certificate above it.
+Schmidt-rank-2 maxima come from alternating eigensolves over the two
+rank-2 factors of psi = vec(U V^T), each an exact maximization with the
+other factor fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .core import (
     PAULI,
@@ -28,9 +27,10 @@ from .core import (
     partial_trace,
     partial_transpose,
     random_density,
+    stack_chunks,
     tensor,
 )
-from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support_batch, unit
+from .numrange import ConvexBodyApprox, jnr_approximate, support_batch, unit
 
 
 @dataclass
@@ -90,6 +90,8 @@ def seesaw_product_max(h, dims, restarts=32, seed=0, tol=1e-10, max_sweeps=500):
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
     ht = h.reshape(dims + dims)
     rng = np.random.default_rng(seed)
     best_val, best_factors = -np.inf, None
@@ -133,120 +135,84 @@ def _pauli_reductions(h, dims):
     return [as_hermitian(x, tol=1e-9) for x in hs]
 
 
-def _qubit_value(point):
-    """Convex objective (p0 + |p_vec|)/2 over W(H_0, H_1, H_2, H_3)."""
-    p = np.asarray(point, dtype=float)
-    return 0.5 * (p[0] + np.linalg.norm(p[1:]))
+SEP_TOL = 1e-9  # certified gap at which the qubit-qudit branch and bound stops
 
 
-def _affine_hull(points, tol=1e-8):
-    """(center, k x r basis); prefers canonical axes when the hull is axis-aligned.
+def _outer_bounds(hs, tris):
+    """Upper bound of f(r) = lambda_max(H_0 + r.H)/2 on each geodesic triangle.
 
-    Axis alignment keeps H_0-proportional-to-identity instances reducible
-    to a plain sweep of W(H_1, H_2, H_3) in original coordinates.
+    tris is (T, 3, 3) with unit vertices in rows.  A triangle whose plane lies
+    at distance delta from the origin sits inside conv{v_i, v_i / delta}, so
+    the convex f is at most its largest value there; the v_i are evaluated as
+    samples, and this returns max_i f(v_i / delta) from stacked eigvalsh.
     """
-    c = points.mean(axis=0)
-    centered = points - c
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = max(s[0], 1.0)
-    rank = int((s > tol * scale).sum())
-    basis = vt[:rank].T
-    k = points.shape[1]
-    proj = basis @ basis.T
-    aligned = [i for i in range(k) if np.linalg.norm(proj @ np.eye(k)[i] - np.eye(k)[i]) < 1e-9]
-    if len(aligned) == rank:
-        basis = np.eye(k)[:, aligned]
-    return c, basis
+    normal = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    delta = np.abs(np.einsum("ti,ti->t", normal, tris[:, 0])) / np.linalg.norm(normal, axis=1)
+    pts = (tris / delta[:, None, None]).reshape(-1, 3)
+    top = np.empty(len(pts))
+    for chunk in stack_chunks(len(pts), hs[0].shape[0]):
+        top[chunk] = np.linalg.eigvalsh(hs[0] + np.einsum("ti,ijk->tjk", pts[chunk], hs[1:]))[:, -1]
+    return 0.5 * top.reshape(-1, 3).max(axis=1)
 
 
-def _polytope_vertices(normals, offsets):
-    """Vertices of {p : N p <= c} via a Chebyshev center and qhull."""
-    r = normals.shape[1]
-    if r == 1:
-        lo = -min(o / -n[0] for n, o in zip(normals, offsets) if n[0] < 0)
-        hi = min(o / n[0] for n, o in zip(normals, offsets) if n[0] > 0)
-        return np.array([[lo], [hi]])
-    # Chebyshev center: max radius s.t. N p + r ||N_i|| <= c
-    norms = np.linalg.norm(normals, axis=1)
-    res = linprog(
-        c=np.concatenate([np.zeros(r), [-1.0]]),
-        A_ub=np.column_stack([normals, norms]),
-        b_ub=offsets,
-        bounds=[(None, None)] * r + [(0, None)],
-        method="highs",
-    )
-    if not res.success or res.x[-1] <= 1e-12:
-        raise QhullError("no interior point for halfspace intersection")
-    interior = res.x[:r]
-    hs = np.column_stack([normals, -offsets])
-    inter = HalfspaceIntersection(hs, interior)
-    return inter.intersections
+# corners and edge midpoints (3, 4, 5 = midpoints of edges 01, 12, 20) of the
+# four triangles that split a geodesic triangle
+_SPLIT = [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
 
 
-def qubit_qudit_sep_max(h, dims, directions=400, seed=0):
-    """Two-sided bounds for the separable maximum on a (2, d) system.
+def qubit_qudit_sep_max(h, dims, directions=4096):
+    """Certified bracket lower <= separable max <= upper on a (2, d) system.
 
-    Restricts to the affine hull of the sampled range of the four Pauli
-    reductions, encloses it in sampled half-spaces, and maximizes the
-    convex objective over the outer polytope's vertices (upper bound) and
-    over the inner support points (attainable lower bound, with a product
-    witness).
+    The maximum over product states is the maximum over the Bloch sphere of
+    the convex f(r) = lambda_max(H_0 + r.H)/2, H_i the Pauli reductions.
+    Branch and bound on geodesic triangles, starting from the octahedron:
+    each round splits the live triangles (bound above lower + SEP_TOL) at
+    their normalised edge midpoints, highest bound first.  `directions` is
+    the budget of evaluations (a sphere sample or an outer vertex each; 15
+    per split); the 30 of the start mesh always run.  Every sphere sample
+    r yields a qudit state beta with point p = <beta|H_i|beta>, and lower is
+    the best (p_0 + |p_vec|)/2, the value its product witness attains.
+    upper is the largest triangle bound (or lower).
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
     if dims[0] != 2:
         raise ValueError(f"first local dimension must be 2, got {dims[0]}")
-    hs = _pauli_reductions(h, dims)
-
-    probe_samples = support_batch(hs, sphere_directions(4, 160, seed=seed))
-    pts = np.array([s.point for s in probe_samples])
-    center, basis = _affine_hull(pts)
-    r = basis.shape[1]
-
-    if r == 0:
-        # single point: product value is exact
-        val = _qubit_value(center)
-        witness = _witness_from_qudit_state(h, dims, probe_samples[0].witness)
-        return SepBounds(val, val, witness, meta={"hull_dim": 0, "method": "point"})
-
-    dirs_r = sphere_directions(r, directions, seed=seed + 1)
-    full = np.array([basis @ nr for nr in dirs_r])
-    norms = np.array([np.linalg.norm(n) for n in full])
-    keep = norms >= 1e-14
-    normals_r, full, norms = dirs_r[keep], full[keep], norms[keep]
-    samples = support_batch(hs, full / norms[:, None])
-    # exact support offset in reduced coordinates: h_W(B n) - (B n).center
-    offsets_r = np.array([nn * s.value - n @ center for s, n, nn in zip(samples, full, norms)])
-    inner_pts = np.array([s.point for s in samples])
-
-    lower_idx = int(np.argmax([_qubit_value(p) for p in inner_pts]))
-    lower = _qubit_value(inner_pts[lower_idx])
-    witness = _witness_from_qudit_state(h, dims, samples[lower_idx].witness)
-
-    meta = {"hull_dim": r, "method": "halfspace-vertices"}
-    try:
-        verts_r = _polytope_vertices(normals_r, offsets_r)
-        verts = center + verts_r @ basis.T
-        upper = max(_qubit_value(p) for p in verts)
-    except (QhullError, ValueError):
-        # Lipschitz-padded sweep of lambda_max((H0 + u.H)/2) over the 2-sphere:
-        # the support of W(H0, ..., H3) along (1, u) scaled by |(1, u)| / 2
-        us = sphere_directions(3, max(directions * 4, 1200))
-        ones_u = np.column_stack([np.ones(len(us)), us])
-        scaled = [0.5 * np.linalg.norm(n) * s.value for n, s in zip(ones_u, support_batch(hs, ones_u))]
-        lip = 0.5 * np.sqrt(sum(np.linalg.norm(x, 2) ** 2 for x in hs[1:]))
-        mesh = _covering_radius_estimate(us)
-        upper = max(scaled) + lip * mesh
-        meta["method"] = "lipschitz-sweep"
-    upper = max(upper, lower)
+    if directions < 1:
+        raise ValueError(f"evaluation budget must be at least 1, got {directions}")
+    hs = np.array(_pauli_reductions(h, dims))
+    lower, beta = -np.inf, None
+    pts = np.vstack([np.eye(3), -np.eye(3)])
+    tris = np.array(list(product((1, -1), repeat=3)))[:, :, None] * np.eye(3)
+    kept, kept_bounds = np.empty((0, 3, 3)), np.empty(0)
+    evaluations = 0
+    while True:
+        for s in support_batch(hs, np.column_stack([np.ones(len(pts)), pts])):
+            val = 0.5 * (s.point[0] + np.linalg.norm(s.point[1:]))
+            if val > lower:
+                lower, beta = val, s.witness
+        evaluations += len(pts) + 3 * len(tris)
+        # a pruned triangle stays: its bound may exceed lower by up to SEP_TOL
+        bounds = np.concatenate([kept_bounds, _outer_bounds(hs, tris)])
+        tris = np.concatenate([kept, tris])
+        live = np.flatnonzero(bounds > lower + SEP_TOL)
+        n_split = min(len(live), (directions - evaluations) // 15)
+        if n_split <= 0:
+            break
+        split = live[np.argsort(-bounds[live], kind="stable")[:n_split]]
+        keep = np.ones(len(tris), dtype=bool)
+        keep[split] = False
+        kept, kept_bounds = tris[keep], bounds[keep]
+        corners = tris[split]
+        mids = corners + np.roll(corners, -1, axis=1)
+        mids /= np.linalg.norm(mids, axis=2, keepdims=True)
+        pts = mids.reshape(-1, 3)
+        tris = np.concatenate([corners, mids], axis=1)[:, _SPLIT].reshape(-1, 3, 3)
+    upper = max(lower, float(bounds.max()))
+    witness = _witness_from_qudit_state(h, dims, beta)
+    meta = {"method": "bloch-branch-and-bound", "evaluations": evaluations,
+            "converged": bool(upper - lower <= SEP_TOL)}
     return SepBounds(float(lower), float(upper), witness, meta=meta)
-
-
-def _covering_radius_estimate(points):
-    probe = sphere_directions(3, 4 * len(points), seed=99)
-    d = probe @ points.T
-    cos_near = d.max(axis=1)
-    return float(np.arccos(np.clip(cos_near.min(), -1, 1)))
 
 
 def _witness_from_qudit_state(h, dims, beta):
@@ -258,11 +224,13 @@ def _witness_from_qudit_state(h, dims, beta):
     return ProductAnsatz((v[:, -1], beta))
 
 
-def sep_numerical_range(ops, dims, directions, restarts=8, seed=0, inner_directions=120):
+def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     """Separable numerical range by per-direction product maximization.
 
-    Qubit-qudit systems get rigorous outer half-spaces; other splits fall
-    back to see-saw values and the outer description is flagged heuristic.
+    Qubit-qudit systems take the certified qubit_qudit_sep_max upper bound
+    (default budget) as each outer offset, so the outer half-spaces are
+    rigorous; other splits fall back to see-saw values and the outer
+    description is flagged heuristic.
     """
     ops = [as_hermitian(x) for x in ops]
     dims = check_dims(dims, ops[0].shape[0])
@@ -277,7 +245,7 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0, inner_directi
         n = unit(n)
         hn = sum(ni * xi for ni, xi in zip(n, ops))
         if rigorous:
-            b = qubit_qudit_sep_max(hn, dims, directions=inner_directions, seed=seed)
+            b = qubit_qudit_sep_max(hn, dims)
             val, wit = b.upper, b.witness
         else:
             b = seesaw_product_max(hn, dims, restarts=restarts, seed=seed)

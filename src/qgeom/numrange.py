@@ -40,6 +40,8 @@ def sphere_directions(k, n, seed=0, extras=None):
     """
     if k < 1:
         raise ValueError("need at least one coordinate")
+    if n < 1:
+        raise ValueError(f"need at least one direction, got {n}")
     if k == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif k == 2:

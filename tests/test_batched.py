@@ -13,12 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.spatial import QhullError
 
-from qgeom import core, entangle
+from qgeom import core
 from qgeom.core import spin_operators
-from qgeom.entangle import qubit_qudit_sep_max, seesaw_product_max
-from qgeom.numrange import DEGENERACY_GAP, sphere_directions, support_batch, unit
+from qgeom.numrange import DEGENERACY_GAP, support_batch, unit
 from qgeom.su2 import SpinKet, characteristic_values
 from qgeom.uncertainty import SectorPartition, sector_bound_operator, sector_sum_bound
 
@@ -174,23 +172,3 @@ def test_characteristic_values_two_pi_sign(j):
     chi, chi_turned = characteristic_values(s, [v, turned])
     assert abs(chi_turned - (-1) ** int(2 * j) * chi) <= 1e-10
     assert characteristic_values(s, np.zeros((0, 3))).shape == (0,)
-
-
-def test_qubit_qudit_lipschitz_fallback(monkeypatch, rng):
-    h = core.random_hermitian(6, rng)
-    dims = (2, 3)
-
-    def no_vertices(normals, offsets):
-        raise QhullError("forced")
-
-    monkeypatch.setattr(entangle, "_polytope_vertices", no_vertices)
-    b = qubit_qudit_sep_max(h, dims, directions=60, seed=0)
-    assert b.meta["method"] == "lipschitz-sweep"
-    assert b.upper >= b.lower
-    assert seesaw_product_max(h, dims, restarts=8, seed=1).lower <= b.upper + 1e-9
-    # the per-direction sweep of lambda_max((H0 + u.H) / 2) it replaces
-    hs = entangle._pauli_reductions(h, dims)
-    us = sphere_directions(3, 1200)
-    sweep = max(np.linalg.eigvalsh(0.5 * (hs[0] + sum(ui * x for ui, x in zip(u, hs[1:]))))[-1] for u in us)
-    lip = 0.5 * np.sqrt(sum(np.linalg.norm(x, 2) ** 2 for x in hs[1:]))
-    assert b.upper == pytest.approx(sweep + lip * entangle._covering_radius_estimate(us), abs=1e-12)

@@ -44,6 +44,20 @@ def test_jnr_deterministic(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
+def test_sep_max_deterministic(tmp_path):
+    op = tmp_path / "h.json"
+    op.write_text(json.dumps(core.operator_to_json(core.random_hermitian(6, np.random.default_rng(3)))))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run(["sep-max", "--op", op, "--dims", "2,3", "--out", out]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    assert doc["tolerances"] == {"bracket_gap": entangle.SEP_TOL}
+    meta = doc["meta"]
+    assert meta["method"] == "bloch-branch-and-bound"
+    assert meta["converged"] is True and 30 <= meta["evaluations"] <= 4096
+
+
 def test_uncertainty_table_j1(tmp_path):
     out = tmp_path / "u.json"
     rc = run(["uncertainty", "--table-j", "1", "--out", out])
@@ -244,6 +258,31 @@ def test_classify_cli(tmp_path):
     write_ops(ops, [np.diag([1.0, 2, 3]), np.diag([0.0, 1, -1]), np.diag([2.0, 2, 5])])
     assert run(["classify", "--ops", ops, "--out", tmp_path / "r.json"]) == 1
     assert json.loads((tmp_path / "r.json").read_text())["refused"] is True
+
+
+def test_sep_max_cli_budget(tmp_path, capsys):
+    op = tmp_path / "h.json"
+    op.write_text(json.dumps(core.operator_to_json(core.random_hermitian(6, np.random.default_rng(5)))))
+    out = tmp_path / "sep.json"
+    assert run(["sep-max", "--op", op, "--dims", "2,3", "--dirs", 20, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["lower"] <= doc["upper"] and doc["meta"]["evaluations"] == 30
+    assert run(["sep-max", "--op", op, "--dims", "2,3", "--dirs", 0]) == 2
+    assert run(["sep-max", "--op", op, "--dims", "3,2", "--restarts", 0]) == 2
+    err = capsys.readouterr().err
+    assert "budget" in err and "restart" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["jnr", "sep-jnr", "ppt-jnr"])
+@pytest.mark.parametrize("dirs", [0, -1])
+def test_range_commands_reject_empty_direction_sets(tmp_path, capsys, command, dirs):
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [core.random_hermitian(4, np.random.default_rng(k)) for k in range(3)])
+    out = tmp_path / "r.json"
+    extra = [] if command == "jnr" else ["--dims", "2,2"]
+    assert run([command, "--ops", ops, "--dirs", dirs, "--out", out, *extra]) == 2
+    assert not out.exists()
+    assert "at least one direction" in capsys.readouterr().err
 
 
 def test_sep_and_ppt_jnr_cli(tmp_path):

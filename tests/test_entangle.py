@@ -70,7 +70,7 @@ def test_qubit_qudit_bell_brackets():
     h = bell_projector()
     gaps = []
     for dirs in (100, 400):
-        b = qubit_qudit_sep_max(h, (2, 2), directions=dirs, seed=0)
+        b = qubit_qudit_sep_max(h, (2, 2), directions=dirs)
         assert b.lower <= 0.5 + 1e-9
         assert b.upper >= 0.5 - 1e-9
         # the witness attains the reported lower bound
@@ -82,29 +82,69 @@ def test_qubit_qudit_bell_brackets():
 def test_qubit_qudit_h0_proportional_identity(rng):
     # no identity component on the qubit side: H_0 = 0
     from qgeom.entangle import _pauli_reductions
-    from qgeom.numrange import support, unit
+    from qgeom.numrange import support
 
     bs = [core.random_hermitian(3, rng) for _ in range(3)]
     h = sum(tensor(s, b) for s, b in zip((PAULI_X, PAULI_Y, PAULI_Z), bs))
     hs = _pauli_reductions(h, (2, 3))
     assert np.abs(hs[0]).max() < 1e-12
-    full = qubit_qudit_sep_max(h, (2, 3), directions=500, seed=0)
-    # reduced route: the same sweep on W(H_1, H_2, H_3) alone
-    reduced = -np.inf
-    for n in sphere_directions(3, 500, seed=1):
-        s = support(hs[1:], n)
-        reduced = max(reduced, 0.5 * np.linalg.norm(s.point))
-    assert abs(full.lower - reduced) < 1e-8
+    full = qubit_qudit_sep_max(h, (2, 3))
+    # a sweep on W(H_1, H_2, H_3) alone attains product values, so it stays below
+    reduced = max(0.5 * np.linalg.norm(support(hs[1:], n).point) for n in sphere_directions(3, 500))
+    assert reduced <= full.lower + 1e-12
+    assert full.upper - full.lower <= entangle.SEP_TOL
 
 
 def test_qubit_qudit_sandwiches_seesaw(rng):
     # 50 random qubit-qutrit observables: lower <= see-saw best <= upper
     for _ in range(50):
         h = core.random_hermitian(6, rng)
-        b = qubit_qudit_sep_max(h, (2, 3), directions=250, seed=0)
+        b = qubit_qudit_sep_max(h, (2, 3), directions=250)
         ss = seesaw_product_max(h, (2, 3), restarts=12, seed=5)
         assert b.lower <= ss.lower + 1e-8
         assert ss.lower <= b.upper + 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3)]))
+def test_qubit_qudit_bracket_against_outside_oracles(seed, dims):
+    # PPT = SEP on 2x2 and 2x3 (Horodecki), so the certified ppt_max bracket
+    # and the branch-and-bound bracket hold the same maximum
+    rng = np.random.default_rng(seed)
+    h = core.random_hermitian(2 * dims[1], rng)
+    b = qubit_qudit_sep_max(h, dims)
+    ppt = ppt_max(h, dims)
+    assert b.lower <= ppt.upper + 1e-12
+    assert ppt.value <= b.upper + 1e-12
+    if b.meta["converged"]:
+        assert abs(b.lower - ppt.value) <= 2e-9
+    assert b.witness.expectation(h) == pytest.approx(b.lower, abs=1e-10)
+    assert seesaw_product_max(h, dims, restarts=8, seed=seed).lower <= b.upper + 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("side", [0, 1])
+def test_qubit_qudit_local_operators_are_exact(rng, d, side):
+    # A (x) 1 and 1 (x) X: the product maximum is the local lambda_max
+    local = core.random_hermitian((2, d)[side], rng)
+    h = tensor(local, np.eye(d)) if side == 0 else tensor(np.eye(2), local)
+    top = np.linalg.eigvalsh(local)[-1]
+    b = qubit_qudit_sep_max(h, (2, d))
+    assert b.meta["converged"]
+    assert b.lower == pytest.approx(top, abs=1e-12)
+    assert top - 1e-12 <= b.upper <= top + entangle.SEP_TOL
+    assert b.witness.expectation(h) == pytest.approx(top, abs=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 20])
+def test_qubit_qudit_small_budget_still_certifies(rng, budget):
+    # the 30 evaluations of the octahedron always run
+    h = core.random_hermitian(6, rng)
+    b = qubit_qudit_sep_max(h, (2, 3), directions=budget)
+    assert b.meta == {"method": "bloch-branch-and-bound", "evaluations": 30, "converged": False}
+    ppt = ppt_max(h, (2, 3))
+    assert b.lower <= ppt.upper + 1e-12 and ppt.value <= b.upper + 1e-12
+    assert b.witness.expectation(h) == pytest.approx(b.lower, abs=1e-10)
 
 
 def test_sep_range_single_subsystem_equals_jnr(rng):
@@ -123,7 +163,7 @@ def test_sep_range_embedded_qubit_triple():
         a[1:3, 1:3] = s
         ops.append(a)
     dirs = sphere_directions(3, 120)
-    sep = sep_numerical_range(ops, (2, 2), dirs, inner_directions=200)
+    sep = sep_numerical_range(ops, (2, 2), dirs)
     jnr = jnr_approximate(ops, dirs)
     assert sep.meta["outer_rigorous"]
     gaps = jnr.outer_offsets - sep.outer_offsets

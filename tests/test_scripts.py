@@ -18,3 +18,9 @@ def test_spin_variance_table(capsys):
     _load("spin_variance_table").main(4)
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split()[0] for r in rows] == ["1/2", "1", "3/2", "2"]
+
+
+def test_range_gallery(tmp_path):
+    _load("range_gallery").main(tmp_path)
+    names = ["elliptope_polar.obj", "embedded_qubit_full.obj", "embedded_qubit_sep.obj", "pauli_ball.obj"]
+    assert sorted(p.name for p in tmp_path.glob("*.obj")) == names

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgeom import core, entangle
@@ -371,6 +371,7 @@ def test_ppt_max_closes_a_direction_that_once_gave_an_infeasible_iterate():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+@example(seed=898, dims=(2, 3))  # eight see-saw restarts stop 0.3 below the maximum here
 def test_ppt_max_bracket_against_outside_oracles(seed, dims):
     rng = np.random.default_rng(seed)
     h = core.random_hermitian(dims[0] * dims[1], rng)
@@ -383,8 +384,11 @@ def test_ppt_max_bracket_against_outside_oracles(seed, dims):
     lower = seesaw_product_max(h, dims, restarts=8, seed=seed).lower
     assert lower <= res.upper + 1e-12
     if dims != (3, 3):
-        # PPT = SEP on 2x2 and 2x3 (Horodecki), so the product maximum meets it
-        assert lower >= res.value - tol - 1e-9
+        # PPT = SEP on 2x2 and 2x3 (Horodecki), so the product maximum meets it;
+        # the see-saw is a local ascent, so the certified bracket is the oracle
+        sep = qubit_qudit_sep_max(h, dims)
+        assert sep.lower >= res.value - tol - 1e-9
+        assert res.value <= sep.upper + 1e-12
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

@@ -249,8 +249,8 @@ def cmd_uncertainty(args):
 def cmd_gap(args):
     if args.model != "xy":
         raise UsageError(f"unknown model {args.model!r}")
-    h = gapwitness.xy_hamiltonian(args.n, args.gamma, taper=args.taper)
-    v = gapwitness.gap_witness_v(args.n, taper=args.taper)
+    h = gapwitness.xy_majorana(args.n, args.gamma, taper=args.taper)
+    v = gapwitness.gap_witness_majorana(args.n, taper=args.taper)
     lams = np.linspace(0.0, args.lambda_max, args.steps)
     curve = gapwitness.ground_curve(h, v, lams)
     if args.csv_out:
@@ -258,9 +258,8 @@ def cmd_gap(args):
             fh.write("lambda,E0,eH,eV\r\n")
             for lam, e0, eh, ev in zip(curve.lams, curve.energies, curve.e_h, curve.e_v):
                 fh.write(f"{lam:.17g},{e0:.17g},{eh:.17g},{ev:.17g}\r\n")
-    tg = gapwitness.true_gap(h) if (2**args.n) <= gapwitness.FULL_SPECTRUM_LIMIT else None
     try:
-        report = gapwitness.gap_upper_bound(curve, true_gap_value=tg)
+        report = gapwitness.gap_upper_bound(curve, true_gap_value=gapwitness.true_gap(h))
     except gapwitness.PlateauError as e:
         write_report({"error": str(e)}, args.out, args)
         return 1
@@ -271,6 +270,7 @@ def cmd_gap(args):
         "consistent": report.consistent,
         "plateau_drift": report.plateau_drift,
         "transient_crossings": report.transient_crossings,
+        "meta": {"method": report.method, "solves": report.solves},
         "_tolerances": {"overlap_threshold": 0.5, "degeneracy": 1e-9},
     }
     write_report(payload, args.out, args)

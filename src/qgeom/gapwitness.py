@@ -1,11 +1,22 @@
-"""Exact-diagonalization spin chains, ground-state curves of H + lambda*V,
-jump detection, and spectral-gap upper bounds.
+"""Spin-chain gap witnesses: ground-state curves of H + lambda*V, jump
+detection by bisection, and spectral-gap upper bounds.
 
-Operators are scipy CSR matrices (a 14-site chain is 16384 dimensional),
-assembled directly from Pauli strings as signed permutations.  Extremal
-eigenpairs are dense up to 2^9 and seeded Lanczos above; the Lanczos path
-never densifies.  Full spectra are computed per invariant block (connected
-component of the sparsity graph) and capped at 2^12.
+Two ground-state solvers share the curve and the bisection:
+
+- Exact diagonalization of any `SpinChainSpec` (up to MAX_SITES sites), the
+  oracle.  Operators are scipy CSR matrices assembled directly from Pauli
+  strings as signed permutations.  Extremal eigenpairs are dense up to 2^9
+  and seeded Lanczos above; the Lanczos path never densifies.  Full spectra
+  are computed per invariant block (connected component of the sparsity
+  graph) and capped at 2^12.
+- Free fermions for operators quadratic in Jordan-Wigner Majoranas
+  (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
+  Lieb, Schultz, Mattis 1961).  A state is the covariance matrix
+  G = A|A|^-1 of a 2n x 2n real antisymmetric A; E0 = -sum(eps)/2 over the
+  eigenvalues +-i*eps of A, <H> = Tr(A_H G)/4, and overlaps are
+  |<g|g'>|^2 = sqrt(det((G + G')/2)) (Bravyi 2005).  Modes with
+  eps <= 1e-9 * max(||H||, 1) are zero modes; they are paired by a fixed
+  rule (`_covariance`) instead of by the sign of eps.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import scipy.sparse.linalg as spla
 from .numrange import support_batch
 
 MAX_SITES = 14
+MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
 DENSE_LIMIT = 512  # largest dimension diagonalized densely for eigenpairs
 FULL_SPECTRUM_LIMIT = 4096
 
@@ -90,56 +102,225 @@ def build_chain(spec: SpinChainSpec):
     return h
 
 
+@dataclass(frozen=True, eq=False)
+class MajoranaForm:
+    """The operator (i/4) sum_kl a[k, l] c_k c_l for a real antisymmetric 2n x 2n matrix a.
+
+    Majoranas by Jordan-Wigner: c_2j = (prod_{k<j} Z_k) X_j and
+    c_2j+1 = (prod_{k<j} Z_k) Y_j.
+    """
+
+    a: np.ndarray
+
+
+def majorana_form(n_sites, terms):
+    """Jordan-Wigner image of a real sum of Pauli strings s z...z t, s and t in {x, y}.
+
+    A string on the consecutive sites j..k is -i c_2j+1 c_q for s = x and
+    +i c_2j c_q for s = y, where q = 2k for t = x and 2k+1 for t = y.
+    """
+    a = np.zeros((2 * n_sites, 2 * n_sites))
+    for sites, labels, coeff in terms:
+        j, k = sites[0], sites[-1]
+        if not (
+            tuple(sites) == tuple(range(j, k + 1))
+            and k > j
+            and labels[0] in "xy"
+            and labels[-1] in "xy"
+            and set(labels[1:-1]) <= {"z"}
+        ):
+            raise ValueError(f"{labels} on sites {sites} is not quadratic in Majoranas")
+        p, sign = (2 * j + 1, 1) if labels[0] == "x" else (2 * j, -1)
+        q = 2 * k + (labels[-1] == "y")
+        a[p, q] -= 2 * sign * coeff  # c * (-i sign) c_p c_q = (i/4)(a_pq c_p c_q + a_qp c_q c_p)
+        a[q, p] += 2 * sign * coeff
+    return MajoranaForm(a)
+
+
 def _bond_taper(n_bonds, bond):
     # linear ramp over the two outermost bonds on each side
     return min(1.0, (bond + 1) / 3.0, (n_bonds - bond) / 3.0)
 
 
-def xy_hamiltonian(n_sites, gamma, taper=False):
-    """Open-boundary XY chain with asymmetry gamma (Pauli convention)."""
-    if not 3 <= n_sites <= MAX_SITES:
-        raise ChainTooLargeError(f"sites must be in 3..{MAX_SITES}, got {n_sites}")
+def _check_sites(n_sites, cap):
+    if not 3 <= n_sites <= cap:
+        raise ChainTooLargeError(f"sites must be in 3..{cap}, got {n_sites}")
+
+
+def _xy_terms(n_sites, gamma, taper):
     terms = []
     for n in range(n_sites - 1):
         w = _bond_taper(n_sites - 1, n) if taper else 1.0
         terms.append(((n, n + 1), ("x", "x"), w * (1 + gamma) / 2))
         terms.append(((n, n + 1), ("y", "y"), w * (1 - gamma) / 2))
-    return build_chain(SpinChainSpec(sites=n_sites, terms=tuple(terms)))
+    return tuple(terms)
 
 
-def gap_witness_v(n_sites, taper=False):
-    """Three-site gaplessness witness: sum_n (x z y - y z x) on site triples."""
-    if not 3 <= n_sites <= MAX_SITES:
-        raise ChainTooLargeError(f"sites must be in 3..{MAX_SITES}, got {n_sites}")
+def _witness_terms(n_sites, taper):
     terms = []
     for n in range(1, n_sites - 1):
         w = _bond_taper(n_sites - 1, n) if taper else 1.0
         terms.append(((n - 1, n, n + 1), ("x", "z", "y"), w))
         terms.append(((n - 1, n, n + 1), ("y", "z", "x"), -w))
-    return build_chain(SpinChainSpec(sites=n_sites, terms=tuple(terms)))
+    return tuple(terms)
+
+
+def xy_hamiltonian(n_sites, gamma, taper=False):
+    """Open-boundary XY chain with asymmetry gamma (Pauli convention)."""
+    _check_sites(n_sites, MAX_SITES)
+    return build_chain(SpinChainSpec(sites=n_sites, terms=_xy_terms(n_sites, gamma, taper)))
+
+
+def gap_witness_v(n_sites, taper=False):
+    """Three-site gaplessness witness: sum_n (x z y - y z x) on site triples."""
+    _check_sites(n_sites, MAX_SITES)
+    return build_chain(SpinChainSpec(sites=n_sites, terms=_witness_terms(n_sites, taper)))
+
+
+def xy_majorana(n_sites, gamma, taper=False):
+    """`xy_hamiltonian` as a Majorana form, up to MAX_XY_SITES sites."""
+    _check_sites(n_sites, MAX_XY_SITES)
+    return majorana_form(n_sites, _xy_terms(n_sites, gamma, taper))
+
+
+def gap_witness_majorana(n_sites, taper=False):
+    """`gap_witness_v` as a Majorana form, up to MAX_XY_SITES sites."""
+    _check_sites(n_sites, MAX_XY_SITES)
+    return majorana_form(n_sites, _witness_terms(n_sites, taper))
 
 
 def _dense(m):
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
-def _lowest_pair(m):
-    """(two lowest eigenvalues, ground vector); dense below DENSE_LIMIT."""
+def _lowest_levels(m):
+    """(four lowest eigenvalues, their eigenvectors as columns); dense below DENSE_LIMIT."""
     dim = m.shape[0]
     if dim <= DENSE_LIMIT:
         w, v = np.linalg.eigh(_dense(m))
-        return w[:2], v[:, 0]
-    k = min(4, dim - 1)
+        return w[:4], v[:, :4]
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     try:
-        w, v = spla.eigsh(m, k=k, which="SA", v0=v0, maxiter=5000)
+        w, v = spla.eigsh(m, k=4, which="SA", v0=v0, maxiter=5000)
     except spla.ArpackNoConvergence:
         if dim <= FULL_SPECTRUM_LIMIT:
             w, v = np.linalg.eigh(_dense(m))
         else:
             raise
-    order = np.argsort(w)
-    return w[order[:2]], v[:, order[0]]
+    order = np.argsort(w)[:4]
+    return w[order], v[:, order]
+
+
+class _SparseGround:
+    """Ground vectors of H + lambda*V by exact diagonalization."""
+
+    def __init__(self, h, v):
+        if h.shape != v.shape:
+            raise ValueError("H and V must have equal dimensions")
+        self.h = sp.csr_matrix(h)
+        self.v = sp.csr_matrix(v)
+        self.tol = 1e-9 * max(spla.norm(self.h), spla.norm(self.v), 1.0)
+        self.method = "dense" if self.h.shape[0] <= DENSE_LIMIT else "lanczos"
+
+    def solve(self, lam):
+        """(E0, ground level degenerate, ground vector)."""
+        w, vecs = _lowest_levels(self.h + lam * self.v)
+        return w[0], bool(w[1] - w[0] < self.tol), vecs[:, 0]
+
+    def limit(self, lam):
+        """The ground vector as lambda decreases to lam: the lowest-<V> state of the ground level."""
+        w, vecs = _lowest_levels(self.h + lam * self.v)
+        # Lanczos vectors of a degenerate level need not be orthogonal
+        level, _ = np.linalg.qr(vecs[:, w - w[0] < self.tol])
+        _, c = np.linalg.eigh(level.conj().T @ (self.v @ level))
+        return level @ c[:, 0]
+
+    @staticmethod
+    def expect(op, g):
+        return float(np.real(g.conj() @ (op @ g)))
+
+    @staticmethod
+    def overlap(a, b):
+        return abs(np.vdot(a, b)) ** 2
+
+
+def _split_modes(w, u, tol):
+    """(eigenvectors of +eps > tol, zero-mode eigenvectors) from eigh of i*A (w ascending, +-eps pairs)."""
+    half = len(w) // 2
+    zero = int(np.sum(w[half:] <= tol))
+    return u[:, half + zero :], u[:, half - zero : half + zero]
+
+
+def _covariance(modes, zero):
+    """G = -i sum sign(w) u u^dagger over the +eps eigenvectors `modes`; zero modes by a fixed rule.
+
+    A mode u = (x + iy)/sqrt(2) contributes y x^T - x y^T, so G = F J F^T for
+    the real orthonormal frame F = (y1, x1, y2, x2, ...) and J the direct sum
+    of [[0, 1], [-1, 0]]; Pf(G) = det(F) is the parity of the state.  The
+    zero modes join F as Gram-Schmidt on the columns of their real projector
+    in index order (a column is taken when its residual is at least half the
+    largest one), paired in that order, and the first pair is oriented so
+    that det(F) > 0.  With one pair of zero modes the result does not depend
+    on the basis.
+    """
+    even, odd = np.sqrt(2) * modes.imag, np.sqrt(2) * modes.real
+    if zero.shape[1]:
+        r = (zero @ zero.conj().T).real
+        basis = []
+        for _ in range(zero.shape[1]):
+            norms = np.linalg.norm(r, axis=0)
+            j = int(np.argmax(norms >= norms.max() / 2))
+            b = r[:, j] / norms[j]
+            r -= np.outer(b, b @ r)
+            basis.append(b)
+        even = np.column_stack([even, *basis[0::2]])
+        odd = np.column_stack([odd, *basis[1::2]])
+        frame = np.empty((len(even), 2 * even.shape[1]))
+        frame[:, 0::2], frame[:, 1::2] = even, odd
+        if np.linalg.det(frame) < 0:
+            odd[:, odd.shape[1] - len(basis) // 2] *= -1
+    return even @ odd.T - odd @ even.T
+
+
+class _FermionGround:
+    """Gaussian ground states of H + lambda*V for Majorana forms: covariance matrices."""
+
+    method = "fermion"
+
+    def __init__(self, h, v):
+        if not isinstance(v, MajoranaForm) or h.a.shape != v.a.shape:
+            raise ValueError("H and V must be Majorana forms of equal size")
+        self.h = h.a
+        self.v = v.a
+
+    def _modes(self, lam):
+        # eigenpairs of i*A ascending and the zero-mode threshold 1e-9 * max(||H + lam V||, 1)
+        w, u = np.linalg.eigh(1j * (self.h + lam * self.v))
+        return w, u, 1e-9 * max(w[len(w) // 2 :].sum() / 2, 1.0)
+
+    def solve(self, lam):
+        """(E0, zero modes present, ground covariance)."""
+        w, u, tol = self._modes(lam)
+        modes, zero = _split_modes(w, u, tol)
+        return -w[len(w) // 2 :].sum() / 2, zero.shape[1] > 0, _covariance(modes, zero)
+
+    def limit(self, lam):
+        """The ground covariance as lambda decreases to lam: zero modes ordered by V first."""
+        w, u, tol = self._modes(lam)
+        modes, zero = _split_modes(w, u, tol)
+        if zero.shape[1]:
+            w_v, c = np.linalg.eigh(1j * (zero.conj().T @ self.v @ zero))
+            resolved, zero = _split_modes(w_v, zero @ c, tol)
+            modes = np.column_stack([modes, resolved])
+        return _covariance(modes, zero)
+
+    @staticmethod
+    def expect(op, g):
+        return float(np.sum(op * g.T) / 4)
+
+    @staticmethod
+    def overlap(a, b):
+        return float(np.sqrt(abs(np.linalg.det((a + b) / 2))))
 
 
 @dataclass
@@ -151,32 +332,30 @@ class GroundCurve:
     e_h: np.ndarray
     e_v: np.ndarray
     degenerate: np.ndarray  # bool flags
-    states: np.ndarray  # columns are ground vectors
-    h: object = field(repr=False, default=None)
-    v: object = field(repr=False, default=None)
+    states: np.ndarray  # last axis indexes lams: ground vectors or covariance matrices
+    solver: object = field(repr=False)  # _SparseGround or _FermionGround
 
     def __len__(self):
         return len(self.lams)
 
 
 def ground_curve(h, v, lam_grid):
-    """Lowest eigenpair of H + lambda*V per grid point, with degeneracy flags."""
-    if h.shape != v.shape:
-        raise ValueError("H and V must have equal dimensions")
+    """Lowest eigenpair of H + lambda*V per grid point, with degeneracy flags.
+
+    Majorana forms take the free-fermion solver; sparse or dense matrices
+    take exact diagonalization.
+    """
     lams = np.asarray(lam_grid, dtype=float)
     if np.any(np.diff(lams) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
-    hs = sp.csr_matrix(h)
-    vs = sp.csr_matrix(v)
-    scale = max(spla.norm(hs), spla.norm(vs), 1.0)
+    solver = _FermionGround(h, v) if isinstance(h, MajoranaForm) else _SparseGround(h, v)
     energies, ehs, evs, degs, states = [], [], [], [], []
     for lam in lams:
-        m = hs + lam * vs
-        w2, g = _lowest_pair(m)
-        energies.append(w2[0])
-        ehs.append(float(np.real(g.conj() @ (hs @ g))))
-        evs.append(float(np.real(g.conj() @ (vs @ g))))
-        degs.append(bool(w2[1] - w2[0] < 1e-9 * scale))
+        e0, degenerate, g = solver.solve(lam)
+        energies.append(e0)
+        ehs.append(solver.expect(solver.h, g))
+        evs.append(solver.expect(solver.v, g))
+        degs.append(degenerate)
         states.append(g)
     return GroundCurve(
         lams=lams,
@@ -184,9 +363,8 @@ def ground_curve(h, v, lam_grid):
         e_h=np.array(ehs),
         e_v=np.array(evs),
         degenerate=np.array(degs),
-        states=np.array(states).T,
-        h=hs,
-        v=vs,
+        states=np.stack(states, axis=-1),
+        solver=solver,
     )
 
 
@@ -198,6 +376,8 @@ class GapReport:
     consistent: bool | None  # true_gap <= epsilon + 1e-6 when both known
     plateau_drift: float  # max |<H>_lambda - <H>_0| over the plateau
     transient_crossings: int  # overlap dips that recovered before lambda*
+    method: str  # ground-state solver: "fermion", "dense" or "lanczos"
+    solves: int  # ground-state solves of the curve and the bisection
 
 
 def gap_upper_bound(curve: GroundCurve, true_gap_value=None, refine_iters=40):
@@ -207,12 +387,18 @@ def gap_upper_bound(curve: GroundCurve, true_gap_value=None, refine_iters=40):
     lambda=0 ground state (the last grid point with squared overlap >= 1/2;
     transient finite-size level crossings that recover are counted, not
     used).  The jump is refined by bisection on the overlap criterion and
-    epsilon = <H> just past lambda* minus <H> at lambda = 0.
+    epsilon = <H> just past lambda* minus <H> at lambda = 0.  "Just past"
+    is the limit of the ground state as lambda decreases to lambda*: where
+    the bisection ends on a level crossing, the ground level there is
+    degenerate to rounding, and <H> is taken on its lowest-<V> state (the
+    departed one, by first-order degenerate perturbation theory), not on
+    whichever mixture rounding returned.
     """
     if len(curve) < 2:
         raise ValueError("curve needs at least two lambda samples")
-    g0 = curve.states[:, 0]
-    ovs = np.abs(g0.conj() @ curve.states) ** 2
+    solver = curve.solver
+    g0 = curve.states[..., 0]
+    ovs = np.array([solver.overlap(g0, curve.states[..., i]) for i in range(len(curve))])
     if ovs[1] < 0.5:
         raise PlateauError(
             "ground state leaves the initial state before the second grid point; "
@@ -222,24 +408,17 @@ def gap_upper_bound(curve: GroundCurve, true_gap_value=None, refine_iters=40):
     last = int(above.max())
     if last == len(curve) - 1:
         raise PlateauError("ground state never departs on this grid; extend lambda range")
-    first_drop = int(np.where(ovs < 0.5)[0][0])
     transients = int(np.sum((ovs[:last] < 0.5)))
     lo, hi = curve.lams[last], curve.lams[last + 1]
 
-    def ground_at(lam):
-        _, g = _lowest_pair(curve.h + lam * curve.v)
-        return g
-
     for _ in range(refine_iters):
         mid = (lo + hi) / 2
-        g = ground_at(mid)
-        if abs(np.vdot(g0, g)) ** 2 < 0.5:
+        _, _, g = solver.solve(mid)
+        if solver.overlap(g0, g) < 0.5:
             hi = mid
         else:
             lo = mid
-    g_after = ground_at(hi)
-    eh_after = float(np.real(g_after.conj() @ (curve.h @ g_after)))
-    epsilon = max(eh_after - curve.e_h[0], 0.0)
+    epsilon = max(solver.expect(solver.h, solver.limit(hi)) - curve.e_h[0], 0.0)
     plateau_drift = float(np.abs(curve.e_h[: last + 1] - curve.e_h[0]).max())
     consistent = None
     if true_gap_value is not None:
@@ -251,16 +430,24 @@ def gap_upper_bound(curve: GroundCurve, true_gap_value=None, refine_iters=40):
         consistent=consistent,
         plateau_drift=plateau_drift,
         transient_crossings=transients,
+        method=solver.method,
+        solves=len(curve) + refine_iters + 1,
     )
 
 
 def true_gap(h):
     """E_1 - E_0 with exact degeneracy excluded (threshold 1e-9 * ||H||).
 
-    The spectrum is the union of the spectra of the invariant blocks: the
-    connected components of the sparsity graph of |H| (abs keeps purely
-    imaginary couplings, which a real cast would drop).
+    For a Majorana form this is the smallest mode energy eps_k above the
+    threshold.  Otherwise the spectrum is the union of the spectra of the
+    invariant blocks: the connected components of the sparsity graph of |H|
+    (abs keeps purely imaginary couplings, which a real cast would drop).
     """
+    if isinstance(h, MajoranaForm):
+        eps = np.linalg.eigvalsh(1j * h.a)[len(h.a) // 2 :]
+        above = eps[eps > 1e-9 * max(eps.sum() / 2, 1.0)]
+        return float(above[0]) if len(above) else 0.0
+
     from scipy.sparse.csgraph import connected_components  # deferred: ~1 MB resident per CLI start
 
     hs = sp.csr_matrix(h)

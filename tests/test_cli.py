@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,34 @@ def test_gap_cli(tmp_path):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "lambda,E0,eH,eV"
     assert len(lines) == 32
+
+
+def test_gap_cli_long_chain_is_deterministic(tmp_path):
+    # identical configs give byte-identical reports, also with zero edge modes at n=64
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run(["gap", "--n", 64, "--gamma", 0.5, "--out", out]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    assert doc["meta"] == {"method": "fermion", "solves": 31 + 40 + 1}
+    assert all(np.isfinite(doc[k]) for k in ("epsilon", "lambda_star", "true_gap", "plateau_drift"))
+    assert isinstance(doc["consistent"], bool)
+    assert run(["gap", "--n", gapwitness.MAX_XY_SITES + 1, "--out", tmp_path / "c.json"]) == 1
+
+
+def test_gap_cli_zero_modes_same_in_every_process(tmp_path):
+    # gamma=1 has two exact zero modes at every lambda; they are paired by a fixed rule
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"gap{threads}.json"
+        cmd = [sys.executable, "-m", "qgeom.cli", "gap", "--n", "10", "--gamma", "1", "--out", str(out)]
+        assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["consistent"] is True
 
 
 def test_gap_cli_coarse_grid_reports_failure(tmp_path):

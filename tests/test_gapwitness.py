@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 from qgeom import core
 from qgeom.core import PAULI_X, PAULI_Z
 from qgeom.gapwitness import (
+    MAX_XY_SITES,
     ChainTooLargeError,
     PlateauError,
     SpinChainSpec,
-    _lowest_pair,
+    _lowest_levels,
     build_chain,
     cusp_decomposition_check,
     gap_upper_bound,
+    gap_witness_majorana,
     gap_witness_v,
     ground_curve,
+    majorana_form,
     true_gap,
     xy_hamiltonian,
+    xy_majorana,
 )
 
 
@@ -295,15 +299,15 @@ def test_lowest_pair_lanczos_never_densifies():
     dim = m.shape[0]
     tracemalloc.start()
     try:
-        w2, g = _lowest_pair(m)
+        w4, g4 = _lowest_levels(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # a dense copy alone would be 1 GiB
     w, v = spla.eigsh(m, k=4, which="SA", v0=np.full(dim, 1.0 / np.sqrt(dim)), maxiter=5000)
     order = np.argsort(w)
-    assert np.array_equal(w2, w[order[:2]])
-    assert np.array_equal(g, v[:, order[0]])
+    assert np.array_equal(w4, w[order])
+    assert np.array_equal(g4, v[:, order])
 
 
 def test_cusp_check_shared_eigenbasis():
@@ -332,3 +336,124 @@ def test_cusp_check_block_construction(rng):
     y[1:, 1:] = yb
     psi = np.array([1.0, 0, 0, 0], dtype=complex)
     assert cusp_decomposition_check(x, y, psi)
+
+
+def _majoranas(n):
+    # c_2j = Z...Z X_j, c_2j+1 = Z...Z Y_j by Kronecker products, independent of build_chain
+    out = []
+    for j in range(n):
+        for p in ("x", "y"):
+            op = np.ones((1, 1))
+            for s in range(n):
+                op = np.kron(op, _PAULI_REF["z" if s < j else p if s == j else "i"])
+            out.append(op)
+    return out
+
+
+def _from_majorana(form):
+    c = _majoranas(len(form.a) // 2)
+    pairs = zip(*np.nonzero(form.a))
+    return 0.25j * sum(form.a[k, l] * c[k] @ c[l] for k, l in pairs)
+
+
+@pytest.mark.parametrize("taper", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_majorana_forms_match_pauli_chains(n, taper):
+    for gamma in (0.0, 0.3, 1.0):
+        ref = xy_hamiltonian(n, gamma, taper).toarray()
+        assert np.abs(_from_majorana(xy_majorana(n, gamma, taper)) - ref).max() < 1e-12
+    ref = gap_witness_v(n, taper).toarray()
+    assert np.abs(_from_majorana(gap_witness_majorana(n, taper)) - ref).max() < 1e-12
+    a = xy_majorana(n, 0.3, taper).a
+    assert np.array_equal(a, -a.T)
+
+
+def test_majorana_form_strings():
+    terms = (((0, 1, 2, 3), ("y", "z", "z", "y"), -0.4), ((2, 3), ("y", "x"), 1.1), ((1, 2, 3), ("x", "z", "x"), 0.7))
+    ref = build_chain(SpinChainSpec(4, terms)).toarray()
+    assert np.abs(_from_majorana(majorana_form(4, terms)) - ref).max() < 1e-12
+    for bad in (((0, 2), ("x", "x"), 1.0), ((0, 1, 2), ("x", "x", "y"), 1.0), ((1,), ("z",), 1.0)):
+        with pytest.raises(ValueError, match="not quadratic"):
+            majorana_form(3, (bad,))
+    with pytest.raises(ChainTooLargeError):
+        xy_majorana(MAX_XY_SITES + 1, 0.5)
+    with pytest.raises(ChainTooLargeError):
+        gap_witness_majorana(2)
+
+
+def _reports(h, v, lams, refine):
+    curve, tg = ground_curve(h, v, lams), true_gap(h)
+    try:
+        return curve, tg, gap_upper_bound(curve, true_gap_value=tg, refine_iters=refine)
+    except PlateauError:
+        return curve, tg, None
+
+
+def _compare_paths(n, gamma, taper, lams, refine, crossing_tol=1e-6):
+    """Fermion against exact diagonalization on one chain; returns what the report comparison covered."""
+    ce, tg_e, re = _reports(xy_hamiltonian(n, gamma, taper), gap_witness_v(n, taper), lams, refine)
+    cf, tg_f, rf = _reports(xy_majorana(n, gamma, taper), gap_witness_majorana(n, taper), lams, refine)
+    assert np.abs(ce.energies - cf.energies).max() <= 1e-10
+    assert abs(tg_e - tg_f) <= 1e-10
+    clean = ~(ce.degenerate | cf.degenerate)
+    assert np.abs(ce.e_h - cf.e_h)[clean].max(initial=0) <= 1e-10
+    assert np.abs(ce.e_v - cf.e_v)[clean].max(initial=0) <= 1e-10
+    if not clean.all():
+        return "degenerate grid"
+    assert (re is None) == (rf is None)
+    if rf is None:
+        return "no plateau"
+    assert re.transient_crossings == rf.transient_crossings and re.consistent == rf.consistent
+    # a jump at a level crossing is resolved to the 1e-9 degeneracy window on the fermion path
+    at_crossing = ce.solver.solve(re.lambda_star)[1] or cf.solver.solve(rf.lambda_star)[1]
+    tol = crossing_tol if at_crossing else 1e-10
+    for key in ("epsilon", "lambda_star", "plateau_drift"):
+        assert abs(getattr(re, key) - getattr(rf, key)) <= tol, key
+    return "crossing" if at_crossing else "report"
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(3, 8),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    st.booleans(),
+)
+@example(6, 0.0, False)  # two modes cross at once: a four-fold crossing
+@example(8, 0.5, True)  # the crossing is degenerate to 4e-14 at lambda*
+@example(6, 1.0, False)  # a zero mode at every lambda
+def test_fermion_path_matches_exact_diagonalization(n, gamma, taper):
+    _compare_paths(n, gamma, taper, np.linspace(0.0, 1.5, 16), refine=20)
+
+
+@pytest.mark.parametrize("n, gamma, refine", [(10, 0.5, 40), (12, 0.0, 12)])
+def test_fermion_path_matches_lanczos(n, gamma, refine):
+    covered = _compare_paths(n, gamma, False, np.linspace(0.0, 0.5, 6), refine, crossing_tol=1e-10)
+    assert covered in ("report", "crossing")
+
+
+def test_departed_state_at_four_fold_crossing():
+    # at n=6, gamma=0 two modes cross zero together; past lambda* both are flipped
+    h, v = xy_hamiltonian(6, 0.0), gap_witness_v(6)
+    curve = ground_curve(h, v, np.linspace(0.0, 3.0, 31))
+    rep = gap_upper_bound(curve)
+
+    def e_h(lam):
+        g = np.linalg.eigh((h + lam * v).toarray())[1][:, 0]
+        return float(np.real(g.conj() @ h @ g))
+
+    d = 1e-6
+    past = 2 * e_h(rep.lambda_star + d) - e_h(rep.lambda_star + 2 * d)  # linear extrapolation to lambda*
+    assert rep.epsilon == pytest.approx(past - curve.e_h[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("n, gamma", [(6, 1.0), (80, 0.5)])
+def test_zero_modes_give_pure_states(n, gamma):
+    # gamma=1: two exact zero modes; n=80, gamma=1/2: edge modes split by less than 1e-16
+    h, v = xy_majorana(n, gamma), gap_witness_majorana(n)
+    curve = ground_curve(h, v, [0.0, 0.3])
+    assert curve.degenerate.all()
+    for i in range(2):
+        g = curve.states[..., i]
+        assert np.isfinite(g).all()
+        assert np.abs(g @ g + np.eye(2 * n)).max() < 1e-10
+        assert curve.energies[i] == pytest.approx(curve.e_h[i] + curve.lams[i] * curve.e_v[i], abs=1e-10)

@@ -24,3 +24,10 @@ def test_range_gallery(tmp_path):
     _load("range_gallery").main(tmp_path)
     names = ["elliptope_polar.obj", "embedded_qubit_full.obj", "embedded_qubit_sep.obj", "pauli_ball.obj"]
     assert sorted(p.name for p in tmp_path.glob("*.obj")) == names
+
+
+def test_xy_gap_trend(capsys):
+    # main asserts that the gamma = 0 bounds decrease with N
+    _load("xy_gap_trend").main(sizes=(6, 8, 10))
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split()[:2] for r in rows] == [[g, n] for g in ("0.00", "0.50") for n in ("6", "8", "10")]

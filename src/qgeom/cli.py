@@ -421,10 +421,14 @@ def cmd_su2(args):
     elif args.action == "chi":
         if a is None:
             raise UsageError("chi needs --a")
+        if args.samples < 1:
+            raise UsageError(f"chi needs --samples >= 1, got {args.samples}")
         qs = su2.haar_quaternions(args.samples, seed=args.seed)
-        gs = [su2.GroupElement(su2._quat_to_rotvec(q)) for q in qs]
-        chis = su2.characteristic_values(a, [g.v for g in gs]).tolist()
-        payload = {"chi_samples": [{"v": list(g.v), "chi": chi} for g, chi in zip(gs, chis)]}
+        # rotation vectors, angle 2 atan2(|xyz|, w) in [0, 2 pi] along xyz
+        norm = np.linalg.norm(qs[:, 1:], axis=1, keepdims=True)
+        vs = 2 * np.arctan2(norm, qs[:, :1]) * (qs[:, 1:] / norm)
+        chis = su2.characteristic_values(a, vs).tolist()
+        payload = {"chi_samples": [{"v": v, "chi": chi} for v, chi in zip(vs.tolist(), chis)]}
     elif args.action == "convert":
         if a is None or b is None:
             raise UsageError("convert needs --a and --b")

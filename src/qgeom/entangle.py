@@ -168,8 +168,9 @@ def qubit_qudit_sep_max(h, dims, directions=4096):
     Branch and bound on geodesic triangles, starting from the octahedron:
     each round splits the live triangles (bound above lower + SEP_TOL) at
     their normalised edge midpoints, highest bound first.  `directions` is
-    the budget of evaluations (a sphere sample or an outer vertex each; 15
-    per split); the 30 of the start mesh always run.  Every sphere sample
+    the budget of evaluations (a distinct sphere sample or an outer vertex
+    each; at most 15 per split, as a midpoint shared with a neighbour is
+    solved once); the 30 of the start mesh always run.  Every sphere sample
     r yields a qudit state beta with point p = <beta|H_i|beta>, and lower is
     the best (p_0 + |p_vec|)/2, the value its product witness attains.
     upper is the largest triangle bound (or lower).
@@ -186,7 +187,12 @@ def qubit_qudit_sep_max(h, dims, directions=4096):
     tris = np.array(list(product((1, -1), repeat=3)))[:, :, None] * np.eye(3)
     kept, kept_bounds = np.empty((0, 3, 3)), np.empty(0)
     evaluations = 0
+    seen = set()
     while True:
+        # neighbours share edge midpoints bit for bit (a + b rounds as b + a): solve each once
+        new = [p for p in dict.fromkeys(map(tuple, pts.tolist())) if p not in seen]
+        seen.update(new)
+        pts = np.array(new).reshape(-1, 3)
         for s in support_batch(hs, np.column_stack([np.ones(len(pts)), pts])):
             val = 0.5 * (s.point[0] + np.linalg.norm(s.point[1:]))
             if val > lower:

@@ -1,7 +1,9 @@
 """SU(2) spin-state composition, characteristic functions, J_Z-eigenstate
 covariant interconversion, the sampled positive-definiteness test, and the
 j = 1 covariant-channel simplex.  Characteristic functions are evaluated
-for many group elements at once, one stacked expm per spin block.
+for many group elements at once in closed form: each element's spin-1/2
+matrix gives its Euler angles, and each spin block is then two matrix
+products with the eigenvectors of J_Y and one weighted sum.
 
 Clebsch-Gordan coefficients follow the Condon-Shortley convention and are
 evaluated through the Racah sum in exact rational arithmetic (their squares
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
-from .core import as_density, as_half_integer, choi_matrix_of_map, spin_operators
+from .core import as_half_integer, choi_matrix_of_map, spin_operators, stack_chunks
 
 _CG_CACHE = {}
 
@@ -176,22 +177,53 @@ class GroupElement:
         object.__setattr__(self, "v", v)
 
 
+def _spin_half(q):
+    """Rows (w, x, y, z) -> stacked u = w + i(x sx + y sy + z sz), descending m;
+    the map reverses the Hamilton product, u(q q') = u(q') u(q)."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return np.array([[w + 1j * z, y + 1j * x], [-y + 1j * x, w - 1j * z]]).transpose(2, 0, 1)
+
+
+def _block_data(s: SpinKet):
+    """Per (j, tag) block: descending m values, amplitudes, and eigh(J_Y)."""
+    out = []
+    for (j, _tag), block in s.blocks().items():
+        ms = float(j) - np.arange(int(2 * j) + 1)
+        vec = np.array([block.get(j - k, 0) for k in range(len(ms))], dtype=complex)
+        out.append((ms, vec, *np.linalg.eigh(spin_operators(j)[1])))
+    return out
+
+
+def _chi(blocks, u):
+    """<s| D(u) |s> for stacked spin-1/2 matrices u; `blocks` from _block_data.
+
+    With a = u_00, b = u_01: u = e^{i alpha J_Z} e^{i beta J_Y} e^{i gamma J_Z},
+    sign included, for beta = 2 atan2(|b|, |a|), alpha = arg a + arg b and
+    gamma = arg a - arg b; so is D(u) in every spin j, with e^{i beta J_Y} =
+    W diag(e^{i beta mu}) W^dag from the eigensystem of J_Y.
+    """
+    a, b = u[:, 0, 0], u[:, 0, 1]
+    beta = 2 * np.arctan2(np.abs(b), np.abs(a))
+    alpha = np.angle(a) + np.angle(b)
+    gamma = np.angle(a) - np.angle(b)
+    total = np.zeros(len(u), dtype=complex)
+    for ms, vec, mu, w in blocks:
+        left = (vec.conj() * np.exp(1j * np.outer(alpha, ms))) @ w
+        right = (vec * np.exp(1j * np.outer(gamma, ms))) @ w.conj()
+        total += (left * np.exp(1j * np.outer(beta, mu)) * right).sum(axis=1)
+    return total
+
+
 def characteristic_values(s: SpinKet, vs):
     """chi(g) = <s| U_g |s> for the rotation vector g in each row of `vs`.
 
-    U_g = exp(i v . J) blockwise; one stacked expm per (j, tag) block.
+    U_g = exp(i v . J) blockwise, at spin 1/2 cos(|v|/2) + i sin(|v|/2) v.sigma/|v|.
     """
     vs = np.asarray(vs, dtype=float).reshape(-1, 3)
-    total = np.zeros(len(vs), dtype=complex)
-    for (j, _tag), block in s.blocks().items():
-        vec = np.zeros(int(2 * j) + 1, dtype=complex)
-        for m, a in block.items():
-            vec[int(j - m)] = a  # descending-m basis of spin_operators
-        jx, jy, jz = spin_operators(j)
-        u = expm(1j * (vs[:, 0, None, None] * jx + vs[:, 1, None, None] * jy + vs[:, 2, None, None] * jz))
-        # (1 x dim) @ (dim x 1) per sample runs the vector dot of an unstacked <s|U|s>
-        total += ((vec.conj() @ u)[:, None, :] @ vec[:, None])[:, 0, 0]
-    return total
+    t = np.linalg.norm(vs, axis=1)
+    # sin(t/2) / t = sinc(t / 2 pi) / 2, finite at t = 0
+    q = np.column_stack([np.cos(t / 2), 0.5 * np.sinc(t / (2 * np.pi))[:, None] * vs])
+    return _chi(_block_data(s), _spin_half(q))
 
 
 def characteristic_function(s: SpinKet, g: GroupElement):
@@ -252,39 +284,6 @@ def jz_convert(phi: SpinKet, omega: SpinKet):
 # Haar sampling and the sampled necessary test
 
 
-def _quat_mul(a, b):
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
-def _quat_inv(a):
-    return np.array([a[0], -a[1], -a[2], -a[3]])
-
-
-def _quat_to_rotvec(a):
-    """Unit quaternion -> rotation vector with angle in [0, 2pi).
-
-    The full angle range keeps the SU(2) double cover faithful for
-    half-integer representations.
-    """
-    w = np.clip(a[0], -1.0, 1.0)
-    vec = a[1:]
-    nv = np.linalg.norm(vec)
-    angle = 2.0 * np.arctan2(nv, w)
-    if nv < 1e-15:
-        return (angle, 0.0, 0.0) if angle > 1e-12 else (0.0, 0.0, 0.0)
-    axis = vec / nv
-    return tuple(angle * axis)
-
-
 def haar_quaternions(n, seed=0):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n, 4))
@@ -303,42 +302,39 @@ class MarvianVerdict:
 def marvian_necessary_test(psi: SpinKet, phi: SpinKet, samples=200, seed=0, zero_tol=1e-8):
     """Sampled positive-definiteness of f = chi_psi / chi_phi over SU(2).
 
-    Builds M_ik = f(g_i g_k^{-1}) on Haar samples, one row i (every k) per
-    stacked characteristic_values call, greedily drops indices
-    whose rows meet |chi_phi| below `zero_tol` (reported as coverage loss),
-    and declares "impossible" with the eigenvector certificate when the
-    Hermitian part has a significantly negative eigenvalue.  Necessary
-    only: a consistent verdict never claims the conversion is possible.
+    Builds M_ik = f(u_k^dag u_i), the element of q_i q_k^-1, on Haar samples:
+    pairs i < k in chunks, M_ki = conj M_ik as chi(g^-1) = conj chi(g), and
+    M_ii = f(e) = 1.  Greedily drops indices whose pairs meet |chi_phi| below
+    `zero_tol` (reported as coverage loss), and declares "impossible" with
+    the eigenvector certificate when M has a significantly negative
+    eigenvalue.  Necessary only: a consistent verdict never claims the
+    conversion is possible.
     """
-    quats = haar_quaternions(samples, seed=seed)
-    n = len(quats)
-    m = np.zeros((n, n), dtype=complex)
-    bad = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        vs = np.array([_quat_to_rotvec(_quat_mul(quats[i], _quat_inv(qk))) for qk in quats])
-        denom = characteristic_values(phi, vs)
-        bad[i] = np.abs(denom) < zero_tol
-        ok = ~bad[i]
-        # Python's complex division: numpy's rounds differently
-        m[i, ok] = [a / b for a, b in zip(characteristic_values(psi, vs[ok]).tolist(), denom[ok].tolist())]
-    keep = list(range(n))
-    while True:
-        sub = bad[np.ix_(keep, keep)]
-        counts = sub.sum(axis=0) + sub.sum(axis=1)
-        if counts.max(initial=0) == 0:
-            break
-        keep.pop(int(np.argmax(counts)))
-        if not keep:
-            break
-    skipped = n - len(keep)
-    if len(keep) < 2:
-        return MarvianVerdict(True, None, len(keep), skipped, 0.0)
-    sub = m[np.ix_(keep, keep)]
-    herm = (sub + sub.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
-    if w[0] < -1e-6 * max(w[-1], 1e-30):
-        return MarvianVerdict(False, v[:, 0], len(keep), skipped, float(w[0]))
-    return MarvianVerdict(True, None, len(keep), skipped, float(w[0]))
+    if samples < 2:
+        raise ValueError(f"the Marvian test needs at least 2 samples, got {samples}")
+    u = _spin_half(haar_quaternions(samples, seed=seed))
+    num, den = _block_data(psi), _block_data(phi)
+    m = np.eye(samples, dtype=complex)  # f(e) = 1 for unit kets
+    bad = np.zeros((samples, samples), dtype=bool)
+    rows, cols = np.triu_indices(samples, 1)
+    dim = max(len(ms) for ms, *_ in num + den)
+    for chunk in stack_chunks(len(rows), dim):
+        i, k = rows[chunk], cols[chunk]
+        g = np.einsum("pba,pbc->pac", u[k].conj(), u[i])
+        d = _chi(den, g)
+        ok = np.abs(d) >= zero_tol
+        f = np.divide(_chi(num, g), d, out=np.zeros_like(d), where=ok)
+        m[i, k], m[k, i] = f, f.conj()
+        bad[i, k] = bad[k, i] = ~ok
+    keep = np.arange(samples)
+    while bad[np.ix_(keep, keep)].any():
+        keep = np.delete(keep, np.argmax(bad[np.ix_(keep, keep)].sum(axis=0)))
+    used, skipped = len(keep), samples - len(keep)
+    if used < 2:
+        return MarvianVerdict(True, None, used, skipped, 0.0)
+    w, v = np.linalg.eigh(m[np.ix_(keep, keep)])
+    impossible = w[0] < -1e-6 * max(w[-1], 1e-30)
+    return MarvianVerdict(not impossible, v[:, 0] if impossible else None, used, skipped, float(w[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,9 @@ def zeta_channel_simplex(x0, x1, j=1):
 
 
 def antiunitary_point_map(rho):
-    """The covariant non-CP map (R rho R^dag)^T with R = exp(i pi J_Y), j = 1."""
-    _, jy, _ = spin_operators(1)
-    r = expm(1j * np.pi * jy)
-    return (r @ rho @ r.conj().T).T
+    """The covariant non-CP map (R rho R^dag)^T with R = exp(i pi J_Y), j = 1.
+
+    R is the real signed permutation |m> -> (-1)^(1-m) |-m> (descending m).
+    """
+    r = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=float)
+    return (r @ rho @ r.T).T

@@ -3,7 +3,8 @@
 The stacked paths do the same arithmetic as the loops (same operator sums,
 same eigensolver per matrix, same expectation formula), so support samples
 and sector bounds must agree bit for bit; characteristic values are
-checked against an independent expm per rotation vector within rounding.
+checked against expm of each rotation vector within rounding,
+and the Marvian test against its row-by-row quaternion/expm loop.
 """
 
 from fractions import Fraction as F
@@ -17,7 +18,7 @@ from scipy.linalg import expm
 from qgeom import core
 from qgeom.core import spin_operators
 from qgeom.numrange import DEGENERACY_GAP, support_batch, unit
-from qgeom.su2 import SpinKet, characteristic_values
+from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_necessary_test
 from qgeom.uncertainty import SectorPartition, sector_bound_operator, sector_sum_bound
 
 
@@ -138,15 +139,16 @@ def _spin_kets(draw):
     return SpinKet.from_terms(terms, normalize=True)
 
 
-def _chi_loop(s, v):
-    """<s| exp(i v.J) |s> with one expm per (j, tag) block and rotation vector."""
-    total = 0j
+def _chi_rows(s, vs):
+    """<s| exp(i v.J) |s> for each row v of vs, by a stacked expm per (j, tag) block."""
+    total = np.zeros(len(vs), dtype=complex)
     for (j, _tag), block in s.blocks().items():
         vec = np.zeros(int(2 * j) + 1, dtype=complex)
         for m, a in block.items():
             vec[int(j - m)] = a
         jx, jy, jz = spin_operators(j)
-        total += vec.conj() @ expm(1j * (v[0] * jx + v[1] * jy + v[2] * jz)) @ vec
+        u = expm(1j * (vs[:, 0, None, None] * jx + vs[:, 1, None, None] * jy + vs[:, 2, None, None] * jz))
+        total += ((vec.conj() @ u)[:, None, :] @ vec[:, None])[:, 0, 0]
     return total
 
 
@@ -159,8 +161,7 @@ def test_characteristic_values_match_expm_per_vector(s, seed, n):
     vs *= rng.uniform(0, 6 * np.pi, size=(n, 1)) / np.linalg.norm(vs, axis=1, keepdims=True)
     chi = characteristic_values(s, vs)
     assert chi.shape == (n,)
-    for c, v in zip(chi, vs):
-        assert abs(c - _chi_loop(s, v)) <= 1e-10
+    assert np.abs(chi - _chi_rows(s, vs)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("j", [F(1, 2), F(1), F(3, 2), F(2)])
@@ -172,3 +173,85 @@ def test_characteristic_values_two_pi_sign(j):
     chi, chi_turned = characteristic_values(s, [v, turned])
     assert abs(chi_turned - (-1) ** int(2 * j) * chi) <= 1e-10
     assert characteristic_values(s, np.zeros((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("j", [10, 20, 30])
+def test_characteristic_values_match_expm_at_large_spin(j):
+    # the closed form keeps its digits where a (2j+1)^2 monomial sum would lose them
+    rng = np.random.default_rng(j)
+    amps = rng.normal(size=2 * j + 1) + 1j * rng.normal(size=2 * j + 1)
+    s = SpinKet.from_terms([(j, j - k, a) for k, a in enumerate(amps)], normalize=True)
+    vs = rng.normal(size=(8, 3))
+    vs *= rng.uniform(0, 4 * np.pi, size=(8, 1)) / np.linalg.norm(vs, axis=1, keepdims=True)
+    assert np.abs(characteristic_values(s, vs) - _chi_rows(s, vs)).max() <= 1e-12
+
+
+def _quat_mul(a, b):
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return np.array(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]
+    )
+
+
+def _quat_to_rotvec(a):
+    """Unit quaternion -> rotation vector with angle in [0, 2pi)."""
+    nv = np.linalg.norm(a[1:])
+    angle = 2.0 * np.arctan2(nv, np.clip(a[0], -1.0, 1.0))
+    if nv < 1e-15:
+        return (angle, 0.0, 0.0) if angle > 1e-12 else (0.0, 0.0, 0.0)
+    return tuple(angle * (a[1:] / nv))
+
+
+def _marvian_loop(psi, phi, samples, seed, zero_tol=1e-8):
+    """The Marvian test row by row: M_ik = f(g_i g_k^-1) through quaternion
+    products, rotation vectors and a stacked expm per spin block.
+
+    Returns (consistent, used, skipped, min_eig, scale), scale sizing the
+    rounding error of min_eig.
+    """
+    quats = haar_quaternions(samples, seed=seed)
+    inv = quats * [1, -1, -1, -1]
+    n = len(quats)
+    m = np.zeros((n, n), dtype=complex)
+    denoms = np.zeros((n, n), dtype=complex)
+    bad = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        vs = np.array([_quat_to_rotvec(_quat_mul(quats[i], qk)) for qk in inv])
+        denoms[i] = denom = _chi_rows(phi, vs)
+        bad[i] = np.abs(denom) < zero_tol
+        ok = ~bad[i]
+        m[i, ok] = [a / b for a, b in zip(_chi_rows(psi, vs[ok]).tolist(), denom[ok].tolist())]
+    keep = list(range(n))
+    while True:
+        sub = bad[np.ix_(keep, keep)]
+        counts = sub.sum(axis=0) + sub.sum(axis=1)
+        if counts.max(initial=0) == 0:
+            break
+        keep.pop(int(np.argmax(counts)))
+        if not keep:
+            break
+    if len(keep) < 2:
+        return True, len(keep), n - len(keep), 0.0, 1.0
+    sub = m[np.ix_(keep, keep)]
+    w = np.linalg.eigvalsh((sub + sub.conj().T) / 2)
+    # rounding of chi is absolute, so an entry's error grows like 1 / |chi_phi|^2
+    scale = n / np.abs(denoms[np.ix_(keep, keep)]).min() ** 2
+    return bool(w[0] >= -1e-6 * max(w[-1], 1e-30)), len(keep), n - len(keep), float(w[0]), scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(_spin_kets(), _spin_kets(), st.integers(2, 40), st.integers(0, 10**6), st.sampled_from([1e-8, 0.3]))
+def test_marvian_test_matches_quaternion_expm_loop(psi, phi, samples, seed, zero_tol):
+    # zero_tol = 0.3 drops many samples, so the greedy coverage loss is compared too
+    verdict = marvian_necessary_test(psi, phi, samples=samples, seed=seed, zero_tol=zero_tol)
+    consistent, used, skipped, min_eig, scale = _marvian_loop(psi, phi, samples, seed, zero_tol)
+    assert (verdict.consistent, verdict.used, verdict.skipped) == (consistent, used, skipped)
+    # 1e-10, unless small chi_phi amplify the rounding of the entries
+    assert abs(verdict.min_eig - min_eig) <= max(1e-10, 1e-13 * scale)
+    assert (verdict.certificate is None) == consistent

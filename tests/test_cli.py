@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeom import core, entangle, gapwitness
-from qgeom.cli import main
+from qgeom import core, entangle, gapwitness, su2
+from qgeom.cli import load_spinket, main
 
 
 def run(args):
@@ -244,6 +244,57 @@ def test_su2_marvian_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["consistent"] is False
     assert "certificate" in doc
+
+
+def test_su2_chi_cli_lists_rotation_vectors_of_the_haar_samples(tmp_path):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps([{"j": "1/2", "m": "1/2", "amp": [0.6, 0.0]}, {"j": "1", "m": "0", "amp": [0.0, 0.8]}]))
+    out = tmp_path / "chi.json"
+    assert run(["su2", "chi", "--a", a, "--samples", 6, "--seed", 4, "--out", out]) == 0
+    rows = json.loads(out.read_text())["chi_samples"]
+    q = su2.haar_quaternions(6, seed=4)
+    v = np.array([r["v"] for r in rows])
+    # exp(i v.sigma/2) = w + i (x, y, z).sigma, angle in [0, 2 pi]
+    t = np.linalg.norm(v, axis=1)
+    assert np.abs(np.cos(t / 2) - q[:, 0]).max() < 1e-12
+    assert np.abs(np.sin(t / 2)[:, None] * v / t[:, None] - q[:, 1:]).max() < 1e-12
+    ket = load_spinket(str(a))
+    for r in rows:
+        assert abs(complex(*r["chi"]) - su2.characteristic_function(ket, su2.GroupElement(r["v"]))) < 1e-15
+
+
+@pytest.mark.parametrize("action,samples", [("marvian", 1), ("marvian", 0), ("marvian", -1), ("chi", 0), ("chi", -1)])
+def test_su2_rejects_vacuous_sample_counts(tmp_path, capsys, action, samples):
+    # one sample tests only f(e) = 1, none tests nothing: usage errors, not verdicts
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps([{"j": "1/2", "m": "1/2", "amp": [1.0, 0.0]}]))
+    out = tmp_path / "r.json"
+    assert run(["su2", action, "--a", a, "--b", a, "--samples", samples, "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples" in err and "Traceback" not in err
+
+
+def test_su2_marvian_200_samples_same_in_every_process(tmp_path):
+    # the c03 pair at the default 200 samples, under one and two BLAS threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    phi = tmp_path / "phi.json"
+    psi = tmp_path / "psi.json"
+    phi.write_text(json.dumps([{"j": str(j), "m": "-1", "amp": [1 / np.sqrt(3), 0.0]} for j in (1, 2, 3)]))
+    probs = {1: 3 / 10, 2: 43 / 126, 3: 97 / 360, 4: 5 / 56}
+    psi.write_text(json.dumps([{"j": str(j), "m": "-1", "amp": [np.sqrt(p), 0.0]} for j, p in probs.items()]))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"m{threads}.json"
+        cmd = [sys.executable, "-m", "qgeom.cli", "su2", "marvian", "--a", str(psi), "--b", str(phi),
+               "--seed", "1", "--out", str(out)]
+        assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert doc["consistent"] is True and doc["used"] + doc["skipped"] == 200
 
 
 def test_su2_convert_cli(tmp_path):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qgeom import core
 from qgeom.su2 import (
@@ -16,9 +17,9 @@ from qgeom.su2 import (
     spin_combine,
     zeta_channel_simplex,
     zeta_map,
-    _quat_inv,
-    _quat_mul,
-    _quat_to_rotvec,
+    _block_data,
+    _chi,
+    _spin_half,
 )
 
 H = F(1, 2)
@@ -204,21 +205,31 @@ def test_jz_convert_rejects_non_eigenstate():
         jz_convert(phi, omega)
 
 
-def test_quaternion_roundtrip(rng):
-    # group composition stays within SU(2): chi of composed rotation matches
-    s = SpinKet.from_terms([(H, H, 1.0)])
-    for _ in range(10):
-        qa = haar_quaternions(1, seed=int(rng.integers(1e6)))[0]
-        v = _quat_to_rotvec(qa)
-        u = characteristic_function(s, GroupElement(v))
-        # spin-1/2 characteristic of a quaternion (w, xyz): w + i z ... derived:
-        # exp(i v.J) at j=1/2 equals cos(t/2) + i sin(t/2) n.sigma with v = t n
-        t = np.linalg.norm(v)
-        if t < 1e-12:
-            continue
-        n = np.array(v) / t
-        expect = np.cos(t / 2) + 1j * np.sin(t / 2) * n[2] / 1.0
-        assert abs(u - expect) < 1e-10
+def test_pair_products_compose_like_expm():
+    # D(u_k^dag u_i) = D(u_k)^dag D(u_i): chi of the batched pair products against
+    # the product of two expm's of the samples' rotation vectors, 4 pi sign included
+    s = SpinKet.from_terms([(H, -H, 0.5), (1, 0, 0.5j), (F(3, 2), H, "a", 0.5), (F(5, 2), F(-3, 2), -0.5)])
+    q = haar_quaternions(12, seed=5)
+    norm = np.linalg.norm(q[:, 1:], axis=1, keepdims=True)
+    vs = 2 * np.arctan2(norm, q[:, :1]) * q[:, 1:] / norm
+    u = _spin_half(q)
+    i, k = np.triu_indices(12, 1)
+    chi = _chi(_block_data(s), u[k].conj().transpose(0, 2, 1) @ u[i])
+    for c, a, b in zip(chi, i, k):
+        expect = 0j
+        for (j, _tag), block in s.blocks().items():
+            vec = np.array([block.get(j - n, 0) for n in range(int(2 * j) + 1)], dtype=complex)
+            jx, jy, jz = core.spin_operators(j)
+            ua, ub = (expm(1j * (v[0] * jx + v[1] * jy + v[2] * jz)) for v in (vs[a], vs[b]))
+            expect += vec.conj() @ ub.conj().T @ ua @ vec
+        assert abs(c - expect) <= 1e-12
+
+
+def test_marvian_rejects_vacuous_sample_counts():
+    psi = SpinKet.from_terms([(1, 0, 1.0)])
+    for samples in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            marvian_necessary_test(psi, psi, samples=samples)
 
 
 def test_marvian_identity_consistent():
@@ -282,8 +293,6 @@ def test_antiunitary_point_matches_simplex_combination(rng):
 
 
 def test_antiunitary_point_covariant(rng):
-    from scipy.linalg import expm
-
     jx, jy, jz = core.spin_operators(1)
     for _ in range(20):
         rho = core.random_density(3, rng)

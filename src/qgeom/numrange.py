@@ -4,8 +4,9 @@ qutrit boundary classification, and one-shot unitary distinguishability.
 The support function of W(X_1,...,X_k) in direction n is the largest
 eigenvalue of n.X, attained by the top eigenvector; sweeping directions
 yields an inner vertex cloud and outer supporting half-spaces that bracket
-the true range.  Every sweep goes through `support_batch`, which stacks the
-eigensolves of many directions into one call.
+the true range.  Every eigensolve over directions goes through
+`support_batch`, which stacks many directions into one call and also
+returns each top eigenspace, whose compressed operators span that face of W.
 """
 
 from __future__ import annotations
@@ -14,14 +15,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
-from .core import as_hermitian, expectation, stack_chunks
+from .core import PAULI_X, PAULI_Y, PAULI_Z, as_hermitian, expectation, stack_chunks
 
 DEGENERACY_GAP = 1e-10
 FLAT_GAP = 1e-8
+FACE_GAP = 1e-7  # relative, as the gap; > FLAT_GAP so a flat normal's face is 2-dim
 FACE_MERGE_TOL = 1e-6
+FACE_RANK_TOL = 1e-6
+FACE_DIRS = 60  # directions sampled on each face
+FACE_SEED = 1
 SEGMENT_PC_RATIO = 1e-6
+CANDIDATE_GAP = 0.2  # sweep gaps up to this are polished as flat-face candidates
+COMMON_EIGVEC_TOL = 1e-8
+POLISH_MAXITER = 400
 
 
 def unit(v):
@@ -32,11 +40,11 @@ def unit(v):
     return v / n
 
 
-def sphere_directions(k, n, seed=0, extras=None):
+def sphere_directions(k, n, seed=0):
     """Deterministic direction set on S^{k-1}.
 
     k=2 uses equally spaced circle angles, k=3 a Fibonacci lattice, higher k
-    a seeded Gaussian sample; user extras are appended after normalization.
+    a seeded Gaussian sample.
     """
     if k < 1:
         raise ValueError("need at least one coordinate")
@@ -59,9 +67,6 @@ def sphere_directions(k, n, seed=0, extras=None):
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(n, k))
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    if extras is not None and len(extras):
-        ex = np.array([unit(e) for e in extras])
-        dirs = np.vstack([dirs, ex])
     return dirs
 
 
@@ -73,6 +78,7 @@ class SupportSample:
     value: float
     point: np.ndarray
     witness: np.ndarray
+    face: np.ndarray  # top eigenspace (within FACE_GAP), `witness` last; a view of it if 1-dim
     degenerate: bool = False
     gap: float = np.inf
 
@@ -124,12 +130,14 @@ def support_batch(ops, directions):
         points = np.stack([expectation(x, rho) for x in ops], axis=1)
         scale = np.maximum(np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0])), 1e-30)
         gaps = (w[:, -1] - w[:, -2]) / scale if d > 1 else np.full(len(n), np.inf)
+        width = (w >= w[:, -1:] - FACE_GAP * scale[:, None]).sum(axis=1)
         out.extend(
             SupportSample(
                 direction=n[r],
                 value=float(w[r, -1]),
                 point=points[r],
                 witness=top[r],
+                face=v[r, :, d - width[r] :].copy() if width[r] > 1 else top[r, :, None],
                 degenerate=bool(gaps[r] < DEGENERACY_GAP),
                 gap=float(gaps[r]),
             )
@@ -143,48 +151,35 @@ def support(ops, n):
     return support_batch(ops, [n])[0]
 
 
-def _top_eigenspace(ops, n, rel_tol=1e-9):
-    m = sum(ni * xi for ni, xi in zip(n, ops))
-    w, v = np.linalg.eigh(m)
-    scale = max(abs(w[-1]), abs(w[0]), 1e-30)
-    mask = w >= w[-1] - rel_tol * scale
-    return v[:, mask]
-
-
-def _face_points(ops, basis, n_dirs=60, seed=1):
+def _face_points(ops, basis):
     """Inner points on the face spanned by a degenerate top eigenspace.
 
     Realizes the one-level recursion of reduced operators: the face is the
     joint numerical range of the eigenspace-restricted operators.
     """
     reduced = [basis.conj().T @ x @ basis for x in ops]
-    dirs = sphere_directions(len(ops), n_dirs, seed=seed)
+    dirs = sphere_directions(len(ops), FACE_DIRS, seed=FACE_SEED)
     return np.array([s.point for s in support_batch(reduced, dirs)])
 
 
-def jnr_approximate(ops, directions, enrich_degenerate=True):
+def jnr_approximate(ops, directions):
     """Direction-sweep approximation of W(ops): inner vertices and outer half-spaces.
 
     Degenerate support directions contribute extreme points of the flat face
-    (sampled through the reduced eigenspace operators) so flat parts do not
-    collapse to single inner points.
+    (sampled through the reduced operators on the sample's `face`) so flat
+    parts do not collapse to single inner points.
     """
     ops = [as_hermitian(x) for x in ops]
+    samples = support_batch(ops, directions)
     inner = []
-    normals = []
-    offsets = []
-    for s in support_batch(ops, directions):
+    for s in samples:
         inner.append(s.point)
-        normals.append(s.direction)
-        offsets.append(s.value)
-        if enrich_degenerate and s.degenerate:
-            basis = _top_eigenspace(ops, s.direction)
-            if basis.shape[1] > 1:
-                inner.extend(_face_points(ops, basis))
+        if s.degenerate:
+            inner.extend(_face_points(ops, s.face))
     body = ConvexBodyApprox(
         inner_vertices=np.array(inner),
-        outer_normals=np.array(normals),
-        outer_offsets=np.array(offsets),
+        outer_normals=np.array([s.direction for s in samples]),
+        outer_offsets=np.array([s.value for s in samples]),
     )
     body.unbounded = not _positively_spanning(body.outer_normals)
     return body
@@ -249,74 +244,90 @@ class JNRClassification:
     e: int
     s: int
     faces: list
-    min_unpolished_gap: float  # smallest sweep gap outside accepted faces
+    min_unpolished_gap: float  # smallest sweep gap of a rejected candidate, else of the sweep
 
 
-def _common_eigenvector(ops, tol=1e-8):
-    rng = np.random.default_rng(12345)
+def _common_eigenvector(ops):
+    c = np.random.default_rng(12345).normal(size=(4, len(ops)))
+    _, v = np.linalg.eigh(sum(c[:, i, None, None] * x for i, x in enumerate(ops)))
     scale = max(max(np.abs(x).max() for x in ops), 1e-30)
-    for _ in range(4):
-        c = rng.normal(size=len(ops))
-        m = sum(ci * xi for ci, xi in zip(c, ops))
-        _, v = np.linalg.eigh(m)
-        for i in range(v.shape[1]):
-            vec = v[:, i]
-            if all(
-                np.linalg.norm(x @ vec - (vec.conj() @ x @ vec) * vec) < tol * scale
-                for x in ops
-            ):
-                return vec
+    for vec in np.concatenate(v.transpose(0, 2, 1)):
+        residual = max(np.linalg.norm(x @ vec - (vec.conj() @ x @ vec) * vec) for x in ops)
+        if residual < COMMON_EIGVEC_TOL * scale:
+            return vec
     return None
 
 
-def _polish_flat_direction(ops, n0, maxiter=400):
-    n0 = unit(n0)
-    a = np.eye(3)[np.argmin(np.abs(n0))]
-    t1 = np.cross(n0, a)
-    t1 /= np.linalg.norm(t1)
+def _polish_flat_directions(ops, starts):
+    """Polished unit normals and relative top-two gaps of flat-face candidates.
+
+    Each start n0 moves in its tangent plane, n = unit(n0 + u1 t1 + u2 t2), by
+    Nelder-Mead on the gap with scipy's start simplex (step 0.00025), moves,
+    vertex order and stopping rule (xatol 1e-14, fatol 1e-16).  All starts
+    advance together: each stage (reflect; expand or contract; shrink) is one
+    stacked eigvalsh over the starts still live.
+    """
+    n0 = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    t1 = np.cross(n0, np.eye(3)[np.argmin(np.abs(n0), axis=1)])
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
     t2 = np.cross(n0, t1)
 
-    def gap_at(u):
-        n = unit(n0 + u[0] * t1 + u[1] * t2)
-        m = sum(ni * xi for ni, xi in zip(n, ops))
-        w = np.linalg.eigvalsh(m)
-        scale = max(abs(w[-1]), abs(w[0]), 1e-30)
-        return (w[-1] - w[-2]) / scale
+    def normals(rows, u):
+        n = n0[rows] + u[:, :1] * t1[rows] + u[:, 1:] * t2[rows]
+        return n / np.linalg.norm(n, axis=1, keepdims=True)
 
-    r = minimize(
-        gap_at,
-        np.zeros(2),
-        method="Nelder-Mead",
-        options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": maxiter},
-    )
-    return unit(n0 + r.x[0] * t1 + r.x[1] * t2), float(r.fun)
+    def gap_at(rows, u):
+        n = normals(rows, u)
+        w = np.linalg.eigvalsh(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
+        return (w[:, -1] - w[:, -2]) / np.maximum(np.abs(w[:, [0, -1]]).max(axis=1), 1e-30)
+
+    m = len(n0)
+    sim = np.tile([[0.0, 0.0], [0.00025, 0.0], [0.0, 0.00025]], (m, 1, 1))
+    fsim = gap_at(np.repeat(np.arange(m), 3), sim.reshape(-1, 2)).reshape(m, 3)
+    for _ in range(POLISH_MAXITER - 1):
+        ind = np.argsort(fsim, axis=1)
+        sim, fsim = np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+        live = np.flatnonzero(
+            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > 1e-14)
+            | (np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) > 1e-16)
+        )
+        if not len(live):
+            break
+        s, f = sim[live], fsim[live]
+        xbar = (s[:, 0] + s[:, 1]) / 2
+        xr = 2 * xbar - s[:, 2]
+        fr = gap_at(live, xr)
+        expand, outside = fr < f[:, 0], fr < f[:, 2]
+        accept = ~expand & (fr < f[:, 1])
+        # expand (c = 2), or contract outside (c = 1/2) or inside (c = -1/2)
+        c = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
+        xt = (1 + c) * xbar - c * s[:, 2]
+        ft = np.full(len(live), np.inf)
+        ft[~accept] = gap_at(live[~accept], xt[~accept])
+        take = np.where(expand, ft < fr, ~accept & np.where(outside, ft <= fr, ft < f[:, 2]))
+        shrink = ~expand & ~accept & ~take
+        s[:, 2] = np.where(take[:, None], xt, np.where(shrink[:, None], s[:, 2], xr))
+        f[:, 2] = np.where(take, ft, np.where(shrink, f[:, 2], fr))
+        if shrink.any():  # towards the best vertex
+            s[shrink, 1:] = s[shrink, :1] + 0.5 * (s[shrink, 1:] - s[shrink, :1])
+            f[shrink, 1:] = gap_at(np.repeat(live[shrink], 2), s[shrink, 1:].reshape(-1, 2)).reshape(-1, 2)
+        sim[live], fsim[live] = s, f
+    rows, best = np.arange(m), fsim.argmin(axis=1)
+    return normals(rows, sim[rows, best]), fsim[rows, best]
 
 
-def _face_rank(ops, n, rank_tol=1e-6):
+def _face_rank(ops, basis):
     """Geometric rank of the face at a doubly degenerate direction.
 
-    The face is the image of the Bloch ball of the top eigenspace; its
-    affine rank is the rank of the matrix of traceless Bloch components of
-    the reduced operators.
+    The face is the image of the Bloch ball of the top eigenspace `basis`;
+    its affine rank is the rank of the matrix of traceless Bloch components
+    of the reduced operators.
     """
-    basis = _top_eigenspace(ops, n, rel_tol=1e-7)
-    if basis.shape[1] < 2:
-        return 0, np.zeros((0, 3))
-    basis = basis[:, -2:]
-    rows = []
-    for x in ops:
-        y = basis.conj().T @ x @ basis
-        rows.append(
-            [
-                np.trace(y @ np.array([[0, 1], [1, 0]])).real / 2,
-                np.trace(y @ np.array([[0, -1j], [1j, 0]])).real / 2,
-                np.trace(y @ np.array([[1, 0], [0, -1]])).real / 2,
-            ]
-        )
-    r = np.array(rows)
-    sv = np.linalg.svd(r, compute_uv=False)
-    rank = int((sv > rank_tol * max(sv[0], 1e-30)).sum())
-    return rank, r
+    b = basis[:, -2:]
+    reduced = np.stack([b.conj().T @ x @ b for x in ops])
+    bloch = np.einsum("kij,pji->kp", reduced, np.stack([PAULI_X, PAULI_Y, PAULI_Z])).real / 2
+    sv = np.linalg.svd(bloch, compute_uv=False)
+    return int((sv > FACE_RANK_TOL * max(sv[0], 1e-30)).sum())
 
 
 def _fit_face_shape(points, rank):
@@ -341,12 +352,13 @@ def _fit_face_shape(points, rank):
     return "ellipse", 2
 
 
-def classify_qutrit_jnr(x1, x2, x3, sweep=2000, candidate_gap=0.2):
+def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
     """Count elliptic (e) and segment (s) flat faces of a qutrit triple's range.
 
     Flat directions are located by sweeping the sphere for small top-two
-    eigenvalue gaps and polishing local candidates to the FLAT_GAP
-    threshold; nearby polished normals are merged within FACE_MERGE_TOL.
+    eigenvalue gaps, polishing all candidates (gap <= CANDIDATE_GAP) together
+    to the FLAT_GAP threshold, and merging polished normals within
+    FACE_MERGE_TOL, in order of increasing sweep gap.
     """
     ops = [as_hermitian(x) for x in (x1, x2, x3)]
     if any(x.shape != (3, 3) for x in ops):
@@ -362,33 +374,26 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000, candidate_gap=0.2):
             "triple is linearly dependent with the identity; the range is flat"
         )
 
-    dirs = sphere_directions(3, sweep)
-    mats = np.einsum("nk,kij->nij", dirs, np.stack(ops))
-    w = np.linalg.eigvalsh(mats)
-    scale = np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0]))
-    gaps = (w[:, -1] - w[:, -2]) / np.maximum(scale, 1e-30)
-
+    samples = support_batch(ops, sphere_directions(3, sweep))
+    gaps = np.array([s.gap for s in samples])
+    order = np.argsort(gaps)[: np.count_nonzero(gaps <= CANDIDATE_GAP)]
+    starts = np.array([samples[i].direction for i in order]).reshape(-1, 3)
     faces = []
     rejected_gaps = []
-    order = np.argsort(gaps)
-    for idx in order:
-        if gaps[idx] > candidate_gap:
-            break
-        n, g = _polish_flat_direction(ops, dirs[idx])
+    for idx, n, g in zip(order, *_polish_flat_directions(ops, starts)):
         if g >= FLAT_GAP:
             rejected_gaps.append(gaps[idx])
             continue
         if any(np.linalg.norm(n - f.normal) < FACE_MERGE_TOL for f in faces):
             continue
-        rank, _ = _face_rank(ops, n)
-        basis = _top_eigenspace(ops, n, rel_tol=1e-7)
-        pts = _face_points(ops, basis) if basis.shape[1] > 1 else np.zeros((0, 3))
-        shape, dim = _fit_face_shape(pts, rank) if len(pts) else ("point", 0)
-        faces.append(FlatFace(normal=n, dim=dim, shape=shape, gap=g, points=pts))
+        face = support(ops, n).face
+        pts = _face_points(ops, face)
+        shape, dim = _fit_face_shape(pts, _face_rank(ops, face))
+        faces.append(FlatFace(normal=n, dim=dim, shape=shape, gap=float(g), points=pts))
     e = sum(1 for f in faces if f.shape == "ellipse")
     s = sum(1 for f in faces if f.shape == "segment")
-    min_rej = float(min(rejected_gaps)) if rejected_gaps else float(gaps.max(initial=np.inf))
-    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=min_rej)
+    min_gap = float(min(rejected_gaps, default=gaps.min()))
+    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=min_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +421,25 @@ def _hull_2d(points):
     return lo[:-1] + hi[:-1]
 
 
-def _closest_point_on_hull(hull, p=(0.0, 0.0)):
-    p = np.asarray(p)
+def _closest_point_on_hull(hull):
+    """Point of the hull polygon (or point or segment) nearest the origin."""
     best = None
     for i in range(len(hull)):
         a = np.asarray(hull[i])
         b = np.asarray(hull[(i + 1) % len(hull)])
         ab = b - a
-        t = 0.0 if ab @ ab < 1e-300 else np.clip((p - a) @ ab / (ab @ ab), 0, 1)
+        t = 0.0 if ab @ ab < 1e-300 else np.clip(-(a @ ab) / (ab @ ab), 0, 1)
         q = a + t * ab
-        d = np.linalg.norm(q - p)
+        d = np.linalg.norm(q)
         if best is None or d < best[0]:
             best = (d, q)
     return best[1]
 
 
-def _origin_in_hull(points, tol=1e-9):
+def _origin_in_hull(hull, tol=1e-9):
     """Exact-ish point-in-polygon via the hull's half-plane description."""
-    hull = _hull_2d(points)
-    if len(hull) == 0:
-        return False
-    if len(hull) == 1:
-        return bool(np.hypot(*hull[0]) <= tol)
-    if len(hull) == 2:
-        a, b = np.asarray(hull[0]), np.asarray(hull[1])
-        ab = b - a
-        t = np.clip(-(a @ ab) / (ab @ ab), 0, 1)
-        return bool(np.linalg.norm(a + t * ab) <= tol)
+    if len(hull) <= 2:
+        return bool(np.linalg.norm(_closest_point_on_hull(hull)) <= tol)
     for i in range(len(hull)):
         a = np.asarray(hull[i])
         b = np.asarray(hull[(i + 1) % len(hull)])
@@ -473,10 +470,9 @@ def one_shot_distinguishable(u, v, tol=1e-9):
     t, q = schur(m, output="complex")
     lam = np.diag(t)
     pts = np.stack([lam.real, lam.imag], axis=1)
-    if not _origin_in_hull(pts, tol=tol):
-        hull = _hull_2d(pts)
-        c = _closest_point_on_hull(hull)
-        return False, unit(c)
+    hull = _hull_2d(pts)
+    if not _origin_in_hull(hull, tol=tol):
+        return False, unit(_closest_point_on_hull(hull))
     # Caratheodory in the plane: <= 3 eigenvalues whose hull covers 0
     weights, chosen = _zero_combination(lam, tol)
     psi = np.zeros(d, dtype=complex)

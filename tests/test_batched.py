@@ -4,7 +4,8 @@ The stacked paths do the same arithmetic as the loops (same operator sums,
 same eigensolver per matrix, same expectation formula), so support samples
 and sector bounds must agree bit for bit; characteristic values are
 checked against expm of each rotation vector within rounding,
-and the Marvian test against its row-by-row quaternion/expm loop.
+the Marvian test against its row-by-row quaternion/expm loop, and the
+stacked flat-face polish against scipy's Nelder-Mead, one candidate at a time.
 """
 
 from fractions import Fraction as F
@@ -14,16 +15,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from qgeom import core
 from qgeom.core import spin_operators
-from qgeom.numrange import DEGENERACY_GAP, support_batch, unit
+from qgeom.numrange import (
+    CANDIDATE_GAP,
+    DEGENERACY_GAP,
+    FACE_GAP,
+    FACE_MERGE_TOL,
+    FLAT_GAP,
+    _polish_flat_directions,
+    sphere_directions,
+    support_batch,
+    unit,
+)
 from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_necessary_test
 from qgeom.uncertainty import SectorPartition, sector_bound_operator, sector_sum_bound
 
 
 def _support_loop(ops, directions):
-    """One eigh per direction: (value, witness, point, gap) per row."""
+    """One eigh per direction: (value, witness, point, gap, face) per row."""
     out = []
     for n in directions:
         n = unit(n)
@@ -33,7 +45,7 @@ def _support_loop(ops, directions):
         gap = (w[-1] - w[-2]) / scale if len(w) > 1 else np.inf
         rho = np.outer(top, top.conj())
         point = np.array([np.trace(x @ rho).real for x in ops])
-        out.append((w[-1], top, point, gap))
+        out.append((w[-1], top, point, gap, v[:, w >= w[-1] - FACE_GAP * scale]))
     return out
 
 
@@ -46,13 +58,16 @@ def _random_ops(rng, d, k, degenerate):
 
 def _assert_matches_loop(samples, ops, dirs):
     assert len(samples) == len(dirs)
-    for s, (value, top, point, gap), n in zip(samples, _support_loop(ops, dirs), dirs):
+    for s, (value, top, point, gap, face), n in zip(samples, _support_loop(ops, dirs), dirs):
         np.testing.assert_array_equal(s.direction, unit(n))
         assert s.value == value
         np.testing.assert_array_equal(s.witness, top)
         np.testing.assert_array_equal(s.point, point)
         assert s.gap == gap
         assert s.degenerate == (gap < DEGENERACY_GAP)
+        np.testing.assert_array_equal(s.face, face)
+        # a one-vector face is the witness itself, not a second copy of it
+        assert s.face.shape[1] > 1 or np.shares_memory(s.face, s.witness)
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,6 +113,44 @@ def test_support_batch_validates_once_for_the_sweep():
         support_batch([core.PAULI_X, core.PAULI_Z], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         support_batch([core.PAULI_X, np.array([[0, 1], [0, 0]])], [[1.0, 0.0]])
+
+
+def _scipy_polish(ops, n0):
+    """Reference flat-face polish: scipy Nelder-Mead on one candidate."""
+    n0 = unit(n0)
+    t1 = np.cross(n0, np.eye(3)[np.argmin(np.abs(n0))])
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(n0, t1)
+
+    def gap_at(u):
+        w = np.linalg.eigvalsh(sum(ni * x for ni, x in zip(unit(n0 + u[0] * t1 + u[1] * t2), ops)))
+        return (w[-1] - w[-2]) / max(abs(w[-1]), abs(w[0]), 1e-30)
+
+    options = {"xatol": 1e-14, "fatol": 1e-16, "maxiter": 400}
+    r = minimize(gap_at, np.zeros(2), method="Nelder-Mead", options=options)
+    return unit(n0 + r.x[0] * t1 + r.x[1] * t2), r.fun
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_stacked_polish_matches_scipy_nelder_mead(seed, real_symmetric):
+    # real-symmetric triples have flat faces; random Hermitian ones mostly do not
+    rng = np.random.default_rng(seed)
+    if real_symmetric:
+        ops = [(a + a.T) / 2 for a in rng.normal(size=(3, 3, 3))]
+    else:
+        ops = [core.random_hermitian(3, rng) for _ in range(3)]
+    samples = support_batch(ops, sphere_directions(3, 200))
+    gaps = np.array([s.gap for s in samples])
+    order = np.argsort(gaps)[: min(8, np.count_nonzero(gaps <= CANDIDATE_GAP))]
+    starts = np.array([samples[i].direction for i in order]).reshape(-1, 3)
+    normals, polished = _polish_flat_directions(ops, starts)
+    assert normals.shape == starts.shape and polished.shape == (len(starts),)
+    for n0, n, g in zip(starts, normals, polished):
+        ref_n, ref_g = _scipy_polish(ops, n0)
+        assert (g < FLAT_GAP) == (ref_g < FLAT_GAP)
+        assert np.linalg.norm(n - ref_n) < FACE_MERGE_TOL
+        assert abs(np.linalg.norm(n) - 1) < 1e-12
 
 
 def _random_partition(rng, x):

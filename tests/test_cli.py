@@ -343,6 +343,22 @@ def test_classify_cli(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["refused"] is True
 
 
+def test_classify_cli_without_candidates_writes_strict_json(tmp_path):
+    # spin-1: n.J has eigenvalues -1, 0, 1 for every unit n, so every sweep
+    # gap is 1 and no direction is a flat-face candidate
+    ops = tmp_path / "spin1.json"
+    write_ops(ops, core.spin_operators(1))
+    out = tmp_path / "cls.json"
+    assert run(["classify", "--ops", ops, "--dirs", 200, "--out", out]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert (doc["e"], doc["s"], doc["faces"]) == (0, 0, [])
+    assert doc["min_unpolished_gap"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_sep_max_cli_budget(tmp_path, capsys):
     op = tmp_path / "h.json"
     op.write_text(json.dumps(core.operator_to_json(core.random_hermitian(6, np.random.default_rng(5)))))

@@ -97,6 +97,21 @@ def test_antipodal_support_states_orthogonal(rng):
         assert abs(np.vdot(sp.witness, sm.witness)) ** 2 < 1e-9
 
 
+def test_face_enrichment_solves_each_direction_once(monkeypatch):
+    # W(X, Y) is the triangle (0, 0), (1, 1), (1, -1); its edges are the faces
+    # at 0, 135 and -135 degrees, where the top eigenvalue is doubly degenerate
+    x = np.diag([1.0, 1.0, 0.0])
+    y = _sym(0, 1)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *rest: calls.append(a.shape) or eigh(a, *rest))
+    body = jnr_approximate([x, y], sphere_directions(2, 8))
+    # one sweep, then one sweep of each degenerate face (its reduced operators)
+    assert len(calls) == 4
+    for corner in ([1.0, 1.0], [1.0, -1.0]):
+        assert np.linalg.norm(body.inner_vertices - corner, axis=1).min() < 1e-9
+
+
 def test_unbounded_flag():
     # only "up" directions: outer set is an unbounded slab
     dirs = np.array([[1.0, 0.0], [0.8, 0.6], [0.8, -0.6]])

@@ -65,13 +65,6 @@ def stack_chunks(count, dim):
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def hermitian_eigensystem(a):
-    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian matrix."""
-    a = as_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def tensor(*ops):
     """Kronecker product; the first factor is the most significant index."""
     out = np.asarray(ops[0], dtype=complex)
@@ -127,21 +120,6 @@ def hs_distance(x, y):
     """Hilbert-Schmidt (Frobenius) distance sqrt(Tr[(X-Y)(X-Y)^dag])."""
     d = np.asarray(x, dtype=complex) - np.asarray(y, dtype=complex)
     return float(np.sqrt(np.sum(np.abs(d) ** 2)))
-
-
-def psd_sqrt(m):
-    """Square root of a PSD matrix via eigendecomposition, negative eigenvalues clipped."""
-    w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def bures_distance(rho, sigma):
-    """Bures-Uhlmann distance, D^2 = 2(1 - Tr sqrt(sqrt(rho) sigma sqrt(rho)))."""
-    rho = as_density(rho)
-    sigma = as_density(sigma)
-    s = psd_sqrt(rho)
-    fid = np.trace(psd_sqrt(s @ sigma @ s)).real
-    return float(np.sqrt(max(2.0 * (1.0 - min(fid, 1.0)), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -237,14 +215,6 @@ def choi_matrix_of_map(apply_fn, d):
     return phi
 
 
-def choi_apply(choi, rho):
-    """Recover E(rho) = d * Tr_A[(rho^T (x) 1) Phi] from a unit-trace Choi state."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    m = tensor(rho.T, np.eye(d)) @ np.asarray(choi, dtype=complex)
-    return d * partial_trace(m, (d, d), 0)
-
-
 def as_half_integer(x):
     """Validate a half-integer quantum number of either sign, returned as a Fraction."""
     f = x if isinstance(x, Fraction) else Fraction(x).limit_denominator(2)
@@ -315,6 +285,11 @@ def operator_to_json(op):
 
 
 def operator_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"operator payload must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in ("dim", "re") if key not in doc]
+    if missing:
+        raise ValueError(f"operator payload lacks {', '.join(map(repr, missing))}")
     dim = int(doc["dim"])
     re = np.array(doc["re"], dtype=float)
     im = np.array(doc.get("im", np.zeros_like(re)), dtype=float)

@@ -244,7 +244,9 @@ class JNRClassification:
     e: int
     s: int
     faces: list
-    min_unpolished_gap: float  # smallest sweep gap of a rejected candidate, else of the sweep
+    # smallest sweep gap of a rejected candidate; without one, of the
+    # non-candidate directions (None when every direction was a candidate)
+    min_unpolished_gap: float | None
 
 
 def _common_eigenvector(ops):
@@ -392,8 +394,8 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
         faces.append(FlatFace(normal=n, dim=dim, shape=shape, gap=float(g), points=pts))
     e = sum(1 for f in faces if f.shape == "ellipse")
     s = sum(1 for f in faces if f.shape == "segment")
-    min_gap = float(min(rejected_gaps, default=gaps.min()))
-    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=min_gap)
+    min_gap = min(rejected_gaps or gaps[gaps > CANDIDATE_GAP], default=None)
+    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=None if min_gap is None else float(min_gap))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,12 @@ def variance(x, rho):
 
 @dataclass
 class VarianceBound:
-    """Tight lower bound for Delta^2 X + Delta^2 Y with its certificate."""
+    """Attained value of Delta^2 X + Delta^2 Y with the state attaining it.
+
+    `value` is reached by `certificate_state`, so it is an upper bound on
+    the minimum over states; the certified lower side is the sector bound
+    c of `sector_sum_bound`, within delta of the minimum.
+    """
 
     value: float
     minimizer: tuple  # (x*, y*)
@@ -136,11 +141,15 @@ class SectorPartition:
 
 
 def default_partition(x, tol=1e-4):
-    """Eigenvalues of X, midpoint-refined until delta falls below tol."""
+    """Eigenvalues of X, midpoint-refined until delta falls below tol.
+
+    An operator proportional to the identity gets the sectors
+    [w - 1e-8, w] and [w, w + 1e-8] around its one eigenvalue w.
+    """
     w = np.linalg.eigvalsh(as_hermitian(x))
     bp = sorted(set(np.round(w, 12)))
     if len(bp) == 1:
-        bp = [bp[0] - 1e-8, bp[0] + 1e-8]
+        bp = [bp[0] - 1e-8, bp[0], bp[0] + 1e-8]
     bp = np.array(bp, dtype=float)
     while (np.diff(bp).max() / 2) ** 2 > tol:
         mids = (bp[:-1] + bp[1:]) / 2
@@ -148,13 +157,43 @@ def default_partition(x, tol=1e-4):
     return SectorPartition(tuple(bp))
 
 
+PRUNE_MARGIN = 1e-9  # relative to the operator scale; far above eigensolve rounding
+
+
+def _chord_minima(lo, hi, coord, const, slopes):
+    """min over k in [lo, hi] of slope * u_k + const_k, per block and slope.
+
+    u_k = (coord_k - coord_lo) / (coord_hi - coord_lo) runs from 0 to 1 over
+    the block (0 where the block has one coordinate value).  lo and hi are
+    (B,) index arrays, slopes is (B, P); the result is (B, P).  Ranges are
+    padded to the longest by repeating hi, which leaves each minimum alone.
+    """
+    idx = np.minimum(lo[:, None] + np.arange((hi - lo).max() + 1), hi[:, None])
+    span = coord[hi] - coord[lo]
+    u = (coord[idx] - coord[lo][:, None]) / np.where(span > 0, span, 1.0)[:, None]
+    return (slopes[:, :, None] * u[:, None, :] + const[idx][:, None, :]).min(axis=2)
+
+
 def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
     """(c, delta): c = min over sector pairs of lambda_min(X_i + Y_j).
 
-    One stacked eigensolve per X sector covers every Y sector.
-
     Guarantees c <= min_rho (Delta^2 X + Delta^2 Y) <= c + delta with
     delta = delta_X + delta_Y.
+
+    c is the same float as an eigensolve of every pair would give, found
+    by branch and bound over the (i, j) index grid.  With s_i = a_i + b_i
+    and t_j = c_j + d_j, X_i + Y_j = X^2 + Y^2 - s_i X - t_j Y + a_i b_i +
+    c_j d_j, so lambda_min(X_i + Y_j) = h(s_i, t_j) + a_i b_i + c_j d_j with
+    h(s, t) = lambda_min(X^2 + Y^2 - s X - t Y) concave.  On a block of
+    indices h lies above the chords of its four corners on the two
+    triangles of the concave triangulation, hence above the smaller of the
+    two planes; plus the constants, that is separable, and its minimum
+    over the block is two 1D minima per plane.  Each round evaluates the
+    new corners of all live blocks in one stacked eigensolve, drops the
+    blocks whose bound exceeds the best value by PRUNE_MARGIN times the
+    operator scale, and halves the rest along their longer side.  Every
+    pair is thus evaluated or lies in a block whose bound exceeds c by
+    more than rounding.
     """
     x = as_hermitian(x)
     y = as_hermitian(y)
@@ -162,9 +201,53 @@ def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
         raise ValueError("X partition does not contain the spectrum of X")
     if not py.covers(y):
         raise ValueError("Y partition does not contain the spectrum of Y")
+    xs = np.stack([sector_bound_operator(x, a, b) for a, b in px.sectors()])
     ys = np.stack([sector_bound_operator(y, a, b) for a, b in py.sectors()])
-    c = min(np.linalg.eigvalsh(sector_bound_operator(x, a, b) + ys)[:, 0].min() for a, b in px.sectors())
-    return float(c), px.delta + py.delta
+    sx, sy = np.array(px.sectors()), np.array(py.sectors())
+    s, t = sx.sum(axis=1), sy.sum(axis=1)
+    ab, cd = sx.prod(axis=1), sy.prod(axis=1)
+    n, dim = len(ys), x.shape[0]
+    scale = 1.0 + np.linalg.norm(xs, axis=(1, 2)).max() + np.abs(ab).max()
+    scale += np.linalg.norm(ys, axis=(1, 2)).max() + np.abs(cd).max()
+    margin = PRUNE_MARGIN * scale
+
+    keys = np.empty(0, dtype=np.int64)  # evaluated pairs i * n + j, sorted
+    vals = np.empty(0)
+    best = np.inf
+    blocks = np.array([[0, len(xs) - 1, 0, n - 1]])  # rows (i0, i1, j0, j1)
+    while len(blocks):
+        i0, i1, j0, j1 = blocks.T
+        corners = np.stack([i0 * n + j0, i1 * n + j0, i0 * n + j1, i1 * n + j1], axis=1)
+        new = np.setdiff1d(corners, keys)
+        if len(new):
+            ii, jj = np.divmod(new, n)
+            got = np.concatenate(
+                [np.linalg.eigvalsh(xs[ii[c]] + ys[jj[c]])[:, 0] for c in stack_chunks(len(new), dim)]
+            )
+            best = min(best, got.min())
+            keys = np.concatenate([keys, new])
+            order = np.argsort(keys)
+            keys, vals = keys[order], np.concatenate([vals, got])[order]
+        ci, cj = np.divmod(corners, n)
+        h00, h10, h01, h11 = (vals[np.searchsorted(keys, corners)] - ab[ci] - cd[cj]).T
+        # the two planes of the concave triangulation, which cuts along the
+        # diagonal with the larger mean; each is offset + su * u + sv * v for
+        # block coordinates u, v running from 0 to 1
+        main = h00 + h11 >= h10 + h01
+        offsets = np.stack([h00, np.where(main, h00, h01 + h10 - h11)], axis=1)
+        su = np.stack([h10 - h00, h11 - h01], axis=1)
+        sv = np.stack([np.where(main, h11 - h10, h01 - h00), np.where(main, h01 - h00, h11 - h10)], axis=1)
+        bound = (offsets + _chord_minima(i0, i1, s, ab, su) + _chord_minima(j0, j1, t, cd, sv)).min(axis=1)
+        live = (bound <= best + margin) & ((i1 - i0 > 1) | (j1 - j0 > 1))
+        # halve each live block along its longer side; the halves share the middle line
+        rows = np.flatnonzero(live)
+        lo = np.where(i1 - i0 >= j1 - j0, 0, 2)[rows]  # column of the split range's low end
+        mid = (blocks[rows, lo] + blocks[rows, lo + 1]) // 2
+        first, second = blocks[rows], blocks[rows]
+        first[np.arange(len(rows)), lo + 1] = mid
+        second[np.arange(len(rows)), lo] = mid
+        blocks = np.concatenate([first, second])
+    return float(best), px.delta + py.delta
 
 
 @dataclass

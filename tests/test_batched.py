@@ -31,7 +31,7 @@ from qgeom.numrange import (
     unit,
 )
 from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_necessary_test
-from qgeom.uncertainty import SectorPartition, sector_bound_operator, sector_sum_bound
+from qgeom.uncertainty import SectorPartition, default_partition, sector_bound_operator, sector_sum_bound
 
 
 def _support_loop(ops, directions):
@@ -173,6 +173,47 @@ def test_sector_sum_bound_matches_double_loop(seed, d):
     c, delta = sector_sum_bound(x, y, px, py)
     assert c == float(c_loop)
     assert delta == px.delta + py.delta
+
+
+def _sector_loop(x, y, px, py):
+    """One stacked eigensolve per X sector over every Y sector."""
+    ys = np.stack([sector_bound_operator(y, a, b) for a, b in py.sectors()])
+    return float(min(np.linalg.eigvalsh(sector_bound_operator(x, a, b) + ys)[:, 0].min() for a, b in px.sectors()))
+
+
+def _sector_cases():
+    for j in (F(1, 2), 1, F(3, 2), 2, F(5, 2), 3):
+        jx, jy, _ = spin_operators(j)
+        yield f"spin-{j}", jx, jy  # minimisers on a circle
+    jx, _, _ = spin_operators(F(3, 2))
+    yield "x-equals-y", jx, jx
+    yield "commuting-diagonal", np.diag([0.0, 1.0, 3.0, -2.0]), np.diag([2.0, -1.0, 0.0, 0.5])
+    yield "identity", np.eye(3), np.diag([1.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("name, x, y", list(_sector_cases()), ids=[c[0] for c in _sector_cases()])
+def test_sector_sum_bound_branch_and_bound_is_exact(name, x, y):
+    px, py = default_partition(x), default_partition(y)
+    assert sector_sum_bound(x, y, px, py)[0] == _sector_loop(x, y, px, py)
+
+
+def test_sector_sum_bound_eigensolves_few_pairs(monkeypatch):
+    jx, jy, _ = spin_operators(3)
+    px, py = default_partition(jx), default_partition(jy)
+    pairs = len(px.sectors()) * len(py.sectors())
+    assert pairs == 384 * 384
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    c, _ = sector_sum_bound(jx, jy, px, py)
+    monkeypatch.undo()
+    assert sum(solved) <= 0.1 * pairs
+    assert c == _sector_loop(jx, jy, px, py)
 
 
 _SPINS = [F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeom import core, entangle, gapwitness, su2
+from qgeom import core, entangle, gapwitness, numrange, su2
 from qgeom.cli import load_spinket, main
 
 
@@ -78,6 +78,27 @@ def test_uncertainty_pair_file(tmp_path):
     out = tmp_path / "u.json"
     assert run(["uncertainty", "--ops", ops, "--out", out]) == 0
     assert abs(json.loads(out.read_text())["value"] - 0.25) < 1e-9
+
+
+def test_uncertainty_identity_operator(tmp_path):
+    # X = 1 has one eigenvalue; its partition must still cover it
+    ops = tmp_path / "pair.json"
+    write_ops(ops, [np.eye(2), core.PAULI_Z])
+    out = tmp_path / "u.json"
+    assert run(["uncertainty", "--ops", ops, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["value"] == pytest.approx(0.0, abs=1e-12)
+    assert doc["sector_bound"] <= doc["value"] <= doc["sector_bound"] + doc["delta"]
+
+
+@pytest.mark.parametrize("drop", ["dim", "re"])
+def test_operator_file_missing_key_is_usage_error(tmp_path, capsys, drop):
+    doc = core.operator_to_json(core.PAULI_Z)
+    del doc[drop]
+    ops = tmp_path / "pair.json"
+    ops.write_text(json.dumps({"ops": [doc, core.operator_to_json(core.PAULI_X)]}))
+    assert run(["uncertainty", "--ops", ops]) == 2
+    assert repr(drop) in capsys.readouterr().err
 
 
 def test_interconvert_example_exact(tmp_path):
@@ -357,6 +378,27 @@ def test_classify_cli_without_candidates_writes_strict_json(tmp_path):
     doc = json.loads(out.read_text(), parse_constant=reject)
     assert (doc["e"], doc["s"], doc["faces"]) == (0, 0, [])
     assert doc["min_unpolished_gap"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_classify_cli_every_direction_merged_writes_strict_json(tmp_path, monkeypatch):
+    # every direction is a candidate and every candidate joins a face, so no
+    # sweep gap lies outside the faces: the margin is null
+    monkeypatch.setattr(numrange, "CANDIDATE_GAP", 2.5)  # relative gaps are at most 2
+    monkeypatch.setattr(numrange, "FLAT_GAP", 10.0)
+    ops = tmp_path / "triple.json"
+    e01 = np.zeros((3, 3)); e01[0, 1] = e01[1, 0] = -1.0
+    e02 = np.zeros((3, 3)); e02[0, 2] = e02[2, 0] = -1.0
+    e12 = np.zeros((3, 3)); e12[1, 2] = e12[2, 1] = -1.0
+    write_ops(ops, [e01, e02, e12])
+    out = tmp_path / "cls.json"
+    assert run(["classify", "--ops", ops, "--dirs", 30, "--out", out]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert (doc["e"], doc["s"]) == (4, 0)
+    assert doc["min_unpolished_gap"] is None
 
 
 def test_sep_max_cli_budget(tmp_path, capsys):

@@ -12,12 +12,9 @@ from qgeom.core import (
     apply_channel,
     as_density,
     as_hermitian,
-    bures_distance,
-    choi_apply,
     choi_matrix_of_map,
     choi_state,
     expectation,
-    hermitian_eigensystem,
     hs_distance,
     max_entangled,
     partial_trace,
@@ -27,28 +24,11 @@ from qgeom.core import (
 )
 
 
-def test_eigensystem_diagonal():
-    w, v = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1, 2, 3])
-
-
-def test_eigensystem_pauli_x():
-    w, _ = hermitian_eigensystem(PAULI_X)
-    assert np.allclose(w, [-1, 1])
-
-
-def test_eigensystem_reconstruction(rng):
-    a = core.random_hermitian(8, rng)
-    w, v = hermitian_eigensystem(a)
-    assert np.abs(a - (v * w) @ v.conj().T).max() < 1e-9 * np.abs(a).max()
-    assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-10
-
-
-def test_eigensystem_rejects_bad_input():
+def test_as_hermitian_rejects_bad_input():
     with pytest.raises(ValueError):
-        hermitian_eigensystem(np.ones((2, 3)))
+        as_hermitian(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
+        as_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_tensor_identity():
@@ -151,28 +131,6 @@ def test_expectation_dimension_mismatch():
         expectation(np.eye(2), np.eye(3) / 3)
 
 
-def test_bures_self_distance(rng):
-    rho = core.random_density(4, rng)
-    assert bures_distance(rho, rho) < 1e-7
-
-
-def test_bures_classical_hellinger(rng):
-    # commuting states reduce to the Hellinger form 2(1 - sum sqrt(p q))
-    p = rng.random(4) + 0.1
-    p /= p.sum()
-    q = rng.random(4) + 0.1
-    q /= q.sum()
-    d = bures_distance(np.diag(p), np.diag(q))
-    expect = np.sqrt(2 * (1 - np.sum(np.sqrt(p * q))))
-    assert abs(d - expect) < 1e-10
-
-
-def test_bures_orthogonal_pure_states():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    assert bures_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-9)
-
-
 def test_state_set_in_out_radii():
     # outradius R = sqrt((d-1)/d); inradius r = sqrt(1/(d(d-1)))
     for d in range(2, 7):
@@ -244,6 +202,12 @@ def test_choi_of_transpose_map_not_cp():
     assert np.linalg.eigvalsh(phi)[0] == pytest.approx(-1 / d, abs=1e-12)
 
 
+def _choi_apply(choi, rho):
+    """E(rho) = d * Tr_A[(rho^T (x) 1) Phi] from a unit-trace Choi state."""
+    d = rho.shape[0]
+    return d * partial_trace(tensor(rho.T, np.eye(d)) @ choi, (d, d), 0)
+
+
 def test_choi_round_trip(rng):
     d = 3
     u1 = core.random_unitary(d, rng)
@@ -252,7 +216,7 @@ def test_choi_round_trip(rng):
     phi = choi_state(ch)
     for _ in range(20):
         rho = core.random_density(d, rng)
-        assert np.abs(choi_apply(phi, rho) - apply_channel(ch, rho)).max() < 1e-9
+        assert np.abs(_choi_apply(phi, rho) - apply_channel(ch, rho)).max() < 1e-9
 
 
 def test_spin_half_is_half_pauli():
@@ -309,3 +273,11 @@ def test_operator_json_round_trip(rng):
     doc = core.operator_to_json(a)
     b = core.operator_from_json(doc)
     assert np.abs(a - b).max() < 1e-15
+
+
+@pytest.mark.parametrize("drop", ["dim", "re"])
+def test_operator_json_missing_key(drop):
+    doc = core.operator_to_json(PAULI_X)
+    del doc[drop]
+    with pytest.raises(ValueError, match=repr(drop)):
+        core.operator_from_json(doc)

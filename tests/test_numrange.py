@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qgeom import core
 from qgeom.core import PAULI_X, PAULI_Y, PAULI_Z
 from qgeom.numrange import (
+    CANDIDATE_GAP,
     CommonEigenvectorError,
     DegenerateTripleError,
     classify_qutrit_jnr,
@@ -14,6 +15,7 @@ from qgeom.numrange import (
     spectrahedron_contains,
     sphere_directions,
     support,
+    support_batch,
     unit,
 )
 
@@ -198,6 +200,16 @@ def test_classify_elliptope_polar_four_ellipses():
     cls = classify_qutrit_jnr(-_sym(0, 1), -_sym(0, 2), -_sym(1, 2))
     assert (cls.e, cls.s) == (4, 0)
     assert all(f.gap < 1e-8 for f in cls.faces)
+
+
+def test_classify_elliptope_margin_outside_faces():
+    # every candidate merges into one of the four faces; the margin is the
+    # smallest gap among the directions that were no candidates
+    ops = [-_sym(0, 1), -_sym(0, 2), -_sym(1, 2)]
+    cls = classify_qutrit_jnr(*ops)
+    gaps = np.array([s.gap for s in support_batch(ops, sphere_directions(3, 2000))])
+    assert gaps.min() < CANDIDATE_GAP
+    assert cls.min_unpolished_gap == gaps[gaps > CANDIDATE_GAP].min()
 
 
 def test_classify_segment_triple():

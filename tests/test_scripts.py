@@ -15,9 +15,9 @@ def _load(name):
 
 def test_spin_variance_table(capsys):
     # main asserts c <= bound <= c + delta for each j itself
-    _load("spin_variance_table").main(4)
+    _load("spin_variance_table").main(8)
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [r.split()[0] for r in rows] == ["1/2", "1", "3/2", "2"]
+    assert [r.split()[0] for r in rows] == ["1/2", "1", "3/2", "2", "5/2", "3", "7/2", "4"]
 
 
 def test_range_gallery(tmp_path):

@@ -138,6 +138,18 @@ def test_sector_sum_refined_hits_table():
     assert v <= c + delta + 1e-9
 
 
+@pytest.mark.parametrize("x, y", [(np.eye(2), PAULI_Z), (PAULI_Z, 2.5 * np.eye(2)), (np.zeros((1, 1)), np.ones((1, 1)))])
+def test_sector_bound_brackets_identity_operator(x, y):
+    # an operator proportional to 1 has one eigenvalue, which must be a breakpoint
+    px, py = default_partition(x), default_partition(y)
+    assert px.covers(x) and py.covers(y)
+    c, delta = sector_sum_bound(x, y, px, py)
+    value = min_sum_variances(x, y).value
+    assert value == pytest.approx(0.0, abs=1e-12)
+    # the sector operators carry rounding of order eps, above delta = 5e-17 in 1x1
+    assert c <= value <= c + delta + 1e-15
+
+
 def test_sector_refinement_monotone():
     jx, jy, _ = spin_operators(1)
     prev = -np.inf

@@ -164,18 +164,17 @@ def _body_payload(body):
 def cmd_jnr(args):
     ops, _ = load_operator_list(args.ops)
     k = len(ops)
+    if args.mesh and k not in (2, 3):
+        raise UsageError("--mesh supports 2D (CSV) and 3D (OBJ) ranges only")
     dirs = numrange.sphere_directions(k, args.dirs, seed=args.seed)
     body = numrange.jnr_approximate(ops, dirs)
     payload = _body_payload(body)
     payload["_tolerances"] = {"degeneracy_gap": numrange.DEGENERACY_GAP}
     write_report(payload, args.out, args)
-    if args.mesh:
-        if k == 3:
-            write_obj_mesh(body.inner_vertices, args.mesh)
-        elif k == 2:
-            write_boundary_csv(body.inner_vertices, args.mesh)
-        else:
-            raise UsageError("--mesh supports 2D (CSV) and 3D (OBJ) ranges only")
+    if args.mesh and k == 3:
+        write_obj_mesh(body.inner_vertices, args.mesh)
+    elif args.mesh:
+        write_boundary_csv(body.inner_vertices, args.mesh)
     return 0
 
 

@@ -193,10 +193,12 @@ def qubit_qudit_sep_max(h, dims, directions=4096):
         new = [p for p in dict.fromkeys(map(tuple, pts.tolist())) if p not in seen]
         seen.update(new)
         pts = np.array(new).reshape(-1, 3)
-        for s in support_batch(hs, np.column_stack([np.ones(len(pts)), pts])):
-            val = 0.5 * (s.point[0] + np.linalg.norm(s.point[1:]))
-            if val > lower:
-                lower, beta = val, s.witness
+        swept = support_batch(hs, np.column_stack([np.ones(len(pts)), pts]))
+        # |p_vec| by the stacked dot product, which rounds as np.linalg.norm of each row
+        p = swept.points
+        vals = 0.5 * (p[:, 0] + np.sqrt(p[:, None, 1:] @ p[:, 1:, None])[:, 0, 0])
+        if len(vals) and vals.max() > lower:
+            lower, beta = vals.max(), swept.witnesses[vals.argmax()]
         evaluations += len(pts) + 3 * len(tris)
         # a pruned triangle stays: its bound may exceed lower by up to SEP_TOL
         bounds = np.concatenate([kept_bounds, _outer_bounds(hs, tris)])

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .numrange import support_batch
+from .numrange import sphere_directions, support_batch
 
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
@@ -471,6 +471,7 @@ def cusp_decomposition_check(x, y, psi, n_dirs=120, tol=1e-8, hull_tol=1e-6):
     conv(W(X_0,Y_0) u W(X_perp,Y_perp)); checked on sampled directions via
     support functions.
     """
+    dirs = sphere_directions(2, n_dirs)
     xd = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=complex)
     yd = y.toarray() if sp.issparse(y) else np.asarray(y, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
@@ -489,9 +490,7 @@ def cusp_decomposition_check(x, y, psi, n_dirs=120, tol=1e-8, hull_tol=1e-6):
     comp = q[:, 1:d]
     xp = comp.conj().T @ xd @ comp
     yp = comp.conj().T @ yd @ comp
-    th = 2 * np.pi * np.arange(n_dirs) / n_dirs
-    dirs = np.column_stack([np.cos(th), np.sin(th)])
-    h_full = np.array([s.value for s in support_batch([xd, yd], dirs)])
-    h_perp = np.array([s.value for s in support_batch([xp, yp], dirs)])
+    h_full = support_batch([xd, yd], dirs).values
+    h_perp = support_batch([xp, yp], dirs).values
     h_point = dirs @ np.array([ex, ey])
     return bool(np.all(np.abs(h_full - np.maximum(h_point, h_perp)) <= hull_tol * scale))

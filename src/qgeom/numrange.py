@@ -5,8 +5,10 @@ The support function of W(X_1,...,X_k) in direction n is the largest
 eigenvalue of n.X, attained by the top eigenvector; sweeping directions
 yields an inner vertex cloud and outer supporting half-spaces that bracket
 the true range.  Every eigensolve over directions goes through
-`support_batch`, which stacks many directions into one call and also
-returns each top eigenspace, whose compressed operators span that face of W.
+`support_batch`, which stacks many directions into one call and returns
+one SupportSweep of arrays (a value, point, witness and gap per row).  Rows
+whose top eigenvalue is degenerate also keep their top eigenspace, whose
+compressed operators span that face of W.
 """
 
 from __future__ import annotations
@@ -71,16 +73,21 @@ def sphere_directions(k, n, seed=0):
 
 
 @dataclass
-class SupportSample:
-    """One support evaluation: h_W(n), the attaining point, and its state."""
+class SupportSweep:
+    """Support evaluations of W(ops), one row per direction: h_W(n), its point and state."""
 
-    direction: np.ndarray
-    value: float
-    point: np.ndarray
-    witness: np.ndarray
-    face: np.ndarray  # top eigenspace (within FACE_GAP), `witness` last; a view of it if 1-dim
-    degenerate: bool = False
-    gap: float = np.inf
+    directions: np.ndarray  # (n, k) unit rows
+    values: np.ndarray  # (n,) lambda_max(n.X)
+    points: np.ndarray  # (n, k) expectation tuples of the witnesses
+    witnesses: np.ndarray  # (n, d) top eigenvectors
+    gaps: np.ndarray  # (n,) relative gaps of the two top eigenvalues (inf if d = 1)
+    # row -> top eigenspace (d, w) within FACE_GAP, the row's witness last; only rows with w > 1
+    faces: dict = field(default_factory=dict)
+
+    @property
+    def degenerate(self):
+        """Rows whose relative top gap falls below DEGENERACY_GAP (each has a face)."""
+        return self.gaps < DEGENERACY_GAP
 
 
 @dataclass
@@ -105,50 +112,44 @@ class ConvexBodyApprox:
 
 
 def support_batch(ops, directions):
-    """Support samples of W(ops), one per row of `directions`, in row order.
+    """The support function of W(ops) on each row of `directions`, as one SupportSweep.
 
-    Each row is normalised; value = lambda_max(sum n_i X_i) and point = the
-    expectation tuple over the top eigenvector.  A sample is flagged
-    degenerate when the relative gap of the two top eigenvalues falls below
-    DEGENERACY_GAP.  The operators are validated once per call, and the
-    eigensolves run stacked, in chunks of core.STACK_ENTRIES matrix entries.
+    Each row is normalised; its value is lambda_max(sum n_i X_i) and its
+    point the expectation tuple over the top eigenvector.  The operators are
+    validated once per call, and the eigensolves run stacked, in chunks of
+    core.STACK_ENTRIES matrix entries.  A set of zero rows gives empty arrays.
     """
     ops = [as_hermitian(x) for x in ops]
     d = ops[0].shape[0]
     if any(x.shape[0] != d for x in ops):
         raise ValueError("operators must share one dimension")
     rows = np.atleast_2d(np.asarray(directions, dtype=float))
-    dirs = np.array([unit(n) for n in rows]).reshape(rows.shape)
-    if dirs.shape[1] != len(ops):
-        raise ValueError(f"direction length {dirs.shape[1]} != number of operators {len(ops)}")
-    out = []
-    for chunk in stack_chunks(len(dirs), d):
-        n = dirs[chunk]
+    if rows.shape[1] != len(ops):
+        raise ValueError(f"direction length {rows.shape[1]} != number of operators {len(ops)}")
+    # the stacked dot product rounds as unit()'s norm does, row for row
+    norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+    if np.any(norms < 1e-300):
+        raise ValueError("zero direction")
+    sweep = SupportSweep(
+        directions=rows / norms,
+        values=np.empty(len(rows)),
+        points=np.empty((len(rows), len(ops))),
+        witnesses=np.empty((len(rows), d), dtype=complex),
+        gaps=np.empty(len(rows)),
+    )
+    for chunk in stack_chunks(len(rows), d):
+        n = sweep.directions[chunk]
         w, v = np.linalg.eigh(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
-        top = np.ascontiguousarray(v[:, :, -1])
+        top = v[:, :, -1]
         rho = top[:, :, None] * top.conj()[:, None, :]
-        points = np.stack([expectation(x, rho) for x in ops], axis=1)
+        sweep.points[chunk] = np.stack([expectation(x, rho) for x in ops], axis=1)
+        sweep.values[chunk], sweep.witnesses[chunk] = w[:, -1], top
         scale = np.maximum(np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0])), 1e-30)
-        gaps = (w[:, -1] - w[:, -2]) / scale if d > 1 else np.full(len(n), np.inf)
+        sweep.gaps[chunk] = (w[:, -1] - w[:, -2]) / scale if d > 1 else np.inf
         width = (w >= w[:, -1:] - FACE_GAP * scale[:, None]).sum(axis=1)
-        out.extend(
-            SupportSample(
-                direction=n[r],
-                value=float(w[r, -1]),
-                point=points[r],
-                witness=top[r],
-                face=v[r, :, d - width[r] :].copy() if width[r] > 1 else top[r, :, None],
-                degenerate=bool(gaps[r] < DEGENERACY_GAP),
-                gap=float(gaps[r]),
-            )
-            for r in range(len(n))
-        )
-    return out
-
-
-def support(ops, n):
-    """Support sample of W(ops) along direction n: the one-row support_batch."""
-    return support_batch(ops, [n])[0]
+        for r in np.flatnonzero(width > 1):
+            sweep.faces[chunk.start + int(r)] = v[r, :, d - width[r] :].copy()
+    return sweep
 
 
 def _face_points(ops, basis):
@@ -158,31 +159,27 @@ def _face_points(ops, basis):
     joint numerical range of the eigenspace-restricted operators.
     """
     reduced = [basis.conj().T @ x @ basis for x in ops]
-    dirs = sphere_directions(len(ops), FACE_DIRS, seed=FACE_SEED)
-    return np.array([s.point for s in support_batch(reduced, dirs)])
+    return support_batch(reduced, sphere_directions(len(ops), FACE_DIRS, seed=FACE_SEED)).points
 
 
 def jnr_approximate(ops, directions):
     """Direction-sweep approximation of W(ops): inner vertices and outer half-spaces.
 
     Degenerate support directions contribute extreme points of the flat face
-    (sampled through the reduced operators on the sample's `face`) so flat
-    parts do not collapse to single inner points.
+    (sampled through the reduced operators on the row's face), right after
+    the row's own point, so flat parts do not collapse to single inner points.
     """
-    ops = [as_hermitian(x) for x in ops]
-    samples = support_batch(ops, directions)
-    inner = []
-    for s in samples:
-        inner.append(s.point)
-        if s.degenerate:
-            inner.extend(_face_points(ops, s.face))
-    body = ConvexBodyApprox(
-        inner_vertices=np.array(inner),
-        outer_normals=np.array([s.direction for s in samples]),
-        outer_offsets=np.array([s.value for s in samples]),
+    sweep = support_batch(ops, directions)
+    rows = np.flatnonzero(sweep.degenerate)
+    inner = np.split(sweep.points, rows + 1)  # piece m ends with row rows[m]
+    for m, r in enumerate(rows):
+        inner.insert(2 * m + 1, _face_points(ops, sweep.faces[r]))
+    return ConvexBodyApprox(
+        inner_vertices=np.concatenate(inner),
+        outer_normals=sweep.directions,
+        outer_offsets=sweep.values,
+        unbounded=not _positively_spanning(sweep.directions),
     )
-    body.unbounded = not _positively_spanning(body.outer_normals)
-    return body
 
 
 def _positively_spanning(normals):
@@ -376,26 +373,26 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
             "triple is linearly dependent with the identity; the range is flat"
         )
 
-    samples = support_batch(ops, sphere_directions(3, sweep))
-    gaps = np.array([s.gap for s in samples])
+    swept = support_batch(ops, sphere_directions(3, sweep))
+    gaps = swept.gaps
     order = np.argsort(gaps)[: np.count_nonzero(gaps <= CANDIDATE_GAP)]
-    starts = np.array([samples[i].direction for i in order]).reshape(-1, 3)
+    normals, polished = _polish_flat_directions(ops, swept.directions[order])
+    rejected = polished >= FLAT_GAP
+    kept = []
+    for i in np.flatnonzero(~rejected):
+        if not any(np.linalg.norm(normals[i] - normals[j]) < FACE_MERGE_TOL for j in kept):
+            kept.append(i)
+    flat = support_batch(ops, normals[kept])
     faces = []
-    rejected_gaps = []
-    for idx, n, g in zip(order, *_polish_flat_directions(ops, starts)):
-        if g >= FLAT_GAP:
-            rejected_gaps.append(gaps[idx])
-            continue
-        if any(np.linalg.norm(n - f.normal) < FACE_MERGE_TOL for f in faces):
-            continue
-        face = support(ops, n).face
-        pts = _face_points(ops, face)
-        shape, dim = _fit_face_shape(pts, _face_rank(ops, face))
-        faces.append(FlatFace(normal=n, dim=dim, shape=shape, gap=float(g), points=pts))
+    for r, i in enumerate(kept):
+        pts = _face_points(ops, flat.faces[r])
+        shape, dim = _fit_face_shape(pts, _face_rank(ops, flat.faces[r]))
+        faces.append(FlatFace(normal=normals[i], dim=dim, shape=shape, gap=float(polished[i]), points=pts))
     e = sum(1 for f in faces if f.shape == "ellipse")
     s = sum(1 for f in faces if f.shape == "segment")
-    min_gap = min(rejected_gaps or gaps[gaps > CANDIDATE_GAP], default=None)
-    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=None if min_gap is None else float(min_gap))
+    margin = gaps[order[rejected]] if rejected.any() else gaps[gaps > CANDIDATE_GAP]
+    min_gap = float(margin.min()) if len(margin) else None
+    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=min_gap)
 
 
 # ---------------------------------------------------------------------------

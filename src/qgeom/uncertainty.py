@@ -109,6 +109,14 @@ def sector_bound_operator(x, a, b):
     return x @ x - (a + b) * x + a * b * np.eye(x.shape[0])
 
 
+def _sector_operators(x, p):
+    """(ops, s, ab): sector_bound_operator(x, a, b) of every sector of p, stacked,
+    with the sector sums s = a + b and products ab = a b."""
+    sec = np.array(p.sectors())
+    s, ab = sec.sum(axis=1), sec.prod(axis=1)
+    return x @ x - s[:, None, None] * x + ab[:, None, None] * np.eye(x.shape[0]), s, ab
+
+
 @dataclass(frozen=True)
 class SectorPartition:
     """Increasing breakpoints that contain every eigenvalue of the bound operator."""
@@ -201,11 +209,7 @@ def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
         raise ValueError("X partition does not contain the spectrum of X")
     if not py.covers(y):
         raise ValueError("Y partition does not contain the spectrum of Y")
-    xs = np.stack([sector_bound_operator(x, a, b) for a, b in px.sectors()])
-    ys = np.stack([sector_bound_operator(y, a, b) for a, b in py.sectors()])
-    sx, sy = np.array(px.sectors()), np.array(py.sectors())
-    s, t = sx.sum(axis=1), sy.sum(axis=1)
-    ab, cd = sx.prod(axis=1), sy.prod(axis=1)
+    (xs, s, ab), (ys, t, cd) = _sector_operators(x, px), _sector_operators(y, py)
     n, dim = len(ys), x.shape[0]
     scale = 1.0 + np.linalg.norm(xs, axis=(1, 2)).max() + np.abs(ab).max()
     scale += np.linalg.norm(ys, axis=(1, 2)).max() + np.abs(cd).max()
@@ -279,12 +283,8 @@ def uncertainty_range_cover(x, y, px: SectorPartition, py: SectorPartition, dire
     y = as_hermitian(y)
     if directions is None:
         directions = sphere_directions(2, 180)
-    bodies = []
-    for a, b in px.sectors():
-        xi = sector_bound_operator(x, a, b)
-        for c, d in py.sectors():
-            yj = sector_bound_operator(y, c, d)
-            bodies.append(jnr_approximate([xi, yj], directions))
+    xs, ys = _sector_operators(x, px)[0], _sector_operators(y, py)[0]
+    bodies = [jnr_approximate([xi, yj], directions) for xi in xs for yj in ys]
     return UncertaintyCover(bodies=bodies, delta_x=px.delta, delta_y=py.delta)
 
 
@@ -299,7 +299,8 @@ def paraboloid_certificate(x, y, bound: VarianceBound, directions=None, tol=1e-6
     ssq = x @ x + y @ y
     if directions is None:
         directions = sphere_directions(3, 600)
-    lo = min(s.point[2] - s.point[0] ** 2 - s.point[1] ** 2 for s in support_batch([x, y, ssq], directions))
+    p = support_batch([x, y, ssq], directions).points
+    lo = (p[:, 2] - p[:, 0] ** 2 - p[:, 1] ** 2).min()
     if lo < bound.value - tol:
         return False
     attained = variance(x, bound.certificate_state) + variance(y, bound.certificate_state)

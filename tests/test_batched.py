@@ -1,9 +1,9 @@
 """Each stacked kernel against the per-sample loop it replaces.
 
 The stacked paths do the same arithmetic as the loops (same operator sums,
-same eigensolver per matrix, same expectation formula), so support samples
-and sector bounds must agree bit for bit; characteristic values are
-checked against expm of each rotation vector within rounding,
+same eigensolver per matrix, same expectation formula), so support sweeps,
+sector operators and sector bounds must agree bit for bit; characteristic
+values are checked against expm of each rotation vector within rounding,
 the Marvian test against its row-by-row quaternion/expm loop, and the
 stacked flat-face polish against scipy's Nelder-Mead, one candidate at a time.
 """
@@ -26,12 +26,20 @@ from qgeom.numrange import (
     FACE_MERGE_TOL,
     FLAT_GAP,
     _polish_flat_directions,
+    jnr_approximate,
     sphere_directions,
     support_batch,
     unit,
 )
 from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_necessary_test
-from qgeom.uncertainty import SectorPartition, default_partition, sector_bound_operator, sector_sum_bound
+from qgeom.uncertainty import (
+    SectorPartition,
+    _sector_operators,
+    default_partition,
+    sector_bound_operator,
+    sector_sum_bound,
+    uncertainty_range_cover,
+)
 
 
 def _support_loop(ops, directions):
@@ -56,18 +64,20 @@ def _random_ops(rng, d, k, degenerate):
     return [core.random_hermitian(d, rng) for _ in range(k)]
 
 
-def _assert_matches_loop(samples, ops, dirs):
-    assert len(samples) == len(dirs)
-    for s, (value, top, point, gap, face), n in zip(samples, _support_loop(ops, dirs), dirs):
-        np.testing.assert_array_equal(s.direction, unit(n))
-        assert s.value == value
-        np.testing.assert_array_equal(s.witness, top)
-        np.testing.assert_array_equal(s.point, point)
-        assert s.gap == gap
-        assert s.degenerate == (gap < DEGENERACY_GAP)
-        np.testing.assert_array_equal(s.face, face)
-        # a one-vector face is the witness itself, not a second copy of it
-        assert s.face.shape[1] > 1 or np.shares_memory(s.face, s.witness)
+def _assert_matches_loop(sweep, ops, dirs):
+    loop = _support_loop(ops, dirs)
+    assert len(sweep.values) == len(dirs)
+    for r, ((value, top, point, gap, face), n) in enumerate(zip(loop, dirs)):
+        np.testing.assert_array_equal(sweep.directions[r], unit(n))
+        assert sweep.values[r] == value
+        np.testing.assert_array_equal(sweep.witnesses[r], top)
+        np.testing.assert_array_equal(sweep.points[r], point)
+        assert sweep.gaps[r] == gap
+        assert sweep.degenerate[r] == (gap < DEGENERACY_GAP)
+        if face.shape[1] > 1:
+            np.testing.assert_array_equal(sweep.faces[r], face)
+    # a face is kept for exactly the rows whose top eigenspace has two or more vectors
+    assert sorted(sweep.faces) == [r for r, row in enumerate(loop) if row[4].shape[1] > 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,10 +93,10 @@ def test_support_batch_matches_loop(seed, d, k, n_dirs, degenerate):
     degenerate = degenerate and d % 2 == 0
     ops = _random_ops(rng, d, k, degenerate)
     dirs = rng.normal(size=(n_dirs, k))
-    samples = support_batch(ops, dirs)
-    _assert_matches_loop(samples, ops, dirs)
+    sweep = support_batch(ops, dirs)
+    _assert_matches_loop(sweep, ops, dirs)
     if degenerate:
-        assert all(s.degenerate for s in samples)
+        assert sweep.degenerate.all()
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -101,9 +111,26 @@ def test_support_batch_across_chunks(monkeypatch, seed, d, rows_per_chunk):
         assert len(core.stack_chunks(len(dirs), d)) == 3
         chunked = support_batch(ops, dirs)
     _assert_matches_loop(chunked, ops, dirs)
-    for a, b in zip(whole, chunked):
-        assert (a.value, a.gap) == (b.value, b.gap)
-        np.testing.assert_array_equal(a.point, b.point)
+    np.testing.assert_array_equal(whole.values, chunked.values)
+    np.testing.assert_array_equal(whole.gaps, chunked.gaps)
+    np.testing.assert_array_equal(whole.points, chunked.points)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_support_batch_normalises_rows_as_unit_does(k):
+    # scaled Gaussian rows, norms from 1e-3 to 1e3: the stacked normalisation
+    # rounds exactly as unit() on each row
+    rng = np.random.default_rng([7, k])
+    rows = rng.normal(size=(500, k)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))
+    ops = [core.random_hermitian(2, rng) for _ in range(k)]
+    np.testing.assert_array_equal(support_batch(ops, rows).directions, [unit(r) for r in rows])
+
+
+def test_support_batch_of_no_rows_is_empty():
+    sweep = support_batch([core.PAULI_X, core.PAULI_Z], np.empty((0, 2)))
+    assert sweep.directions.shape == sweep.points.shape == (0, 2)
+    assert sweep.values.shape == sweep.gaps.shape == (0,) and sweep.witnesses.shape == (0, 2)
+    assert sweep.faces == {}
 
 
 def test_support_batch_validates_once_for_the_sweep():
@@ -140,10 +167,9 @@ def test_stacked_polish_matches_scipy_nelder_mead(seed, real_symmetric):
         ops = [(a + a.T) / 2 for a in rng.normal(size=(3, 3, 3))]
     else:
         ops = [core.random_hermitian(3, rng) for _ in range(3)]
-    samples = support_batch(ops, sphere_directions(3, 200))
-    gaps = np.array([s.gap for s in samples])
-    order = np.argsort(gaps)[: min(8, np.count_nonzero(gaps <= CANDIDATE_GAP))]
-    starts = np.array([samples[i].direction for i in order]).reshape(-1, 3)
+    sweep = support_batch(ops, sphere_directions(3, 200))
+    order = np.argsort(sweep.gaps)[: min(8, np.count_nonzero(sweep.gaps <= CANDIDATE_GAP))]
+    starts = sweep.directions[order]
     normals, polished = _polish_flat_directions(ops, starts)
     assert normals.shape == starts.shape and polished.shape == (len(starts),)
     for n0, n, g in zip(starts, normals, polished):
@@ -173,6 +199,34 @@ def test_sector_sum_bound_matches_double_loop(seed, d):
     c, delta = sector_sum_bound(x, y, px, py)
     assert c == float(c_loop)
     assert delta == px.delta + py.delta
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.booleans())
+def test_sector_operators_match_the_one_sector_form(seed, d, spin):
+    rng = np.random.default_rng(seed)
+    x = spin_operators(F(d, 2))[rng.integers(3)] if spin else core.random_hermitian(d, rng)
+    p = _random_partition(rng, x)
+    stacked, s, ab = _sector_operators(x, p)
+    np.testing.assert_array_equal(stacked, [sector_bound_operator(x, a, b) for a, b in p.sectors()])
+    np.testing.assert_array_equal(s, [a + b for a, b in p.sectors()])
+    np.testing.assert_array_equal(ab, [a * b for a, b in p.sectors()])
+
+
+def test_range_cover_matches_the_sector_pair_loop():
+    jx, jy, _ = spin_operators(1)
+    px, py = default_partition(jx, 0.05), default_partition(jy, 0.05)
+    dirs = sphere_directions(2, 24)
+    cover = uncertainty_range_cover(jx, jy, px, py, dirs)
+    loop = [
+        jnr_approximate([sector_bound_operator(jx, a, b), sector_bound_operator(jy, c, d)], dirs)
+        for a, b in px.sectors()
+        for c, d in py.sectors()
+    ]
+    assert len(cover.bodies) == len(loop)
+    for got, want in zip(cover.bodies, loop):
+        np.testing.assert_array_equal(got.inner_vertices, want.inner_vertices)
+        np.testing.assert_array_equal(got.outer_offsets, want.outer_offsets)
 
 
 def _sector_loop(x, y, px, py):

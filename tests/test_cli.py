@@ -251,6 +251,17 @@ def test_jnr_2d_boundary_csv(tmp_path):
     assert np.abs(np.linalg.norm(pts, axis=1) - 1).max() < 0.02  # unit circle
 
 
+def test_jnr_mesh_of_four_operators_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [core.random_hermitian(3, np.random.default_rng(k)) for k in range(4)])
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(numrange, "jnr_approximate", lambda *a: pytest.fail("range computed"))
+    assert run(["jnr", "--ops", ops, "--dirs", 20, "--mesh", tmp_path / "m.obj", "--out", out]) == 2
+    assert not out.exists() and not (tmp_path / "m.obj").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--mesh" in err and "Traceback" not in err
+
+
 def test_su2_marvian_cli(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -82,7 +82,6 @@ def test_qubit_qudit_bell_brackets():
 def test_qubit_qudit_h0_proportional_identity(rng):
     # no identity component on the qubit side: H_0 = 0
     from qgeom.entangle import _pauli_reductions
-    from qgeom.numrange import support
 
     bs = [core.random_hermitian(3, rng) for _ in range(3)]
     h = sum(tensor(s, b) for s, b in zip((PAULI_X, PAULI_Y, PAULI_Z), bs))
@@ -90,7 +89,7 @@ def test_qubit_qudit_h0_proportional_identity(rng):
     assert np.abs(hs[0]).max() < 1e-12
     full = qubit_qudit_sep_max(h, (2, 3))
     # a sweep on W(H_1, H_2, H_3) alone attains product values, so it stays below
-    reduced = max(0.5 * np.linalg.norm(support(hs[1:], n).point) for n in sphere_directions(3, 500))
+    reduced = 0.5 * np.linalg.norm(support_batch(hs[1:], sphere_directions(3, 500)).points, axis=1).max()
     assert reduced <= full.lower + 1e-12
     assert full.upper - full.lower <= entangle.SEP_TOL
 

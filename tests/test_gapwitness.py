@@ -317,6 +317,15 @@ def test_cusp_check_shared_eigenbasis():
     assert cusp_decomposition_check(x, y, psi)
 
 
+@pytest.mark.parametrize("n_dirs", [0, -3])
+def test_cusp_check_rejects_empty_direction_sets(n_dirs):
+    # no sampled direction checks nothing, so it is no verdict
+    x = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    y = np.diag([2.0, -1.0, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="at least one direction"):
+        cusp_decomposition_check(x, y, np.array([1.0, 0, 0], dtype=complex), n_dirs=n_dirs)
+
+
 def test_cusp_check_generic_negative(rng):
     x = core.random_hermitian(4, rng)
     y = core.random_hermitian(4, rng)

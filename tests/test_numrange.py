@@ -14,7 +14,6 @@ from qgeom.numrange import (
     one_shot_distinguishable,
     spectrahedron_contains,
     sphere_directions,
-    support,
     support_batch,
     unit,
 )
@@ -31,31 +30,31 @@ def _sym(a, b):
 def test_support_pauli_triple(rng):
     for _ in range(5):
         n = unit(rng.normal(size=3))
-        s = support(PAULI3, n)
-        assert s.value == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(s.point - n).max() < 1e-9
+        s = support_batch(PAULI3, [n])
+        assert s.values[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(s.points[0] - n).max() < 1e-9
 
 
 def test_support_single_operator_interval(rng):
     x = core.random_hermitian(5, rng)
     w = np.linalg.eigvalsh(x)
-    assert support([x], [1.0]).value == pytest.approx(w[-1])
-    assert -support([x], [-1.0]).value == pytest.approx(w[0])
+    assert support_batch([x], [1.0]).values[0] == pytest.approx(w[-1])
+    assert -support_batch([x], [-1.0]).values[0] == pytest.approx(w[0])
 
 
 def test_support_commuting_diagonals():
     x = np.diag([1.0, 2.0, 5.0])
     y = np.diag([3.0, -1.0, 0.0])
-    s = support([x, y], unit([2.0, 1.0]))
+    s = support_batch([x, y], [unit([2.0, 1.0])])
     # joint eigenvalue pairs: (1,3), (2,-1), (5,0); direction picks (5,0)
-    assert np.abs(s.point - [5.0, 0.0]).max() < 1e-9
+    assert np.abs(s.points[0] - [5.0, 0.0]).max() < 1e-9
 
 
 def test_support_dimension_mismatch():
     with pytest.raises(ValueError):
-        support([PAULI_X, np.eye(3)], [1, 0])
+        support_batch([PAULI_X, np.eye(3)], [[1, 0]])
     with pytest.raises(ValueError):
-        support(PAULI3, [1, 0])
+        support_batch(PAULI3, [[1, 0]])
 
 
 def test_jnr_pauli_ball():
@@ -92,11 +91,10 @@ def test_antipodal_support_states_orthogonal(rng):
     for _ in range(5):
         ops = [core.random_hermitian(4, rng) for _ in range(3)]
         n = unit(rng.normal(size=3))
-        sp = support(ops, n)
-        sm = support(ops, -n)
-        if sp.degenerate or sm.degenerate:
+        s = support_batch(ops, [n, -n])
+        if s.degenerate.any():
             continue
-        assert abs(np.vdot(sp.witness, sm.witness)) ** 2 < 1e-9
+        assert abs(np.vdot(s.witnesses[0], s.witnesses[1])) ** 2 < 1e-9
 
 
 def test_face_enrichment_solves_each_direction_once(monkeypatch):
@@ -143,9 +141,9 @@ def test_translation_covariance(seed):
     ops = [core.random_hermitian(3, rng) for _ in range(2)]
     c = float(rng.normal())
     n = unit(rng.normal(size=2))
-    s0 = support(ops, n)
-    s1 = support([ops[0] + c * np.eye(3), ops[1]], n)
-    assert np.abs(s1.point - (s0.point + np.array([c, 0.0]))).max() < 1e-8
+    s0 = support_batch(ops, [n])
+    s1 = support_batch([ops[0] + c * np.eye(3), ops[1]], [n])
+    assert np.abs(s1.points[0] - (s0.points[0] + np.array([c, 0.0]))).max() < 1e-8
 
 
 def test_spectrahedron_trivial():
@@ -178,11 +176,11 @@ def test_polar_pairing(rng):
     # shift so that 0 is interior to W (expectations strictly positive works)
     for _ in range(25):
         n = unit(rng.normal(size=2))
-        s = support(ops, n)
-        if s.degenerate or s.value <= 1e-6:
+        s = support_batch(ops, [n])
+        if s.degenerate[0] or s.values[0] <= 1e-6:
             continue
-        y = n / s.value  # boundary point of the polar spectrahedron
-        assert abs(s.point @ y - 1.0) < 1e-6
+        y = n / s.values[0]  # boundary point of the polar spectrahedron
+        assert abs(s.points[0] @ y - 1.0) < 1e-6
 
 
 def test_classify_refuses_commuting():
@@ -207,7 +205,7 @@ def test_classify_elliptope_margin_outside_faces():
     # smallest gap among the directions that were no candidates
     ops = [-_sym(0, 1), -_sym(0, 2), -_sym(1, 2)]
     cls = classify_qutrit_jnr(*ops)
-    gaps = np.array([s.gap for s in support_batch(ops, sphere_directions(3, 2000))])
+    gaps = support_batch(ops, sphere_directions(3, 2000)).gaps
     assert gaps.min() < CANDIDATE_GAP
     assert cls.min_unpolished_gap == gaps[gaps > CANDIDATE_GAP].min()
 

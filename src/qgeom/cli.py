@@ -2,8 +2,8 @@
 
 Every subcommand reads JSON inputs, runs the owning module, and writes
 deterministic JSON/CSV/OBJ artifacts: all randomness flows from the single
---seed, floats are serialized with 17 significant digits, and keys are
-sorted, so identical configs produce byte-identical reports.
+--seed, floats are serialized as Python's shortest round-trip repr, and
+keys are sorted, so identical configs produce byte-identical reports.
 
 Exit codes: 0 success, 1 computational failure, 2 usage error.
 """
@@ -28,12 +28,6 @@ class UsageError(Exception):
 # serialization helpers
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    return x
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -42,13 +36,13 @@ def _jsonify(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return _fmt(float(obj))
+        return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
     if isinstance(obj, complex):
-        return [_fmt(obj.real), _fmt(obj.imag)]
+        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (bool, str)) or obj is None:
@@ -372,11 +366,13 @@ def _rationalize(state: interconvert.LadderState, tol=1e-12):
 def cmd_wigner(args):
     rho = load_operator(args.state)
     dims = _parse_dims(args.dims)
-    table = wigner.wigner_of(rho, dims)
     csv_path = args.out_csv
     report_path = args.out
     if report_path and report_path.endswith(".csv"):
+        if csv_path:
+            raise UsageError(f"--out {report_path} writes the CSV table; drop --out-csv")
         csv_path, report_path = report_path, None
+    table = wigner.wigner_of(rho, dims)
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
             fh.write("x,q,w\r\n")

@@ -219,19 +219,23 @@ class _SparseGround:
             raise ValueError("H and V must have equal dimensions")
         self.h = sp.csr_matrix(h)
         self.v = sp.csr_matrix(v)
-        self.tol = 1e-9 * max(spla.norm(self.h), spla.norm(self.v), 1.0)
         self.method = "dense" if self.h.shape[0] <= DENSE_LIMIT else "lanczos"
+
+    def _levels(self, lam):
+        # lowest levels of H + lam V and their degeneracy window 1e-9 * max(|E0|, 1), as on the fermion path
+        w, vecs = _lowest_levels(self.h + lam * self.v)
+        return w, vecs, 1e-9 * max(abs(w[0]), 1.0)
 
     def solve(self, lam):
         """(E0, ground level degenerate, ground vector)."""
-        w, vecs = _lowest_levels(self.h + lam * self.v)
-        return w[0], bool(w[1] - w[0] < self.tol), vecs[:, 0]
+        w, vecs, tol = self._levels(lam)
+        return w[0], bool(w[1] - w[0] < tol), vecs[:, 0]
 
     def limit(self, lam):
         """The ground vector as lambda decreases to lam: the lowest-<V> state of the ground level."""
-        w, vecs = _lowest_levels(self.h + lam * self.v)
+        w, vecs, tol = self._levels(lam)
         # Lanczos vectors of a degenerate level need not be orthogonal
-        level, _ = np.linalg.qr(vecs[:, w - w[0] < self.tol])
+        level, _ = np.linalg.qr(vecs[:, w - w[0] < tol])
         _, c = np.linalg.eigh(level.conj().T @ (self.v @ level))
         return level @ c[:, 0]
 

@@ -3,9 +3,15 @@ distributions, channel transition kernels, and WH-covariant interconversion.
 
 Only odd square-free dimensions are supported for user-facing systems
 (qubits are explicitly refused); composite dimensions factor into distinct
-odd primes and all structures are tensor products over the factors.  The
-doubled factor list used internally for Choi states may repeat primes:
-the product construction stays valid for composite systems.
+odd primes and all structures are tensor products over the factors.  For
+an odd prime p the phase points have a closed form (Gross, J. Math. Phys.
+47, 122107 (2006)): A_{0,0} is the parity |n> -> |-n> and
+<m|A_{x,q}|n> = omega^{q(m-n)} [m + n = 2x mod p].  Every transform applies
+these p^4-entry kernels one prime factor at a time, so a d-dimensional
+system needs O(d^2) memory (the d^4 stack of all phase points is never
+formed) and composite dimensions such as 3*5*7*11 work.  The doubled
+factor list used internally for Choi states may repeat primes: the product
+construction stays valid for composite systems.
 """
 
 from __future__ import annotations
@@ -15,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .core import KrausChannel, as_density, as_hermitian, choi_state, is_prime
+from .core import KrausChannel, as_density, choi_state, is_prime, tensor
 
-_PHASE_POINT_CACHE = {}
+IMAG_TOL = 1e-12  # relative non-real residue of a Wigner table that flags a non-Hermitian input
+ZERO_TOL = 1e-10  # smallest |DFT(W_sigma)| entry the deconvolution divides by
+NEG_TOL = 1e-9  # most negative deconvolved kernel entry still clipped to zero
 
 
 def check_wh_dims(dims, allow_repeats=False):
@@ -37,104 +45,60 @@ def check_wh_dims(dims, allow_repeats=False):
     return dims
 
 
-def _xop(p):
-    m = np.zeros((p, p), dtype=complex)
-    for n in range(p):
-        m[(n + 1) % p, n] = 1.0
-    return m
-
-
-def _zop(p):
-    return np.diag(np.exp(2j * np.pi * np.arange(p) / p))
+def _roots(p):
+    return np.exp(2j * np.pi * np.arange(p) / p)
 
 
 def _disp_prime(x, q, p):
-    kappa = np.exp(1j * np.pi / p)
-    return (
-        (-kappa) ** (x * q)
-        * np.linalg.matrix_power(_xop(p), x % p)
-        @ np.linalg.matrix_power(_zop(p), q % p)
-    )
+    """<m|D_{x,q}|n> = omega^{(p+1)/2 xq + qn} [m = n + x], as -kappa = omega^{(p+1)/2}."""
+    n = np.arange(p)
+    d = np.zeros((p, p), dtype=complex)
+    d[(n + x) % p, n] = _roots(p)[((p + 1) // 2 * x * q + q * n) % p]
+    return d
 
 
-def wh_displacement(x, q, dims, allow_repeats=False):
+def wh_displacement(x, q, dims):
     """Displacement operator D_{x,q} = (-kappa)^{xq} X^x Z^q per prime factor."""
-    dims = check_wh_dims(dims, allow_repeats=allow_repeats)
-    xs = _as_tuple(x, dims)
-    qs = _as_tuple(q, dims)
-    out = None
-    for xi, qi, p in zip(xs, qs, dims):
-        d = _disp_prime(int(xi), int(qi), p)
-        out = d if out is None else np.kron(out, d)
-    return out
+    dims = check_wh_dims(dims)
+    xs, qs = _as_tuple(x, dims), _as_tuple(q, dims)
+    return tensor(*[_disp_prime(xi, qi, p) for xi, qi, p in zip(xs, qs, dims)])
 
 
 def _as_tuple(x, dims):
     if np.isscalar(x):
         if len(dims) != 1:
             raise ValueError("composite dims need one label per factor")
-        return (int(x),)
+        return (int(x) % dims[0],)
     xs = tuple(int(v) for v in x)
     if len(xs) != len(dims):
         raise ValueError(f"label {xs} does not match factors {dims}")
     return tuple(v % p for v, p in zip(xs, dims))
 
 
-def _phase_point_stack(dims):
-    """All d^2 phase-point operators for a factor list, cached immutably.
+def _phase_points(p):
+    """All phase points of one odd prime: [x, q, m, n] = omega^{q(m-n)} [m + n = 2x mod p]."""
+    x, q, m, n = np.ogrid[:p, :p, :p, :p]
+    return _roots(p)[q * (m - n) % p] * ((m + n - 2 * x) % p == 0)
 
-    Index layout: A[x_flat * d + q_flat] with mixed-radix flattening of the
-    per-factor labels (first factor most significant).
+
+def _factorwise(t, dims, axes):
+    """Contract axes (i, k+i) of a (dims + dims) tensor with `axes` of factor i's kernel, k = len(dims).
+
+    The kernel's two other axes take the places of the contracted ones, so
+    the result is again a (dims + dims) tensor.
     """
-    key = tuple(dims)
-    if key in _PHASE_POINT_CACHE:
-        return _PHASE_POINT_CACHE[key]
-    per_factor = []
-    for p in key:
-        a00 = sum(_disp_prime(x, q, p) for x in range(p) for q in range(p)) / p
-        ops = np.empty((p, p, p, p), dtype=complex)  # [x, q, :, :]
-        for x in range(p):
-            for q in range(p):
-                d = _disp_prime(x, q, p)
-                ops[x, q] = d @ a00 @ d.conj().T
-        per_factor.append(ops)
-    d_total = int(np.prod(key))
-    stack = np.empty((d_total, d_total, d_total, d_total), dtype=complex)
-    for xf in range(d_total):
-        xs = _unflatten(xf, key)
-        for qf in range(d_total):
-            qs = _unflatten(qf, key)
-            m = None
-            for ops, xi, qi in zip(per_factor, xs, qs):
-                m = ops[xi, qi] if m is None else np.kron(m, ops[xi, qi])
-            stack[xf, qf] = m
-    stack.setflags(write=False)
-    _PHASE_POINT_CACHE[key] = stack
-    return stack
+    k = len(dims)
+    for i, p in enumerate(dims):
+        t = np.tensordot(t, _phase_points(p), axes=([i, k + i], axes))
+        t = np.moveaxis(t, (-2, -1), (i, k + i))
+    return t
 
 
-def _unflatten(flat, dims):
-    out = []
-    for p in reversed(dims):
-        out.append(flat % p)
-        flat //= p
-    return tuple(reversed(out))
-
-
-def phase_point(x, q, dims, allow_repeats=False):
+def phase_point(x, q, dims):
     """Phase-point operator A_{x,q} = D A_{0,0} D^dag (Hermitian, trace 1)."""
-    dims = check_wh_dims(dims, allow_repeats=allow_repeats)
-    xs = _as_tuple(x, dims)
-    qs = _as_tuple(q, dims)
-    stack = _phase_point_stack(dims)
-    return np.array(stack[_flatten(xs, dims), _flatten(qs, dims)])
-
-
-def _flatten(labels, dims):
-    f = 0
-    for v, p in zip(labels, dims):
-        f = f * p + (v % p)
-    return f
+    dims = check_wh_dims(dims)
+    xs, qs = _as_tuple(x, dims), _as_tuple(q, dims)
+    return tensor(*[_phase_points(p)[xi, qi] for xi, qi, p in zip(xs, qs, dims)])
 
 
 @dataclass
@@ -169,16 +133,16 @@ class WignerTable:
         return WignerTable(self.dims, v.reshape(self.d, self.d))
 
 
-def wigner_of(rho, dims, allow_repeats=False, imag_tol=1e-12):
+def wigner_of(rho, dims):
     """Discrete Wigner distribution of a unit-trace state."""
-    dims = check_wh_dims(dims, allow_repeats=allow_repeats)
+    dims = check_wh_dims(dims)
     rho = as_density(rho)
     d = int(np.prod(dims))
     if rho.shape[0] != d:
         raise ValueError(f"state dimension {rho.shape[0]} != prod(dims) {d}")
-    stack = _phase_point_stack(dims)
-    vals = np.einsum("xqij,ji->xq", stack, rho) / d
-    if np.abs(vals.imag).max() > imag_tol * max(np.abs(vals.real).max(), 1.0):
+    # Tr(rho A) pairs rho's (row, column) with A's (column, row) = kernel axes (n, m)
+    vals = _factorwise(rho.reshape(dims + dims), dims, (3, 2)).reshape(d, d) / d
+    if np.abs(vals.imag).max() > IMAG_TOL * max(np.abs(vals.real).max(), 1.0):
         raise ValueError("Wigner values have non-real residue; input not Hermitian?")
     return WignerTable(dims, vals.real)
 
@@ -186,8 +150,7 @@ def wigner_of(rho, dims, allow_repeats=False, imag_tol=1e-12):
 def state_of(table: WignerTable):
     """Reconstruct rho = sum W(x,q) A_{x,q}; flags bad reconstructions."""
     dims = check_wh_dims(table.dims, allow_repeats=True)
-    stack = _phase_point_stack(dims)
-    rho = np.einsum("xq,xqij->ij", table.values, stack)
+    rho = _factorwise(table.values.reshape(dims + dims), dims, (0, 1)).reshape(table.d, table.d)
     tr = np.trace(rho).real
     if tr < 0:
         raise ValueError(f"reconstruction has negative trace {tr}")
@@ -205,26 +168,16 @@ def channel_transition(ch: KrausChannel, dims):
     d = int(np.prod(dims))
     if ch.dim_in != d or ch.dim_out != d:
         raise ValueError("channel dimensions do not match the WH system")
-    phi = choi_state(ch)
-    stack = _phase_point_stack(dims)
-    # phase points of the doubled system are A_in (x) A_out;
-    # the input slot carries labels (x', -q'), realized by index reversal.
-    neg = _negate_q_index(dims)
-    a_in = stack[:, neg, :, :]  # A_{x', -q'}
-    phir = phi.reshape(d, d, d, d)
-    # T(y,r|x',q') = Tr[Phi (A_{x',-q'} (x) A_{y,r})]; contract input side first
-    half = np.einsum("abce,xqca->bexq", phir, a_in)
-    t = np.einsum("bexq,yreb->yrxq", half, stack)
-    return t.real.reshape(d * d, d * d)
-
-
-def _negate_q_index(dims):
-    d = int(np.prod(dims))
-    neg = np.empty(d, dtype=int)
-    for qf in range(d):
-        qs = _unflatten(qf, dims)
-        neg[qf] = _flatten(tuple((-v) % p for v, p in zip(qs, dims)), dims)
-    return neg
+    k = len(dims)
+    both = dims + dims
+    # Tr[Phi (A_{x',r} (x) A_{x,q})] = d^2 W_Phi on the doubled system, axes (x', x, r, q);
+    # reversing each r axis puts r = -q' at index q'
+    t = _factorwise(choi_state(ch).reshape(both + both), both, (3, 2))
+    for i, p in enumerate(dims):
+        t = np.take(t, -np.arange(p) % p, axis=2 * k + i)
+    out_x, out_q = range(k, 2 * k), range(3 * k, 4 * k)
+    in_x, in_q = range(k), range(2 * k, 3 * k)
+    return t.real.transpose(*out_x, *out_q, *in_x, *in_q).reshape(d * d, d * d)
 
 
 def apply_transition(trans, table: WignerTable):
@@ -233,7 +186,7 @@ def apply_transition(trans, table: WignerTable):
     return WignerTable(table.dims, out.reshape(d, d))
 
 
-def wh_convertible(rho, sigma, dims, zero_tol=1e-10, neg_tol=1e-9):
+def wh_convertible(rho, sigma, dims):
     """Search for a nonnegative kernel k with W_rho = k (2D-cyclic-conv) W_sigma.
 
     Deconvolution runs through the multidimensional DFT when the transform
@@ -243,35 +196,23 @@ def wh_convertible(rho, sigma, dims, zero_tol=1e-10, neg_tol=1e-9):
     """
     dims = check_wh_dims(dims)
     d = int(np.prod(dims))
-    w_r = wigner_of(rho, dims).values.reshape(dims + dims)
-    w_s = wigner_of(sigma, dims).values.reshape(dims + dims)
-    f_r = np.fft.fftn(w_r)
-    f_s = np.fft.fftn(w_s)
-    if np.abs(f_s).min() > zero_tol:
+    t_s = wigner_of(sigma, dims)
+    w_r = wigner_of(rho, dims).values
+    f_r = np.fft.fftn(w_r.reshape(dims + dims))
+    f_s = np.fft.fftn(t_s.values.reshape(dims + dims))
+    if np.abs(f_s).min() > ZERO_TOL:
         k = np.fft.ifftn(f_r / f_s).real
-        if k.min() >= -neg_tol:
+        if k.min() >= -NEG_TOL:
             k = np.clip(k, 0.0, None)
             k /= k.sum()
             return k.reshape(d, d)
         return None
     # fallback: nonnegative feasibility across all cyclic shifts of W_sigma
-    cols = []
-    n = len(dims)
-    for xf in range(d):
-        xs = _unflatten(xf, dims)
-        for qf in range(d):
-            qs = _unflatten(qf, dims)
-            shifted = w_s
-            for axis, s in enumerate(xs):
-                shifted = np.roll(shifted, s, axis=axis)
-            for axis, s in enumerate(qs):
-                shifted = np.roll(shifted, s, axis=n + axis)
-            cols.append(shifted.reshape(-1))
-    a = np.stack(cols, axis=1)
-    b = w_r.reshape(-1)
+    labels = list(np.ndindex(dims))
+    a = np.stack([t_s.translated(xs, qs).values.reshape(-1) for xs in labels for qs in labels], axis=1)
     # normalization row keeps sum k = 1
     a_aug = np.vstack([a, np.ones((1, a.shape[1]))])
-    b_aug = np.concatenate([b, [1.0]])
+    b_aug = np.concatenate([w_r.reshape(-1), [1.0]])
     k, res = nnls(a_aug, b_aug)
     if res > 1e-8:
         return None

@@ -240,6 +240,24 @@ def test_wigner_cli_csv_out_shorthand(tmp_path, capsys):
     assert '"tool": "qgeom"' in capsys.readouterr().out
 
 
+def test_wigner_cli_rejects_two_csv_outputs(tmp_path, capsys):
+    st = tmp_path / "rho.json"
+    st.write_text(json.dumps(core.operator_to_json(np.eye(3) / 3)))
+    t, u = tmp_path / "t.csv", tmp_path / "u.csv"
+    assert run(["wigner", "--state", st, "--dims", "3", "--out", t, "--out-csv", u]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not t.exists() and not u.exists()
+
+
+def test_wigner_cli_three_prime_factors(tmp_path):
+    st = tmp_path / "rho.json"
+    st.write_text(json.dumps(core.operator_to_json(core.random_density(105, np.random.default_rng(3)))))
+    out = tmp_path / "w.json"
+    assert run(["wigner", "--state", st, "--dims", "3,5,7", "--out", out]) == 0
+    assert np.array(json.loads(out.read_text())["values"]).shape == (105, 105)
+
+
 def test_jnr_2d_boundary_csv(tmp_path):
     ops = tmp_path / "ops.json"
     write_ops(ops, [core.PAULI_X, core.PAULI_Z])

@@ -404,6 +404,7 @@ def _compare_paths(n, gamma, taper, lams, refine, crossing_tol=1e-6):
     cf, tg_f, rf = _reports(xy_majorana(n, gamma, taper), gap_witness_majorana(n, taper), lams, refine)
     assert np.abs(ce.energies - cf.energies).max() <= 1e-10
     assert abs(tg_e - tg_f) <= 1e-10
+    assert (ce.degenerate == cf.degenerate).all()
     clean = ~(ce.degenerate | cf.degenerate)
     assert np.abs(ce.e_h - cf.e_h)[clean].max(initial=0) <= 1e-10
     assert np.abs(ce.e_v - cf.e_v)[clean].max(initial=0) <= 1e-10

@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeom import core
 from qgeom.core import KrausChannel, apply_channel
@@ -240,3 +245,64 @@ def test_wh_convertible_twirl_uniform(rng):
     k = wh_convertible(rho, sigma, (d,))
     assert k is not None
     assert np.abs(k - 1 / (d * d)).max() < 1e-8
+
+
+def _oracle(dims):
+    """Phase points, Wigner, reconstruction and transition kernel rebuilt from A = D A00 D^dag."""
+    d = int(np.prod(dims))
+    labels = list(itertools.product(*[range(p) for p in dims]))
+    disp = {(x, q): wh_displacement(x, q, dims) for x in labels for q in labels}
+    a00 = sum(disp.values()) / d
+    stack = np.array([[disp[x, q] @ a00 @ disp[x, q].conj().T for q in labels] for x in labels])
+    neg = [labels.index(tuple(-v % p for v, p in zip(q, dims))) for q in labels]
+
+    def transition(ch):
+        phi = core.choi_state(ch).reshape(d, d, d, d)
+        half = np.einsum("abce,xqca->bexq", phi, stack[:, neg], optimize=True)
+        return np.einsum("bexq,yreb->yrxq", half, stack, optimize=True).real.reshape(d * d, d * d)
+
+    return labels, disp, stack, transition
+
+
+def _displacement_by_definition(xs, qs, dims):
+    # (-kappa)^{xq} X^x Z^q per factor, kappa = e^{i pi / p}
+    out = np.eye(1)
+    for x, q, p in zip(xs, qs, dims):
+        shift = np.roll(np.eye(p), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(p) / p))
+        phase = (-np.exp(1j * np.pi / p)) ** (x * q)
+        out = np.kron(out, phase * np.linalg.matrix_power(shift, x) @ np.linalg.matrix_power(clock, q))
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(3,), (5,), (7,), (3, 5), (3, 7)]), st.integers(0, 2**32 - 1))
+def test_closed_form_matches_displaced_parity_oracle(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    labels, disp, stack, transition = _oracle(dims)
+    for _ in range(4):
+        x, q = labels[rng.integers(d)], labels[rng.integers(d)]
+        assert np.abs(disp[x, q] - _displacement_by_definition(x, q, dims)).max() <= 1e-13
+        assert np.abs(phase_point(x, q, dims) - stack[labels.index(x), labels.index(q)]).max() <= 1e-13
+    rho = core.random_density(d, rng)
+    table = wigner_of(rho, dims)
+    expect = np.einsum("xqij,ji->xq", stack, rho).real / d
+    assert np.abs(table.values - expect).max() <= 1e-13
+    assert np.abs(state_of(table) - np.einsum("xq,xqij->ij", expect, stack)).max() <= 1e-13
+    ch = KrausChannel((core.random_unitary(d, rng) * np.sqrt(0.3), core.random_unitary(d, rng) * np.sqrt(0.7)))
+    assert np.abs(channel_transition(ch, dims) - transition(ch)).max() <= 1e-13
+
+
+def test_round_trip_d105_stays_small():
+    # the d^4 phase-point stack alone would take 1.9 GB at d = 105
+    dims = (3, 5, 7)
+    rho = core.random_density(105, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        back = state_of(wigner_of(rho, dims))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(back - rho).max() <= 1e-12
+    assert peak < 64 * 2**20

@@ -1,7 +1,7 @@
 """Sweep the total spin j and tabulate the tight additive variance bound.
 
-For each j the direct eigenvalue minimization is cross-checked against the
-sector-approximant bracket [c, c + delta].
+For each j one `min_sum_variances` call gives the attained value and the
+sector-approximant bracket [c, c + delta] it must lie in.
 
 Usage: python scripts/spin_variance_table.py [max_twice_j]
 """
@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from qgeom.core import spin_operators
-from qgeom.uncertainty import default_partition, min_sum_variances, sector_sum_bound
+from qgeom.uncertainty import min_sum_variances
 
 
 def main(max_twice_j=8):
@@ -21,10 +21,8 @@ def main(max_twice_j=8):
         jx, jy, _ = spin_operators(j)
         t0 = time.monotonic()
         bound = min_sum_variances(jx, jy)
-        px = default_partition(jx, tol=1e-4)
-        py = default_partition(jy, tol=1e-4)
-        c, delta = sector_sum_bound(jx, jy, px, py)
         dt = time.monotonic() - t0
+        c, delta = bound.sector_bound, bound.delta
         assert c <= bound.value + 1e-9 <= c + delta + 2e-9
         print(f"{str(j):>5} {bound.value:12.6f} {c:12.6f} {c + delta:12.6f} {dt:8.2f}")
 

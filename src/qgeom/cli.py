@@ -222,16 +222,13 @@ def cmd_uncertainty(args):
         if len(ops) != 2:
             raise UsageError("uncertainty expects a pair of operators")
         x, y = ops
-    bound = uncertainty.min_sum_variances(x, y)
-    px = uncertainty.default_partition(x, tol=args.sector_tol)
-    py = uncertainty.default_partition(y, tol=args.sector_tol)
-    c, delta = uncertainty.sector_sum_bound(x, y, px, py)
+    bound = uncertainty.min_sum_variances(x, y, sector_tol=args.sector_tol)
     payload = {
         "value": bound.value,
         "x": bound.minimizer[0],
         "y": bound.minimizer[1],
-        "sector_bound": c,
-        "delta": delta,
+        "sector_bound": bound.sector_bound,
+        "delta": bound.delta,
         "certificate": core.operator_to_json(bound.certificate_state),
         "_tolerances": {"sector_tol": args.sector_tol},
     }

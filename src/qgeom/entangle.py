@@ -32,6 +32,10 @@ from .core import (
 )
 from .numrange import ConvexBodyApprox, jnr_approximate, support_batch, unit
 
+# an alternating-ascent restart stops when a sweep gains less than its TOL, or after SWEEPS sweeps
+SEESAW_TOL, SEESAW_SWEEPS = 1e-10, 500
+SCHMIDT2_TOL, SCHMIDT2_SWEEPS = 1e-11, 200
+
 
 @dataclass
 class ProductAnsatz:
@@ -81,7 +85,7 @@ def _reduced_operator(ht, dims, factors, k):
     return np.einsum(*args, [k, n + k])
 
 
-def seesaw_product_max(h, dims, restarts=32, seed=0, tol=1e-10, max_sweeps=500):
+def seesaw_product_max(h, dims, restarts=32, seed=0):
     """Alternating top-eigenvector ascent over pure product states.
 
     Monotone per sweep (each factor update is an exact maximization with
@@ -102,13 +106,13 @@ def seesaw_product_max(h, dims, restarts=32, seed=0, tol=1e-10, max_sweeps=500):
             factors.append(f / np.linalg.norm(f))
         prev = -np.inf
         val = prev
-        for _ in range(max_sweeps):
+        for _ in range(SEESAW_SWEEPS):
             for k in range(len(dims)):
                 red = _reduced_operator(ht, dims, factors, k)
                 w, v = np.linalg.eigh((red + red.conj().T) / 2)
                 factors[k] = v[:, -1]
                 val = float(w[-1])
-            if val - prev < tol:
+            if val - prev < SEESAW_TOL:
                 break
             prev = val
         if val > best_val:
@@ -485,7 +489,7 @@ def _top_factor(m, d, r):
     return float(w[-1]), v[:, -1].reshape(d, r)
 
 
-def schmidt2_max(h, dims, restarts=16, seed=0, sweeps=200, tol=1e-11):
+def schmidt2_max(h, dims, restarts=16, seed=0):
     """Heuristic maximum of <H> over Schmidt-rank-2 pure states.
 
     A Schmidt-rank-<=2 state is psi = vec(U V^T) with U of size d_A x r and
@@ -513,12 +517,12 @@ def schmidt2_max(h, dims, restarts=16, seed=0, sweeps=200, tol=1e-11):
     for _ in range(restarts):
         u, v = (rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)) for d in dims)
         lam, prev = -np.inf, -np.inf
-        for _ in range(sweeps):
+        for _ in range(SCHMIDT2_SWEEPS):
             v, _ = np.linalg.qr(v)
             lam, u = _top_factor(np.einsum("jk,ijlm,mn->ikln", v.conj(), ht, v), da, r)
             u, _ = np.linalg.qr(u)
             lam, v = _top_factor(np.einsum("ik,ijlm,ln->jkmn", u.conj(), ht, u), db, r)
-            if lam - prev < tol:
+            if lam - prev < SCHMIDT2_TOL:
                 break
             prev = lam
         if best is None or lam > best[0]:

@@ -341,11 +341,10 @@ def marvian_necessary_test(psi: SpinKet, phi: SpinKet, samples=200, seed=0, zero
 # j = 1 covariant-channel simplex
 
 
-def zeta_map(rho, j=1):
-    """zeta(rho) = sum_s J_s rho J_s / (j (j+1)); unital and trace preserving."""
-    jx, jy, jz = spin_operators(j)
-    jj = float(j) * (float(j) + 1.0)
-    return (jx @ rho @ jx + jy @ rho @ jy + jz @ rho @ jz) / jj
+def zeta_map(rho):
+    """zeta(rho) = sum_s J_s rho J_s / 2 over the spin-1 J_s; unital and trace preserving."""
+    jx, jy, jz = spin_operators(1)
+    return (jx @ rho @ jx + jy @ rho @ jy + jz @ rho @ jz) / 2.0
 
 
 @dataclass
@@ -355,14 +354,12 @@ class ZetaSimplexReport:
     x: tuple
 
 
-def zeta_channel_simplex(x0, x1, j=1):
-    """CPTP test of rho -> x0 rho + x1 zeta(rho) + (1 - x0 - x1) zeta^2(rho).
+def zeta_channel_simplex(x0, x1):
+    """CPTP test of rho -> x0 rho + x1 zeta(rho) + (1 - x0 - x1) zeta^2(rho), j = 1.
 
-    Restricted to j = 1; the map is trace preserving for every (x0, x1) by
-    construction, and completely positive iff its Choi matrix is PSD.
+    The map is trace preserving for every (x0, x1) by construction, and
+    completely positive iff its Choi matrix is PSD.
     """
-    if j != 1:
-        raise ValueError("the covariant simplex is implemented for j = 1 only")
     x2 = 1.0 - x0 - x1
 
     def g(rho):

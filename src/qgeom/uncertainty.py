@@ -1,9 +1,11 @@
 """Tight additive uncertainty bounds and the uncertainty-range cover.
 
 The minimum of Delta^2 X + Delta^2 Y over all states equals the minimum
-over real (x, y) of lambda_min((X - x)^2 + (Y - y)^2); linear sector
-approximants of variance turn the nonconvex uncertainty range into a
-union of ordinary numerical ranges with a certified padding.
+over real (x, y) of lambda_min((X - x)^2 + (Y - y)^2).  Linear sector
+approximants of variance bracket it (a branch and bound over sector pairs
+gives the certified c, a polish from the best pair an attained value in
+[c, c + delta]) and cover the nonconvex uncertainty range by a union of
+ordinary numerical ranges with a certified padding.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import as_density, as_hermitian, expectation, stack_chunks
 from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support_batch
@@ -27,77 +28,73 @@ def variance(x, rho):
     return max(v, 0.0)
 
 
+POLISH_STEPS = 100  # cap on the steps of the variance polish
+PRUNE_MARGIN = 1e-9  # relative to the operator scale; far above eigensolve rounding
+
+
 @dataclass
 class VarianceBound:
-    """Attained value of Delta^2 X + Delta^2 Y with the state attaining it.
+    """Bracket [sector_bound, value] on min over states of Delta^2 X + Delta^2 Y.
 
-    `value` is reached by `certificate_state`, so it is an upper bound on
-    the minimum over states; the certified lower side is the sector bound
-    c of `sector_sum_bound`, within delta of the minimum.
+    `value` = lambda_min((X - x*)^2 + (Y - y*)^2) at `minimizer` (x*, y*),
+    attained by its ground vector `certificate_state`; `sector_bound` is the
+    certified c of `sector_sum_bound`; c <= value <= c + delta up to rounding.
     """
 
     value: float
     minimizer: tuple  # (x*, y*)
     certificate_state: np.ndarray
+    sector_bound: float
+    delta: float
 
     def __post_init__(self):
         self.certificate_state = as_density(self.certificate_state)
 
 
-def _shifted_square_sum(x, y, x2, y2, eye, a, b):
-    """(X - a)^2 + (Y - b)^2, stacked over the leading shape of arrays a and b."""
-    a = np.asarray(a)[..., None, None]
-    b = np.asarray(b)[..., None, None]
-    return x2 - 2 * a * x + a * a * eye + y2 - 2 * b * y + b * b * eye
+def min_sum_variances(x, y, sector_tol=1e-4):
+    """Polish the sector search's best pair (i, j) into an attained value.
 
-
-def min_sum_variances(x, y, grid=41, refine_from=5):
-    """Minimize lambda_min((X-x)^2 + (Y-y)^2) over the spectral box.
-
-    Deterministic coarse grid over the eigenvalue ranges of X and Y, solved
-    as stacked eigensolves, followed by Nelder-Mead refinement from the
-    best cells; the certificate state is the minimizing eigenvector's
-    projector, whose expectation values reproduce (x*, y*) at an interior
-    optimum.
+    Partitions come from `default_partition(., sector_tol)`.  The ground
+    vector psi of X_i + Y_j attains at most c + delta, since Delta^2 X -
+    <X_i> = -(u - a)(u - b) <= (b - a)^2 / 4 at u = <X>.  A step sets
+    (a, b) = (<X>, <Y>) in psi and psi to the ground vector of (X - a)^2 +
+    (Y - b)^2; each lambda_min bounds the next psi's variance sum, which
+    bounds the next lambda_min.  That step is gradient descent on
+    g(a, b) = lambda_min, so where the ground level is simple and g's
+    perturbative Hessian positive definite, the same stacked eigh also
+    tries g's Newton point and keeps the lower.  The polish stops when the
+    value stops falling, or after POLISH_STEPS.
     """
-    x = as_hermitian(x)
-    y = as_hermitian(y)
+    x, y = as_hermitian(x), as_hermitian(y)
     if x.shape != y.shape:
         raise ValueError("operators must have equal dimensions")
-    x2, y2 = x @ x, y @ y
-    eye = np.eye(x.shape[0])
-    wx = np.linalg.eigvalsh(x)
-    wy = np.linalg.eigvalsh(y)
-
-    def f(pt):
-        return np.linalg.eigvalsh(_shifted_square_sum(x, y, x2, y2, eye, *pt))[0]
-
-    xs, ys = np.meshgrid(np.linspace(wx[0], wx[-1], grid), np.linspace(wy[0], wy[-1], grid), indexing="ij")
-    xs, ys = xs.ravel(), ys.ravel()
-    vals = np.concatenate(
-        [
-            np.linalg.eigvalsh(_shifted_square_sum(x, y, x2, y2, eye, xs[c], ys[c]))[:, 0]
-            for c in stack_chunks(len(xs), x.shape[0])
-        ]
-    )
-    order = np.argsort(vals, kind="stable")  # stable: grid order among equal values
-    best_val, best_pt = vals[order[0]], np.array([xs[order[0]], ys[order[0]]])
-    for i in order[:refine_from]:
-        r = minimize(
-            f,
-            [xs[i], ys[i]],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        if r.fun < best_val:
-            best_val, best_pt = float(r.fun), np.asarray(r.x)
-    m = _shifted_square_sum(x, y, x2, y2, eye, *best_pt)
-    _, v = np.linalg.eigh(m)
-    state = np.outer(v[:, 0], v[:, 0].conj())
+    px, py = default_partition(x, sector_tol), default_partition(y, sector_tol)
+    c, (i, j) = _sector_search(x, y, px, py)
+    (a, b), (s, t) = px.sectors()[i], py.sectors()[j]
+    psi = np.linalg.eigh(sector_bound_operator(x, a, b) + sector_bound_operator(y, s, t))[1][:, 0]
+    ops, eye = np.stack([x, y]), np.eye(x.shape[0])
+    cands, value = np.einsum("i,kij,j->k", psi.conj(), ops, psi).real[None], np.inf
+    for _ in range(POLISH_STEPS):
+        sh = ops - cands[:, :, None, None] * eye  # X - a and Y - b per candidate (a, b)
+        lam, vecs = np.linalg.eigh(sh[:, 0] @ sh[:, 0] + sh[:, 1] @ sh[:, 1])
+        k = np.argmin(lam[:, 0])
+        if lam[k, 0] >= value:
+            break
+        value, point, w, psi = lam[k, 0], cands[k], lam[k], vecs[k][:, 0]
+        elems = np.einsum("im,kij,j->km", vecs[k].conj(), ops, psi)  # <m|X|0>, <m|Y|0>
+        cands = elems[None, :, 0].real
+        if len(w) > 1 and w[1] - w[0] > 1e-9 * max(1.0, abs(w).max()):
+            off = elems[:, 1:]
+            hess = 2 * np.eye(2) - 8 * np.real((off / (w[1:] - w[0])) @ off.conj().T)
+            if hess[0, 0] > 0 and np.linalg.det(hess) > 1e-12:
+                newton = point - np.linalg.solve(hess, 2 * (point - cands[0]))
+                cands = np.stack([cands[0], newton])
     return VarianceBound(
-        value=max(best_val, 0.0),
-        minimizer=(float(best_pt[0]), float(best_pt[1])),
-        certificate_state=state,
+        value=max(float(value), 0.0),
+        minimizer=(float(point[0]), float(point[1])),
+        certificate_state=np.outer(psi, psi.conj()),
+        sector_bound=c,
+        delta=px.delta + py.delta,
     )
 
 
@@ -154,6 +151,8 @@ def default_partition(x, tol=1e-4):
     An operator proportional to the identity gets the sectors
     [w - 1e-8, w] and [w, w + 1e-8] around its one eigenvalue w.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"sector tolerance must be positive and finite, got {tol}")
     w = np.linalg.eigvalsh(as_hermitian(x))
     bp = sorted(set(np.round(w, 12)))
     if len(bp) == 1:
@@ -163,9 +162,6 @@ def default_partition(x, tol=1e-4):
         mids = (bp[:-1] + bp[1:]) / 2
         bp = np.sort(np.concatenate([bp, mids]))
     return SectorPartition(tuple(bp))
-
-
-PRUNE_MARGIN = 1e-9  # relative to the operator scale; far above eigensolve rounding
 
 
 def _chord_minima(lo, hi, coord, const, slopes):
@@ -183,10 +179,14 @@ def _chord_minima(lo, hi, coord, const, slopes):
 
 
 def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
-    """(c, delta): c = min over sector pairs of lambda_min(X_i + Y_j).
+    """(c, delta): c = min over sector pairs of lambda_min(X_i + Y_j) (see
+    `_sector_search`), and c <= min_rho (Delta^2 X + Delta^2 Y) <= c + delta
+    with delta = delta_X + delta_Y."""
+    return _sector_search(x, y, px, py)[0], px.delta + py.delta
 
-    Guarantees c <= min_rho (Delta^2 X + Delta^2 Y) <= c + delta with
-    delta = delta_X + delta_Y.
+
+def _sector_search(x, y, px: SectorPartition, py: SectorPartition):
+    """(c, (i, j)): c = lambda_min(X_i + Y_j), the least over sector pairs.
 
     c is the same float as an eigensolve of every pair would give, found
     by branch and bound over the (i, j) index grid.  With s_i = a_i + b_i
@@ -217,7 +217,7 @@ def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
 
     keys = np.empty(0, dtype=np.int64)  # evaluated pairs i * n + j, sorted
     vals = np.empty(0)
-    best = np.inf
+    best, arg = np.inf, None
     blocks = np.array([[0, len(xs) - 1, 0, n - 1]])  # rows (i0, i1, j0, j1)
     while len(blocks):
         i0, i1, j0, j1 = blocks.T
@@ -228,7 +228,8 @@ def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
             got = np.concatenate(
                 [np.linalg.eigvalsh(xs[ii[c]] + ys[jj[c]])[:, 0] for c in stack_chunks(len(new), dim)]
             )
-            best = min(best, got.min())
+            if got.min() < best:
+                best, arg = got.min(), new[got.argmin()]
             keys = np.concatenate([keys, new])
             order = np.argsort(keys)
             keys, vals = keys[order], np.concatenate([vals, got])[order]
@@ -251,7 +252,7 @@ def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
         first[np.arange(len(rows)), lo + 1] = mid
         second[np.arange(len(rows)), lo] = mid
         blocks = np.concatenate([first, second])
-    return float(best), px.delta + py.delta
+    return float(best), tuple(int(k) for k in divmod(arg, n))
 
 
 @dataclass

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeom import core, entangle, gapwitness, numrange, su2
+from qgeom import core, entangle, gapwitness, numrange, su2, uncertainty
 from qgeom.cli import load_spinket, main
 
 
@@ -88,6 +88,27 @@ def test_uncertainty_identity_operator(tmp_path):
     assert run(["uncertainty", "--ops", ops, "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["value"] == pytest.approx(0.0, abs=1e-12)
+    assert doc["sector_bound"] <= doc["value"] <= doc["sector_bound"] + doc["delta"]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_uncertainty_rejects_bad_sector_tol(tmp_path, capsys, tol):
+    out = tmp_path / "u.json"
+    assert run(["uncertainty", "--table-j", "1", "--sector-tol", tol, "--out", out]) == 2
+    assert "sector tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncertainty_sector_bound_is_the_standalone_search(tmp_path):
+    ops = tmp_path / "pair.json"
+    rng = np.random.default_rng(11)
+    x, y = core.random_hermitian(4, rng), core.random_hermitian(4, rng)
+    write_ops(ops, [x, y])
+    out = tmp_path / "u.json"
+    assert run(["uncertainty", "--ops", ops, "--sector-tol", "1e-3", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    px, py = uncertainty.default_partition(x, 1e-3), uncertainty.default_partition(y, 1e-3)
+    assert (doc["sector_bound"], doc["delta"]) == uncertainty.sector_sum_bound(x, y, px, py)
     assert doc["sector_bound"] <= doc["value"] <= doc["sector_bound"] + doc["delta"]
 
 

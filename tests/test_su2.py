@@ -279,11 +279,6 @@ def test_zeta_simplex_rejects_antiunitary_point():
     assert rep.choi_min_eig < -0.1
 
 
-def test_zeta_simplex_only_j1():
-    with pytest.raises(ValueError):
-        zeta_channel_simplex(1.0, 0.0, j=2)
-
-
 def test_antiunitary_point_matches_simplex_combination(rng):
     # (R rho R+)^T = -rho - 2 zeta(rho) + 4 zeta^2(rho)
     rho = core.random_density(3, rng)

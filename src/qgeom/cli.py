@@ -574,7 +574,7 @@ def main(argv=None):
     ) as e:
         print(f"computation failed: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: an unwritable --out, --mesh or CSV path
         print(f"error: {e}", file=sys.stderr)
         return 2
 

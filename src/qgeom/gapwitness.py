@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .numrange import sphere_directions, support_batch
 
@@ -75,6 +73,9 @@ def build_chain(spec: SpinChainSpec):
     A Pauli string maps basis state r to r ^ flip (flip covers its x/y
     sites) with amplitude coeff * i^#y * (-1)^(parity of r on its y/z sites).
     """
+    import scipy.sparse as sp  # deferred, as in every ED helper: importing qgeom loads no scipy
+    import scipy.sparse.linalg as spla
+
     n = spec.sites
     dim = 2**n
     r = np.arange(dim)
@@ -190,11 +191,13 @@ def gap_witness_majorana(n_sites, taper=False):
 
 
 def _dense(m):
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
+    return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
 
 
 def _lowest_levels(m):
     """(four lowest eigenvalues, their eigenvectors as columns); dense below DENSE_LIMIT."""
+    import scipy.sparse.linalg as spla
+
     dim = m.shape[0]
     if dim <= DENSE_LIMIT:
         w, v = np.linalg.eigh(_dense(m))
@@ -215,6 +218,8 @@ class _SparseGround:
     """Ground vectors of H + lambda*V by exact diagonalization."""
 
     def __init__(self, h, v):
+        import scipy.sparse as sp
+
         if h.shape != v.shape:
             raise ValueError("H and V must have equal dimensions")
         self.h = sp.csr_matrix(h)
@@ -452,7 +457,8 @@ def true_gap(h):
         above = eps[eps > 1e-9 * max(eps.sum() / 2, 1.0)]
         return float(above[0]) if len(above) else 0.0
 
-    from scipy.sparse.csgraph import connected_components  # deferred: ~1 MB resident per CLI start
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
 
     hs = sp.csr_matrix(h)
     if hs.shape[0] > FULL_SPECTRUM_LIMIT:
@@ -476,8 +482,8 @@ def cusp_decomposition_check(x, y, psi, n_dirs=120, tol=1e-8, hull_tol=1e-6):
     support functions.
     """
     dirs = sphere_directions(2, n_dirs)
-    xd = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=complex)
-    yd = y.toarray() if sp.issparse(y) else np.asarray(y, dtype=complex)
+    xd = x.toarray() if hasattr(x, "toarray") else np.asarray(x, dtype=complex)
+    yd = y.toarray() if hasattr(y, "toarray") else np.asarray(y, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     scale = max(np.abs(xd).max(), np.abs(yd).max(), 1.0)

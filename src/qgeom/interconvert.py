@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import convolution_matrix
-from scipy.optimize import nnls
 
 from .core import KrausChannel
 from .core import is_prime as _is_prime_int  # name kept importable for the acceptance suite
 
 NEG_TOL = 1e-9  # float quotient entries above -NEG_TOL are clipped to zero
+VERIFY_TOL = 1e-9  # largest |w * q - p| entry a float quotient may leave
 
 
 class SingularCirculantError(RuntimeError):
@@ -254,8 +253,15 @@ def _as_probvector(state):
     raise TypeError(f"expected LadderState or ProbVector, got {type(state)}")
 
 
-def _divide(p: ProbVector, q: ProbVector, verify_tol):
-    """Nonnegative quotient w of p = w * q for vectors starting at 0, or None."""
+def _divide(p: ProbVector, q: ProbVector):
+    """Nonnegative quotient w of p = w * q for vectors starting at 0, or None.
+
+    Trimming makes q_0 > 0, so the banded convolution matrix of q has full
+    column rank and w is the only candidate.  Exact inputs: long division,
+    convertible iff the remainder is zero and w >= 0.  Floats: least
+    squares, entries above -NEG_TOL clipped, w renormalized, and every
+    entry of w * q - p within VERIFY_TOL.
+    """
     m = len(p.weights) - len(q.weights) + 1
     if m < 1:
         return None
@@ -270,29 +276,28 @@ def _divide(p: ProbVector, q: ProbVector, verify_tol):
         if any(r) or min(w) < 0:
             return None
         return ProbVector.from_weights(w)
-    # the banded convolution matrix of q has full column rank (q_0 > 0)
-    w = np.linalg.lstsq(convolution_matrix(q.as_floats(), m), p.as_floats(), rcond=None)[0]
+    qw = q.as_floats()
+    band = np.zeros((len(p.weights), m))  # column k is q shifted down by k
+    band[np.arange(len(qw))[:, None] + np.arange(m), np.arange(m)] = qw[:, None]
+    w = np.linalg.lstsq(band, p.as_floats(), rcond=None)[0]
     if w.min() < -NEG_TOL:
         return None
     w = ProbVector.from_weights(np.clip(w, 0.0, None))
     recon = convolve(w, q)
     if recon.offset != p.offset or len(recon.weights) != len(p.weights):
         return None
-    if np.abs(recon.as_floats() - p.as_floats()).max() > verify_tol:
+    if np.abs(recon.as_floats() - p.as_floats()).max() > VERIFY_TOL:
         return None
     return w
 
 
-def u1_convertible(psi, phi, verify_tol=1e-9):
+def u1_convertible(psi, phi):
     """Decide the covariant transformation psi -> phi on the ladder.
 
     Squared amplitudes are trimmed and translated to start at zero (the
     problem is translation invariant), so p = w * q is division of the
-    generating polynomials.  Rational inputs are divided exactly: convertible
-    iff the remainder is zero and every quotient weight is nonnegative.  Float
-    inputs solve the convolution system by least squares; quotient entries
-    above -NEG_TOL are clipped, w is renormalized, and the non-cyclic residual
-    |w * q - p| must stay within `verify_tol`.  The paper's circulant
+    generating polynomials (`_divide`): exact for rational inputs, least
+    squares with a residual check for floats.  The paper's circulant
     construction (`cyclic_majorize` at the prime `embedding_dim`) reaches
     the same verdict and serves as the oracle in the tests.
     """
@@ -300,7 +305,7 @@ def u1_convertible(psi, phi, verify_tol=1e-9):
     q_raw = _as_probvector(phi)
     exact = p_raw.exact and q_raw.exact
     dim = _next_prime(2 * max(p_raw.diam, q_raw.diam) + 1)
-    w = _divide(p_raw.at_origin(), q_raw.at_origin(), verify_tol)
+    w = _divide(p_raw.at_origin(), q_raw.at_origin())
     if w is None:
         return CirculantTestReport(False, None, dim, exact)
     # restore the ladder translation: p_raw = (w shifted) * q_raw
@@ -487,31 +492,22 @@ def _complement(full, chosen):
     return rest
 
 
-def aux_reachable(p: ProbVector, q: ProbVector, d, tol=1e-9):
+def aux_reachable(p: ProbVector, q: ProbVector, d):
     """Weights w on shifts -d..d with q = sum_m w_m Delta^m p, or None.
 
-    Nonnegative least squares on the stacked system with a normalization
-    row; a residual below `tol` accepts.
+    That sum is the convolution q = w * p, so w is the quotient of q by p
+    (`_divide`, the test of `u1_convertible`), placed at the ladder shift
+    q.offset - p.offset; q is reachable iff that quotient exists and its
+    support fits in the window -d..d.
     """
     if d < 0:
         raise ValueError("qudit half-width must be nonnegative")
-    lo = min(q.offset, p.offset - d)
-    hi = max(q.offset + q.diam, p.offset + p.diam + d)
-    n_rows = hi - lo + 1
-    cols = []
-    for m in range(-d, d + 1):
-        col = np.zeros(n_rows)
-        for pi, idx in enumerate(p.support):
-            col[idx + m - lo] = float(p.weights[pi])
-        cols.append(col)
-    a = np.stack(cols, axis=1)
-    b = np.zeros(n_rows)
-    for qi, idx in enumerate(q.support):
-        b[idx - lo] = float(q.weights[qi])
-    a_aug = np.vstack([a, np.ones((1, a.shape[1]))])
-    b_aug = np.concatenate([b, [1.0]])
-    w, _ = nnls(a_aug, b_aug)
-    resid = np.linalg.norm(a @ w - b)
-    if resid > tol or abs(w.sum() - 1.0) > 1e-8:
+    w = _divide(q.at_origin(), p.at_origin())
+    if w is None:
         return None
-    return w
+    lo = w.offset + q.offset - p.offset
+    if lo < -d or lo + w.diam > d:
+        return None
+    out = np.zeros(2 * d + 1)
+    out[lo + d : lo + d + len(w.weights)] = w.as_floats()
+    return out

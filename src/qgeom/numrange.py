@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.optimize import linprog
 
 from .core import PAULI_X, PAULI_Y, PAULI_Z, as_hermitian, expectation, stack_chunks
 
@@ -32,6 +30,7 @@ SEGMENT_PC_RATIO = 1e-6
 CANDIDATE_GAP = 0.2  # sweep gaps up to this are polished as flat-face candidates
 COMMON_EIGVEC_TOL = 1e-8
 POLISH_MAXITER = 400
+ONE_SHOT_TOL = 1e-9  # signed distance from 0 to the eigenvalue hull that still counts as inside
 
 
 def unit(v):
@@ -184,6 +183,8 @@ def jnr_approximate(ops, directions):
 
 def _positively_spanning(normals):
     """True iff no direction u has n_i . u <= 0 for all i (outer set bounded)."""
+    from scipy.optimize import linprog  # deferred: importing qgeom loads no scipy
+
     k = normals.shape[1]
     if len(normals) < k + 1:
         return False
@@ -396,122 +397,52 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
 
 
 # ---------------------------------------------------------------------------
-# one-shot unitary distinguishability (normal-operator polytope test)
+# one-shot unitary distinguishability (largest angular gap of the spectrum)
 
 
-def _hull_2d(points):
-    """Andrew monotone chain; returns hull vertices counterclockwise."""
-    pts = sorted(set((float(p[0]), float(p[1])) for p in points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lo, hi = [], []
-    for p in pts:
-        while len(lo) >= 2 and cross(lo[-2], lo[-1], p) <= 0:
-            lo.pop()
-        lo.append(p)
-    for p in reversed(pts):
-        while len(hi) >= 2 and cross(hi[-2], hi[-1], p) <= 0:
-            hi.pop()
-        hi.append(p)
-    return lo[:-1] + hi[:-1]
-
-
-def _closest_point_on_hull(hull):
-    """Point of the hull polygon (or point or segment) nearest the origin."""
-    best = None
-    for i in range(len(hull)):
-        a = np.asarray(hull[i])
-        b = np.asarray(hull[(i + 1) % len(hull)])
-        ab = b - a
-        t = 0.0 if ab @ ab < 1e-300 else np.clip(-(a @ ab) / (ab @ ab), 0, 1)
-        q = a + t * ab
-        d = np.linalg.norm(q)
-        if best is None or d < best[0]:
-            best = (d, q)
-    return best[1]
-
-
-def _origin_in_hull(hull, tol=1e-9):
-    """Exact-ish point-in-polygon via the hull's half-plane description."""
-    if len(hull) <= 2:
-        return bool(np.linalg.norm(_closest_point_on_hull(hull)) <= tol)
-    for i in range(len(hull)):
-        a = np.asarray(hull[i])
-        b = np.asarray(hull[(i + 1) % len(hull)])
-        edge = b - a
-        # ccw hull: the interior lies to the left of every edge
-        if edge[0] * (0 - a[1]) - edge[1] * (0 - a[0]) < -tol * max(np.linalg.norm(edge), 1e-30):
-            return False
-    return True
-
-
-def one_shot_distinguishable(u, v, tol=1e-9):
+def one_shot_distinguishable(u, v):
     """Single-shot discrimination of unitaries U, V.
 
-    Decomposes U^dag V = X + iY (a normal operator), so W(X, Y) is the
-    convex hull of the eigenvalues of U^dag V in the complex plane;
-    discrimination is possible iff that polygon contains the origin.
-    Returns (True, |psi>) with <psi|U^dag V|psi> = 0, or (False, n) with a
-    separating unit direction n.
+    U^dag V is unitary, so its numerical range is the convex hull of its
+    eigenvalues on the unit circle (Acin, PRL 87, 177901 (2001)), and
+    discrimination is possible iff that hull contains 0.  With G the
+    largest cyclic gap between the sorted eigenvalue angles, from a to b,
+    cos(G/2) is the signed distance from 0 to the chord a-b: the hull
+    contains 0 iff cos(G/2) >= -ONE_SHOT_TOL.  Otherwise the chord midpoint
+    is the hull point nearest 0.  Returns (True, |psi>) with
+    <psi|U^dag V|psi> = 0, built on a and b (0 on their chord) or on a, b
+    and the eigenvalue c nearest -(a + b)/|a + b|, which lies in the arc
+    opposite the gap; or (False, n) with the separating unit direction
+    (a + b)/|a + b|.  Eigenvectors come from the complex Schur form,
+    orthonormal even for clustered eigenvalues.
     """
+    from scipy.linalg import schur  # deferred: importing qgeom loads no scipy
+
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     d = u.shape[0]
     for name, m in (("U", u), ("V", v)):
         if m.shape != (d, d) or np.abs(m @ m.conj().T - np.eye(d)).max() > 1e-9:
             raise ValueError(f"{name} is not unitary")
-    m = u.conj().T @ v
-    # Schur of a normal matrix: unitary Q of orthonormal eigenvectors
-    t, q = schur(m, output="complex")
+    t, q = schur(u.conj().T @ v, output="complex")
     lam = np.diag(t)
-    pts = np.stack([lam.real, lam.imag], axis=1)
-    hull = _hull_2d(pts)
-    if not _origin_in_hull(hull, tol=tol):
-        return False, unit(_closest_point_on_hull(hull))
-    # Caratheodory in the plane: <= 3 eigenvalues whose hull covers 0
-    weights, chosen = _zero_combination(lam, tol)
-    psi = np.zeros(d, dtype=complex)
-    for w, i in zip(weights, chosen):
-        psi += np.sqrt(w) * q[:, i]
-    psi /= np.linalg.norm(psi)
-    return True, psi
-
-
-def _zero_combination(lam, tol):
-    """Convex weights over <= 3 eigenvalues combining to 0 in the complex plane."""
-    n = len(lam)
-    for i in range(n):
-        if abs(lam[i]) <= tol:
-            return [1.0], [i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = lam[i], lam[j]
-            den = abs(a - b) ** 2
-            if den < 1e-30:
-                continue
-            t = np.real((-b) * np.conj(a - b)) / den
-            if -1e-12 <= t <= 1 + 1e-12 and abs(t * a + (1 - t) * b) <= 10 * tol:
-                t = float(np.clip(t, 0, 1))
-                return [t, 1 - t], [i, j]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                m = np.array(
-                    [
-                        [lam[i].real, lam[j].real, lam[k].real],
-                        [lam[i].imag, lam[j].imag, lam[k].imag],
-                        [1.0, 1.0, 1.0],
-                    ]
-                )
-                try:
-                    w = np.linalg.solve(m, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                if w.min() >= -1e-10:
-                    w = np.clip(w, 0, None)
-                    return list(w / w.sum()), [i, j, k]
-    raise RuntimeError("origin reported inside hull but no convex combination found")
+    order = np.argsort(np.angle(lam))
+    theta = np.angle(lam)[order]
+    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)  # gaps[k]: from eigenvalue order[k] to the next
+    k = int(np.argmax(gaps))
+    ia, ib = order[k], order[(k + 1) % d]
+    a, b = lam[ia], lam[ib]
+    dist = np.cos(gaps[k] / 2)
+    if dist < -ONE_SHOT_TOL:
+        return False, unit([(a + b).real, (a + b).imag])
+    if abs(dist) <= ONE_SHOT_TOL:
+        # 0 on the chord: weight s on a puts s a + (1 - s) b nearest 0
+        s = float(np.clip(np.real(-b * np.conj(a - b)) / abs(a - b) ** 2, 0.0, 1.0))
+        chosen, weights = [ia, ib], np.array([s, 1 - s])
+    else:
+        ic = int(np.argmin(np.abs(lam + (a + b) / abs(a + b))))
+        chosen = [ia, ib, ic]
+        tri = np.array([lam[chosen].real, lam[chosen].imag, np.ones(3)])
+        weights = np.clip(np.linalg.solve(tri, [0.0, 0.0, 1.0]), 0.0, None)
+    psi = q[:, chosen] @ np.sqrt(weights / weights.sum())
+    return True, psi / np.linalg.norm(psi)

@@ -30,6 +30,7 @@ def variance(x, rho):
 
 POLISH_STEPS = 100  # cap on the steps of the variance polish
 PRUNE_MARGIN = 1e-9  # relative to the operator scale; far above eigensolve rounding
+ROUNDING = 4 * np.finfo(float).eps  # times dim * scale: float error of one lambda_min(X_i + Y_j)
 
 
 @dataclass
@@ -37,8 +38,9 @@ class VarianceBound:
     """Bracket [sector_bound, value] on min over states of Delta^2 X + Delta^2 Y.
 
     `value` = lambda_min((X - x*)^2 + (Y - y*)^2) at `minimizer` (x*, y*),
-    attained by its ground vector `certificate_state`; `sector_bound` is the
-    certified c of `sector_sum_bound`; c <= value <= c + delta up to rounding.
+    attained by its ground vector `certificate_state`; `sector_bound` and
+    `delta` are those of `sector_sum_bound`, so sector_bound <= value <=
+    sector_bound + delta.
     """
 
     value: float
@@ -69,7 +71,7 @@ def min_sum_variances(x, y, sector_tol=1e-4):
     if x.shape != y.shape:
         raise ValueError("operators must have equal dimensions")
     px, py = default_partition(x, sector_tol), default_partition(y, sector_tol)
-    c, (i, j) = _sector_search(x, y, px, py)
+    c, err, (i, j) = _sector_search(x, y, px, py)
     (a, b), (s, t) = px.sectors()[i], py.sectors()[j]
     psi = np.linalg.eigh(sector_bound_operator(x, a, b) + sector_bound_operator(y, s, t))[1][:, 0]
     ops, eye = np.stack([x, y]), np.eye(x.shape[0])
@@ -93,8 +95,8 @@ def min_sum_variances(x, y, sector_tol=1e-4):
         value=max(float(value), 0.0),
         minimizer=(float(point[0]), float(point[1])),
         certificate_state=np.outer(psi, psi.conj()),
-        sector_bound=c,
-        delta=px.delta + py.delta,
+        sector_bound=c - err,
+        delta=px.delta + py.delta + 2 * err,
     )
 
 
@@ -179,14 +181,18 @@ def _chord_minima(lo, hi, coord, const, slopes):
 
 
 def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
-    """(c, delta): c = min over sector pairs of lambda_min(X_i + Y_j) (see
-    `_sector_search`), and c <= min_rho (Delta^2 X + Delta^2 Y) <= c + delta
-    with delta = delta_X + delta_Y."""
-    return _sector_search(x, y, px, py)[0], px.delta + py.delta
+    """(c, delta) with c <= min_rho (Delta^2 X + Delta^2 Y) <= c + delta.
+
+    c is the least lambda_min(X_i + Y_j) over sector pairs (see
+    `_sector_search`) minus its rounding bound e, and delta = delta_X +
+    delta_Y + 2 e, so both sides hold in floating point.
+    """
+    c, err, _ = _sector_search(x, y, px, py)
+    return c - err, px.delta + py.delta + 2 * err
 
 
 def _sector_search(x, y, px: SectorPartition, py: SectorPartition):
-    """(c, (i, j)): c = lambda_min(X_i + Y_j), the least over sector pairs.
+    """(c, e, (i, j)): c = lambda_min(X_i + Y_j), the least over sector pairs.
 
     c is the same float as an eigensolve of every pair would give, found
     by branch and bound over the (i, j) index grid.  With s_i = a_i + b_i
@@ -201,7 +207,9 @@ def _sector_search(x, y, px: SectorPartition, py: SectorPartition):
     blocks whose bound exceeds the best value by PRUNE_MARGIN times the
     operator scale, and halves the rest along their longer side.  Every
     pair is thus evaluated or lies in a block whose bound exceeds c by
-    more than rounding.
+    more than rounding.  e = ROUNDING * dim * scale allows for the float
+    error of assembling X_i + Y_j and of its eigvalsh, each a small
+    multiple of dim * eps * scale.
     """
     x = as_hermitian(x)
     y = as_hermitian(y)
@@ -252,7 +260,7 @@ def _sector_search(x, y, px: SectorPartition, py: SectorPartition):
         first[np.arange(len(rows)), lo + 1] = mid
         second[np.arange(len(rows)), lo] = mid
         blocks = np.concatenate([first, second])
-    return float(best), tuple(int(k) for k in divmod(arg, n))
+    return float(best), float(ROUNDING * dim * scale), tuple(int(k) for k in divmod(arg, n))
 
 
 @dataclass

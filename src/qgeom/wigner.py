@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import KrausChannel, as_density, choi_state, is_prime, tensor
 
@@ -208,6 +207,8 @@ def wh_convertible(rho, sigma, dims):
             return k.reshape(d, d)
         return None
     # fallback: nonnegative feasibility across all cyclic shifts of W_sigma
+    from scipy.optimize import nnls  # deferred: importing qgeom loads no scipy
+
     labels = list(np.ndindex(dims))
     a = np.stack([t_s.translated(xs, qs).values.reshape(-1) for xs in labels for qs in labels], axis=1)
     # normalization row keeps sum k = 1

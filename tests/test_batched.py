@@ -36,6 +36,7 @@ from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_
 from qgeom.uncertainty import (
     SectorPartition,
     _sector_operators,
+    _sector_search,
     default_partition,
     min_sum_variances,
     paraboloid_certificate,
@@ -199,9 +200,10 @@ def test_sector_sum_bound_matches_double_loop(seed, d):
     xs = [sector_bound_operator(x, a, b) for a, b in px.sectors()]
     ys = [sector_bound_operator(y, a, b) for a, b in py.sectors()]
     c_loop = min(np.linalg.eigvalsh(xi + yj)[0] for xi in xs for yj in ys)
-    c, delta = sector_sum_bound(x, y, px, py)
+    c, err, _ = _sector_search(x, y, px, py)
     assert c == float(c_loop)
-    assert delta == px.delta + py.delta
+    # the reported bracket widens the search's float by its rounding bound on both sides
+    assert sector_sum_bound(x, y, px, py) == (c - err, px.delta + py.delta + 2 * err)
 
 
 @settings(max_examples=25, deadline=None)
@@ -251,7 +253,7 @@ def _sector_cases():
 @pytest.mark.parametrize("name, x, y", list(_sector_cases()), ids=[c[0] for c in _sector_cases()])
 def test_sector_sum_bound_branch_and_bound_is_exact(name, x, y):
     px, py = default_partition(x), default_partition(y)
-    assert sector_sum_bound(x, y, px, py)[0] == _sector_loop(x, y, px, py)
+    assert _sector_search(x, y, px, py)[0] == _sector_loop(x, y, px, py)
 
 
 def test_sector_sum_bound_eigensolves_few_pairs(monkeypatch):
@@ -267,7 +269,7 @@ def test_sector_sum_bound_eigensolves_few_pairs(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    c, _ = sector_sum_bound(jx, jy, px, py)
+    c, _, _ = _sector_search(jx, jy, px, py)
     monkeypatch.undo()
     assert sum(solved) <= 0.1 * pairs
     assert c == _sector_loop(jx, jy, px, py)
@@ -305,9 +307,7 @@ def test_min_sum_variances_matches_grid_nelder_mead(seed, d, spin):
         x, y = core.random_hermitian(d, rng), core.random_hermitian(d, rng)
     b = min_sum_variances(x, y)
     assert b.value <= _grid_nelder_mead_min(x, y) + 1e-10
-    # c carries the rounding of the sector operators, about eps times their scale
-    assert b.sector_bound <= b.value + 1e-12
-    assert b.value <= b.sector_bound + b.delta + 1e-12
+    assert b.sector_bound <= b.value <= b.sector_bound + b.delta
     at = [expectation(op, b.certificate_state) for op in (x, y)]
     np.testing.assert_allclose(at, b.minimizer, rtol=0, atol=1e-6)
     assert paraboloid_certificate(x, y, b)

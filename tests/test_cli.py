@@ -529,3 +529,16 @@ def test_usage_errors(tmp_path):
     assert run(["sep-max", "--op", op, "--dims", "2,x"]) == 2
     with pytest.raises(SystemExit):
         run(["no-such-command"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["uncertainty", "--table-j", "1", "--out"], ["gap", "--n", "8", "--csv-out"]],
+    ids=["out", "csv-out"],
+)
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "report"
+    assert run(argv + [target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from qgeom.interconvert import (
     CirculantTestReport,
@@ -381,3 +382,44 @@ def test_support_arithmetic_necessary(rng):
         rep = u1_convertible(a, b)
         if rep.convertible:
             assert a.diam >= b.diam
+
+
+def _aux_nnls(p, q, d, tol=1e-9):
+    """Reference: nonnegative least squares for q = sum_m w_m Delta^m p, with a
+    normalization row, accepted at a residual below tol."""
+    lo = min(q.offset, p.offset - d)
+    hi = max(q.offset + q.diam, p.offset + p.diam + d)
+    a = np.zeros((hi - lo + 1, 2 * d + 1))
+    for k, m in enumerate(range(-d, d + 1)):
+        a[np.array(p.support) + m - lo, k] = p.as_floats()
+    b = np.zeros(hi - lo + 1)
+    b[np.array(q.support) - lo] = q.as_floats()
+    w, _ = nnls(np.vstack([a, np.ones((1, 2 * d + 1))]), np.append(b, 1.0))
+    if np.linalg.norm(a @ w - b) > tol or abs(w.sum() - 1.0) > 1e-8:
+        return None
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(["inside", "edge", "signed", "unrelated"]))
+def test_aux_reachable_matches_nnls(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    p = random_prob(rng, max_diam=5).shifted(int(rng.integers(-3, 4)))
+    if kind == "unrelated":
+        q = random_prob(rng, max_diam=7).shifted(int(rng.integers(-3, 4)))
+    else:
+        # q = w * p for weights w on the shifts start .. start + n - 1; at "edge"
+        # the top shift is d (inside the window), d + 1 or d + 2 (outside)
+        n = int(rng.integers(1, 2 * d + 2)) if kind != "signed" else int(rng.integers(3, 6))
+        start = int(rng.integers(-d, d - n + 2)) if kind == "inside" else d - n + 1 + int(rng.integers(0, 3))
+        w = rng.random(n) + 0.05
+        if kind == "signed":  # one negative inner weight: q >= 0 but no nonnegative mixture
+            w[rng.integers(1, n - 1)] = -rng.uniform(1e-3, 0.04)
+        w /= w.sum()
+        mix = np.convolve(w, p.as_floats())
+        assume(mix.min() > 0)
+        q = pv(mix, offset=p.offset + start)
+    got, want = aux_reachable(p, q, d), _aux_nnls(p, q, d)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.abs(got - want).max() <= 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from qgeom import core
 from qgeom.core import PAULI_X, PAULI_Y, PAULI_Z
@@ -270,3 +271,35 @@ def test_one_shot_random_consistency(rng):
             lam = np.linalg.eigvals(m)
             pts = np.stack([lam.real, lam.imag], axis=1)
             assert (pts @ wit).min() > -1e-9
+
+
+def _zero_in_hull_lp(lam):
+    """Reference verdict: some convex weights w give sum w_i lambda_i = 0 (a feasibility LP)."""
+    a_eq = np.stack([lam.real, lam.imag, np.ones(len(lam))])
+    res = linprog(np.zeros(len(lam)), A_eq=a_eq, b_eq=[0.0, 0.0, 1.0], bounds=[(0, None)] * len(lam), method="highs")
+    return res.status == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from(["haar", "narrow-arc", "wide-arc"]))
+def test_one_shot_matches_the_hull_lp(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    u = core.random_unitary(d, rng)
+    if kind == "haar":
+        v = core.random_unitary(d, rng)
+    else:
+        # spectrum of U^dag V in an arc of width 0.5 pi - 0.95 pi or 1.05 pi - 1.5 pi, ends included
+        width = np.pi * (rng.uniform(0.5, 0.95) if kind == "narrow-arc" else rng.uniform(1.05, 1.5))
+        theta = rng.uniform(0, 2 * np.pi) + np.concatenate([[0.0, width], rng.uniform(0, width, d)])[:d]
+        w = core.random_unitary(d, rng)
+        v = u @ w @ np.diag(np.exp(1j * theta)) @ w.conj().T
+    m = u.conj().T @ v
+    lam = np.linalg.eigvals(m)
+    ok, wit = one_shot_distinguishable(u, v)
+    assert ok == _zero_in_hull_lp(lam)
+    if ok:
+        assert abs(np.linalg.norm(wit) - 1) < 1e-12
+        assert abs(wit.conj() @ m @ wit) < 1e-12
+    else:
+        assert abs(np.linalg.norm(wit) - 1) < 1e-12
+        assert (np.stack([lam.real, lam.imag], axis=1) @ wit).min() > 0

@@ -1,0 +1,58 @@
+"""A fresh interpreter loads no scipy module for `import qgeom.cli`, nor for
+the subcommands whose algorithms are numpy-only (scipy is imported inside
+the few functions that run it)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qgeom import core, wigner
+
+PROBE = """
+import json, sys
+from qgeom.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = scipy_modules()
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"import": after_import, "codes": codes, "runs": scipy_modules()}))
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps([{"j": "1/2", "m": "1/2", "amp": [1.0, 0.0]}]))
+    s = 1 / np.sqrt(2)
+    b.write_text(json.dumps([{"j": "0", "m": "0", "amp": [s, 0.0]}, {"j": "1", "m": "1", "amp": [s, 0.0]}]))
+    psi, phi = tmp_path / "psi.json", tmp_path / "phi.json"
+    psi.write_text(json.dumps({"amps": [[np.sqrt(p), 0.0] for p in (0.3, 0.7)]}))
+    phi.write_text(json.dumps({"amps": [[np.sqrt(p), 0.0] for p in (0.15, 0.5, 0.35)]}))
+    sigma = core.random_density(3, np.random.default_rng(9))  # full rank
+    d = wigner.wh_displacement(1, 1, (3,))
+    rho_path, sigma_path = tmp_path / "rho.json", tmp_path / "sigma.json"
+    rho_path.write_text(json.dumps(core.operator_to_json(d @ sigma @ d.conj().T)))
+    sigma_path.write_text(json.dumps(core.operator_to_json(sigma)))
+    runs = [
+        ["su2", "marvian", "--a", a, "--b", b, "--samples", "20"],
+        ["gap", "--n", "10"],
+        ["interconvert", "--psi", psi, "--phi", phi, "--aux-d", "1"],
+        ["wh-convert", "--rho", rho_path, "--sigma", sigma_path, "--dims", "3"],
+    ]
+    argvs = [[str(x) for x in argv] + ["--out", str(tmp_path / f"r{i}.json")] for i, argv in enumerate(runs)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc == {"import": [], "codes": [0, 0, 0, 0], "runs": []}
+    assert json.loads((tmp_path / "r2.json").read_text())["aux_reachable"] == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
+    assert json.loads((tmp_path / "r3.json").read_text())["convertible"] is True

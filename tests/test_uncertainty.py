@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -138,7 +140,9 @@ def test_sector_sum_refined_hits_table():
     assert v <= c + delta + 1e-9
 
 
-@pytest.mark.parametrize("x, y", [(np.eye(2), PAULI_Z), (PAULI_Z, 2.5 * np.eye(2)), (np.zeros((1, 1)), np.ones((1, 1)))])
+@pytest.mark.parametrize(
+    "x, y", [(np.eye(2), PAULI_Z), (PAULI_Z, 2.5 * np.eye(2)), (np.zeros((1, 1)), np.ones((1, 1))), spin_operators(0)[:2]]
+)
 def test_sector_bound_brackets_identity_operator(x, y):
     # an operator proportional to 1 has one eigenvalue, which must be a breakpoint
     px, py = default_partition(x), default_partition(y)
@@ -146,8 +150,22 @@ def test_sector_bound_brackets_identity_operator(x, y):
     c, delta = sector_sum_bound(x, y, px, py)
     value = min_sum_variances(x, y).value
     assert value == pytest.approx(0.0, abs=1e-12)
-    # the sector operators carry rounding of order eps, above delta = 5e-17 in 1x1
-    assert c <= value <= c + delta + 1e-15
+    # in 1x1 the best pair's float lambda_min is -1.1e-16, below -delta_X - delta_Y = -5e-17
+    assert c <= 0.0 <= c + delta
+    assert c <= value <= c + delta
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sector_bound_brackets_value_in_floating_point(seed):
+    rng = np.random.default_rng([15, seed])
+    d = 1 + seed % 6
+    if seed % 2:
+        ops = spin_operators(F(d - 1, 2))
+        x, y = ops[rng.integers(3)], ops[rng.integers(3)]
+    else:
+        x, y = core.random_hermitian(d, rng), core.random_hermitian(d, rng)
+    b = min_sum_variances(x, y)
+    assert b.sector_bound <= b.value <= b.sector_bound + b.delta
 
 
 def test_sector_refinement_monotone():

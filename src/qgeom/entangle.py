@@ -27,6 +27,7 @@ from .core import (
     partial_trace,
     partial_transpose,
     random_density,
+    random_pure,
     stack_chunks,
     tensor,
 )
@@ -72,17 +73,35 @@ class SepBounds:
 
 
 def _reduced_operator(ht, dims, factors, k):
-    """<others| H |others>: the effective operator on factor k.
+    """<others| H |others>: the effective operators on factor k, one per row.
 
-    ht carries bra axes 0..n-1 and ket axes n..2n-1; every factor i != k is
-    contracted as conj(f_i) on bra axis i and f_i on ket axis i.
+    ht carries bra axes 0..n-1 and ket axes n..2n-1; factors[i] is a stack
+    (R, d_i) of row vectors, and every factor i != k is contracted as
+    conj(f_i) on bra axis i and f_i on ket axis i.  Returns (R, d_k, d_k).
     """
     n = len(dims)
+    if n == 1:  # no other factor to contract: every row sees H itself
+        return np.broadcast_to(ht, (len(factors[0]),) + ht.shape)
+    row = 2 * n
     args = [ht, list(range(2 * n))]
     for i, f in enumerate(factors):
         if i != k:
-            args += [f.conj(), [i], f, [n + i]]
-    return np.einsum(*args, [k, n + k])
+            args += [f.conj(), [row, i], f, [row, n + i]]
+    return np.einsum(*args, [row, k, n + k])
+
+
+def _schmidt_start(h, dims):
+    """Product start from the top eigenvector psi of h by sequential SVDs:
+    factor i is the leading left singular vector of the remainder reshaped
+    to (d_i, -1), and the leading right singular vector is the next remainder."""
+    rest = np.linalg.eigh(h)[1][:, -1]
+    factors = []
+    for d in dims[:-1]:
+        u, _, vh = np.linalg.svd(rest.reshape(d, -1), full_matrices=False)
+        factors.append(u[:, 0])
+        rest = vh[0]
+    factors.append(rest)
+    return factors
 
 
 def seesaw_product_max(h, dims, restarts=32, seed=0):
@@ -90,7 +109,11 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
 
     Monotone per sweep (each factor update is an exact maximization with
     the others fixed); the best value over seeded restarts is a certified
-    lower bound for the separable maximum.
+    lower bound for the separable maximum.  All restarts advance together,
+    one stacked eigensolve per factor update; a restart retires once a
+    sweep gains less than SEESAW_TOL.  One more start, from the leading
+    Schmidt pairs of the top eigenvector, replaces the best seeded restart
+    only where it beats it by more than SEESAW_TOL.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
@@ -98,28 +121,28 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
         raise ValueError(f"need at least one restart, got {restarts}")
     ht = h.reshape(dims + dims)
     rng = np.random.default_rng(seed)
-    best_val, best_factors = -np.inf, None
-    for _ in range(restarts):
-        factors = []
-        for d in dims:
-            f = rng.normal(size=d) + 1j * rng.normal(size=d)
-            factors.append(f / np.linalg.norm(f))
-        prev = -np.inf
-        val = prev
-        for _ in range(SEESAW_SWEEPS):
-            for k in range(len(dims)):
-                red = _reduced_operator(ht, dims, factors, k)
-                w, v = np.linalg.eigh((red + red.conj().T) / 2)
-                factors[k] = v[:, -1]
-                val = float(w[-1])
-            if val - prev < SEESAW_TOL:
-                break
-            prev = val
-        if val > best_val:
-            best_val, best_factors = val, [f.copy() for f in factors]
-    witness = ProductAnsatz(tuple(best_factors))
+    starts = [[random_pure(d, rng) for d in dims] for _ in range(restarts)] + [_schmidt_start(h, dims)]
+    factors = [np.array([s[i] for s in starts]) for i in range(len(dims))]
+    val = np.full(restarts + 1, -np.inf)
+    prev = val.copy()
+    live = np.arange(restarts + 1)
+    for _ in range(SEESAW_SWEEPS):
+        for k in range(len(dims)):
+            red = _reduced_operator(ht, dims, [f[live] for f in factors], k)
+            w, v = np.linalg.eigh((red + red.conj().transpose(0, 2, 1)) / 2)
+            factors[k][live] = v[:, :, -1]
+            val[live] = w[:, -1]
+        done = val[live] - prev[live] < SEESAW_TOL
+        prev[live] = val[live]
+        live = live[~done]
+        if not live.size:
+            break
+    best = int(np.argmax(val[:restarts]))
+    if val[restarts] - val[best] > SEESAW_TOL:
+        best = restarts
+    witness = ProductAnsatz(tuple(f[best].copy() for f in factors))
     return SepBounds(
-        lower=float(best_val),
+        lower=float(val[best]),
         upper=None,
         witness=witness,
         meta={"restarts": restarts, "seed": seed},

@@ -182,20 +182,24 @@ def jnr_approximate(ops, directions):
 
 
 def _positively_spanning(normals):
-    """True iff no direction u has n_i . u <= 0 for all i (outer set bounded)."""
+    """True iff no direction u != 0 has n_i . u <= 0 for all i (outer set bounded).
+
+    The normals positively span R^k iff they have rank k and some lambda >= 1
+    gives N^T lambda = 0 (Davis, Amer. J. Math. 76 (1954)).
+    """
     from scipy.optimize import linprog  # deferred: importing qgeom loads no scipy
 
     k = normals.shape[1]
-    if len(normals) < k + 1:
+    if len(normals) < k + 1 or np.linalg.matrix_rank(normals) < k:
         return False
     res = linprog(
-        c=np.zeros(k),
-        A_ub=normals,
-        b_ub=-np.ones(len(normals)),
-        bounds=[(None, None)] * k,
+        c=np.zeros(len(normals)),
+        A_eq=normals.T,
+        b_eq=np.zeros(k),
+        bounds=[(1, None)] * len(normals),
         method="highs",
     )
-    return not res.success
+    return res.success
 
 
 def spectrahedron_contains(center, gens, y, tol=1e-9):

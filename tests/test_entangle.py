@@ -57,6 +57,61 @@ def test_seesaw_tripartite(rng):
     assert res.lower == pytest.approx(expect, rel=1e-8)
 
 
+def _per_restart_seesaw(h, dims, starts):
+    """The see-saw one start at a time: (value, factors) per start."""
+    n = len(dims)
+    ht = h.reshape(dims + dims)
+    out = []
+    for factors in starts:
+        factors = list(factors)
+        prev = val = -np.inf
+        for _ in range(entangle.SEESAW_SWEEPS):
+            for k in range(n):
+                args = [ht, list(range(2 * n))]
+                for i, f in enumerate(factors):
+                    if i != k:
+                        args += [f.conj(), [i], f, [n + i]]
+                red = np.einsum(*args, [k, n + k])
+                w, v = np.linalg.eigh((red + red.conj().T) / 2)
+                factors[k] = v[:, -1]
+                val = float(w[-1])
+            if val - prev < entangle.SEESAW_TOL:
+                break
+            prev = val
+        out.append((val, factors))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([(4,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 4)]),
+    st.integers(1, 32),
+)
+def test_lockstep_seesaw_matches_per_restart_loop(seed, dims, restarts):
+    rng = np.random.default_rng(seed)
+    h = core.random_hermitian(int(np.prod(dims)), rng)
+    draws = np.random.default_rng(seed)
+    starts = [[core.random_pure(d, draws) for d in dims] for _ in range(restarts)]
+    runs = _per_restart_seesaw(h, dims, starts + [entangle._schmidt_start(h, dims)])
+    best = max(runs[:-1], key=lambda run: run[0])  # max keeps the first of equal values
+    if runs[-1][0] - best[0] > entangle.SEESAW_TOL:
+        best = runs[-1]
+    res = seesaw_product_max(h, dims, restarts=restarts, seed=seed)
+    assert res.lower == pytest.approx(best[0], abs=1e-12)
+    for got, want in zip(res.witness.factors, best[1]):
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 456), ((2, 3), 474), ((2, 3), 898)])
+def test_schmidt_start_closes_seeded_seesaw_misses(dims, seed):
+    # eight random restarts alone stop 0.39, 0.11 and 0.30 below the product maximum here
+    h = core.random_hermitian(dims[0] * dims[1], np.random.default_rng(seed))
+    res = seesaw_product_max(h, dims, restarts=8, seed=seed)
+    assert res.lower >= qubit_qudit_sep_max(h, dims).lower - 1e-9
+    assert res.witness.expectation(h) == pytest.approx(res.lower, abs=1e-9)
+
+
 def test_qubit_qudit_product_degenerate(rng):
     x = core.random_hermitian(3, rng)
     h = tensor(np.eye(2), x)
@@ -397,7 +452,7 @@ def test_ppt_max_closes_a_direction_that_once_gave_an_infeasible_iterate():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
-@example(seed=898, dims=(2, 3))  # eight see-saw restarts stop 0.3 below the maximum here
+@example(seed=898, dims=(2, 3))  # eight random see-saw restarts alone stop 0.3 below the maximum here
 @example(seed=816, dims=(2, 3))  # the default budget of 4096 stops 3e-9 short of closing
 def test_ppt_max_bracket_against_outside_oracles(seed, dims):
     rng = np.random.default_rng(seed)
@@ -434,18 +489,20 @@ def test_ppt_by_duality_rejects_mismatched_dims():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.lists(st.integers(1, 4), min_size=2, max_size=4), st.data())
+@given(st.integers(0, 10**6), st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
 def test_reduced_operator_matches_dense_contraction(seed, dims, data):
     rng = np.random.default_rng(seed)
     dims = tuple(dims)
     h = core.random_hermitian(int(np.prod(dims)), rng)
-    factors = [core.random_pure(d, rng) for d in dims]
+    rows = data.draw(st.integers(1, 4))
+    factors = [np.array([core.random_pure(d, rng) for _ in range(rows)]) for d in dims]
     k = data.draw(st.integers(0, len(dims) - 1))
-    # <others|: the product of the other factors' columns with the identity on k
-    others = tensor(*[np.eye(d) if i == k else f[:, None] for i, (d, f) in enumerate(zip(dims, factors))])
-    dense = others.conj().T @ h @ others
     red = entangle._reduced_operator(h.reshape(dims + dims), dims, factors, k)
-    np.testing.assert_allclose(red, dense, atol=1e-12)
+    assert red.shape == (rows, dims[k], dims[k])
+    for r in range(rows):
+        # <others|: the product of the other factors' columns with the identity on k
+        others = tensor(*[np.eye(d) if i == k else f[r][:, None] for i, (d, f) in enumerate(zip(dims, factors))])
+        np.testing.assert_allclose(red[r], others.conj().T @ h @ others, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from qgeom import core
 from qgeom.core import PAULI_X, PAULI_Y, PAULI_Z
@@ -10,6 +11,7 @@ from qgeom.numrange import (
     CANDIDATE_GAP,
     CommonEigenvectorError,
     DegenerateTripleError,
+    _positively_spanning,
     classify_qutrit_jnr,
     jnr_approximate,
     one_shot_distinguishable,
@@ -118,6 +120,37 @@ def test_unbounded_flag():
     dirs = np.array([[1.0, 0.0], [0.8, 0.6], [0.8, -0.6]])
     body = jnr_approximate([PAULI_X, PAULI_Z], dirs)
     assert body.unbounded
+    # {x <= 1, -x <= 1, z <= 1} recedes along -z, where n.u = 0 for the first two
+    assert jnr_approximate([PAULI_X, PAULI_Z], [[1, 0], [-1, 0], [0, 1]]).unbounded
+    slab = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]]
+    assert jnr_approximate(PAULI3, slab).unbounded
+    assert not _positively_spanning(np.array([[1.0, 0.0], [-1.0, 0.0]]))  # rank 1 < 2
+    assert not jnr_approximate([PAULI_X, PAULI_Z], sphere_directions(2, 12)).unbounded
+    assert not jnr_approximate(PAULI3, sphere_directions(3, 40)).unbounded
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 23), min_size=1, max_size=8))
+def test_positively_spanning_in_the_plane_matches_angular_gaps(steps):
+    # angles on a 24-step grid, rounded so that opposite normals cancel exactly;
+    # the normals positively span R^2 iff every angular gap between them is below pi
+    th = 2 * np.pi * np.array(steps) / 24
+    normals = np.round(np.column_stack([np.cos(th), np.sin(th)]), 12)
+    s = np.unique(steps)
+    gaps = np.diff(np.append(s, s[0] + 24))
+    assert _positively_spanning(normals) == bool(gaps.max() < 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any), min_size=1, max_size=8))
+def test_positively_spanning_in_space_matches_the_hull(rows):
+    # the normals positively span R^3 iff 0 lies strictly inside their convex hull
+    normals = np.array(rows, dtype=float)
+    try:
+        inside = bool(np.all(ConvexHull(normals).equations[:, -1] < -1e-9))
+    except QhullError:  # fewer than four affinely independent normals: a flat hull
+        inside = False
+    assert _positively_spanning(normals) == inside
 
 
 @settings(max_examples=15, deadline=None)

@@ -270,12 +270,11 @@ def cmd_gap(args):
 def cmd_sep_max(args):
     h = load_operator(args.op)
     dims = _parse_dims(args.dims)
-    if len(dims) == 2 and dims[0] == 2:
-        b = entangle.qubit_qudit_sep_max(h, dims, directions=args.dirs)
-        tolerances = {"bracket_gap": entangle.SEP_TOL}
+    b = entangle.sep_max(h, dims, restarts=args.restarts, seed=args.seed, directions=args.dirs)
+    if b.upper is None:
+        tolerances = {"seesaw_stagnation": entangle.SEESAW_TOL}
     else:
-        b = entangle.seesaw_product_max(h, dims, restarts=args.restarts, seed=args.seed)
-        tolerances = {"seesaw_stagnation": 1e-10}
+        tolerances = {"bracket_gap": entangle.SEP_TOL}
     payload = {
         "lower": b.lower,
         "upper": b.upper,
@@ -483,8 +482,9 @@ def build_parser():
     sp.set_defaults(fn=cmd_distinguish)
 
     sp = sub.add_parser("uncertainty", help="additive variance bound")
-    sp.add_argument("--ops", default=None)
-    sp.add_argument("--table-j", default=None, help="spin pair J_X, J_Y for this j")
+    pair = sp.add_mutually_exclusive_group(required=True)
+    pair.add_argument("--ops", default=None)
+    pair.add_argument("--table-j", default=None, help="spin pair J_X, J_Y for this j")
     sp.add_argument("--sector-tol", type=float, default=1e-4)
     common(sp)
     sp.set_defaults(fn=cmd_uncertainty)

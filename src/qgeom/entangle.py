@@ -1,15 +1,13 @@
-"""Expectation-value optimization over separable, PPT, and Schmidt-rank-2
-states; separable/PPT numerical ranges; the maximum-clique hardness matrix.
+"""Expectation-value optimization over separable and PPT states;
+separable/PPT numerical ranges; the maximum-clique hardness matrix.
 
 Product maxima are NP-hard in general, so the see-saw values are certified
 lower bounds only.  On a (2, d) split the product maximum is the maximum of
 a convex function over the Bloch sphere, which a branch and bound on
-geodesic triangles brackets from both sides.  PPT maxima carry a certified
-two-sided bracket: ADMM over the state set and the PPT cone yields a PPT
-state below the maximum and a weak-duality certificate above it.
-Schmidt-rank-2 maxima come from alternating eigensolves over the two
-rank-2 factors of psi = vec(U V^T), each an exact maximization with the
-other factor fixed.
+geodesic triangles brackets from both sides; `sep_max` picks between the
+two.  PPT maxima carry a certified two-sided bracket: ADMM over the state
+set and the PPT cone yields a PPT state below the maximum and a
+weak-duality certificate above it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .core import (
     expectation,
     partial_trace,
     partial_transpose,
-    random_density,
     random_pure,
     stack_chunks,
     tensor,
@@ -35,7 +32,6 @@ from .numrange import ConvexBodyApprox, jnr_approximate, support_batch, unit
 
 # an alternating-ascent restart stops when a sweep gains less than its TOL, or after SWEEPS sweeps
 SEESAW_TOL, SEESAW_SWEEPS = 1e-10, 500
-SCHMIDT2_TOL, SCHMIDT2_SWEEPS = 1e-11, 200
 
 
 @dataclass
@@ -259,11 +255,23 @@ def _witness_from_qudit_state(h, dims, beta):
     return ProductAnsatz((v[:, -1], beta))
 
 
+def sep_max(h, dims, restarts=32, seed=0, directions=4096):
+    """Bracket on the maximum of <H> over separable states.
+
+    A (2, d) split takes the two-sided qubit_qudit_sep_max with `directions`
+    as its evaluation budget; every other split takes the see-saw lower
+    bound seesaw_product_max over `restarts` seeded restarts, with upper None.
+    """
+    if len(dims) == 2 and dims[0] == 2:
+        return qubit_qudit_sep_max(h, dims, directions=directions)
+    return seesaw_product_max(h, dims, restarts=restarts, seed=seed)
+
+
 def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     """Separable numerical range by per-direction product maximization.
 
-    Qubit-qudit systems take the certified qubit_qudit_sep_max upper bound
-    (default budget) as each outer offset, so the outer half-spaces are
+    Each outer offset is the sep_max upper bound where it is certified
+    (qubit-qudit splits, default budget), so the outer half-spaces are
     rigorous; other splits fall back to see-saw values and the outer
     description is flagged heuristic.
     """
@@ -274,21 +282,17 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
         body = jnr_approximate(ops, directions)
         body.meta["outer_rigorous"] = True
         return body
-    rigorous = len(dims) == 2 and dims[0] == 2
+    rigorous = True
     inner, normals, offsets = [], [], []
     for n in directions:
         n = unit(n)
         hn = sum(ni * xi for ni, xi in zip(n, ops))
-        if rigorous:
-            b = qubit_qudit_sep_max(hn, dims)
-            val, wit = b.upper, b.witness
-        else:
-            b = seesaw_product_max(hn, dims, restarts=restarts, seed=seed)
-            val, wit = b.lower, b.witness
-        state = np.outer(wit.vector(), wit.vector().conj())
+        b = sep_max(hn, dims, restarts=restarts, seed=seed)
+        rigorous &= b.upper is not None
+        state = np.outer(b.witness.vector(), b.witness.vector().conj())
         inner.append([expectation(x, state) for x in ops])
         normals.append(n)
-        offsets.append(val)
+        offsets.append(b.lower if b.upper is None else b.upper)
     inner = np.array(inner)
     normals = np.array(normals)
     offsets = np.array(offsets)
@@ -409,168 +413,6 @@ def ppt_numerical_range(ops, dims, directions, tol=1e-8):
         outer_normals=np.array(normals),
         outer_offsets=np.array(offsets),
         meta={"outer_rigorous": all_converged, "converged": all_converged},
-    )
-
-
-def gellmann_basis(d):
-    """Orthonormal (HS) traceless Hermitian basis of su(d), d^2 - 1 matrices."""
-    basis = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1 / np.sqrt(2)
-            basis.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j / np.sqrt(2)
-            m[j, i] = 1j / np.sqrt(2)
-            basis.append(m)
-    for k in range(1, d):
-        diag = np.zeros(d)
-        diag[:k] = 1.0
-        diag[k] = -k
-        diag /= np.sqrt(k * (k + 1))
-        basis.append(np.diag(diag).astype(complex))
-    return basis
-
-
-def ppt_dual_generators(dims):
-    """G~_i = -(mn) (G_i (+) G_i^TA): the PPT set is polar to W(G~_1, ...)."""
-    m, n = dims
-    d = m * n
-    gens = []
-    for g in gellmann_basis(d):
-        gt = partial_transpose(g, dims, 0)
-        block = np.zeros((2 * d, 2 * d), dtype=complex)
-        block[:d, :d] = -d * g
-        block[d:, d:] = -d * gt
-        gens.append(block)
-    return gens
-
-
-def ppt_duality_check(dims, samples=60, seed=0, tol=1e-7):
-    """Sampled polar-duality test: rho is PPT iff lambda_max(sum x_i G~_i) <= 1.
-
-    Parameters x_i = Tr(rho G_i) place rho in the traceless coordinate
-    system; the report counts agreements between the direct PPT test and
-    the polar membership over random mixed states.
-    """
-    dims = tuple(int(x) for x in dims)
-    d = int(np.prod(dims))
-    basis = gellmann_basis(d)
-    gens = ppt_dual_generators(dims)
-    rng = np.random.default_rng(seed)
-    agree = 0
-    results = []
-    for _ in range(samples):
-        rho = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
-        is_ppt = bool(np.linalg.eigvalsh(partial_transpose(rho, dims, 0))[0] >= -1e-10)
-        in_polar = _in_ppt_polar(rho, basis, gens, tol)
-        ok = is_ppt == in_polar
-        agree += ok
-        results.append((is_ppt, in_polar))
-    return {"agree": agree, "total": samples, "results": results}
-
-
-def _in_ppt_polar(rho, basis, gens, tol):
-    """lambda_max(sum_i Tr(rho G_i) G~_i) <= 1 + tol: rho lies in the polar of W(G~)."""
-    x = np.array([expectation(b, rho) for b in basis])
-    m = sum(xi * gi for xi, gi in zip(x, gens))
-    return bool(np.linalg.eigvalsh(m)[-1] <= 1 + tol)
-
-
-def is_ppt_by_duality(rho, dims, tol=1e-8):
-    """Polar-membership PPT test for a single state (spectrahedron duality route)."""
-    dims = check_dims(dims, rho.shape[0])
-    return _in_ppt_polar(rho, gellmann_basis(rho.shape[0]), ppt_dual_generators(dims), tol)
-
-
-# ---------------------------------------------------------------------------
-# Schmidt-rank-2 maximization
-
-
-def _two_level_top(h, psi, phi):
-    """Top eigenvalue/vector of H restricted to span{psi, phi}."""
-    hpp = np.real(psi.conj() @ h @ psi)
-    hqq = np.real(phi.conj() @ h @ phi)
-    hpq = psi.conj() @ h @ phi
-    m = np.array([[hpp, hpq], [np.conj(hpq), hqq]])
-    w, v = np.linalg.eigh(m)
-    return float(w[-1]), v[:, -1]
-
-
-@dataclass
-class Schmidt2Result:
-    value: float
-    pair: tuple  # (ProductAnsatz psi, ProductAnsatz phi), orthogonal on both factors
-    mixing_angle: float
-    chi: float
-
-
-def _top_factor(m, d, r):
-    """Top eigenvalue of a (d r) x (d r) contraction and its eigenvector as a d x r factor."""
-    w, v = np.linalg.eigh(m.reshape(d * r, d * r))
-    return float(w[-1]), v[:, -1].reshape(d, r)
-
-
-def schmidt2_max(h, dims, restarts=16, seed=0):
-    """Heuristic maximum of <H> over Schmidt-rank-2 pure states.
-
-    A Schmidt-rank-<=2 state is psi = vec(U V^T) with U of size d_A x r and
-    V of size d_B x r, r = min(2, d_A, d_B).  Once V's columns are
-    orthonormal, <psi|H|psi> is a Hermitian form in U with identity Gram
-    matrix, so the top eigenvector of H contracted with V is the exact
-    maximizer over U; likewise for V with U fixed.  Each half-step maximizes
-    over a set that contains the current state, so sweeps are monotone; when
-    min(d_A, d_B) <= 2 one half-step spans the whole space and returns
-    lambda_max(H).  The SVD of the best U V^T gives the pair |a1 b1>, |a2 b2>,
-    orthogonal on both factors (a factor of dimension 1 reuses its only
-    vector).  The doubled-space swap functional chi is evaluated at the
-    optimum and must agree with the two-level eigenvalue.
-    """
-    h = as_hermitian(h)
-    dims = check_dims(dims, h.shape[0])
-    if len(dims) != 2 or h.shape[0] < 2:
-        # the pair |a1 b1>, |a2 b2> must be orthogonal, which C^1 (x) C^1 cannot hold
-        raise ValueError("schmidt2_max requires a bipartite split of dimension >= 2")
-    da, db = dims
-    r = min(2, da, db)
-    ht = h.reshape(dims + dims)
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        u, v = (rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)) for d in dims)
-        lam, prev = -np.inf, -np.inf
-        for _ in range(SCHMIDT2_SWEEPS):
-            v, _ = np.linalg.qr(v)
-            lam, u = _top_factor(np.einsum("jk,ijlm,mn->ikln", v.conj(), ht, v), da, r)
-            u, _ = np.linalg.qr(u)
-            lam, v = _top_factor(np.einsum("ik,ijlm,ln->jkmn", u.conj(), ht, u), db, r)
-            if lam - prev < SCHMIDT2_TOL:
-                break
-            prev = lam
-        if best is None or lam > best[0]:
-            best = (lam, u @ v.T)
-    a, _, bh = np.linalg.svd(best[1])
-    a1, a2 = a[:, 0], a[:, min(1, da - 1)]
-    b1, b2 = bh[0], bh[min(1, db - 1)]
-    psi_v = np.kron(a1, b1)
-    phi_v = np.kron(a2, b2)
-    lam, c = _two_level_top(h, psi_v, phi_v)
-    # doubled-space swap functional at the found point: chi recovers the
-    # two-level eigenvalue through <psi x phi|(H x H) SWAP|psi x phi>
-    #   = |<psi|H|phi>|^2, entering under the root with a factor 4
-    e_psi = float(np.real(psi_v.conj() @ h @ psi_v))
-    e_phi = float(np.real(phi_v.conj() @ h @ phi_v))
-    swap_term = abs(psi_v.conj() @ h @ phi_v) ** 2
-    chi = 0.5 * (e_psi + e_phi + np.sqrt(4 * swap_term + (e_psi - e_phi) ** 2))
-    if abs(chi - lam) > 1e-8 * max(1.0, abs(lam)):
-        raise RuntimeError(f"chi functional {chi} disagrees with two-level value {lam}")
-    angle = float(np.arctan2(abs(c[1]), abs(c[0])))
-    return Schmidt2Result(
-        value=float(lam),
-        pair=(ProductAnsatz((a1, b1)), ProductAnsatz((a2, b2))),
-        mixing_angle=angle,
-        chi=float(chi),
     )
 
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numrange import sphere_directions, support_batch
-
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
 DENSE_LIMIT = 512  # largest dimension diagonalized densely for eigenpairs
@@ -472,35 +470,3 @@ def true_gap(h):
     if len(above) == 0:
         return 0.0
     return float(above[0] - w[0])
-
-
-def cusp_decomposition_check(x, y, psi, n_dirs=120, tol=1e-8, hull_tol=1e-6):
-    """True iff psi is a common eigenvector of X and Y; verifies the split.
-
-    On success the operators block-decompose against psi and the range is
-    conv(W(X_0,Y_0) u W(X_perp,Y_perp)); checked on sampled directions via
-    support functions.
-    """
-    dirs = sphere_directions(2, n_dirs)
-    xd = x.toarray() if hasattr(x, "toarray") else np.asarray(x, dtype=complex)
-    yd = y.toarray() if hasattr(y, "toarray") else np.asarray(y, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    scale = max(np.abs(xd).max(), np.abs(yd).max(), 1.0)
-    ex = float(np.real(psi.conj() @ xd @ psi))
-    ey = float(np.real(psi.conj() @ yd @ psi))
-    if (
-        np.linalg.norm(xd @ psi - ex * psi) > tol * scale
-        or np.linalg.norm(yd @ psi - ey * psi) > tol * scale
-    ):
-        return False
-    # orthonormal complement of psi
-    d = len(psi)
-    q, _ = np.linalg.qr(np.column_stack([psi, np.eye(d)]))
-    comp = q[:, 1:d]
-    xp = comp.conj().T @ xd @ comp
-    yp = comp.conj().T @ yd @ comp
-    h_full = support_batch([xd, yd], dirs).values
-    h_perp = support_batch([xp, yp], dirs).values
-    h_point = dirs @ np.array([ex, ey])
-    return bool(np.all(np.abs(h_full - np.maximum(h_point, h_perp)) <= hull_tol * scale))

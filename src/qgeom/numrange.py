@@ -202,14 +202,6 @@ def _positively_spanning(normals):
     return res.success
 
 
-def spectrahedron_contains(center, gens, y, tol=1e-9):
-    """Membership y in Spec(center; gens): lambda_min(center + sum y_i G_i) >= -tol."""
-    m = as_hermitian(center).astype(complex)
-    for yi, g in zip(np.asarray(y, dtype=float), gens):
-        m = m + yi * as_hermitian(g)
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol)
-
-
 # ---------------------------------------------------------------------------
 # qutrit classification (numeric realization of the e/s face census)
 

@@ -378,12 +378,3 @@ def zeta_channel_simplex(x0, x1):
         choi_min_eig=float(w[0]),
         x=(float(x0), float(x1)),
     )
-
-
-def antiunitary_point_map(rho):
-    """The covariant non-CP map (R rho R^dag)^T with R = exp(i pi J_Y), j = 1.
-
-    R is the real signed permutation |m> -> (-1)^(1-m) |-m> (descending m).
-    """
-    r = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=float)
-    return (r @ rho @ r.T).T

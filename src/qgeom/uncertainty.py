@@ -1,11 +1,10 @@
-"""Tight additive uncertainty bounds and the uncertainty-range cover.
+"""Tight additive uncertainty bounds.
 
 The minimum of Delta^2 X + Delta^2 Y over all states equals the minimum
 over real (x, y) of lambda_min((X - x)^2 + (Y - y)^2).  Linear sector
-approximants of variance bracket it (a branch and bound over sector pairs
-gives the certified c, a polish from the best pair an attained value in
-[c, c + delta]) and cover the nonconvex uncertainty range by a union of
-ordinary numerical ranges with a certified padding.
+approximants of variance bracket it: a branch and bound over sector pairs
+gives the certified c, and a polish from the best pair an attained value
+in [c, c + delta].
 """
 
 from __future__ import annotations
@@ -14,18 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_density, as_hermitian, expectation, stack_chunks
-from .numrange import ConvexBodyApprox, jnr_approximate, sphere_directions, support_batch
-
-
-def variance(x, rho):
-    """<X^2> - <X>^2 over rho, clipped at zero against rounding."""
-    x = as_hermitian(x)
-    rho = np.asarray(rho, dtype=complex)
-    v = expectation(x @ x, rho) - expectation(x, rho) ** 2
-    if v < -1e-12:
-        raise ValueError(f"variance evaluated to {v}")
-    return max(v, 0.0)
+from .core import as_density, as_hermitian, stack_chunks
 
 
 POLISH_STEPS = 100  # cap on the steps of the variance polish
@@ -38,9 +26,10 @@ class VarianceBound:
     """Bracket [sector_bound, value] on min over states of Delta^2 X + Delta^2 Y.
 
     `value` = lambda_min((X - x*)^2 + (Y - y*)^2) at `minimizer` (x*, y*),
-    attained by its ground vector `certificate_state`; `sector_bound` and
-    `delta` are those of `sector_sum_bound`, so sector_bound <= value <=
-    sector_bound + delta.
+    attained by its ground vector `certificate_state`.  `sector_bound` is
+    c - e and `delta` is delta_X + delta_Y + 2 e, for c and e from
+    `_sector_search` and the partitions' deltas, so sector_bound <= value <=
+    sector_bound + delta holds in floating point.
     """
 
     value: float
@@ -180,17 +169,6 @@ def _chord_minima(lo, hi, coord, const, slopes):
     return (slopes[:, :, None] * u[:, None, :] + const[idx][:, None, :]).min(axis=2)
 
 
-def sector_sum_bound(x, y, px: SectorPartition, py: SectorPartition):
-    """(c, delta) with c <= min_rho (Delta^2 X + Delta^2 Y) <= c + delta.
-
-    c is the least lambda_min(X_i + Y_j) over sector pairs (see
-    `_sector_search`) minus its rounding bound e, and delta = delta_X +
-    delta_Y + 2 e, so both sides hold in floating point.
-    """
-    c, err, _ = _sector_search(x, y, px, py)
-    return c - err, px.delta + py.delta + 2 * err
-
-
 def _sector_search(x, y, px: SectorPartition, py: SectorPartition):
     """(c, e, (i, j)): c = lambda_min(X_i + Y_j), the least over sector pairs.
 
@@ -261,56 +239,3 @@ def _sector_search(x, y, px: SectorPartition, py: SectorPartition):
         second[np.arange(len(rows)), lo] = mid
         blocks = np.concatenate([first, second])
     return float(best), float(ROUNDING * dim * scale), tuple(int(k) for k in divmod(arg, n))
-
-
-@dataclass
-class UncertaintyCover:
-    """Union of sector numerical ranges covering the uncertainty range V(X, Y)."""
-
-    bodies: list  # ConvexBodyApprox per sector pair
-    delta_x: float
-    delta_y: float
-
-    def contains(self, point, tol=1e-9):
-        """Membership of a (Delta^2 X, Delta^2 Y) pair in the padded union.
-
-        Uses the outer half-space description padded by the Minkowski
-        rectangle [0, delta_x] x [0, delta_y]: h_{W + R}(n) = h_W(n) + h_R(n).
-        """
-        p = np.asarray(point, dtype=float)
-        for body in self.bodies:
-            pad = self.delta_x * np.clip(body.outer_normals[:, 0], 0, None)
-            pad = pad + self.delta_y * np.clip(body.outer_normals[:, 1], 0, None)
-            if np.all(body.outer_normals @ p <= body.outer_offsets + pad + tol):
-                return True
-        return False
-
-
-def uncertainty_range_cover(x, y, px: SectorPartition, py: SectorPartition, directions=None):
-    """The family {W(X_i, Y_j)} whose padded union covers V(X, Y)."""
-    x = as_hermitian(x)
-    y = as_hermitian(y)
-    if directions is None:
-        directions = sphere_directions(2, 180)
-    xs, ys = _sector_operators(x, px)[0], _sector_operators(y, py)[0]
-    bodies = [jnr_approximate([xi, yj], directions) for xi in xs for yj in ys]
-    return UncertaintyCover(bodies=bodies, delta_x=px.delta, delta_y=py.delta)
-
-
-def paraboloid_certificate(x, y, bound: VarianceBound, directions=None, tol=1e-6):
-    """Tangency check of the bound against W(X, Y, X^2 + Y^2).
-
-    Over sampled boundary states, <X^2 + Y^2> - <X>^2 - <Y>^2 must stay
-    above the bound, and the certificate state must attain it.
-    """
-    x = as_hermitian(x)
-    y = as_hermitian(y)
-    ssq = x @ x + y @ y
-    if directions is None:
-        directions = sphere_directions(3, 600)
-    p = support_batch([x, y, ssq], directions).points
-    lo = (p[:, 2] - p[:, 0] ** 2 - p[:, 1] ** 2).min()
-    if lo < bound.value - tol:
-        return False
-    attained = variance(x, bound.certificate_state) + variance(y, bound.certificate_state)
-    return bool(abs(attained - bound.value) <= tol)

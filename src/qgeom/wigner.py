@@ -93,13 +93,6 @@ def _factorwise(t, dims, axes):
     return t
 
 
-def phase_point(x, q, dims):
-    """Phase-point operator A_{x,q} = D A_{0,0} D^dag (Hermitian, trace 1)."""
-    dims = check_wh_dims(dims)
-    xs, qs = _as_tuple(x, dims), _as_tuple(q, dims)
-    return tensor(*[_phase_points(p)[xi, qi] for xi, qi, p in zip(xs, qs, dims)])
-
-
 @dataclass
 class WignerTable:
     """Real quasiprobability table W(x, q) = Tr(rho A_{x,q}) / d."""

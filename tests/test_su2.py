@@ -8,7 +8,6 @@ from qgeom import core
 from qgeom.su2 import (
     GroupElement,
     SpinKet,
-    antiunitary_point_map,
     characteristic_function,
     clebsch_gordan,
     haar_quaternions,
@@ -277,6 +276,15 @@ def test_zeta_simplex_rejects_antiunitary_point():
     rep = zeta_channel_simplex(-1.0, -2.0)
     assert not rep.is_cptp
     assert rep.choi_min_eig < -0.1
+
+
+def antiunitary_point_map(rho):
+    """The covariant non-CP map (R rho R^dag)^T with R = exp(i pi J_Y), j = 1.
+
+    R is the real signed permutation |m> -> (-1)^(1-m) |-m> (descending m).
+    """
+    r = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=float)
+    return (r @ rho @ r.T).T
 
 
 def test_antiunitary_point_matches_simplex_combination(rng):

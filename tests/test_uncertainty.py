@@ -6,19 +6,63 @@ from scipy.optimize import minimize
 
 from qgeom import core
 from qgeom.core import PAULI_X, PAULI_Z, spin_operators
-from qgeom.numrange import sphere_directions
+from qgeom.numrange import jnr_approximate, sphere_directions, support_batch
 from qgeom.uncertainty import (
     SectorPartition,
+    _sector_operators,
+    _sector_search,
     default_partition,
     min_sum_variances,
-    paraboloid_certificate,
     sector_bound_operator,
-    sector_sum_bound,
-    uncertainty_range_cover,
-    variance,
 )
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+
+
+def variance(x, rho):
+    """<X^2> - <X>^2 over rho, clipped at zero against rounding."""
+    x = core.as_hermitian(x)
+    rho = np.asarray(rho, dtype=complex)
+    v = core.expectation(x @ x, rho) - core.expectation(x, rho) ** 2
+    if v < -1e-12:
+        raise ValueError(f"variance evaluated to {v}")
+    return max(v, 0.0)
+
+
+def paraboloid_certificate(x, y, bound, directions=None):
+    """Tangency check of the bound against W(X, Y, X^2 + Y^2).
+
+    Over sampled boundary states, <X^2 + Y^2> - <X>^2 - <Y>^2 must stay
+    above the bound, and the certificate state must attain it.
+    """
+    x = core.as_hermitian(x)
+    y = core.as_hermitian(y)
+    if directions is None:
+        directions = sphere_directions(3, 600)
+    p = support_batch([x, y, x @ x + y @ y], directions).points
+    if (p[:, 2] - p[:, 0] ** 2 - p[:, 1] ** 2).min() < bound.value - 1e-6:
+        return False
+    attained = variance(x, bound.certificate_state) + variance(y, bound.certificate_state)
+    return bool(abs(attained - bound.value) <= 1e-6)
+
+
+def sector_ranges(x, y, px, py):
+    """W(X_i, Y_j) for every sector pair (i, j) of the partitions px, py."""
+    xs, ys = _sector_operators(x, px)[0], _sector_operators(y, py)[0]
+    return [jnr_approximate([xi, yj], sphere_directions(2, 180)) for xi in xs for yj in ys]
+
+
+def in_padded_cover(bodies, px, py, points, tol):
+    """Per (Delta^2 X, Delta^2 Y) point: membership in the union of the sector
+    ranges, each padded by the Minkowski rectangle [0, delta_X] x [0, delta_Y]
+    through its outer half-spaces, h_{W + R}(n) = h_W(n) + h_R(n)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    inside = np.zeros(len(pts), dtype=bool)
+    for body in bodies:
+        n = body.outer_normals
+        pad = px.delta * np.clip(n[:, 0], 0, None) + py.delta * np.clip(n[:, 1], 0, None)
+        inside |= np.all(pts @ n.T <= body.outer_offsets + pad + tol, axis=1)
+    return inside
 
 
 def test_variance_eigenstate_zero():
@@ -114,25 +158,26 @@ def test_sector_sum_single_sector_coarse():
 
     px = SectorPartition((-1.0, 1.0))
     py = SectorPartition((-1.0, 1.0))
-    c, delta = sector_sum_bound(PAULI_X, PAULI_Y, px, py)
+    c, _, _ = _sector_search(PAULI_X, PAULI_Y, px, py)
     coarse = np.linalg.eigvalsh(
         sector_bound_operator(PAULI_X, -1, 1) + sector_bound_operator(PAULI_Y, -1, 1)
     )[0]
     assert c == pytest.approx(coarse)
-    assert delta == pytest.approx(2.0)
+    assert px.delta + py.delta == pytest.approx(2.0)
 
 
 def test_sector_sum_rejects_partition_missing_eigenvalue():
     jx, jy, _ = spin_operators(1)
     with pytest.raises(ValueError):
-        sector_sum_bound(jx, jy, SectorPartition((-1.0, 1.0)), SectorPartition((-1.0, 0.0, 1.0)))
+        _sector_search(jx, jy, SectorPartition((-1.0, 1.0)), SectorPartition((-1.0, 0.0, 1.0)))
 
 
 def test_sector_sum_refined_hits_table():
     jx, jy, _ = spin_operators(1)
     px = default_partition(jx, tol=2.5e-4)
     py = default_partition(jy, tol=2.5e-4)
-    c, delta = sector_sum_bound(jx, jy, px, py)
+    c, _, _ = _sector_search(jx, jy, px, py)
+    delta = px.delta + py.delta
     assert delta < 1e-3
     assert abs(c - 7 / 16) < 1e-3
     v = min_sum_variances(jx, jy).value
@@ -147,8 +192,8 @@ def test_sector_bound_brackets_identity_operator(x, y):
     # an operator proportional to 1 has one eigenvalue, which must be a breakpoint
     px, py = default_partition(x), default_partition(y)
     assert px.covers(x) and py.covers(y)
-    c, delta = sector_sum_bound(x, y, px, py)
-    value = min_sum_variances(x, y).value
+    b = min_sum_variances(x, y)
+    c, delta, value = b.sector_bound, b.delta, b.value
     assert value == pytest.approx(0.0, abs=1e-12)
     # in 1x1 the best pair's float lambda_min is -1.1e-16, below -delta_X - delta_Y = -5e-17
     assert c <= 0.0 <= c + delta
@@ -174,7 +219,7 @@ def test_sector_refinement_monotone():
     for tol in (0.5, 0.1, 0.01):
         px = default_partition(jx, tol=tol)
         py = default_partition(jy, tol=tol)
-        c, _ = sector_sum_bound(jx, jy, px, py)
+        c, _, _ = _sector_search(jx, jy, px, py)
         assert c >= prev - 1e-9
         prev = c
 
@@ -182,27 +227,27 @@ def test_sector_refinement_monotone():
 def test_cover_commuting_contains_origin():
     x = np.diag([0.0, 1.0]).astype(complex)
     y = np.diag([1.0, 0.0]).astype(complex)
-    cover = uncertainty_range_cover(x, y, default_partition(x, 0.01), default_partition(y, 0.01))
-    assert cover.contains((0.0, 0.0), tol=1e-8)
+    px, py = default_partition(x, 0.01), default_partition(y, 0.01)
+    assert in_padded_cover(sector_ranges(x, y, px, py), px, py, (0.0, 0.0), tol=1e-8).all()
 
 
 def test_cover_contains_sampled_variances(rng):
+    # the uncertainty range V(X, Y) lies in the padded union of the sector ranges
     jx, jy, _ = spin_operators(1)
     px = default_partition(jx, tol=0.02)
     py = default_partition(jy, tol=0.02)
-    cover = uncertainty_range_cover(jx, jy, px, py)
+    pts = []
     for _ in range(10000):
         psi = core.random_pure(3, rng)
         rho = np.outer(psi, psi.conj())
-        pt = (variance(jx, rho), variance(jy, rho))
-        assert cover.contains(pt, tol=1e-8)
+        pts.append((variance(jx, rho), variance(jy, rho)))
+    assert in_padded_cover(sector_ranges(jx, jy, px, py), px, py, pts, tol=1e-8).all()
 
 
 def test_cover_degenerate_y_axis():
     x = PAULI_Z.astype(complex)
     y = np.zeros((2, 2), dtype=complex)
-    cover = uncertainty_range_cover(x, y, default_partition(x, 0.05), default_partition(y, 0.05))
-    for body in cover.bodies:
+    for body in sector_ranges(x, y, default_partition(x, 0.05), default_partition(y, 0.05)):
         assert np.abs(body.inner_vertices[:, 1]).max() < 1e-7
 
 

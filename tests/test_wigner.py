@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgeom import core
-from qgeom.core import KrausChannel, apply_channel
+from qgeom.core import KrausChannel, apply_channel, tensor
 from qgeom.wigner import (
     WignerTable,
     apply_transition,
     channel_transition,
-    phase_point,
+    check_wh_dims,
     state_of,
     wh_convertible,
     wh_displacement,
     wigner_of,
+    _as_tuple,
+    _phase_points,
 )
 
 
@@ -65,6 +67,13 @@ def test_dims_validation():
         wh_displacement((0, 0), (0, 0), (3, 3))
     with pytest.raises(ValueError):
         wigner_of(np.eye(4) / 4, (2, 2))
+
+
+def phase_point(x, q, dims):
+    """Phase-point operator A_{x,q} = D A_{0,0} D^dag (Hermitian, trace 1)."""
+    dims = check_wh_dims(dims)
+    xs, qs = _as_tuple(x, dims), _as_tuple(q, dims)
+    return tensor(*[_phase_points(p)[xi, qi] for xi, qi, p in zip(xs, qs, dims)])
 
 
 def test_phase_point_properties():

@@ -100,20 +100,15 @@ def partial_transpose(m, dims, which):
 
 
 def expectation(x, rho, imag_tol=1e-10):
-    """<X>_rho = Tr X rho; the tiny imaginary residue is checked and dropped.
-
-    rho may also be a stack (..., d, d) of operators; the values then come
-    back as an array of the stack's leading shape.
-    """
+    """<X>_rho = Tr X rho; the tiny imaginary residue is checked and dropped."""
     x = np.asarray(x, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if x.shape != rho.shape[-2:]:
+    if x.shape != rho.shape:
         raise ValueError(f"dimension mismatch {x.shape} vs {rho.shape}")
-    val = np.trace(x @ rho, axis1=-2, axis2=-1)
-    residue = np.abs(val.imag) > imag_tol * np.maximum(np.abs(val), 1.0)
-    if residue.any():
-        raise ValueError(f"expectation value has imaginary residue {np.abs(val.imag).max()}")
-    return float(val.real) if val.ndim == 0 else val.real
+    val = np.trace(x @ rho)
+    if abs(val.imag) > imag_tol * max(abs(val), 1.0):
+        raise ValueError(f"expectation value has imaginary residue {val.imag}")
+    return float(val.real)
 
 
 def hs_distance(x, y):

@@ -5,10 +5,12 @@ Two ground-state solvers share the curve and the bisection:
 
 - Exact diagonalization of any `SpinChainSpec` (up to MAX_SITES sites), the
   oracle.  Operators are scipy CSR matrices assembled directly from Pauli
-  strings as signed permutations.  Extremal eigenpairs are dense up to 2^9
-  and seeded Lanczos above; the Lanczos path never densifies.  Full spectra
-  are computed per invariant block (connected component of the sparsity
-  graph) and capped at 2^12.
+  strings as signed permutations.  Every solve runs per invariant block
+  (connected component of the sparsity graph; for the XY chain and its
+  witness, the two sectors of the parity prod Z).  Extremal eigenpairs of a
+  block are dense up to DENSE_LIMIT (all blocks of one size in one stacked
+  eigh) and seeded Lanczos above; the Lanczos path never densifies.  Full
+  spectra are capped at 2^12.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas
   (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
   Lieb, Schultz, Mattis 1961).  A state is the covariance matrix
@@ -27,7 +29,12 @@ import numpy as np
 
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
-DENSE_LIMIT = 512  # largest dimension diagonalized densely for eigenpairs
+# largest block diagonalized densely for eigenpairs: dense eigh and seeded Lanczos both take
+# about 7 ms on a 192-dimensional block (x86-64, one BLAS thread); at 256 Lanczos is twice as fast
+DENSE_LIMIT = 192
+# block minima this close (relative) are one level: exact ties round to about 1e-14 relative, and a
+# window as wide as the 1e-9 degeneracy one would move the bisection off a crossing between blocks
+TIE_TOL = 1e-12
 FULL_SPECTRUM_LIMIT = 4096
 
 
@@ -212,8 +219,47 @@ def _lowest_levels(m):
     return w[order], v[:, order]
 
 
+def _invariant_blocks(*mats):
+    """Index arrays of the invariant blocks shared by sparse matrices, ordered by smallest index.
+
+    The blocks are the connected components of the sparsity graph of
+    sum |M| (abs keeps purely imaginary couplings, which a real cast would
+    drop, and a sum of absolute values cancels no coupling).
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    n_blocks, labels = connected_components(sum(abs(m) for m in mats), directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    return sorted(blocks, key=lambda b: b[0])
+
+
+def _block_stacks(mats, blocks):
+    """Dense (len(blocks), s, s) stacks of each matrix's diagonal blocks on equal-size index arrays."""
+    idx = np.stack(blocks)
+    slot = np.full(mats[0].shape[0], -1)
+    pos = np.zeros_like(slot)
+    slot[idx] = np.arange(len(idx))[:, None]
+    pos[idx] = np.arange(idx.shape[1])
+    stacks = []
+    for m in mats:
+        m = m.tocoo()
+        keep = slot[m.row] >= 0  # blocks are invariant, so the column lies in the same block
+        r, c = m.row[keep], m.col[keep]
+        stack = np.zeros((*idx.shape, idx.shape[1]), dtype=m.dtype)
+        np.add.at(stack, (slot[r], pos[r], pos[c]), m.data[keep])
+        stacks.append(stack)
+    return idx, stacks
+
+
 class _SparseGround:
-    """Ground vectors of H + lambda*V by exact diagonalization."""
+    """Ground vectors of H + lambda*V by exact diagonalization, one invariant block at a time.
+
+    The blocks of |H| + |V| are found once.  Blocks up to DENSE_LIMIT are
+    diagonalized densely, all blocks of one size in one stacked eigh, and
+    larger ones by seeded Lanczos; the four lowest levels over all blocks
+    are merged.
+    """
 
     def __init__(self, h, v):
         import scipy.sparse as sp
@@ -222,12 +268,47 @@ class _SparseGround:
             raise ValueError("H and V must have equal dimensions")
         self.h = sp.csr_matrix(h)
         self.v = sp.csr_matrix(v)
-        self.method = "dense" if self.h.shape[0] <= DENSE_LIMIT else "lanczos"
+        self.blocks = _invariant_blocks(self.h, self.v)
+        sizes = np.array([len(b) for b in self.blocks])
+        self.method = "dense" if sizes.max() <= DENSE_LIMIT else "lanczos"
+        # (block numbers, indices, stacked H, stacked V) per block size up to DENSE_LIMIT
+        self.dense = []
+        for size in np.unique(sizes[sizes <= DENSE_LIMIT]):
+            nums = np.flatnonzero(sizes == size)
+            idx, (hs, vs) = _block_stacks((self.h, self.v), [self.blocks[k] for k in nums])
+            self.dense.append((nums, idx, hs, vs))
+        self.sparse = [
+            (k, b, self.h[b][:, b], self.v[b][:, b]) for k, b in enumerate(self.blocks) if len(b) > DENSE_LIMIT
+        ]
 
     def _levels(self, lam):
-        # lowest levels of H + lam V and their degeneracy window 1e-9 * max(|E0|, 1), as on the fermion path
-        w, vecs = _lowest_levels(self.h + lam * self.v)
-        return w, vecs, 1e-9 * max(abs(w[0]), 1.0)
+        """Four lowest levels of H + lam V over all blocks and their degeneracy window.
+
+        The window is 1e-9 * max(|E0|, 1), as on the fermion path.  Levels
+        within TIE_TOL * max(|E0|, 1) of the lowest come first in block
+        order, so that rounding does not decide between exactly degenerate
+        blocks (the two parity sectors of the XY chain at gamma = 1).
+        """
+        solved = []  # (block numbers, indices (m, s), eigenvalues (m, r), eigenvectors (m, s, r))
+        for nums, idx, hs, vs in self.dense:
+            w, u = np.linalg.eigh(hs + lam * vs)
+            solved.append((nums, idx, w[:, :4], u[:, :, :4]))
+        for k, b, hb, vb in self.sparse:
+            w, u = _lowest_levels(hb + lam * vb)
+            solved.append(([k], b[None], w[None], u[None]))
+        vals = np.concatenate([w.ravel() for _, _, w, _ in solved])
+        blks = np.concatenate([np.repeat(nums, w.shape[1]) for nums, _, w, _ in solved])
+        src = np.concatenate([np.full(w.size, i) for i, (_, _, w, _) in enumerate(solved)])
+        at = np.concatenate([np.arange(w.size) for _, _, w, _ in solved])
+        scale = max(abs(vals.min()), 1.0)
+        near = vals < vals.min() + TIE_TOL * scale
+        order = np.lexsort((vals, np.where(near, blks, 0), ~near))[:4]
+        vecs = np.zeros((self.h.shape[0], len(order)), dtype=np.result_type(*[u for *_, u in solved]))
+        for j, c in enumerate(order):
+            _, idx, w, u = solved[src[c]]
+            row, level = divmod(int(at[c]), w.shape[1])
+            vecs[idx[row], j] = u[row, :, level]
+        return vals[order], vecs, 1e-9 * scale
 
     def solve(self, lam):
         """(E0, ground level degenerate, ground vector)."""
@@ -383,7 +464,7 @@ class GapReport:
     consistent: bool | None  # true_gap <= epsilon + 1e-6 when both known
     plateau_drift: float  # max |<H>_lambda - <H>_0| over the plateau
     transient_crossings: int  # overlap dips that recovered before lambda*
-    method: str  # ground-state solver: "fermion", "dense" or "lanczos"
+    method: str  # ground-state solver: "fermion", "dense" or "lanczos" (ED: "lanczos" if any block is)
     solves: int  # ground-state solves of the curve and the bisection
 
 
@@ -447,8 +528,7 @@ def true_gap(h):
 
     For a Majorana form this is the smallest mode energy eps_k above the
     threshold.  Otherwise the spectrum is the union of the spectra of the
-    invariant blocks: the connected components of the sparsity graph of |H|
-    (abs keeps purely imaginary couplings, which a real cast would drop).
+    invariant blocks of H (`_invariant_blocks`).
     """
     if isinstance(h, MajoranaForm):
         eps = np.linalg.eigvalsh(1j * h.a)[len(h.a) // 2 :]
@@ -456,15 +536,11 @@ def true_gap(h):
         return float(above[0]) if len(above) else 0.0
 
     import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
 
     hs = sp.csr_matrix(h)
     if hs.shape[0] > FULL_SPECTRUM_LIMIT:
         raise ChainTooLargeError("full-spectrum solve capped at dimension 4096")
-    n_blocks, labels = connected_components(abs(hs), directed=False)
-    order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(hs[b][:, b].toarray()) for b in blocks]))
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(hs[b][:, b].toarray()) for b in _invariant_blocks(hs)]))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     above = w[w > w[0] + 1e-9 * scale]
     if len(above) == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PAULI_X, PAULI_Y, PAULI_Z, as_hermitian, expectation, stack_chunks
+from .core import PAULI_X, PAULI_Y, PAULI_Z, as_hermitian, stack_chunks
 
 DEGENERACY_GAP = 1e-10
 FLAT_GAP = 1e-8
@@ -114,7 +114,7 @@ def support_batch(ops, directions):
     """The support function of W(ops) on each row of `directions`, as one SupportSweep.
 
     Each row is normalised; its value is lambda_max(sum n_i X_i) and its
-    point the expectation tuple over the top eigenvector.  The operators are
+    point the tuple Re<v|X_i|v> over the top eigenvector v.  The operators are
     validated once per call, and the eigensolves run stacked, in chunks of
     core.STACK_ENTRIES matrix entries.  A set of zero rows gives empty arrays.
     """
@@ -140,8 +140,9 @@ def support_batch(ops, directions):
         n = sweep.directions[chunk]
         w, v = np.linalg.eigh(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
         top = v[:, :, -1]
-        rho = top[:, :, None] * top.conj()[:, None, :]
-        sweep.points[chunk] = np.stack([expectation(x, rho) for x in ops], axis=1)
+        # one (1, d) @ (d, d) product per row, so a row rounds the same in every chunk
+        row = top.conj()[:, None, :]
+        sweep.points[chunk] = np.stack([((row @ x)[:, 0] * top).sum(axis=1).real for x in ops], axis=1)
         sweep.values[chunk], sweep.witnesses[chunk] = w[:, -1], top
         scale = np.maximum(np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0])), 1e-30)
         sweep.gaps[chunk] = (w[:, -1] - w[:, -2]) / scale if d > 1 else np.inf

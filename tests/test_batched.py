@@ -52,8 +52,7 @@ def _support_loop(ops, directions):
         top = v[:, -1]
         scale = max(abs(w[-1]), abs(w[0]), 1e-30)
         gap = (w[-1] - w[-2]) / scale if len(w) > 1 else np.inf
-        rho = np.outer(top, top.conj())
-        point = np.array([np.trace(x @ rho).real for x in ops])
+        point = np.array([((top.conj() @ x) * top).sum().real for x in ops])
         out.append((w[-1], top, point, gap, v[:, w >= w[-1] - FACE_GAP * scale]))
     return out
 

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qgeom import core
+from qgeom import core, gapwitness
 from qgeom.core import PAULI_X, PAULI_Z
 from qgeom.gapwitness import (
     MAX_XY_SITES,
@@ -15,6 +15,7 @@ from qgeom.gapwitness import (
     PlateauError,
     SpinChainSpec,
     _lowest_levels,
+    _SparseGround,
     build_chain,
     gap_upper_bound,
     gap_witness_majorana,
@@ -308,6 +309,109 @@ def test_lowest_pair_lanczos_never_densifies():
     order = np.argsort(w)
     assert np.array_equal(w4, w[order])
     assert np.array_equal(g4, v[:, order])
+
+
+def _field(n, label, coeffs):
+    return build_chain(SpinChainSpec(n, tuple(((s,), (label,), c) for s, c in enumerate(coeffs))))
+
+
+@st.composite
+def _real_chain_specs(draw, n):
+    # Pauli strings are Hermitian, so real coefficients give a Hermitian chain
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        sites = tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, min(n, 3)))])
+        labels = tuple(draw(st.lists(st.sampled_from("xyz"), min_size=len(sites), max_size=len(sites))))
+        terms.append((sites, labels, draw(_quarters)))
+    return SpinChainSpec(n, tuple(terms))
+
+
+_chain_pairs = st.integers(1, 7).flatmap(lambda n: st.tuples(_real_chain_specs(n), _real_chain_specs(n)))
+_XY6 = (SpinChainSpec(6, gapwitness._xy_terms(6, 0.5, False)), SpinChainSpec(6, gapwitness._witness_terms(6, False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chain_pairs, st.sampled_from([0.0, 0.5, -1.25, 2.0]))
+@example((SpinChainSpec(1, (((0,), ("x",), 1.0),)), SpinChainSpec(1, ())), 0.5)  # one block
+@example((SpinChainSpec(5, (((0,), ("z",), 1.0), ((1, 3), ("z", "z"), 0.5))), SpinChainSpec(5, (((4,), ("z",), 0.25),))), 1.0)
+@example(_XY6, 0.3)  # two blocks: the parity sectors
+def test_block_levels_match_dense_eigh(specs, lam):
+    h, v = (build_chain(spec) for spec in specs)
+    m = (h + lam * v).toarray()
+    ref = np.linalg.eigvalsh(m)
+    scale = max(abs(ref[0]), abs(ref[-1]), 1.0)
+    solver = _SparseGround(h, v)
+    owner = np.full(len(ref), -1)
+    for k, b in enumerate(solver.blocks):
+        assert (owner[b] == -1).all()
+        owner[b] = k
+    assert (owner >= 0).all()
+    # no coupling of H or V crosses two blocks
+    coupling = np.abs(h.toarray()) + np.abs(v.toarray())
+    assert (coupling[owner[:, None] != owner[None, :]] == 0).all()
+    w, vecs, _ = solver._levels(lam)
+    assert len(w) == min(4, len(ref))
+    assert np.abs(np.sort(w) - ref[: len(w)]).max() <= 1e-10 * scale
+    for j, g in enumerate(vecs.T):
+        assert abs(np.linalg.norm(g) - 1.0) <= 1e-10
+        assert np.linalg.norm(m @ g - w[j] * g) <= 1e-9 * scale
+        assert len(set(owner[np.flatnonzero(g)])) == 1
+
+
+def test_xy_chain_splits_into_parity_sectors():
+    solver = _SparseGround(xy_hamiltonian(12, 0.5), gap_witness_v(12))
+    assert [len(b) for b in solver.blocks] == [2048, 2048]
+    assert solver.method == "lanczos" and not solver.dense
+    for b in solver.blocks:  # each block is one eigenspace of prod Z
+        assert len({bin(r).count("1") % 2 for r in b.tolist()}) == 1
+
+
+def test_lanczos_blocks_match_dense_eigh(monkeypatch):
+    monkeypatch.setattr(gapwitness, "DENSE_LIMIT", 16)
+    h, v = xy_hamiltonian(8, 0.5), gap_witness_v(8)
+    solver = _SparseGround(h, v)
+    assert solver.method == "lanczos" and len(solver.sparse) == 2
+    for lam in (0.0, 0.2):
+        m = (h + lam * v).toarray()
+        ref = np.linalg.eigvalsh(m)
+        scale = max(abs(ref[0]), abs(ref[-1]), 1.0)
+        w, vecs, _ = solver._levels(lam)
+        assert np.abs(np.sort(w) - ref[:4]).max() <= 1e-10 * scale
+        assert np.linalg.norm(m @ vecs - vecs * w, axis=0).max() <= 1e-9 * scale
+
+
+def test_many_small_blocks_take_a_few_dense_solves(monkeypatch):
+    # a z-only chain is diagonal: 4096 blocks of one, solved as one stack per lambda
+    n, lams = 12, [0.0, 0.5, 1.0]
+    h = _field(n, "z", 0.1 * np.arange(1, n + 1))
+    v = build_chain(SpinChainSpec(n, tuple(((s, s + 1), ("z", "z"), 1.0) for s in range(n - 1))))
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    curve = ground_curve(h, v, lams)
+    assert len(curve.solver.blocks) == 2**n
+    assert len(shapes) <= 3 * len(lams)
+    for lam, e0 in zip(lams, curve.energies):
+        assert e0 == pytest.approx((h + lam * v).diagonal().real.min(), abs=1e-12)
+
+
+def test_exact_diagonalization_at_gamma_one_matches_fermions():
+    # at gamma = 1 the parity sectors tie at every lambda; the earlier block leads, so the plateau holds
+    lams = np.linspace(0.0, 2.0, 21)
+    ed = gap_upper_bound(ground_curve(xy_hamiltonian(10, 1.0), gap_witness_v(10), lams))
+    ff = gap_upper_bound(ground_curve(xy_majorana(10, 1.0), gap_witness_majorana(10), lams))
+    # the fermion path resolves a crossing only to its 1e-9 zero-mode window (CHANGES.md, FOUND on
+    # the fermion crossing), so epsilon and lambda* agree to 1e-7; ED follows the crossing to rounding
+    assert abs(ed.epsilon - ff.epsilon) <= 1e-7
+    assert abs(ed.lambda_star - ff.lambda_star) <= 1e-7
+    assert abs(ed.lambda_star - 1 / np.sqrt(3)) <= 1e-13
+    assert ed.transient_crossings == ff.transient_crossings
+    assert abs(ed.plateau_drift - ff.plateau_drift) <= 1e-10
 
 
 def cusp_decomposition_check(x, y, psi, n_dirs=120, tol=1e-8, hull_tol=1e-6):

@@ -28,25 +28,17 @@ class UsageError(Exception):
 # serialization helpers
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _json_default(obj):
+    """What json cannot write itself: arrays as lists, numpy scalars as Python ones,
+    complex as [re, im], Fractions as "p/q", anything else as its str."""
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
+        return [obj.real, obj.imag]
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (bool, str)) or obj is None:
-        return obj
     return str(obj)
 
 
@@ -58,7 +50,7 @@ def write_report(payload, path, args):
         "tolerances": payload.pop("_tolerances", {}),
         **payload,
     }
-    text = json.dumps(_jsonify(doc), sort_keys=True, indent=1)
+    text = json.dumps(doc, sort_keys=True, indent=1, default=_json_default)
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -141,13 +133,22 @@ def write_boundary_csv(points, path):
             fh.write(f"{pts[i][0]:.17g},{pts[i][1]:.17g}\r\n")
 
 
+def _mesh_writer(args, k):
+    """The --mesh writer of a range of k operators (OBJ for 3, CSV for 2), None without --mesh."""
+    if not args.mesh:
+        return None
+    if k not in (2, 3):
+        raise UsageError("--mesh supports 2D (CSV) and 3D (OBJ) ranges only")
+    return write_obj_mesh if k == 3 else write_boundary_csv
+
+
 def _body_payload(body):
     return {
         "inner_vertices": body.inner_vertices,
         "outer_normals": body.outer_normals,
         "outer_offsets": body.outer_offsets,
         "unbounded": bool(body.unbounded),
-        "meta": {k: _jsonify(v) for k, v in body.meta.items()},
+        "meta": body.meta,
     }
 
 
@@ -157,18 +158,14 @@ def _body_payload(body):
 
 def cmd_jnr(args):
     ops, _ = load_operator_list(args.ops)
-    k = len(ops)
-    if args.mesh and k not in (2, 3):
-        raise UsageError("--mesh supports 2D (CSV) and 3D (OBJ) ranges only")
-    dirs = numrange.sphere_directions(k, args.dirs, seed=args.seed)
+    mesh = _mesh_writer(args, len(ops))
+    dirs = numrange.sphere_directions(len(ops), args.dirs, seed=args.seed)
     body = numrange.jnr_approximate(ops, dirs)
     payload = _body_payload(body)
     payload["_tolerances"] = {"degeneracy_gap": numrange.DEGENERACY_GAP}
     write_report(payload, args.out, args)
-    if args.mesh and k == 3:
-        write_obj_mesh(body.inner_vertices, args.mesh)
-    elif args.mesh:
-        write_boundary_csv(body.inner_vertices, args.mesh)
+    if mesh:
+        mesh(body.inner_vertices, args.mesh)
     return 0
 
 
@@ -279,7 +276,7 @@ def cmd_sep_max(args):
         "lower": b.lower,
         "upper": b.upper,
         "witness": [f for f in b.witness.factors],
-        "meta": {k: _jsonify(v) for k, v in b.meta.items()},
+        "meta": b.meta,
         "_tolerances": tolerances,
     }
     write_report(payload, args.out, args)
@@ -302,12 +299,12 @@ def cmd_ppt_jnr(args):
     dims = _parse_dims(args.dims) if args.dims else dims_doc
     if dims is None:
         raise UsageError("--dims required (or a dims field in the ops file)")
+    mesh = _mesh_writer(args, len(ops))
     dirs = numrange.sphere_directions(len(ops), args.dirs, seed=args.seed)
     body = entangle.ppt_numerical_range(ops, dims, dirs)
-    payload = _body_payload(body)
-    write_report(payload, args.out, args)
-    if args.mesh and len(ops) == 3:
-        write_obj_mesh(body.inner_vertices, args.mesh)
+    write_report(_body_payload(body), args.out, args)
+    if mesh:
+        mesh(body.inner_vertices, args.mesh)
     return 0 if body.meta.get("converged", True) else 1
 
 

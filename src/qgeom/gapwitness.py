@@ -195,24 +195,17 @@ def gap_witness_majorana(n_sites, taper=False):
     return majorana_form(n_sites, _witness_terms(n_sites, taper))
 
 
-def _dense(m):
-    return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
-
-
 def _lowest_levels(m):
-    """(four lowest eigenvalues, their eigenvectors as columns); dense below DENSE_LIMIT."""
+    """(four lowest eigenvalues, their eigenvectors as columns) of a sparse block, by seeded Lanczos."""
     import scipy.sparse.linalg as spla
 
     dim = m.shape[0]
-    if dim <= DENSE_LIMIT:
-        w, v = np.linalg.eigh(_dense(m))
-        return w[:4], v[:, :4]
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     try:
         w, v = spla.eigsh(m, k=4, which="SA", v0=v0, maxiter=5000)
     except spla.ArpackNoConvergence:
         if dim <= FULL_SPECTRUM_LIMIT:
-            w, v = np.linalg.eigh(_dense(m))
+            w, v = np.linalg.eigh(m.toarray())
         else:
             raise
     order = np.argsort(w)[:4]
@@ -235,21 +228,30 @@ def _invariant_blocks(*mats):
 
 
 def _block_stacks(mats, blocks):
-    """Dense (len(blocks), s, s) stacks of each matrix's diagonal blocks on equal-size index arrays."""
-    idx = np.stack(blocks)
-    slot = np.full(mats[0].shape[0], -1)
-    pos = np.zeros_like(slot)
-    slot[idx] = np.arange(len(idx))[:, None]
-    pos[idx] = np.arange(idx.shape[1])
-    stacks = []
-    for m in mats:
-        m = m.tocoo()
-        keep = slot[m.row] >= 0  # blocks are invariant, so the column lies in the same block
-        r, c = m.row[keep], m.col[keep]
-        stack = np.zeros((*idx.shape, idx.shape[1]), dtype=m.dtype)
-        np.add.at(stack, (slot[r], pos[r], pos[c]), m.data[keep])
-        stacks.append(stack)
-    return idx, stacks
+    """Each matrix's diagonal blocks as dense stacks, one per block size in increasing size.
+
+    Returns [(block numbers, indices (m, s), [stack (m, s, s) per matrix])],
+    numbering the blocks by their position in `blocks`.
+    """
+    sizes = np.array([len(b) for b in blocks])
+    coos = [m.tocoo() for m in mats]
+    groups = []
+    for size in np.unique(sizes):
+        nums = np.flatnonzero(sizes == size)
+        idx = np.stack([blocks[k] for k in nums])
+        slot = np.full(mats[0].shape[0], -1)
+        pos = np.zeros_like(slot)
+        slot[idx] = np.arange(len(idx))[:, None]
+        pos[idx] = np.arange(size)
+        stacks = []
+        for m in coos:
+            keep = slot[m.row] >= 0  # blocks are invariant, so the column lies in the same block
+            r, c = m.row[keep], m.col[keep]
+            stack = np.zeros((len(idx), size, size), dtype=m.dtype)
+            np.add.at(stack, (slot[r], pos[r], pos[c]), m.data[keep])
+            stacks.append(stack)
+        groups.append((nums, idx, stacks))
+    return groups
 
 
 class _SparseGround:
@@ -272,11 +274,11 @@ class _SparseGround:
         sizes = np.array([len(b) for b in self.blocks])
         self.method = "dense" if sizes.max() <= DENSE_LIMIT else "lanczos"
         # (block numbers, indices, stacked H, stacked V) per block size up to DENSE_LIMIT
-        self.dense = []
-        for size in np.unique(sizes[sizes <= DENSE_LIMIT]):
-            nums = np.flatnonzero(sizes == size)
-            idx, (hs, vs) = _block_stacks((self.h, self.v), [self.blocks[k] for k in nums])
-            self.dense.append((nums, idx, hs, vs))
+        small = np.flatnonzero(sizes <= DENSE_LIMIT)
+        self.dense = [
+            (small[nums], idx, hs, vs)
+            for nums, idx, (hs, vs) in _block_stacks((self.h, self.v), [self.blocks[k] for k in small])
+        ]
         self.sparse = [
             (k, b, self.h[b][:, b], self.v[b][:, b]) for k, b in enumerate(self.blocks) if len(b) > DENSE_LIMIT
         ]
@@ -528,7 +530,8 @@ def true_gap(h):
 
     For a Majorana form this is the smallest mode energy eps_k above the
     threshold.  Otherwise the spectrum is the union of the spectra of the
-    invariant blocks of H (`_invariant_blocks`).
+    invariant blocks of H (`_invariant_blocks`), one stacked eigvalsh per
+    block size.
     """
     if isinstance(h, MajoranaForm):
         eps = np.linalg.eigvalsh(1j * h.a)[len(h.a) // 2 :]
@@ -540,7 +543,8 @@ def true_gap(h):
     hs = sp.csr_matrix(h)
     if hs.shape[0] > FULL_SPECTRUM_LIMIT:
         raise ChainTooLargeError("full-spectrum solve capped at dimension 4096")
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(hs[b][:, b].toarray()) for b in _invariant_blocks(hs)]))
+    groups = _block_stacks((hs,), _invariant_blocks(hs))
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, _, (stack,) in groups]))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     above = w[w > w[0] + 1e-9 * scale]
     if len(above) == 0:

@@ -146,16 +146,10 @@ def circulant(v):
     entries produce an object-dtype matrix of Fractions.
     """
     v = list(v)
-    n = len(v)
-    if n == 0:
+    if not v:
         raise ValueError("empty defining vector")
-    exact = _is_exact(v)
-    dtype = object if exact else float
-    m = np.empty((n, n), dtype=dtype)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = v[(j - i) % n]
-    return m
+    i = np.arange(len(v))
+    return np.array(v, dtype=object if _is_exact(v) else float)[(i - i[:, None]) % len(v)]
 
 
 def _fraction_solve(a, b):
@@ -189,10 +183,8 @@ def cyclic_majorize(p0, q0, neg_tol=NEG_TOL, rcond_tol=1e-10):
         raise ValueError("embedded vectors must share one dimension")
     exact = _is_exact(p0) and _is_exact(q0)
     if exact:
-        cq = [[Fraction(q0[(j - i) % len(q0)]) for j in range(len(q0))] for i in range(len(q0))]
         # solve C(q)^T w = p  (row 0 of C(w) from C(w) C(q) = C(p))
-        cqt = [[cq[j][i] for j in range(len(q0))] for i in range(len(q0))]
-        w = _fraction_solve(cqt, [Fraction(v) for v in p0])
+        w = _fraction_solve(circulant(q0).T, [Fraction(v) for v in p0])
         if any(v < 0 for v in w):
             return None
         return w

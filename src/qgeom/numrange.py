@@ -9,6 +9,11 @@ the true range.  Every eigensolve over directions goes through
 one SupportSweep of arrays (a value, point, witness and gap per row).  Rows
 whose top eigenvalue is degenerate also keep their top eigenspace, whose
 compressed operators span that face of W.
+
+A qutrit triple's flat faces (`classify_qutrit_jnr`) are found from one 3x3
+real matrix per direction: the Bloch components B of the operators
+compressed to the top-two eigenspace.  A normal n is flat iff B n = 0,
+Gauss-Newton steps solve that, and the rank of B is the face's dimension.
 """
 
 from __future__ import annotations
@@ -21,15 +26,14 @@ from .core import PAULI_X, PAULI_Y, PAULI_Z, as_hermitian, stack_chunks
 
 DEGENERACY_GAP = 1e-10
 FLAT_GAP = 1e-8
-FACE_GAP = 1e-7  # relative, as the gap; > FLAT_GAP so a flat normal's face is 2-dim
+FACE_GAP = 1e-7  # relative, as the gap; > DEGENERACY_GAP so every degenerate row keeps its face
 FACE_MERGE_TOL = 1e-6
 FACE_RANK_TOL = 1e-6
 FACE_DIRS = 60  # directions sampled on each face
 FACE_SEED = 1
-SEGMENT_PC_RATIO = 1e-6
 CANDIDATE_GAP = 0.2  # sweep gaps up to this are polished as flat-face candidates
 COMMON_EIGVEC_TOL = 1e-8
-POLISH_MAXITER = 400
+POLISH_MAXITER = 50
 ONE_SHOT_TOL = 1e-9  # signed distance from 0 to the eigenvalue hull that still counts as inside
 
 
@@ -231,7 +235,6 @@ class FlatFace:
     dim: int  # 0 point, 1 segment, 2 ellipse
     shape: str  # "point" | "segment" | "ellipse"
     gap: float  # polished relative eigenvalue gap (confidence margin)
-    points: np.ndarray  # sampled face point cloud
 
 
 @dataclass
@@ -255,98 +258,46 @@ def _common_eigenvector(ops):
     return None
 
 
-def _polish_flat_directions(ops, starts):
-    """Polished unit normals and relative top-two gaps of flat-face candidates.
+def _top_pair(ops, n):
+    """Relative top-two gaps of n.X and Bloch matrices of the top-two eigenspaces, per row of n.
 
-    Each start n0 moves in its tangent plane, n = unit(n0 + u1 t1 + u2 t2), by
-    Nelder-Mead on the gap with scipy's start simplex (step 0.00025), moves,
-    vertex order and stopping rule (xatol 1e-14, fatol 1e-16).  All starts
-    advance together: each stage (reflect; expand or contract; shrink) is one
-    stacked eigvalsh over the starts still live.
+    With V the top two eigenvectors, B[p, i] = Tr(sigma_p V^dag X_i V) / 2.
+    The compression of m.X to span V is a multiple of the identity iff
+    B m = 0.  At a flat normal (B n = 0) the face of W it exposes is an
+    affine image of the Bloch ball under B^T, of dimension rank B.
     """
-    n0 = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    t1 = np.cross(n0, np.eye(3)[np.argmin(np.abs(n0), axis=1)])
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(n0, t1)
+    w, v = np.linalg.eigh(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
+    top = v[:, :, -2:]
+    reduced = np.stack([top.conj().transpose(0, 2, 1) @ x @ top for x in ops], axis=-1)
+    bloch = np.einsum("rlki,pkl->rpi", reduced, np.stack([PAULI_X, PAULI_Y, PAULI_Z])).real / 2
+    gap = (w[:, -1] - w[:, -2]) / np.maximum(np.abs(w[:, [0, -1]]).max(axis=1), 1e-30)
+    return gap, bloch
 
-    def normals(rows, u):
-        n = n0[rows] + u[:, :1] * t1[rows] + u[:, 1:] * t2[rows]
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
 
-    def gap_at(rows, u):
-        n = normals(rows, u)
-        w = np.linalg.eigvalsh(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
-        return (w[:, -1] - w[:, -2]) / np.maximum(np.abs(w[:, [0, -1]]).max(axis=1), 1e-30)
+def _polish_flat_directions(ops, starts):
+    """Flat-face candidates taken to a degeneracy: (unit normals, relative gaps, Bloch matrices).
 
-    m = len(n0)
-    sim = np.tile([[0.0, 0.0], [0.00025, 0.0], [0.0, 0.00025]], (m, 1, 1))
-    fsim = gap_at(np.repeat(np.arange(m), 3), sim.reshape(-1, 2)).reshape(m, 3)
-    for _ in range(POLISH_MAXITER - 1):
-        ind = np.argsort(fsim, axis=1)
-        sim, fsim = np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
-        live = np.flatnonzero(
-            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) > 1e-14)
-            | (np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) > 1e-16)
-        )
+    Gauss-Newton on B(n) m = 0: up to O(|m - n|^2) the top two eigenvalues
+    of m.X are those of its compression to the top-two eigenspace of n.X, so
+    a step moves n to the last right singular vector of B(n), taken on n's
+    side.  All starts advance together, one stacked svd and eigh per step.
+    A row below FLAT_GAP stops at the first step that does not lower its
+    gap, and keeps the point before it; every row stops after POLISH_MAXITER
+    steps.  Gaps and B are those at the returned normals.
+    """
+    n = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    gap, bloch = _top_pair(ops, n)
+    live = np.arange(len(n))
+    for _ in range(POLISH_MAXITER):
+        m = np.linalg.svd(bloch[live])[2][:, -1]
+        m *= np.where((m * n[live]).sum(axis=1) < 0, -1.0, 1.0)[:, None]
+        g, b = _top_pair(ops, m)
+        take = (g < gap[live]) | (gap[live] >= FLAT_GAP)
+        live = live[take]
+        n[live], gap[live], bloch[live] = m[take], g[take], b[take]
         if not len(live):
             break
-        s, f = sim[live], fsim[live]
-        xbar = (s[:, 0] + s[:, 1]) / 2
-        xr = 2 * xbar - s[:, 2]
-        fr = gap_at(live, xr)
-        expand, outside = fr < f[:, 0], fr < f[:, 2]
-        accept = ~expand & (fr < f[:, 1])
-        # expand (c = 2), or contract outside (c = 1/2) or inside (c = -1/2)
-        c = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
-        xt = (1 + c) * xbar - c * s[:, 2]
-        ft = np.full(len(live), np.inf)
-        ft[~accept] = gap_at(live[~accept], xt[~accept])
-        take = np.where(expand, ft < fr, ~accept & np.where(outside, ft <= fr, ft < f[:, 2]))
-        shrink = ~expand & ~accept & ~take
-        s[:, 2] = np.where(take[:, None], xt, np.where(shrink[:, None], s[:, 2], xr))
-        f[:, 2] = np.where(take, ft, np.where(shrink, f[:, 2], fr))
-        if shrink.any():  # towards the best vertex
-            s[shrink, 1:] = s[shrink, :1] + 0.5 * (s[shrink, 1:] - s[shrink, :1])
-            f[shrink, 1:] = gap_at(np.repeat(live[shrink], 2), s[shrink, 1:].reshape(-1, 2)).reshape(-1, 2)
-        sim[live], fsim[live] = s, f
-    rows, best = np.arange(m), fsim.argmin(axis=1)
-    return normals(rows, sim[rows, best]), fsim[rows, best]
-
-
-def _face_rank(ops, basis):
-    """Geometric rank of the face at a doubly degenerate direction.
-
-    The face is the image of the Bloch ball of the top eigenspace `basis`;
-    its affine rank is the rank of the matrix of traceless Bloch components
-    of the reduced operators.
-    """
-    b = basis[:, -2:]
-    reduced = np.stack([b.conj().T @ x @ b for x in ops])
-    bloch = np.einsum("kij,pji->kp", reduced, np.stack([PAULI_X, PAULI_Y, PAULI_Z])).real / 2
-    sv = np.linalg.svd(bloch, compute_uv=False)
-    return int((sv > FACE_RANK_TOL * max(sv[0], 1e-30)).sum())
-
-
-def _fit_face_shape(points, rank):
-    """Sanity filter: PCA segment test, conic discriminant for ellipses."""
-    c = points - points.mean(axis=0)
-    sv = np.linalg.svd(c, compute_uv=False)
-    if rank <= 0 or sv[0] < 1e-12:
-        return "point", 0
-    if rank == 1 or sv[1] < SEGMENT_PC_RATIO * sv[0]:
-        return "segment", 1
-    # project onto the top-two principal axes and least-squares fit a conic;
-    # the affine image of a Bloch ball is always an ellipse, so a bad
-    # discriminant can only mean a nearly collapsed cloud
-    _, _, vt = np.linalg.svd(c, full_matrices=False)
-    xy = c @ vt[:2].T
-    x, y = xy[:, 0], xy[:, 1]
-    m = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=1)
-    _, _, vvt = np.linalg.svd(m)
-    a, b, cc = vvt[-1][0], vvt[-1][1], vvt[-1][2]
-    if b * b - 4 * a * cc >= 0 and sv[1] < 1e-3 * sv[0]:
-        return "segment", 1
-    return "ellipse", 2
+    return n, gap, bloch
 
 
 def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
@@ -354,8 +305,9 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
 
     Flat directions are located by sweeping the sphere for small top-two
     eigenvalue gaps, polishing all candidates (gap <= CANDIDATE_GAP) together
-    to the FLAT_GAP threshold, and merging polished normals within
-    FACE_MERGE_TOL, in order of increasing sweep gap.
+    by Gauss-Newton, keeping those below FLAT_GAP, and merging polished
+    normals within FACE_MERGE_TOL, in order of increasing sweep gap.  A
+    face's dimension is the rank of the Bloch matrix at its normal.
     """
     ops = [as_hermitian(x) for x in (x1, x2, x3)]
     if any(x.shape != (3, 3) for x in ops):
@@ -374,18 +326,17 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
     swept = support_batch(ops, sphere_directions(3, sweep))
     gaps = swept.gaps
     order = np.argsort(gaps)[: np.count_nonzero(gaps <= CANDIDATE_GAP)]
-    normals, polished = _polish_flat_directions(ops, swept.directions[order])
+    normals, polished, bloch = _polish_flat_directions(ops, swept.directions[order])
     rejected = polished >= FLAT_GAP
-    kept = []
-    for i in np.flatnonzero(~rejected):
-        if not any(np.linalg.norm(normals[i] - normals[j]) < FACE_MERGE_TOL for j in kept):
-            kept.append(i)
-    flat = support_batch(ops, normals[kept])
     faces = []
-    for r, i in enumerate(kept):
-        pts = _face_points(ops, flat.faces[r])
-        shape, dim = _fit_face_shape(pts, _face_rank(ops, flat.faces[r]))
-        faces.append(FlatFace(normal=normals[i], dim=dim, shape=shape, gap=float(polished[i]), points=pts))
+    for i in np.flatnonzero(~rejected):
+        if any(np.linalg.norm(normals[i] - f.normal) < FACE_MERGE_TOL for f in faces):
+            continue
+        # B n = 0 at a flat normal, so the rank of B is that of its two top singular values
+        sv = np.linalg.svd(bloch[i], compute_uv=False)
+        dim = 0 if sv[0] < 1e-12 else int((sv[:2] > FACE_RANK_TOL * sv[0]).sum())
+        shape = ("point", "segment", "ellipse")[dim]
+        faces.append(FlatFace(normal=normals[i], dim=dim, shape=shape, gap=float(polished[i])))
     e = sum(1 for f in faces if f.shape == "ellipse")
     s = sum(1 for f in faces if f.shape == "segment")
     margin = gaps[order[rejected]] if rejected.any() else gaps[gaps > CANDIDATE_GAP]

@@ -5,8 +5,9 @@ same eigensolver per matrix, same expectation formula), so support sweeps,
 sector operators and sector bounds must agree bit for bit; characteristic
 values are checked against expm of each rotation vector within rounding,
 the Marvian test against its row-by-row quaternion/expm loop, the
-stacked flat-face polish against scipy's Nelder-Mead, one candidate at a time,
-and the sector-started variance polish against a grid plus Nelder-Mead.
+Gauss-Newton flat-face census against the old rank and shape tests on every
+reported face and against scipy's Nelder-Mead from every candidate, and the
+sector-started variance polish against a grid plus Nelder-Mead.
 """
 
 from fractions import Fraction as F
@@ -25,8 +26,10 @@ from qgeom.numrange import (
     DEGENERACY_GAP,
     FACE_GAP,
     FACE_MERGE_TOL,
+    FACE_RANK_TOL,
     FLAT_GAP,
-    _polish_flat_directions,
+    _face_points,
+    classify_qutrit_jnr,
     sphere_directions,
     support_batch,
     unit,
@@ -142,6 +145,63 @@ def test_support_batch_validates_once_for_the_sweep():
         support_batch([core.PAULI_X, np.array([[0, 1], [0, 0]])], [[1.0, 0.0]])
 
 
+def _face_rank(ops, basis):
+    """Rank of the Bloch components of the operators compressed to `basis` (the old face rank)."""
+    reduced = np.stack([basis.conj().T @ x @ basis for x in ops])
+    bloch = np.einsum("kij,pji->kp", reduced, np.stack([core.PAULI_X, core.PAULI_Y, core.PAULI_Z])).real / 2
+    sv = np.linalg.svd(bloch, compute_uv=False)
+    return int((sv > FACE_RANK_TOL * max(sv[0], 1e-30)).sum())
+
+
+def _fit_face_shape(points, rank):
+    """The old shape filter: PCA segment test (ratio 1e-6), conic discriminant for ellipses."""
+    c = points - points.mean(axis=0)
+    sv = np.linalg.svd(c, compute_uv=False)
+    if rank <= 0 or sv[0] < 1e-12:
+        return "point", 0
+    if rank == 1 or sv[1] < 1e-6 * sv[0]:
+        return "segment", 1
+    _, _, vt = np.linalg.svd(c, full_matrices=False)
+    x, y = (c @ vt[:2].T).T
+    _, _, vvt = np.linalg.svd(np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=1))
+    a, b, cc = vvt[-1][:3]
+    if b * b - 4 * a * cc >= 0 and sv[1] < 1e-3 * sv[0]:
+        return "segment", 1
+    return "ellipse", 2
+
+
+def _top_two(ops, normal):
+    """(relative top-two gap, top-two eigenvectors) of normal.X by its own eigh."""
+    w, v = np.linalg.eigh(sum(ni * x for ni, x in zip(normal, ops)))
+    return (w[-1] - w[-2]) / max(abs(w[-1]), abs(w[0]), 1e-30), v[:, -2:]
+
+
+def _triple(kind, rng):
+    """A qutrit triple: real symmetric (0), complex Hermitian (1) or real symmetric rotated by a unitary (2)."""
+    if kind == 1:
+        return [core.random_hermitian(3, rng) for _ in range(3)]
+    ops = [(a + a.T) / 2 for a in rng.normal(size=(3, 3, 3))]
+    if kind == 2:
+        u = core.random_unitary(3, rng)
+        ops = [u @ x @ u.conj().T for x in ops]
+    return ops
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 2))
+def test_reported_flat_faces_are_sound(seed, kind):
+    ops = _triple(kind, np.random.default_rng(seed))
+    cls = classify_qutrit_jnr(*ops, sweep=600)
+    for f in cls.faces:
+        gap, basis = _top_two(ops, f.normal)
+        assert gap < FLAT_GAP and abs(np.linalg.norm(f.normal) - 1) < 1e-12
+        shape, dim = _fit_face_shape(_face_points(ops, basis), _face_rank(ops, basis))
+        assert (f.shape, f.dim) == (shape, dim)
+    assert (cls.e, cls.s) == (sum(f.dim == 2 for f in cls.faces), sum(f.dim == 1 for f in cls.faces))
+    for i, f in enumerate(cls.faces):
+        assert all(np.linalg.norm(f.normal - g.normal) >= FACE_MERGE_TOL for g in cls.faces[:i])
+
+
 def _scipy_polish(ops, n0):
     """Reference flat-face polish: scipy Nelder-Mead on one candidate."""
     n0 = unit(n0)
@@ -158,25 +218,31 @@ def _scipy_polish(ops, n0):
     return unit(n0 + r.x[0] * t1 + r.x[1] * t2), r.fun
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 10**6), st.booleans())
-def test_stacked_polish_matches_scipy_nelder_mead(seed, real_symmetric):
-    # real-symmetric triples have flat faces; random Hermitian ones mostly do not
-    rng = np.random.default_rng(seed)
-    if real_symmetric:
-        ops = [(a + a.T) / 2 for a in rng.normal(size=(3, 3, 3))]
-    else:
-        ops = [core.random_hermitian(3, rng) for _ in range(3)]
-    sweep = support_batch(ops, sphere_directions(3, 200))
-    order = np.argsort(sweep.gaps)[: min(8, np.count_nonzero(sweep.gaps <= CANDIDATE_GAP))]
-    starts = sweep.directions[order]
-    normals, polished = _polish_flat_directions(ops, starts)
-    assert normals.shape == starts.shape and polished.shape == (len(starts),)
-    for n0, n, g in zip(starts, normals, polished):
-        ref_n, ref_g = _scipy_polish(ops, n0)
-        assert (g < FLAT_GAP) == (ref_g < FLAT_GAP)
-        assert np.linalg.norm(n - ref_n) < FACE_MERGE_TOL
-        assert abs(np.linalg.norm(n) - 1) < 1e-12
+def _scipy_classification(ops, sweep):
+    """[(normal, dim)] of the faces found by Nelder-Mead from every candidate, merged as classify merges."""
+    swept = support_batch(ops, sphere_directions(3, sweep))
+    order = np.argsort(swept.gaps)[: np.count_nonzero(swept.gaps <= CANDIDATE_GAP)]
+    faces = []
+    for n0 in swept.directions[order]:
+        n, gap = _scipy_polish(ops, n0)
+        if gap < FLAT_GAP and all(np.linalg.norm(n - m) >= FACE_MERGE_TOL for m, _ in faces):
+            _, basis = _top_two(ops, n)
+            faces.append((n, _fit_face_shape(_face_points(ops, basis), _face_rank(ops, basis))[1]))
+    return faces
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_classification_matches_scipy_nelder_mead_oracle(seed, kind):
+    # a Gauss-Newton start may reach another face than Nelder-Mead from the same start, so the
+    # face sets are compared, each face against the oracle face with the nearest normal
+    ops = _triple(kind, np.random.default_rng([19, seed, kind]))
+    cls = classify_qutrit_jnr(*ops)
+    ref = _scipy_classification(ops, 2000)
+    assert len(cls.faces) == len(ref)
+    for f in cls.faces:
+        n, dim = min(ref, key=lambda r: np.linalg.norm(r[0] - f.normal))
+        assert np.linalg.norm(f.normal - n) <= 1e-9 and f.dim == dim
 
 
 def _random_partition(rng, x):

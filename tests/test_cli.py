@@ -1,14 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgeom import core, entangle, gapwitness, numrange, su2, uncertainty
-from qgeom.cli import load_spinket, main
+from qgeom import __version__, core, entangle, gapwitness, numrange, su2, uncertainty
+from qgeom.cli import load_spinket, main, write_report
 
 
 def run(args):
@@ -318,13 +320,73 @@ def test_jnr_2d_boundary_csv(tmp_path):
 
 def test_jnr_mesh_of_four_operators_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
     ops = tmp_path / "ops.json"
-    write_ops(ops, [core.random_hermitian(3, np.random.default_rng(k)) for k in range(4)])
+    write_ops(ops, [core.random_hermitian(4, np.random.default_rng(k)) for k in range(4)])
     out = tmp_path / "r.json"
     monkeypatch.setattr(numrange, "jnr_approximate", lambda *a: pytest.fail("range computed"))
-    assert run(["jnr", "--ops", ops, "--dirs", 20, "--mesh", tmp_path / "m.obj", "--out", out]) == 2
-    assert not out.exists() and not (tmp_path / "m.obj").exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--mesh" in err and "Traceback" not in err
+    monkeypatch.setattr(entangle, "ppt_numerical_range", lambda *a: pytest.fail("range computed"))
+    for command, extra in (("jnr", []), ("ppt-jnr", ["--dims", "2,2"])):
+        argv = [command, "--ops", ops, "--dirs", 20, "--mesh", tmp_path / "m.obj", "--out", out, *extra]
+        assert run(argv) == 2
+        assert not out.exists() and not (tmp_path / "m.obj").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--mesh" in err and "Traceback" not in err
+
+
+def test_ppt_jnr_mesh_of_two_operators_is_a_csv_boundary(tmp_path):
+    ops = tmp_path / "ops.json"
+    rng = np.random.default_rng(4)
+    write_ops(ops, [core.random_hermitian(4, rng) for _ in range(2)])
+    out, mesh = tmp_path / "ppt.json", tmp_path / "boundary.csv"
+    assert run(["ppt-jnr", "--ops", ops, "--dims", "2,2", "--dirs", 12, "--out", out, "--mesh", mesh]) == 0
+    lines = mesh.read_text().splitlines()
+    assert lines[0] == "x,y" and lines[1] == lines[-1] and len(lines) >= 5  # a closed polygon
+    inner = np.array(json.loads(out.read_text())["inner_vertices"])
+    for line in lines[1:]:
+        assert np.abs(inner - [float(v) for v in line.split(",")]).max(axis=1).min() == 0.0
+
+
+def _jsonify(obj):
+    """The recursive serializer that write_report used before its json.dumps default hook."""
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _jsonify(obj.tolist())
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, (bool, str)) or obj is None:
+        return obj
+    return str(obj)
+
+
+def test_write_report_bytes_match_the_recursive_serializer(tmp_path):
+    rng = np.random.default_rng(3)
+    payload = {
+        "floats": [0.1, -0.0, 1e-300, float("inf"), float("nan"), np.float64(2 / 3), np.float32(0.1)],
+        "ints": [7, np.int64(-3), np.int32(5), np.uint8(200), True, np.bool_(False), np.bool_(True)],
+        "arrays": [rng.normal(size=(2, 3)), np.arange(4), np.array([True, False]), np.array(2.5),
+                   np.array([1 + 2j, -0.5j]), np.array([Fraction(1, 3), Fraction(-2)], dtype=object)],
+        "scalars": [1 - 1j, np.complex128(0.25 + 3j), Fraction(5, 7), None, "text", np.str_("s")],
+        "nested": {"tuple": (1, (2.5, [np.float64(3)])), "deep": {"x": [{"y": np.ones(2)}]}},
+        "other": [range(3), {1, 2}],
+        "meta": {"method": "dense", "count": np.int64(4)},
+        "_tolerances": {"gap": 1e-8},
+    }
+    args = argparse.Namespace(seed=np.int64(9))
+    path = tmp_path / "r.json"
+    write_report(dict(payload), path, args)
+    tolerances = payload.pop("_tolerances")
+    doc = {"tool": "qgeom", "version": __version__, "seed": args.seed, "tolerances": tolerances, **payload}
+    assert path.read_text() == json.dumps(_jsonify(doc), sort_keys=True, indent=1) + "\n"
 
 
 def test_su2_marvian_cli(tmp_path):

@@ -385,19 +385,30 @@ def test_many_small_blocks_take_a_few_dense_solves(monkeypatch):
     n, lams = 12, [0.0, 0.5, 1.0]
     h = _field(n, "z", 0.1 * np.arange(1, n + 1))
     v = build_chain(SpinChainSpec(n, tuple(((s, s + 1), ("z", "z"), 1.0) for s in range(n - 1))))
-    shapes = []
-    eigh = np.linalg.eigh
+    shapes = {"eigh": [], "eigvalsh": []}
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        def call(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     curve = ground_curve(h, v, lams)
     assert len(curve.solver.blocks) == 2**n
-    assert len(shapes) <= 3 * len(lams)
+    assert len(shapes["eigh"]) <= 3 * len(lams)
     for lam, e0 in zip(lams, curve.energies):
         assert e0 == pytest.approx((h + lam * v).diagonal().real.min(), abs=1e-12)
+    # the full spectrum is one stacked eigvalsh over the 4096 blocks of one
+    shapes["eigvalsh"].clear()
+    diag = np.sort(h.diagonal().real)
+    above = diag[diag > diag[0] + 1e-9 * max(np.abs(diag).max(), 1.0)]
+    assert true_gap(h) == pytest.approx(above[0] - diag[0], abs=1e-12)
+    assert shapes["eigvalsh"] == [(2**n, 1, 1)]
 
 
 def test_exact_diagonalization_at_gamma_one_matches_fermions():

@@ -11,6 +11,7 @@ from qgeom.numrange import (
     CANDIDATE_GAP,
     CommonEigenvectorError,
     DegenerateTripleError,
+    _polish_flat_directions,
     _positively_spanning,
     classify_qutrit_jnr,
     jnr_approximate,
@@ -251,13 +252,23 @@ def test_classify_elliptope_margin_outside_faces():
     assert cls.min_unpolished_gap == gaps[gaps > CANDIDATE_GAP].min()
 
 
-def test_classify_segment_triple():
-    x1 = _sym(0, 1)
+def _segment_triple():
+    # x3 has the top eigenspace span(e0, e1), where x1 and x2 both compress to multiples of sigma_x
     x2 = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 5]], dtype=complex)
-    x3 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    cls = classify_qutrit_jnr(x1, x2, x3)
+    return [_sym(0, 1), x2, np.diag([1.0, 1.0, 0.0]).astype(complex)]
+
+
+def test_classify_segment_triple():
+    cls = classify_qutrit_jnr(*_segment_triple())
     assert cls.s == 1
     assert cls.e <= 2
+
+
+def test_flat_polish_keeps_an_exact_segment_normal():
+    # at a segment's normal B has rank 1: its null space is a plane, and its last singular vector
+    # may point off the face, so a row below FLAT_GAP takes a step only if it lowers the gap
+    normals, gaps, _ = _polish_flat_directions(_segment_triple(), np.eye(3)[2:])
+    assert np.array_equal(normals, np.eye(3)[2:]) and gaps[0] == 0.0
 
 
 def test_classify_random_constraints(rng):

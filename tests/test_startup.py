@@ -39,11 +39,19 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     rho_path, sigma_path = tmp_path / "rho.json", tmp_path / "sigma.json"
     rho_path.write_text(json.dumps(core.operator_to_json(d @ sigma @ d.conj().T)))
     sigma_path.write_text(json.dumps(core.operator_to_json(sigma)))
+    # the elliptope's polar: four elliptic flat faces to polish
+    triple = tmp_path / "triple.json"
+    units = [np.zeros((3, 3)) for _ in range(3)]
+    for m, (i, j) in zip(units, [(0, 1), (0, 2), (1, 2)]):
+        m[i, j] = m[j, i] = -1.0
+    triple.write_text(json.dumps({"ops": [core.operator_to_json(m) for m in units]}))
     runs = [
         ["su2", "marvian", "--a", a, "--b", b, "--samples", "20"],
         ["gap", "--n", "10"],
         ["interconvert", "--psi", psi, "--phi", phi, "--aux-d", "1"],
         ["wh-convert", "--rho", rho_path, "--sigma", sigma_path, "--dims", "3"],
+        ["classify", "--ops", triple, "--dirs", "400"],
+        ["uncertainty", "--table-j", "1"],
     ]
     argvs = [[str(x) for x in argv] + ["--out", str(tmp_path / f"r{i}.json")] for i, argv in enumerate(runs)]
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -53,6 +61,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc == {"import": [], "codes": [0, 0, 0, 0], "runs": []}
+    assert doc == {"import": [], "codes": [0] * len(runs), "runs": []}
     assert json.loads((tmp_path / "r2.json").read_text())["aux_reachable"] == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
     assert json.loads((tmp_path / "r3.json").read_text())["convertible"] is True
+    assert [json.loads((tmp_path / "r4.json").read_text())[k] for k in ("e", "s")] == [4, 0]

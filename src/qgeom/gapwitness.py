@@ -7,10 +7,13 @@ Two ground-state solvers share the curve and the bisection:
   oracle.  Operators are scipy CSR matrices assembled directly from Pauli
   strings as signed permutations.  Every solve runs per invariant block
   (connected component of the sparsity graph; for the XY chain and its
-  witness, the two sectors of the parity prod Z).  Extremal eigenpairs of a
-  block are dense up to DENSE_LIMIT (all blocks of one size in one stacked
-  eigh) and seeded Lanczos above; the Lanczos path never densifies.  Full
-  spectra are capped at 2^12.
+  witness, the two sectors of the parity prod Z).  A block fixed by complex
+  conjugation K or by site reversal with conjugation RK is solved in a
+  basis where it is real symmetric (`_real_form`); the XY chain is real
+  and its witness imaginary, so RK fixes every block of the pair.
+  Extremal eigenpairs of a block are dense up to DENSE_LIMIT (all blocks of
+  one size and dtype in one stacked eigh) and seeded Lanczos above; the
+  Lanczos path never densifies.  Full spectra are capped at 2^12.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas
   (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
   Lieb, Schultz, Mattis 1961).  A state is the covariance matrix
@@ -29,8 +32,10 @@ import numpy as np
 
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
-# largest block diagonalized densely for eigenpairs: dense eigh and seeded Lanczos both take
-# about 7 ms on a 192-dimensional block (x86-64, one BLAS thread); at 256 Lanczos is twice as fast
+# largest block diagonalized densely for eigenpairs (x86-64, one BLAS thread): on complex blocks
+# dense eigh and seeded Lanczos cross near 192 states (7.2 vs 8.0 ms at 165, 12.7 vs 7.1 ms at
+# 210); on real blocks near 240 (4.6 vs 5.0 ms at 220, 4.9 vs 3.9 ms at 256), too close to move
+# the limit, since complex blocks of 193-240 states would take twice as long densely
 DENSE_LIMIT = 192
 # block minima this close (relative) are one level: exact ties round to about 1e-14 relative, and a
 # window as wide as the 1e-9 degeneracy one would move the bisection off a crossing between blocks
@@ -227,17 +232,18 @@ def _invariant_blocks(*mats):
     return sorted(blocks, key=lambda b: b[0])
 
 
-def _block_stacks(mats, blocks):
-    """Each matrix's diagonal blocks as dense stacks, one per block size in increasing size.
+def _block_stacks(mats, blocks, real):
+    """Each matrix's diagonal blocks as dense stacks, one per block size and real flag.
 
-    Returns [(block numbers, indices (m, s), [stack (m, s, s) per matrix])],
-    numbering the blocks by their position in `blocks`.
+    Returns [(block numbers, indices (m, s), [stack (m, s, s) per matrix])]
+    in increasing size, numbering the blocks by their position in `blocks`;
+    the stacks of blocks flagged in `real` hold the real parts.
     """
     sizes = np.array([len(b) for b in blocks])
     coos = [m.tocoo() for m in mats]
     groups = []
-    for size in np.unique(sizes):
-        nums = np.flatnonzero(sizes == size)
+    for size, is_real in sorted(set(zip(sizes.tolist(), real.tolist()))):
+        nums = np.flatnonzero((sizes == size) & (real == is_real))
         idx = np.stack([blocks[k] for k in nums])
         slot = np.full(mats[0].shape[0], -1)
         pos = np.zeros_like(slot)
@@ -246,21 +252,85 @@ def _block_stacks(mats, blocks):
         stacks = []
         for m in coos:
             keep = slot[m.row] >= 0  # blocks are invariant, so the column lies in the same block
-            r, c = m.row[keep], m.col[keep]
-            stack = np.zeros((len(idx), size, size), dtype=m.dtype)
-            np.add.at(stack, (slot[r], pos[r], pos[c]), m.data[keep])
+            r, c, data = m.row[keep], m.col[keep], m.data[keep]
+            data = data.real if is_real else data
+            stack = np.zeros((len(idx), size, size), dtype=data.dtype)
+            np.add.at(stack, (slot[r], pos[r], pos[c]), data)
             stacks.append(stack)
         groups.append((nums, idx, stacks))
     return groups
 
 
+def _site_reversal(dim):
+    """The basis permutation s -> R s that reverses the sites (the bits of s), or None off 2^n."""
+    n = dim.bit_length() - 1
+    if dim != 1 << n:
+        return None
+    r = np.arange(dim)
+    rev = np.zeros_like(r)
+    for bit in range(n):
+        rev |= ((r >> bit) & 1) << (n - 1 - bit)
+    return rev
+
+
+def _real_form(mats, blocks):
+    """A unitary U under which every block that an antiunitary P fixes is real symmetric.
+
+    Returns (U, or None for the identity; real flag per block; [U^dag M U]).
+    P = K (complex conjugation) fixes a block whose entries are real, and
+    U is the identity on it.  P = R K, with R the site reversal, fixes a
+    block that R maps onto itself when R M R = conj(M) on it for every M;
+    both tests are exact, as the entries of Pauli strings are.  On such a
+    block U holds the basis fixed by P, which keeps the block's indices:
+    |s> where R s = s, and for each pair s < R s, (|s> + |Rs>)/sqrt2 at
+    index s and i(|s> - |Rs>)/sqrt2 at index R s.  Every sum in U^dag M U
+    then pairs a term with its conjugate, so the imaginary part of a real
+    block is exactly zero.
+    """
+    import scipy.sparse as sp
+
+    dim = mats[0].shape[0]
+    label = np.empty(dim, dtype=int)
+    for k, b in enumerate(blocks):
+        label[b] = k
+    real = np.ones(len(blocks), dtype=bool)
+    for m in mats:
+        coo = m.tocoo()
+        real[label[coo.row[coo.data.imag != 0]]] = False
+    rev = _site_reversal(dim)
+    if rev is None or real.all():
+        return None, real, mats
+    rk = ~real
+    rk[label[label[rev] != label]] = False
+    for m in mats:
+        diff = (m[rev][:, rev] - m.conj()).tocoo()
+        rk[label[diff.row[diff.data != 0]]] = False
+    if not rk.any():
+        return None, real, mats
+    s = np.flatnonzero(rk[label])
+    plain = np.flatnonzero(~rk[label])
+    fixed, pair = s[rev[s] == s], s[s < rev[s]]
+    c = 1 / np.sqrt(2)
+    rows = np.concatenate([plain, fixed, pair, rev[pair], pair, rev[pair]])
+    cols = np.concatenate([plain, fixed, pair, pair, rev[pair], rev[pair]])
+    vals = np.repeat([1, 1, c, c, 1j * c, -1j * c], [len(plain), len(fixed)] + [len(pair)] * 4)
+    u = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    mats = [u.conj().T @ (m @ u) for m in mats]
+    for m in mats:
+        coo = m.tocoo()
+        assert not rk[label[coo.row[coo.data.imag != 0]]].any(), "real form has an imaginary part"
+    return u, real | rk, mats
+
+
 class _SparseGround:
     """Ground vectors of H + lambda*V by exact diagonalization, one invariant block at a time.
 
-    The blocks of |H| + |V| are found once.  Blocks up to DENSE_LIMIT are
-    diagonalized densely, all blocks of one size in one stacked eigh, and
-    larger ones by seeded Lanczos; the four lowest levels over all blocks
-    are merged.
+    The blocks of |H| + |V| are found once, and each block that an
+    antiunitary fixes is taken to a real basis (`_real_form`).  Blocks up
+    to DENSE_LIMIT are diagonalized densely, all blocks of one size and
+    dtype in one stacked eigh, and larger ones by seeded Lanczos; the four
+    lowest levels over all blocks are merged and mapped back to the
+    computational basis.
     """
 
     def __init__(self, h, v):
@@ -271,17 +341,21 @@ class _SparseGround:
         self.h = sp.csr_matrix(h)
         self.v = sp.csr_matrix(v)
         self.blocks = _invariant_blocks(self.h, self.v)
+        self.basis, real, mats = _real_form((self.h, self.v), self.blocks)
         sizes = np.array([len(b) for b in self.blocks])
         self.method = "dense" if sizes.max() <= DENSE_LIMIT else "lanczos"
-        # (block numbers, indices, stacked H, stacked V) per block size up to DENSE_LIMIT
+        # (block numbers, indices, stacked H, stacked V) per block size and real flag up to DENSE_LIMIT
         small = np.flatnonzero(sizes <= DENSE_LIMIT)
         self.dense = [
             (small[nums], idx, hs, vs)
-            for nums, idx, (hs, vs) in _block_stacks((self.h, self.v), [self.blocks[k] for k in small])
+            for nums, idx, (hs, vs) in _block_stacks(mats, [self.blocks[k] for k in small], real[small])
         ]
         self.sparse = [
-            (k, b, self.h[b][:, b], self.v[b][:, b]) for k, b in enumerate(self.blocks) if len(b) > DENSE_LIMIT
+            (k, b, *(m[b][:, b].real if real[k] else m[b][:, b] for m in mats))
+            for k, b in enumerate(self.blocks)
+            if len(b) > DENSE_LIMIT
         ]
+        self._last = None  # (lam, levels) of the last solve
 
     def _levels(self, lam):
         """Four lowest levels of H + lam V over all blocks and their degeneracy window.
@@ -289,8 +363,15 @@ class _SparseGround:
         The window is 1e-9 * max(|E0|, 1), as on the fermion path.  Levels
         within TIE_TOL * max(|E0|, 1) of the lowest come first in block
         order, so that rounding does not decide between exactly degenerate
-        blocks (the two parity sectors of the XY chain at gamma = 1).
+        blocks (the two parity sectors of the XY chain at gamma = 1).  The
+        bisection ends with a solve at the lambda it has just solved, so the
+        last result is kept.
         """
+        if self._last is None or self._last[0] != lam:
+            self._last = lam, self._solve_blocks(lam)
+        return self._last[1]
+
+    def _solve_blocks(self, lam):
         solved = []  # (block numbers, indices (m, s), eigenvalues (m, r), eigenvectors (m, s, r))
         for nums, idx, hs, vs in self.dense:
             w, u = np.linalg.eigh(hs + lam * vs)
@@ -310,6 +391,8 @@ class _SparseGround:
             _, idx, w, u = solved[src[c]]
             row, level = divmod(int(at[c]), w.shape[1])
             vecs[idx[row], j] = u[row, :, level]
+        if self.basis is not None:
+            vecs = self.basis @ vecs
         return vals[order], vecs, 1e-9 * scale
 
     def solve(self, lam):
@@ -531,7 +614,7 @@ def true_gap(h):
     For a Majorana form this is the smallest mode energy eps_k above the
     threshold.  Otherwise the spectrum is the union of the spectra of the
     invariant blocks of H (`_invariant_blocks`), one stacked eigvalsh per
-    block size.
+    block size and real flag (`_real_form`).
     """
     if isinstance(h, MajoranaForm):
         eps = np.linalg.eigvalsh(1j * h.a)[len(h.a) // 2 :]
@@ -543,7 +626,9 @@ def true_gap(h):
     hs = sp.csr_matrix(h)
     if hs.shape[0] > FULL_SPECTRUM_LIMIT:
         raise ChainTooLargeError("full-spectrum solve capped at dimension 4096")
-    groups = _block_stacks((hs,), _invariant_blocks(hs))
+    blocks = _invariant_blocks(hs)
+    _, real, mats = _real_form((hs,), blocks)
+    groups = _block_stacks(mats, blocks, real)
     w = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, _, (stack,) in groups]))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     above = w[w > w[0] + 1e-9 * scale]

@@ -34,6 +34,7 @@ FACE_SEED = 1
 CANDIDATE_GAP = 0.2  # sweep gaps up to this are polished as flat-face candidates
 COMMON_EIGVEC_TOL = 1e-8
 POLISH_MAXITER = 50
+POLISH_STEP_TOL = 1e-14  # a polish row whose Gauss-Newton step is this short has stopped moving
 ONE_SHOT_TOL = 1e-9  # signed distance from 0 to the eigenvalue hull that still counts as inside
 
 
@@ -282,8 +283,9 @@ def _polish_flat_directions(ops, starts):
     a step moves n to the last right singular vector of B(n), taken on n's
     side.  All starts advance together, one stacked svd and eigh per step.
     A row below FLAT_GAP stops at the first step that does not lower its
-    gap, and keeps the point before it; every row stops after POLISH_MAXITER
-    steps.  Gaps and B are those at the returned normals.
+    gap, and keeps the point before it; a row stops after a step no longer
+    than POLISH_STEP_TOL, and every row after POLISH_MAXITER steps.  Gaps
+    and B are those at the returned normals.
     """
     n = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     gap, bloch = _top_pair(ops, n)
@@ -292,9 +294,11 @@ def _polish_flat_directions(ops, starts):
         m = np.linalg.svd(bloch[live])[2][:, -1]
         m *= np.where((m * n[live]).sum(axis=1) < 0, -1.0, 1.0)[:, None]
         g, b = _top_pair(ops, m)
+        moving = np.linalg.norm(m - n[live], axis=1) > POLISH_STEP_TOL
         take = (g < gap[live]) | (gap[live] >= FLAT_GAP)
         live = live[take]
         n[live], gap[live], bloch[live] = m[take], g[take], b[take]
+        live = live[moving[take]]
         if not len(live):
             break
     return n, gap, bloch

@@ -380,6 +380,117 @@ def test_lanczos_blocks_match_dense_eigh(monkeypatch):
         assert np.linalg.norm(m @ vecs - vecs * w, axis=0).max() <= 1e-9 * scale
 
 
+def _block_dtypes(solver):
+    """Block number -> dtypes of its stored H and V blocks, dense stacks and Lanczos blocks alike."""
+    dtypes = {k: {hs.dtype, vs.dtype} for nums, _, hs, vs in solver.dense for k in nums.tolist()}
+    dtypes.update({k: {hb.dtype, vb.dtype} for k, _, hb, vb in solver.sparse})
+    assert sorted(dtypes) == list(range(len(solver.blocks)))
+    return dtypes
+
+
+def _mirrored(n, terms):
+    """The terms and their site-reversed images times (-1)^#y: a sum that R K fixes."""
+    mirror = [(tuple(n - 1 - s for s in sites), labels, (-1) ** labels.count("y") * c) for sites, labels, c in terms]
+    return tuple(terms) + tuple(mirror)
+
+
+@st.composite
+def _rk_symmetric_pairs(draw):
+    n = draw(st.integers(3, 7))
+    # Hopping by odd multiples of 1/16 that no sum of quarters cancels keeps the magnetization
+    # (xx = yy) or parity (xx != yy) sectors connected; R maps each onto itself, and every block
+    # is a union of them, so each block is fixed by R K.  Dyadic entries make the sums exact.
+    xx, yy = draw(st.sampled_from([(3 / 16, 3 / 16), (3 / 8, 1 / 16)]))
+    hop = tuple(((s, s + 1), (l, l), c) for s in range(n - 1) for l, c in (("x", xx), ("y", yy)))
+    even = draw(st.booleans())  # keep only strings that flip an even number of sites: several blocks
+
+    def extra():
+        terms = draw(_real_chain_specs(n)).terms
+        return tuple(t for t in terms if not even or sum(l in "xy" for l in t[1]) % 2 == 0)
+
+    h = _mirrored(n, hop + extra())
+    witness = gapwitness._witness_terms(n, False) if draw(st.booleans()) else ()
+    v = _mirrored(n, witness + extra())
+    return SpinChainSpec(n, h), SpinChainSpec(n, v)
+
+
+def _assert_levels_match_dense(solver, h, v, lam):
+    m = (h + lam * v).toarray()
+    ref = np.linalg.eigvalsh(m)
+    scale = max(abs(ref[0]), abs(ref[-1]), 1.0)
+    w, vecs, _ = solver._levels(lam)
+    assert np.abs(np.sort(w) - ref[: len(w)]).max() <= 1e-10 * scale
+    assert np.linalg.norm(m @ vecs - vecs * w, axis=0).max() <= 1e-9 * scale
+
+
+_XX6 = (SpinChainSpec(6, gapwitness._xy_terms(6, 0.0, False)), _XY6[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rk_symmetric_pairs(), st.sampled_from([0.0, 0.5, -1.25, 2.0]))
+@example(_XX6, 0.3)  # blocks of 1, 6, 15, 20, 15, 6, 1: dense and Lanczos, all taken by R K
+@example(_XY6, 0.3)
+def test_mirror_symmetric_chains_are_solved_real(specs, lam):
+    h, v = (build_chain(spec) for spec in specs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gapwitness, "DENSE_LIMIT", 12)
+        solver = _SparseGround(h, v)
+    assert all(d == {np.dtype(float)} for d in _block_dtypes(solver).values())
+    _assert_levels_match_dense(solver, h, v, lam)
+
+
+def test_blocks_without_a_real_form_stay_complex(monkeypatch):
+    # the tapered witness weighs its left end 2/3 and its right end 1/3, so R K does not fix it;
+    # on the odd sector V is the untapered witness, so one size holds a real and a complex block
+    n = 7
+    h = xy_hamiltonian(n, 0.5, taper=True)
+    even = sp.diags((np.array([bin(r).count("1") for r in range(2**n)]) % 2 == 0).astype(float))
+    odd = sp.identity(2**n) - even
+    tapered = gap_witness_v(n, taper=True)
+    mixed = even @ tapered @ even + odd @ gap_witness_v(n) @ odd
+    for limit in (12, gapwitness.DENSE_LIMIT):
+        monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
+        solver = _SparseGround(h, tapered)
+        assert solver.basis is None
+        assert all(d == {np.dtype(complex)} for d in _block_dtypes(solver).values())
+        _assert_levels_match_dense(solver, h, tapered, 0.4)
+        solver = _SparseGround(h, mixed)
+        assert [0 in b for b in solver.blocks] == [True, False]  # the even sector first
+        assert _block_dtypes(solver) == {0: {np.dtype(complex)}, 1: {np.dtype(float)}}
+        _assert_levels_match_dense(solver, h, mixed, 0.4)
+    # x0 y1 - y2 x3 is fixed by R K, but R swaps the blocks of 1000 and 0001: those two stay complex
+    h = build_chain(SpinChainSpec(4, _mirrored(4, (((0, 1), ("x", "y"), 1.0), ((0,), ("z",), 0.25)))))
+    v = _field(4, "z", [0.5, -0.25, -0.25, 0.5])
+    solver = _SparseGround(h, v)
+    assert [int(b[0]) for b in solver.blocks] == [0b0000, 0b0001, 0b0100, 0b0101]  # 1000 is in 0100's
+    assert _block_dtypes(solver) == dict(enumerate([{np.dtype(t)} for t in (float, complex, complex, float)]))
+    _assert_levels_match_dense(solver, h, v, 0.4)
+
+
+@pytest.mark.parametrize("n", [8, 12, 14])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_xy_chain_blocks_are_stored_real(n, gamma):
+    solver = _SparseGround(xy_hamiltonian(n, gamma), gap_witness_v(n))
+    assert solver.basis is not None  # the witness is imaginary, so the form is R K's
+    assert all(d == {np.dtype(float)} for d in _block_dtypes(solver).values())
+
+
+def test_bisection_end_reuses_the_last_solve(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return _lowest_levels(m)
+
+    monkeypatch.setattr(gapwitness, "_lowest_levels", counting)
+    curve = ground_curve(xy_hamiltonian(12, 0.5), gap_witness_v(12), np.linspace(0.0, 0.5, 6))
+    rep = gap_upper_bound(curve, refine_iters=3)
+    # two parity blocks per solve: six grid points and three bisection steps; the last step moved
+    # lambda*, so the limit there is the bisection's own solve
+    assert len(calls) == 2 * (6 + 3)
+    assert rep.solves == 6 + 3 + 1
+
+
 def test_many_small_blocks_take_a_few_dense_solves(monkeypatch):
     # a z-only chain is diagonal: 4096 blocks of one, solved as one stack per lambda
     n, lams = 12, [0.0, 0.5, 1.0]

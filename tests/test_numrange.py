@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from qgeom import core
+from qgeom import core, numrange
 from qgeom.core import PAULI_X, PAULI_Y, PAULI_Z
 from qgeom.numrange import (
     CANDIDATE_GAP,
@@ -269,6 +269,28 @@ def test_flat_polish_keeps_an_exact_segment_normal():
     # may point off the face, so a row below FLAT_GAP takes a step only if it lowers the gap
     normals, gaps, _ = _polish_flat_directions(_segment_triple(), np.eye(3)[2:])
     assert np.array_equal(normals, np.eye(3)[2:]) and gaps[0] == 0.0
+
+
+def test_flat_polish_drops_rows_that_stopped_moving(monkeypatch):
+    # no flat face: every candidate stays above FLAT_GAP and stops once its step is below rounding
+    rng = np.random.default_rng([7, 1, 1])
+    ops = [core.random_hermitian(3, rng) for _ in range(3)]
+    steps = []
+    top_pair = numrange._top_pair
+
+    def counting(ops, n):
+        steps.append(len(n))
+        return top_pair(ops, n)
+
+    monkeypatch.setattr(numrange, "_top_pair", counting)
+    runs = {}
+    for tol in (numrange.POLISH_STEP_TOL, 0.0):
+        monkeypatch.setattr(numrange, "POLISH_STEP_TOL", tol)
+        steps.clear()
+        runs[tol] = classify_qutrit_jnr(*ops), len(steps) - 1
+    (cls, n_steps), (full, full_steps) = runs.values()
+    assert cls == full and not cls.faces and cls.min_unpolished_gap is not None
+    assert full_steps == numrange.POLISH_MAXITER and n_steps <= 12
 
 
 def test_classify_random_constraints(rng):

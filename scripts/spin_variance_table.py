@@ -1,7 +1,7 @@
 """Sweep the total spin j and tabulate the tight additive variance bound.
 
-For each j one `min_sum_variances` call gives the attained value and the
-sector-approximant bracket [c, c + delta] it must lie in.
+For each j one `min_sum_variances` call gives the attained value, the
+certified lower side below it and the size of its search.
 
 Usage: python scripts/spin_variance_table.py [max_twice_j]
 """
@@ -15,16 +15,16 @@ from qgeom.uncertainty import min_sum_variances
 
 
 def main(max_twice_j=8):
-    print(f"{'j':>5} {'bound':>12} {'sector c':>12} {'c+delta':>12} {'time[s]':>8}")
+    print(f"{'j':>5} {'bound':>12} {'lower':>12} {'delta':>9} {'evals':>6} {'time[s]':>8}")
     for twice_j in range(1, max_twice_j + 1):
         j = Fraction(twice_j, 2)
         jx, jy, _ = spin_operators(j)
         t0 = time.monotonic()
         bound = min_sum_variances(jx, jy)
         dt = time.monotonic() - t0
-        c, delta = bound.sector_bound, bound.delta
-        assert c <= bound.value + 1e-9 <= c + delta + 2e-9
-        print(f"{str(j):>5} {bound.value:12.6f} {c:12.6f} {c + delta:12.6f} {dt:8.2f}")
+        lower, delta = bound.sector_bound, bound.delta
+        assert bound.meta["converged"] and lower <= bound.value <= lower + delta
+        print(f"{str(j):>5} {bound.value:12.6f} {lower:12.6f} {delta:9.1e} {bound.meta['evaluations']:6d} {dt:8.2f}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Every subcommand reads JSON inputs, runs the owning module, and writes
 deterministic JSON/CSV/OBJ artifacts: all randomness flows from the single
 --seed, floats are serialized as Python's shortest round-trip repr, and
-keys are sorted, so identical configs produce byte-identical reports.
+keys are sorted, so identical configs produce byte-identical reports at a
+fixed BLAS thread count.
 
 Exit codes: 0 success, 1 computational failure, 2 usage error.
 """
@@ -219,7 +220,7 @@ def cmd_uncertainty(args):
         if len(ops) != 2:
             raise UsageError("uncertainty expects a pair of operators")
         x, y = ops
-    bound = uncertainty.min_sum_variances(x, y, sector_tol=args.sector_tol)
+    bound = uncertainty.min_sum_variances(x, y)
     payload = {
         "value": bound.value,
         "x": bound.minimizer[0],
@@ -227,7 +228,8 @@ def cmd_uncertainty(args):
         "sector_bound": bound.sector_bound,
         "delta": bound.delta,
         "certificate": core.operator_to_json(bound.certificate_state),
-        "_tolerances": {"sector_tol": args.sector_tol},
+        "meta": bound.meta,
+        "_tolerances": {"bracket": uncertainty.BRACKET_TOL},
     }
     write_report(payload, args.out, args)
     return 0
@@ -482,7 +484,6 @@ def build_parser():
     pair = sp.add_mutually_exclusive_group(required=True)
     pair.add_argument("--ops", default=None)
     pair.add_argument("--table-j", default=None, help="spin pair J_X, J_Y for this j")
-    sp.add_argument("--sector-tol", type=float, default=1e-4)
     common(sp)
     sp.set_defaults(fn=cmd_uncertainty)
 

@@ -168,9 +168,10 @@ def _xy_terms(n_sites, gamma, taper):
 
 
 def _witness_terms(n_sites, taper):
+    # a term spans bonds n - 1 and n; their mean taper keeps the witness mirror-symmetric
     terms = []
     for n in range(1, n_sites - 1):
-        w = _bond_taper(n_sites - 1, n) if taper else 1.0
+        w = (_bond_taper(n_sites - 1, n - 1) + _bond_taper(n_sites - 1, n)) / 2 if taper else 1.0
         terms.append(((n - 1, n, n + 1), ("x", "z", "y"), w))
         terms.append(((n - 1, n, n + 1), ("y", "z", "x"), -w))
     return tuple(terms)

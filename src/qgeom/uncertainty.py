@@ -1,241 +1,218 @@
 """Tight additive uncertainty bounds.
 
-The minimum of Delta^2 X + Delta^2 Y over all states equals the minimum
-over real (x, y) of lambda_min((X - x)^2 + (Y - y)^2).  Linear sector
-approximants of variance bracket it: a branch and bound over sector pairs
-gives the certified c, and a polish from the best pair an attained value
-in [c, c + delta].
+The minimum of Delta^2 X + Delta^2 Y over all states equals the minimum of
+g(a, b) = lambda_min((X - a)^2 + (Y - b)^2) over the box [lambda_min X,
+lambda_max X] x [lambda_min Y, lambda_max Y], which holds (<X>, <Y>) of
+every state.  h = g - a^2 - b^2 is concave, so on a triangle or a segment g
+lies above the chord interpolation of h plus a^2 + b^2, a convex quadratic
+whose minimum has a closed form.  One branch and bound over such simplices
+gives the certified lower side, and the ground vector at its best vertex
+attains the upper side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .core import as_density, as_hermitian, stack_chunks
 
 
-POLISH_STEPS = 100  # cap on the steps of the variance polish
-PRUNE_MARGIN = 1e-9  # relative to the operator scale; far above eigensolve rounding
-ROUNDING = 4 * np.finfo(float).eps  # times dim * scale: float error of one lambda_min(X_i + Y_j)
+BRACKET_TOL = 1e-11  # relative to max(1, |upper|): the bracket the search closes to
+FLOOR = 2  # times the allowance: the narrowest bracket the search aims for
+EVALUATION_CAP = 2**15  # eigensolves, after which the search stops unconverged
+RADIAL_TOL = 1e-9  # relative to the operator scale: largest residual of an accepted rotation
+ROUNDING = 4 * np.finfo(float).eps  # times dim * scale: float error of one lambda_min
 
 
 @dataclass
 class VarianceBound:
     """Bracket [sector_bound, value] on min over states of Delta^2 X + Delta^2 Y.
 
-    `value` = lambda_min((X - x*)^2 + (Y - y*)^2) at `minimizer` (x*, y*),
-    attained by its ground vector `certificate_state`.  `sector_bound` is
-    c - e and `delta` is delta_X + delta_Y + 2 e, for c and e from
-    `_sector_search` and the partitions' deltas, so sector_bound <= value <=
-    sector_bound + delta holds in floating point.
+    `value` is the variance sum that `certificate_state` attains and
+    `minimizer` its (<X>, <Y>).  `sector_bound` is the search's certified
+    lower side and `delta` = value - sector_bound, rounded up so that
+    sector_bound <= value <= sector_bound + delta holds in floating point.
+    `meta` holds the `method` ("radial" or "planar"), the number of
+    `evaluations` (eigensolves) and whether the search `converged`.
     """
 
     value: float
-    minimizer: tuple  # (x*, y*)
+    minimizer: tuple  # (<X>, <Y>) of the certificate state
     certificate_state: np.ndarray
     sector_bound: float
     delta: float
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.certificate_state = as_density(self.certificate_state)
 
 
-def min_sum_variances(x, y, sector_tol=1e-4):
-    """Polish the sector search's best pair (i, j) into an attained value.
+def min_sum_variances(x, y):
+    """Branch and bound on g over simplices, split at their longest edge.
 
-    Partitions come from `default_partition(., sector_tol)`.  The ground
-    vector psi of X_i + Y_j attains at most c + delta, since Delta^2 X -
-    <X_i> = -(u - a)(u - b) <= (b - a)^2 / 4 at u = <X>.  A step sets
-    (a, b) = (<X>, <Y>) in psi and psi to the ground vector of (X - a)^2 +
-    (Y - b)^2; each lambda_min bounds the next psi's variance sum, which
-    bounds the next lambda_min.  That step is gradient descent on
-    g(a, b) = lambda_min, so where the ground level is simple and g's
-    perturbative Hessian positive definite, the same stacked eigh also
-    tries g's Newton point and keeps the lower.  The polish stops when the
-    value stops falling, or after POLISH_STEPS.
+    The start mesh is one segment along a radius when `_rotation` finds
+    (X, Y) rotation-symmetric, since g is then constant on circles about
+    (a0, b0); otherwise two triangles cover the box.  Vertex values of h are
+    lowered by the allowance ROUNDING * dim * scale (plus the rotation's
+    residual bound), and each simplex's bound is the minimum of the chord
+    quadratic.  Each round drops the simplices whose bound is within the
+    target of the least evaluated g, splits the rest at their longest edge
+    and evaluates the new midpoints in one stacked eigvalsh.  It stops when
+    upper - lower <= max(BRACKET_TOL * max(1, |upper|), FLOOR * allowance),
+    or before it would exceed EVALUATION_CAP eigensolves.
     """
     x, y = as_hermitian(x), as_hermitian(y)
     if x.shape != y.shape:
         raise ValueError("operators must have equal dimensions")
-    px, py = default_partition(x, sector_tol), default_partition(y, sector_tol)
-    c, err, (i, j) = _sector_search(x, y, px, py)
-    (a, b), (s, t) = px.sectors()[i], py.sectors()[j]
-    psi = np.linalg.eigh(sector_bound_operator(x, a, b) + sector_bound_operator(y, s, t))[1][:, 0]
-    ops, eye = np.stack([x, y]), np.eye(x.shape[0])
-    cands, value = np.einsum("i,kij,j->k", psi.conj(), ops, psi).real[None], np.inf
-    for _ in range(POLISH_STEPS):
-        sh = ops - cands[:, :, None, None] * eye  # X - a and Y - b per candidate (a, b)
-        lam, vecs = np.linalg.eigh(sh[:, 0] @ sh[:, 0] + sh[:, 1] @ sh[:, 1])
-        k = np.argmin(lam[:, 0])
-        if lam[k, 0] >= value:
+    dim = x.shape[0]
+    wx, wy = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
+    rotation = _rotation(x, y)
+    if rotation is None:
+        method, slack = "planar", 0.0
+        pts = np.array([[wx[0], wy[0]], [wx[-1], wy[0]], [wx[-1], wy[-1]], [wx[0], wy[-1]]])
+        simplices = np.array([[0, 1, 2], [0, 2, 3]])
+    else:
+        # a turn by |theta| <= pi takes any point of the box to the ray at radius r <= radius;
+        # it moves A = X - a0 and B = Y - b0 by at most pi e each, so (A - r)^2 + B^2 moves by at
+        # most 2 pi e (ra + r + rb) + 2 (pi e)^2: the slack between g there and on the ray
+        a0, b0, e = rotation
+        ra, rb = max(a0 - wx[0], wx[-1] - a0), max(b0 - wy[0], wy[-1] - b0)
+        radius = np.hypot(ra, rb)
+        method, slack = "radial", 2 * np.pi * e * (ra + rb + radius) + 2 * (np.pi * e) ** 2
+        pts = np.array([[a0, b0], [a0 + radius, b0]])
+        simplices = np.array([[0, 1]])
+    sq = x @ x + y @ y
+    amax, bmax = np.abs(pts).max(axis=0)
+    scale = 1.0 + np.linalg.norm(sq) + 2 * (amax * np.linalg.norm(x) + bmax * np.linalg.norm(y))
+    allowance = ROUNDING * dim * scale + slack
+    pairs = list(combinations(range(simplices.shape[1]), 2))
+
+    h = _lambda_min(sq, x, y, pts)
+    edges = {}  # (vertex, vertex) -> midpoint, so that neighbours share it
+    dropped = np.inf  # least bound of the dropped simplices
+    while True:
+        g = h + (pts * pts).sum(axis=1)
+        upper = g.min()
+        target = max(BRACKET_TOL * max(1.0, abs(upper)), FLOOR * allowance)
+        bounds = _simplex_bounds(pts[simplices], h[simplices] - allowance)
+        lower = min(dropped, bounds.min())
+        converged = bool(upper - lower <= target)
+        if converged:
             break
-        value, point, w, psi = lam[k, 0], cands[k], lam[k], vecs[k][:, 0]
-        elems = np.einsum("im,kij,j->km", vecs[k].conj(), ops, psi)  # <m|X|0>, <m|Y|0>
-        cands = elems[None, :, 0].real
-        if len(w) > 1 and w[1] - w[0] > 1e-9 * max(1.0, abs(w).max()):
-            off = elems[:, 1:]
-            hess = 2 * np.eye(2) - 8 * np.real((off / (w[1:] - w[0])) @ off.conj().T)
-            if hess[0, 0] > 0 and np.linalg.det(hess) > 1e-12:
-                newton = point - np.linalg.solve(hess, 2 * (point - cands[0]))
-                cands = np.stack([cands[0], newton])
+        live = bounds < upper - target
+        dropped = min(dropped, bounds[~live].min(initial=np.inf))
+        simplices = simplices[live]
+        ends = np.array(pairs)[np.argmax([np.linalg.norm(pts[simplices[:, i]] - pts[simplices[:, j]], axis=1)
+                                          for i, j in pairs], axis=0)]
+        rows = np.arange(len(simplices))
+        keys = np.sort(simplices[rows[:, None], ends], axis=1)
+        mids, new = np.empty(len(keys), dtype=np.int64), []
+        for r, key in enumerate(map(tuple, keys.tolist())):
+            if key not in edges:
+                edges[key] = len(pts) + len(new)
+                new.append(key)
+            mids[r] = edges[key]
+        if len(pts) + len(new) > EVALUATION_CAP:
+            break
+        new = np.array(new).reshape(-1, 2)
+        fresh = (pts[new[:, 0]] + pts[new[:, 1]]) / 2
+        pts, h = np.concatenate([pts, fresh]), np.concatenate([h, _lambda_min(sq, x, y, fresh)])
+        first, second = simplices.copy(), simplices.copy()
+        first[rows, ends[:, 1]] = mids
+        second[rows, ends[:, 0]] = mids
+        simplices = np.concatenate([first, second])
+
+    a, b = pts[np.argmin(g)]
+    w, v = np.linalg.eigh(sq - 2 * (a * x + b * y))
+    psi = v[:, 0]
+    at = np.array([np.vdot(psi, x @ psi).real, np.vdot(psi, y @ psi).real])
+    value = max(float(w[0] + a * a + b * b - (a - at[0]) ** 2 - (b - at[1]) ** 2), 0.0)
+    delta = value - lower
+    if lower + delta < value:
+        delta = np.nextafter(delta, np.inf)
     return VarianceBound(
-        value=max(float(value), 0.0),
-        minimizer=(float(point[0]), float(point[1])),
+        value=value,
+        minimizer=(float(at[0]), float(at[1])),
         certificate_state=np.outer(psi, psi.conj()),
-        sector_bound=c - err,
-        delta=px.delta + py.delta + 2 * err,
+        sector_bound=float(lower),
+        delta=float(delta),
+        meta={"method": method, "evaluations": len(pts), "converged": converged},
     )
 
 
-def sector_bound_operator(x, a, b):
-    """A_(a,b) = X^2 - (a+b) X + ab; <A> <= Delta^2 X whenever a <= <X> <= b."""
-    if a > b:
-        raise ValueError(f"sector requires a <= b, got ({a}, {b})")
-    x = as_hermitian(x)
-    return x @ x - (a + b) * x + a * b * np.eye(x.shape[0])
+def _lambda_min(sq, x, y, pts):
+    """h(a, b) = lambda_min(X^2 + Y^2 - 2aX - 2bY) at each row (a, b) of pts."""
+    out = np.empty(len(pts))
+    for c in stack_chunks(len(pts), sq.shape[0]):
+        a, b = pts[c, 0, None, None], pts[c, 1, None, None]
+        out[c] = np.linalg.eigvalsh(sq - 2 * (a * x + b * y))[:, 0]
+    return out
 
 
-def _sector_operators(x, p):
-    """(ops, s, ab): sector_bound_operator(x, a, b) of every sector of p, stacked,
-    with the sector sums s = a + b and products ab = a b."""
-    sec = np.array(p.sectors())
-    s, ab = sec.sum(axis=1), sec.prod(axis=1)
-    return x @ x - s[:, None, None] * x + ab[:, None, None] * np.eye(x.shape[0]), s, ab
+def _simplex_bounds(v, h):
+    """Minimum over each simplex of (chord interpolation of h) + |p|^2.
 
-
-@dataclass(frozen=True)
-class SectorPartition:
-    """Increasing breakpoints that contain every eigenvalue of the bound operator."""
-
-    breakpoints: tuple
-
-    def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        if len(bp) < 2 or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing, length >= 2")
-        object.__setattr__(self, "breakpoints", bp)
-
-    @property
-    def delta(self):
-        """(max sector width / 2)^2, the one-operator approximation error."""
-        gaps = np.diff(self.breakpoints)
-        return float((gaps.max() / 2) ** 2)
-
-    def covers(self, x, tol=1e-10):
-        w = np.linalg.eigvalsh(as_hermitian(x))
-        bp = np.array(self.breakpoints)
-        return bool(
-            np.all(np.min(np.abs(w[:, None] - bp[None, :]), axis=1) <= tol)
-            and bp[0] <= w[0] + tol
-            and w[-1] <= bp[-1] + tol
-        )
-
-    def sectors(self):
-        return list(zip(self.breakpoints[:-1], self.breakpoints[1:]))
-
-
-def default_partition(x, tol=1e-4):
-    """Eigenvalues of X, midpoint-refined until delta falls below tol.
-
-    An operator proportional to the identity gets the sectors
-    [w - 1e-8, w] and [w, w + 1e-8] around its one eigenvalue w.
+    v is (n, k, 2) with k = 2 (segments) or 3 (triangles) and h is (n, k).
+    The minimum lies on an edge, where the quadratic is 1D and clamped to
+    the edge, or, for a triangle, at the unconstrained minimiser p* = -c/2
+    of h0 + c.(p - v0) + |p|^2 when p* is inside.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"sector tolerance must be positive and finite, got {tol}")
-    w = np.linalg.eigvalsh(as_hermitian(x))
-    bp = sorted(set(np.round(w, 12)))
-    if len(bp) == 1:
-        bp = [bp[0] - 1e-8, bp[0], bp[0] + 1e-8]
-    bp = np.array(bp, dtype=float)
-    while (np.diff(bp).max() / 2) ** 2 > tol:
-        mids = (bp[:-1] + bp[1:]) / 2
-        bp = np.sort(np.concatenate([bp, mids]))
-    return SectorPartition(tuple(bp))
+    best = np.full(len(v), np.inf)
+    for i, j in combinations(range(v.shape[1]), 2):
+        e, dh = v[:, j] - v[:, i], h[:, j] - h[:, i]
+        ee = (e * e).sum(axis=1)
+        t = np.clip(-(dh + 2 * (v[:, i] * e).sum(axis=1)) / (2 * np.where(ee > 0, ee, 1.0)), 0.0, 1.0)
+        p = v[:, i] + t[:, None] * e
+        best = np.minimum(best, h[:, i] + t * dh + (p * p).sum(axis=1))
+    if v.shape[1] == 3:
+        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        d1, d2 = h[:, 1] - h[:, 0], h[:, 2] - h[:, 0]
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        safe = np.where(cross != 0, cross, 1.0)
+        c = np.stack([e2[:, 1] * d1 - e1[:, 1] * d2, e1[:, 0] * d2 - e2[:, 0] * d1], axis=1) / safe[:, None]
+        w = -c / 2 - v[:, 0]  # p* - v0 = s e1 + t e2
+        s = (w[:, 0] * e2[:, 1] - w[:, 1] * e2[:, 0]) / safe
+        t = (e1[:, 0] * w[:, 1] - e1[:, 1] * w[:, 0]) / safe
+        inside = (cross != 0) & (s >= 0) & (t >= 0) & (s + t <= 1)
+        best = np.where(inside, np.minimum(best, h[:, 0] + (c * w).sum(axis=1) + (c * c).sum(axis=1) / 4), best)
+    return best
 
 
-def _chord_minima(lo, hi, coord, const, slopes):
-    """min over k in [lo, hi] of slope * u_k + const_k, per block and slope.
+def _rotation(x, y):
+    """(a0, b0, e) when a Hermitian Z rotates (X - a0, Y - b0) into itself, else None.
 
-    u_k = (coord_k - coord_lo) / (coord_hi - coord_lo) runs from 0 to 1 over
-    the block (0 where the block has one coordinate value).  lo and hi are
-    (B,) index arrays, slopes is (B, P); the result is (B, P).  Ranges are
-    padded to the longest by repeating hi, which leaves each minimum alone.
+    a0 = Tr X / d and b0 = Tr Y / d.  Z solves [Z, X] = i(Y - b0) entrywise
+    in X's eigenbasis; the part of Z that commutes with X is then fixed from
+    [Z, Y] = -i(X - a0) by least squares.  e is the hypotenuse of the two
+    residuals' spectral norms, and Z is accepted when e <= RADIAL_TOL *
+    scale.  Then e^{i theta Z} turns (X - a0, Y - b0) by theta up to an
+    error of norm |theta| e, so g is constant on circles about (a0, b0) up
+    to the slack that `min_sum_variances` derives from e.
     """
-    idx = np.minimum(lo[:, None] + np.arange((hi - lo).max() + 1), hi[:, None])
-    span = coord[hi] - coord[lo]
-    u = (coord[idx] - coord[lo][:, None]) / np.where(span > 0, span, 1.0)[:, None]
-    return (slopes[:, :, None] * u[:, None, :] + const[idx][:, None, :]).min(axis=2)
-
-
-def _sector_search(x, y, px: SectorPartition, py: SectorPartition):
-    """(c, e, (i, j)): c = lambda_min(X_i + Y_j), the least over sector pairs.
-
-    c is the same float as an eigensolve of every pair would give, found
-    by branch and bound over the (i, j) index grid.  With s_i = a_i + b_i
-    and t_j = c_j + d_j, X_i + Y_j = X^2 + Y^2 - s_i X - t_j Y + a_i b_i +
-    c_j d_j, so lambda_min(X_i + Y_j) = h(s_i, t_j) + a_i b_i + c_j d_j with
-    h(s, t) = lambda_min(X^2 + Y^2 - s X - t Y) concave.  On a block of
-    indices h lies above the chords of its four corners on the two
-    triangles of the concave triangulation, hence above the smaller of the
-    two planes; plus the constants, that is separable, and its minimum
-    over the block is two 1D minima per plane.  Each round evaluates the
-    new corners of all live blocks in one stacked eigensolve, drops the
-    blocks whose bound exceeds the best value by PRUNE_MARGIN times the
-    operator scale, and halves the rest along their longer side.  Every
-    pair is thus evaluated or lies in a block whose bound exceeds c by
-    more than rounding.  e = ROUNDING * dim * scale allows for the float
-    error of assembling X_i + Y_j and of its eigvalsh, each a small
-    multiple of dim * eps * scale.
-    """
-    x = as_hermitian(x)
-    y = as_hermitian(y)
-    if not px.covers(x):
-        raise ValueError("X partition does not contain the spectrum of X")
-    if not py.covers(y):
-        raise ValueError("Y partition does not contain the spectrum of Y")
-    (xs, s, ab), (ys, t, cd) = _sector_operators(x, px), _sector_operators(y, py)
-    n, dim = len(ys), x.shape[0]
-    scale = 1.0 + np.linalg.norm(xs, axis=(1, 2)).max() + np.abs(ab).max()
-    scale += np.linalg.norm(ys, axis=(1, 2)).max() + np.abs(cd).max()
-    margin = PRUNE_MARGIN * scale
-
-    keys = np.empty(0, dtype=np.int64)  # evaluated pairs i * n + j, sorted
-    vals = np.empty(0)
-    best, arg = np.inf, None
-    blocks = np.array([[0, len(xs) - 1, 0, n - 1]])  # rows (i0, i1, j0, j1)
-    while len(blocks):
-        i0, i1, j0, j1 = blocks.T
-        corners = np.stack([i0 * n + j0, i1 * n + j0, i0 * n + j1, i1 * n + j1], axis=1)
-        new = np.setdiff1d(corners, keys)
-        if len(new):
-            ii, jj = np.divmod(new, n)
-            got = np.concatenate(
-                [np.linalg.eigvalsh(xs[ii[c]] + ys[jj[c]])[:, 0] for c in stack_chunks(len(new), dim)]
-            )
-            if got.min() < best:
-                best, arg = got.min(), new[got.argmin()]
-            keys = np.concatenate([keys, new])
-            order = np.argsort(keys)
-            keys, vals = keys[order], np.concatenate([vals, got])[order]
-        ci, cj = np.divmod(corners, n)
-        h00, h10, h01, h11 = (vals[np.searchsorted(keys, corners)] - ab[ci] - cd[cj]).T
-        # the two planes of the concave triangulation, which cuts along the
-        # diagonal with the larger mean; each is offset + su * u + sv * v for
-        # block coordinates u, v running from 0 to 1
-        main = h00 + h11 >= h10 + h01
-        offsets = np.stack([h00, np.where(main, h00, h01 + h10 - h11)], axis=1)
-        su = np.stack([h10 - h00, h11 - h01], axis=1)
-        sv = np.stack([np.where(main, h11 - h10, h01 - h00), np.where(main, h01 - h00, h11 - h10)], axis=1)
-        bound = (offsets + _chord_minima(i0, i1, s, ab, su) + _chord_minima(j0, j1, t, cd, sv)).min(axis=1)
-        live = (bound <= best + margin) & ((i1 - i0 > 1) | (j1 - j0 > 1))
-        # halve each live block along its longer side; the halves share the middle line
-        rows = np.flatnonzero(live)
-        lo = np.where(i1 - i0 >= j1 - j0, 0, 2)[rows]  # column of the split range's low end
-        mid = (blocks[rows, lo] + blocks[rows, lo + 1]) // 2
-        first, second = blocks[rows], blocks[rows]
-        first[np.arange(len(rows)), lo + 1] = mid
-        second[np.arange(len(rows)), lo] = mid
-        blocks = np.concatenate([first, second])
-    return float(best), float(ROUNDING * dim * scale), tuple(int(k) for k in divmod(arg, n))
+    d = x.shape[0]
+    eye = np.eye(d)
+    a0, b0 = np.trace(x).real / d, np.trace(y).real / d
+    tol = RADIAL_TOL * (1.0 + np.linalg.norm(x) + np.linalg.norm(y))
+    w, v = np.linalg.eigh(x)
+    yt = v.conj().T @ (y - b0 * eye) @ v
+    gap = w[None, :] - w[:, None]  # w_n - w_m at (m, n)
+    free = np.abs(gap) <= tol
+    if np.linalg.norm(yt[free]) > tol:  # [Z, X] vanishes between equal eigenvalues of X
+        return None
+    z = np.where(free, 0, 1j * yt / np.where(free, 1.0, gap))
+    target = -1j * np.diag(w - a0) - (z @ yt - yt @ z)  # T = [F, Y~] for the free part F
+    if np.linalg.norm(target) > tol:
+        # one unknown per free entry; T is anti-Hermitian, so the Hermitian part of a solution solves too
+        m, n = np.nonzero(free)
+        basis = np.zeros((len(m), d, d))
+        basis[np.arange(len(m)), m, n] = 1.0
+        comm = (basis @ yt - yt @ basis).reshape(len(m), -1).T
+        z = z + np.tensordot(np.linalg.lstsq(comm, target.ravel(), rcond=None)[0], basis, axes=1)
+    z = v @ z @ v.conj().T
+    z = (z + z.conj().T) / 2
+    e = np.hypot(np.linalg.norm(z @ x - x @ z - 1j * (y - b0 * eye), 2),
+                 np.linalg.norm(z @ y - y @ z + 1j * (x - a0 * eye), 2))
+    return (a0, b0, float(e)) if e <= tol else None

@@ -1,13 +1,13 @@
 """Each stacked kernel against the per-sample loop it replaces.
 
 The stacked paths do the same arithmetic as the loops (same operator sums,
-same eigensolver per matrix, same expectation formula), so support sweeps,
-sector operators and sector bounds must agree bit for bit; characteristic
-values are checked against expm of each rotation vector within rounding,
-the Marvian test against its row-by-row quaternion/expm loop, the
-Gauss-Newton flat-face census against the old rank and shape tests on every
-reported face and against scipy's Nelder-Mead from every candidate, and the
-sector-started variance polish against a grid plus Nelder-Mead.
+same eigensolver per matrix, same expectation formula), so support sweeps
+must agree bit for bit; characteristic values are checked against expm of
+each rotation vector within rounding, the Marvian test against its
+row-by-row quaternion/expm loop, the Gauss-Newton flat-face census against
+the old rank and shape tests on every reported face and against scipy's
+Nelder-Mead from every candidate, and the variance branch and bound's
+bracket against a grid plus Nelder-Mead.
 """
 
 from fractions import Fraction as F
@@ -35,14 +35,7 @@ from qgeom.numrange import (
     unit,
 )
 from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_necessary_test
-from qgeom.uncertainty import (
-    SectorPartition,
-    _sector_operators,
-    _sector_search,
-    default_partition,
-    min_sum_variances,
-    sector_bound_operator,
-)
+from qgeom.uncertainty import min_sum_variances
 from test_uncertainty import paraboloid_certificate
 
 
@@ -245,80 +238,6 @@ def test_classification_matches_scipy_nelder_mead_oracle(seed, kind):
         assert np.linalg.norm(f.normal - n) <= 1e-9 and f.dim == dim
 
 
-def _random_partition(rng, x):
-    """Breakpoints at the eigenvalues of x plus a few random interior points."""
-    w = np.linalg.eigvalsh(x)
-    extra = rng.uniform(w[0], w[-1], size=rng.integers(0, 4))
-    bp = np.unique(np.concatenate([[w[0] - 1e-3, w[-1] + 1e-3], w, extra]))
-    return SectorPartition(tuple(bp))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 5))
-def test_sector_sum_bound_matches_double_loop(seed, d):
-    rng = np.random.default_rng(seed)
-    x, y = core.random_hermitian(d, rng), core.random_hermitian(d, rng)
-    px, py = _random_partition(rng, x), _random_partition(rng, y)
-    xs = [sector_bound_operator(x, a, b) for a, b in px.sectors()]
-    ys = [sector_bound_operator(y, a, b) for a, b in py.sectors()]
-    c_loop = min(np.linalg.eigvalsh(xi + yj)[0] for xi in xs for yj in ys)
-    c, _, _ = _sector_search(x, y, px, py)
-    assert c == float(c_loop)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 5), st.booleans())
-def test_sector_operators_match_the_one_sector_form(seed, d, spin):
-    rng = np.random.default_rng(seed)
-    x = spin_operators(F(d, 2))[rng.integers(3)] if spin else core.random_hermitian(d, rng)
-    p = _random_partition(rng, x)
-    stacked, s, ab = _sector_operators(x, p)
-    np.testing.assert_array_equal(stacked, [sector_bound_operator(x, a, b) for a, b in p.sectors()])
-    np.testing.assert_array_equal(s, [a + b for a, b in p.sectors()])
-    np.testing.assert_array_equal(ab, [a * b for a, b in p.sectors()])
-
-
-def _sector_loop(x, y, px, py):
-    """One stacked eigensolve per X sector over every Y sector."""
-    ys = np.stack([sector_bound_operator(y, a, b) for a, b in py.sectors()])
-    return float(min(np.linalg.eigvalsh(sector_bound_operator(x, a, b) + ys)[:, 0].min() for a, b in px.sectors()))
-
-
-def _sector_cases():
-    for j in (F(1, 2), 1, F(3, 2), 2, F(5, 2), 3):
-        jx, jy, _ = spin_operators(j)
-        yield f"spin-{j}", jx, jy  # minimisers on a circle
-    jx, _, _ = spin_operators(F(3, 2))
-    yield "x-equals-y", jx, jx
-    yield "commuting-diagonal", np.diag([0.0, 1.0, 3.0, -2.0]), np.diag([2.0, -1.0, 0.0, 0.5])
-    yield "identity", np.eye(3), np.diag([1.0, 0.0, -1.0])
-
-
-@pytest.mark.parametrize("name, x, y", list(_sector_cases()), ids=[c[0] for c in _sector_cases()])
-def test_sector_sum_bound_branch_and_bound_is_exact(name, x, y):
-    px, py = default_partition(x), default_partition(y)
-    assert _sector_search(x, y, px, py)[0] == _sector_loop(x, y, px, py)
-
-
-def test_sector_sum_bound_eigensolves_few_pairs(monkeypatch):
-    jx, jy, _ = spin_operators(3)
-    px, py = default_partition(jx), default_partition(jy)
-    pairs = len(px.sectors()) * len(py.sectors())
-    assert pairs == 384 * 384
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        solved.append(int(np.prod(np.shape(a)[:-2])))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    c, _, _ = _sector_search(jx, jy, px, py)
-    monkeypatch.undo()
-    assert sum(solved) <= 0.1 * pairs
-    assert c == _sector_loop(jx, jy, px, py)
-
-
 def _grid_nelder_mead_min(x, y, grid=41, refine_from=5):
     """Reference minimum of lambda_min((X - a)^2 + (Y - b)^2): the best of a
     grid over the spectral box and Nelder-Mead from its best cells."""
@@ -350,8 +269,9 @@ def test_min_sum_variances_matches_grid_nelder_mead(seed, d, spin):
     else:
         x, y = core.random_hermitian(d, rng), core.random_hermitian(d, rng)
     b = min_sum_variances(x, y)
-    assert b.value <= _grid_nelder_mead_min(x, y) + 1e-10
+    assert b.sector_bound <= _grid_nelder_mead_min(x, y) <= b.value + 1e-10
     assert b.sector_bound <= b.value <= b.sector_bound + b.delta
+    assert b.meta["converged"] and b.delta <= max(1e-11 * max(1.0, b.value), 1e-9)
     at = [expectation(op, b.certificate_state) for op in (x, y)]
     np.testing.assert_allclose(at, b.minimizer, rtol=0, atol=1e-6)
     assert paraboloid_certificate(x, y, b)
@@ -359,15 +279,52 @@ def test_min_sum_variances_matches_grid_nelder_mead(seed, d, spin):
 
 def test_min_sum_variances_closes_a_shallow_valley():
     # combinations of the spin-5/2 J_s: lambda_min is nearly flat along its
-    # valley, where a plain (<X>, <Y>) step shrinks the error by about 2% and
-    # stops 5e-9 high after POLISH_STEPS; the Newton candidate closes it
+    # valley, where a plain (<X>, <Y>) fixed-point step shrinks the error by
+    # about 2% per step; the branch and bound closes the bracket all the same
     ops = spin_operators(F(5, 2))
     x = np.tensordot([-0.880, -1.361, 0.723], ops, axes=1)
     y = np.tensordot([0.099, -0.828, -1.456], ops, axes=1)
     b = min_sum_variances(x, y)
-    assert b.value <= _grid_nelder_mead_min(x, y) + 1e-10
+    assert b.sector_bound <= _grid_nelder_mead_min(x, y) <= b.value + 1e-10
+    assert b.meta == {"method": "planar", "evaluations": b.meta["evaluations"], "converged": True}
     at = [expectation(op, b.certificate_state) for op in (x, y)]
     np.testing.assert_allclose(at, b.minimizer, rtol=0, atol=1e-6)
+
+
+def _variance_cases():
+    for j in (F(1, 2), 1, F(3, 2), 2, F(5, 2), 3):
+        jx, jy, _ = spin_operators(j)
+        yield f"spin-{j}", jx, jy, "radial"  # minimisers on a circle
+    jx, _, _ = spin_operators(F(3, 2))
+    yield "x-equals-y", jx, jx, "planar"
+    yield "commuting-diagonal", np.diag([0.0, 1.0, 3.0, -2.0]), np.diag([2.0, -1.0, 0.0, 0.5]), "planar"
+    yield "identity", np.eye(3), np.diag([1.0, 0.0, -1.0]), "planar"
+
+
+@pytest.mark.parametrize("name, x, y, method", list(_variance_cases()), ids=[c[0] for c in _variance_cases()])
+def test_variance_bracket_contains_the_grid_minimum(name, x, y, method):
+    b = min_sum_variances(x, y)
+    assert b.meta["method"] == method and b.meta["converged"]
+    assert b.sector_bound <= _grid_nelder_mead_min(x, y) <= b.value + 1e-10
+    assert b.delta <= max(1e-11 * max(1.0, b.value), 1e-10)
+
+
+def test_variance_search_evaluates_few_points(monkeypatch):
+    # the spin-3 pair is searched along one radius; meta counts every stacked eigvalsh row
+    jx, jy, _ = spin_operators(3)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    b = min_sum_variances(jx, jy)
+    monkeypatch.undo()
+    assert b.meta["method"] == "radial" and b.meta["converged"]
+    # three more: the spectral box's two and the certificate's density check
+    assert sum(solved) - 3 == b.meta["evaluations"] <= 40
 
 
 _SPINS = [F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]

@@ -83,7 +83,7 @@ def test_uncertainty_pair_file(tmp_path):
 
 
 def test_uncertainty_identity_operator(tmp_path):
-    # X = 1 has one eigenvalue; its partition must still cover it
+    # X = 1 has one eigenvalue, so the box and its triangles are flat
     ops = tmp_path / "pair.json"
     write_ops(ops, [np.eye(2), core.PAULI_Z])
     out = tmp_path / "u.json"
@@ -91,14 +91,6 @@ def test_uncertainty_identity_operator(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["value"] == pytest.approx(0.0, abs=1e-12)
     assert doc["sector_bound"] <= doc["value"] <= doc["sector_bound"] + doc["delta"]
-
-
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_uncertainty_rejects_bad_sector_tol(tmp_path, capsys, tol):
-    out = tmp_path / "u.json"
-    assert run(["uncertainty", "--table-j", "1", "--sector-tol", tol, "--out", out]) == 2
-    assert "sector tolerance" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("pair", [[], ["--ops", "missing.json", "--table-j", "1"]], ids=["neither", "both"])
@@ -112,18 +104,36 @@ def test_uncertainty_needs_exactly_one_operator_pair(tmp_path, capsys, pair):
     assert "Traceback" not in err and not out.exists()
 
 
-def test_uncertainty_sector_bound_is_the_standalone_search(tmp_path):
+def test_uncertainty_report_is_the_library_bound_and_deterministic(tmp_path):
     ops = tmp_path / "pair.json"
     rng = np.random.default_rng(11)
     x, y = core.random_hermitian(4, rng), core.random_hermitian(4, rng)
     write_ops(ops, [x, y])
-    out = tmp_path / "u.json"
-    assert run(["uncertainty", "--ops", ops, "--sector-tol", "1e-3", "--out", out]) == 0
-    doc = json.loads(out.read_text())
-    px, py = uncertainty.default_partition(x, 1e-3), uncertainty.default_partition(y, 1e-3)
-    c, err, _ = uncertainty._sector_search(x, y, px, py)
-    assert (doc["sector_bound"], doc["delta"]) == (c - err, px.delta + py.delta + 2 * err)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run(["uncertainty", "--ops", ops, "--out", out]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
+    b = uncertainty.min_sum_variances(x, y)
+    assert (doc["value"], doc["sector_bound"], doc["delta"]) == (b.value, b.sector_bound, b.delta)
     assert doc["sector_bound"] <= doc["value"] <= doc["sector_bound"] + doc["delta"]
+    assert doc["meta"] == b.meta and doc["meta"]["method"] == "planar" and doc["meta"]["converged"] is True
+    assert doc["tolerances"] == {"bracket": uncertainty.BRACKET_TOL}
+
+
+def test_uncertainty_reports_an_unconverged_bracket(tmp_path, monkeypatch):
+    # a search stopped by the evaluation cap still exits 0, with its wider certified bracket
+    ops = tmp_path / "pair.json"
+    jx, jy, _ = core.spin_operators(1)
+    write_ops(ops, [jx, 1.001 * jy])
+    closed = uncertainty.min_sum_variances(jx, 1.001 * jy)
+    monkeypatch.setattr(uncertainty, "EVALUATION_CAP", 40)
+    out = tmp_path / "u.json"
+    assert run(["uncertainty", "--ops", ops, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["converged"] is False and doc["meta"]["evaluations"] <= 40
+    assert doc["sector_bound"] <= closed.value and closed.sector_bound <= doc["value"]
+    assert doc["value"] <= doc["sector_bound"] + doc["delta"] and doc["delta"] > 1e3 * closed.delta
 
 
 @pytest.mark.parametrize("drop", ["dim", "re"])

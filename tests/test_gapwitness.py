@@ -439,21 +439,31 @@ def test_mirror_symmetric_chains_are_solved_real(specs, lam):
     _assert_levels_match_dense(solver, h, v, lam)
 
 
+def _lopsided_witness(n):
+    """The three-site witness with each term weighted by its right bond's taper alone:
+    its ends get 2/3 and 1/3, so no mirror maps it onto itself."""
+    terms = []
+    for c in range(1, n - 1):
+        w = gapwitness._bond_taper(n - 1, c)
+        terms += [((c - 1, c, c + 1), ("x", "z", "y"), w), ((c - 1, c, c + 1), ("y", "z", "x"), -w)]
+    return build_chain(SpinChainSpec(n, tuple(terms)))
+
+
 def test_blocks_without_a_real_form_stay_complex(monkeypatch):
-    # the tapered witness weighs its left end 2/3 and its right end 1/3, so R K does not fix it;
-    # on the odd sector V is the untapered witness, so one size holds a real and a complex block
+    # R K does not fix the lopsided witness; on the odd sector V is the untapered witness,
+    # so one size holds a real and a complex block
     n = 7
     h = xy_hamiltonian(n, 0.5, taper=True)
     even = sp.diags((np.array([bin(r).count("1") for r in range(2**n)]) % 2 == 0).astype(float))
     odd = sp.identity(2**n) - even
-    tapered = gap_witness_v(n, taper=True)
-    mixed = even @ tapered @ even + odd @ gap_witness_v(n) @ odd
+    lopsided = _lopsided_witness(n)
+    mixed = even @ lopsided @ even + odd @ gap_witness_v(n) @ odd
     for limit in (12, gapwitness.DENSE_LIMIT):
         monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
-        solver = _SparseGround(h, tapered)
+        solver = _SparseGround(h, lopsided)
         assert solver.basis is None
         assert all(d == {np.dtype(complex)} for d in _block_dtypes(solver).values())
-        _assert_levels_match_dense(solver, h, tapered, 0.4)
+        _assert_levels_match_dense(solver, h, lopsided, 0.4)
         solver = _SparseGround(h, mixed)
         assert [0 in b for b in solver.blocks] == [True, False]  # the even sector first
         assert _block_dtypes(solver) == {0: {np.dtype(complex)}, 1: {np.dtype(float)}}
@@ -465,6 +475,18 @@ def test_blocks_without_a_real_form_stay_complex(monkeypatch):
     assert [int(b[0]) for b in solver.blocks] == [0b0000, 0b0001, 0b0100, 0b0101]  # 1000 is in 0100's
     assert _block_dtypes(solver) == dict(enumerate([{np.dtype(t)} for t in (float, complex, complex, float)]))
     _assert_levels_match_dense(solver, h, v, 0.4)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_tapered_chain_blocks_are_stored_real(monkeypatch, n):
+    # each witness term takes the mean taper of its two bonds, so the tapered pair is mirror-symmetric
+    h, v = xy_hamiltonian(n, 0.5, taper=True), gap_witness_v(n, taper=True)
+    for limit in (12, gapwitness.DENSE_LIMIT):
+        monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
+        solver = _SparseGround(h, v)
+        assert solver.basis is not None
+        assert all(d == {np.dtype(float)} for d in _block_dtypes(solver).values())
+        _assert_levels_match_dense(solver, h, v, 0.4)
 
 
 @pytest.mark.parametrize("n", [8, 12, 14])

@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts under scripts/."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -14,10 +15,10 @@ def _load(name):
 
 
 def test_spin_variance_table(capsys):
-    # main asserts c <= bound <= c + delta for each j itself
-    _load("spin_variance_table").main(8)
+    # main asserts a converged lower <= bound <= lower + delta for each j itself
+    _load("spin_variance_table").main(20)
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [r.split()[0] for r in rows] == ["1/2", "1", "3/2", "2", "5/2", "3", "7/2", "4"]
+    assert [r.split()[0] for r in rows] == [str(Fraction(k, 2)) for k in range(1, 21)]
 
 
 def test_range_gallery(tmp_path):

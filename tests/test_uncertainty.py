@@ -2,19 +2,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
-from qgeom import core
+from qgeom import core, uncertainty
 from qgeom.core import PAULI_X, PAULI_Z, spin_operators
 from qgeom.numrange import jnr_approximate, sphere_directions, support_batch
-from qgeom.uncertainty import (
-    SectorPartition,
-    _sector_operators,
-    _sector_search,
-    default_partition,
-    min_sum_variances,
-    sector_bound_operator,
-)
+from qgeom.uncertainty import min_sum_variances
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -46,9 +42,33 @@ def paraboloid_certificate(x, y, bound, directions=None):
     return bool(abs(attained - bound.value) <= 1e-6)
 
 
+def sector_bound_operator(x, a, b):
+    """A_(a,b) = X^2 - (a+b) X + ab; <A> <= Delta^2 X whenever a <= <X> <= b."""
+    if a > b:
+        raise ValueError(f"sector requires a <= b, got ({a}, {b})")
+    x = core.as_hermitian(x)
+    return x @ x - (a + b) * x + a * b * np.eye(x.shape[0])
+
+
+def default_partition(x, tol):
+    """Breakpoints: the eigenvalues of X, midpoint-refined until the sector
+    error (max width / 2)^2 is at most tol."""
+    bp = np.unique(np.round(np.linalg.eigvalsh(core.as_hermitian(x)), 12))
+    if len(bp) == 1:
+        bp = bp[0] + np.array([-1e-8, 0.0, 1e-8])
+    while sector_error(bp) > tol:
+        bp = np.sort(np.concatenate([bp, (bp[:-1] + bp[1:]) / 2]))
+    return bp
+
+
+def sector_error(bp):
+    return float((np.diff(bp).max() / 2) ** 2)
+
+
 def sector_ranges(x, y, px, py):
-    """W(X_i, Y_j) for every sector pair (i, j) of the partitions px, py."""
-    xs, ys = _sector_operators(x, px)[0], _sector_operators(y, py)[0]
+    """W(A_X, A_Y) for every pair of sectors of the breakpoints px, py."""
+    xs = [sector_bound_operator(x, a, b) for a, b in zip(px[:-1], px[1:])]
+    ys = [sector_bound_operator(y, a, b) for a, b in zip(py[:-1], py[1:])]
     return [jnr_approximate([xi, yj], sphere_directions(2, 180)) for xi in xs for yj in ys]
 
 
@@ -58,9 +78,10 @@ def in_padded_cover(bodies, px, py, points, tol):
     through its outer half-spaces, h_{W + R}(n) = h_W(n) + h_R(n)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     inside = np.zeros(len(pts), dtype=bool)
+    dx, dy = sector_error(px), sector_error(py)
     for body in bodies:
         n = body.outer_normals
-        pad = px.delta * np.clip(n[:, 0], 0, None) + py.delta * np.clip(n[:, 1], 0, None)
+        pad = dx * np.clip(n[:, 0], 0, None) + dy * np.clip(n[:, 1], 0, None)
         inside |= np.all(pts @ n.T <= body.outer_offsets + pad + tol, axis=1)
     return inside
 
@@ -98,6 +119,26 @@ def test_min_sum_symmetric_and_shift_invariant(rng):
     assert abs(v1 - v2) < 1e-9
     v3 = min_sum_variances(x + 1.7 * np.eye(3), y).value
     assert abs(v1 - v3) < 1e-9
+    # turning a spin pair about J_Z and shifting it leaves every Var X + Var Y, and so the
+    # minimum, unchanged; the pair stays rotation-symmetric about its new centre
+    for j in (F(1, 2), 1, F(5, 2)):
+        jx, jy, _ = spin_operators(j)
+        plain = min_sum_variances(jx, jy).value
+        for theta, a, b in [(0.7, 0.3, -1.1), (2.9, -2.5, 0.4), (-1.3, 0.0, 3.0)]:
+            c, s, eye = np.cos(theta), np.sin(theta), np.eye(len(jx))
+            bound = min_sum_variances(c * jx + s * jy + a * eye, -s * jx + c * jy + b * eye)
+            assert abs(bound.value - plain) <= 1e-10
+            assert bound.meta["method"] == "radial" and bound.meta["converged"]
+    # a reducible pair, J(1/2) + J(1), is rotation-symmetric too; its minimum is spin 1/2's
+    blocks = [spin_operators(F(1, 2)), spin_operators(1)]
+    bound = min_sum_variances(*(block_diag(blocks[0][k], blocks[1][k]) for k in (0, 1)))
+    assert bound.meta["method"] == "radial" and bound.meta["converged"]
+    assert abs(bound.value - 0.25) <= 1e-10
+    # 1e-3 off the spin-1 pair the circle of minimisers breaks, and the triangles close it
+    jx, jy, _ = spin_operators(1)
+    bound = min_sum_variances(jx, 1.001 * jy)
+    assert bound.meta["method"] == "planar" and bound.meta["converged"]
+    assert bound.value - bound.sector_bound <= 1e-11 * max(1.0, bound.value)
 
 
 def test_min_sum_certificate_self_consistent():
@@ -152,52 +193,17 @@ def test_sector_operator_order_error():
         sector_bound_operator(PAULI_Z, 1.0, -1.0)
 
 
-def test_sector_sum_single_sector_coarse():
-    # two-point spectra admit one sector spanning the whole range
-    from qgeom.core import PAULI_X, PAULI_Y
-
-    px = SectorPartition((-1.0, 1.0))
-    py = SectorPartition((-1.0, 1.0))
-    c, _, _ = _sector_search(PAULI_X, PAULI_Y, px, py)
-    coarse = np.linalg.eigvalsh(
-        sector_bound_operator(PAULI_X, -1, 1) + sector_bound_operator(PAULI_Y, -1, 1)
-    )[0]
-    assert c == pytest.approx(coarse)
-    assert px.delta + py.delta == pytest.approx(2.0)
-
-
-def test_sector_sum_rejects_partition_missing_eigenvalue():
-    jx, jy, _ = spin_operators(1)
-    with pytest.raises(ValueError):
-        _sector_search(jx, jy, SectorPartition((-1.0, 1.0)), SectorPartition((-1.0, 0.0, 1.0)))
-
-
-def test_sector_sum_refined_hits_table():
-    jx, jy, _ = spin_operators(1)
-    px = default_partition(jx, tol=2.5e-4)
-    py = default_partition(jy, tol=2.5e-4)
-    c, _, _ = _sector_search(jx, jy, px, py)
-    delta = px.delta + py.delta
-    assert delta < 1e-3
-    assert abs(c - 7 / 16) < 1e-3
-    v = min_sum_variances(jx, jy).value
-    assert c <= v + 1e-9
-    assert v <= c + delta + 1e-9
-
-
 @pytest.mark.parametrize(
     "x, y", [(np.eye(2), PAULI_Z), (PAULI_Z, 2.5 * np.eye(2)), (np.zeros((1, 1)), np.ones((1, 1))), spin_operators(0)[:2]]
 )
 def test_sector_bound_brackets_identity_operator(x, y):
-    # an operator proportional to 1 has one eigenvalue, which must be a breakpoint
-    px, py = default_partition(x), default_partition(y)
-    assert px.covers(x) and py.covers(y)
+    # an operator proportional to 1 makes the box a segment or a point, so simplices degenerate
     b = min_sum_variances(x, y)
     c, delta, value = b.sector_bound, b.delta, b.value
     assert value == pytest.approx(0.0, abs=1e-12)
-    # in 1x1 the best pair's float lambda_min is -1.1e-16, below -delta_X - delta_Y = -5e-17
     assert c <= 0.0 <= c + delta
     assert c <= value <= c + delta
+    assert b.meta["converged"]
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -211,17 +217,6 @@ def test_sector_bound_brackets_value_in_floating_point(seed):
         x, y = core.random_hermitian(d, rng), core.random_hermitian(d, rng)
     b = min_sum_variances(x, y)
     assert b.sector_bound <= b.value <= b.sector_bound + b.delta
-
-
-def test_sector_refinement_monotone():
-    jx, jy, _ = spin_operators(1)
-    prev = -np.inf
-    for tol in (0.5, 0.1, 0.01):
-        px = default_partition(jx, tol=tol)
-        py = default_partition(jy, tol=tol)
-        c, _, _ = _sector_search(jx, jy, px, py)
-        assert c >= prev - 1e-9
-        prev = c
 
 
 def test_cover_commuting_contains_origin():
@@ -291,3 +286,23 @@ def test_min_sum_matches_random_restart_oracle(rng):
     assert b.value <= direct + 1e-6
     assert direct <= b.value + 1e-3
     assert paraboloid_certificate(x, y, b, directions=sphere_directions(3, 400))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.floats(0.2, 2.0), min_size=1, max_size=4), st.floats(-2, 2), st.floats(-2, 2))
+def test_radial_search_matches_planar_on_charge_ladders(amps, a, b):
+    # A lowers the charge diag(0, 1, ..., d-1) by one, so exp(i theta diag) turns (A + A^+, -i(A - A^+))
+    # by theta; with unequal amplitudes the generator has a diagonal part that least squares must find
+    lower = np.diag(np.asarray(amps, dtype=complex), k=-1)
+    eye = np.eye(len(amps) + 1)
+    x, y = lower + lower.conj().T + a * eye, -1j * (lower - lower.conj().T) + b * eye
+    radial = min_sum_variances(x, y)
+    assert radial.meta["method"] == "radial" and radial.meta["converged"]
+    # on a circle of minimisers the triangles cannot close, but their bracket must overlap the radius's
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uncertainty, "_rotation", lambda x, y: None)
+        mp.setattr(uncertainty, "EVALUATION_CAP", 2000)
+        planar = min_sum_variances(x, y)
+    assert planar.meta["method"] == "planar"
+    assert radial.sector_bound <= planar.value and planar.sector_bound <= radial.value
+    assert radial.value - radial.sector_bound <= 1e-11 * max(1.0, radial.value)

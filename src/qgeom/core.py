@@ -99,18 +99,6 @@ def partial_transpose(m, dims, which):
     return r.transpose(perm).reshape(m.shape)
 
 
-def expectation(x, rho, imag_tol=1e-10):
-    """<X>_rho = Tr X rho; the tiny imaginary residue is checked and dropped."""
-    x = np.asarray(x, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if x.shape != rho.shape:
-        raise ValueError(f"dimension mismatch {x.shape} vs {rho.shape}")
-    val = np.trace(x @ rho)
-    if abs(val.imag) > imag_tol * max(abs(val), 1.0):
-        raise ValueError(f"expectation value has imaginary residue {val.imag}")
-    return float(val.real)
-
-
 def hs_distance(x, y):
     """Hilbert-Schmidt (Frobenius) distance sqrt(Tr[(X-Y)(X-Y)^dag])."""
     d = np.asarray(x, dtype=complex) - np.asarray(y, dtype=complex)

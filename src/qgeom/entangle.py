@@ -7,12 +7,15 @@ a convex function over the Bloch sphere, which a branch and bound on
 geodesic triangles brackets from both sides; `sep_max` picks between the
 two.  PPT maxima carry a certified two-sided bracket: ADMM over the state
 set and the PPT cone yields a PPT state below the maximum and a
-weak-duality certificate above it.
+weak-duality certificate above it.  Both ranges form H_n = sum n_i X_i for
+all directions in one stacked sum; the PPT range runs the ADMM on all of
+them together, one stacked eigensolve per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -21,7 +24,6 @@ from .core import (
     PAULI,
     as_hermitian,
     check_dims,
-    expectation,
     partial_trace,
     partial_transpose,
     random_pure,
@@ -267,6 +269,22 @@ def sep_max(h, dims, restarts=32, seed=0, directions=4096):
     return seesaw_product_max(h, dims, restarts=restarts, seed=seed)
 
 
+def _range_body(ops, dims, directions, solve):
+    """A range's body from a stacked bracket solver: solve(hs, dims) takes
+    H_n = sum_i n_i X_i over the unit directions, in chunks of
+    core.STACK_ENTRIES entries, and returns offsets, states (n, d, d) and
+    any extras per row.  The inner vertices are Tr(X_i rho_n); returns the
+    body (empty meta) and the extras."""
+    ops = [as_hermitian(x) for x in ops]
+    dims = check_dims(dims, ops[0].shape[0])
+    normals = np.array([unit(n) for n in np.atleast_2d(directions)])
+    parts = [solve(sum(normals[c][:, i, None, None] * x for i, x in enumerate(ops)), dims)
+             for c in stack_chunks(len(normals), ops[0].shape[0])]
+    offsets, states, *extras = (np.concatenate(p) for p in zip(*parts))
+    inner = np.einsum("kij,nji->nk", np.array(ops), states).real
+    return ConvexBodyApprox(inner_vertices=inner, outer_normals=normals, outer_offsets=offsets), extras
+
+
 def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     """Separable numerical range by per-direction product maximization.
 
@@ -275,37 +293,23 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     rigorous; other splits fall back to see-saw values and the outer
     description is flagged heuristic.
     """
-    ops = [as_hermitian(x) for x in ops]
-    dims = check_dims(dims, ops[0].shape[0])
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if len(dims) == 1:
+    if len(check_dims(dims, len(ops[0]))) == 1:
         body = jnr_approximate(ops, directions)
         body.meta["outer_rigorous"] = True
         return body
-    rigorous = True
-    inner, normals, offsets = [], [], []
-    for n in directions:
-        n = unit(n)
-        hn = sum(ni * xi for ni, xi in zip(n, ops))
-        b = sep_max(hn, dims, restarts=restarts, seed=seed)
-        rigorous &= b.upper is not None
-        state = np.outer(b.witness.vector(), b.witness.vector().conj())
-        inner.append([expectation(x, state) for x in ops])
-        normals.append(n)
-        offsets.append(b.lower if b.upper is None else b.upper)
-    inner = np.array(inner)
-    normals = np.array(normals)
-    offsets = np.array(offsets)
+
+    def solve(hs, dims):
+        bounds = [sep_max(h, dims, restarts=restarts, seed=seed) for h in hs]
+        vs = np.array([b.witness.vector() for b in bounds])
+        offsets = np.array([b.lower if b.upper is None else b.upper for b in bounds])
+        return offsets, vs[:, :, None] * vs[:, None, :].conj(), np.array([b.upper is not None for b in bounds])
+
+    body, (certified,) = _range_body(ops, dims, directions, solve)
+    rigorous = bool(certified.all())
     if not rigorous:
-        # heuristic offsets may undercut witnesses found for other
-        # directions; lift them so inner stays inside outer
-        offsets = np.maximum(offsets, (normals @ inner.T).max(axis=1))
-    body = ConvexBodyApprox(
-        inner_vertices=inner,
-        outer_normals=normals,
-        outer_offsets=offsets,
-        meta={"outer_rigorous": rigorous},
-    )
+        # heuristic offsets may undercut other directions' witnesses: lift them to keep inner inside outer
+        body.outer_offsets = np.maximum(body.outer_offsets, (body.outer_normals @ body.inner_vertices.T).max(axis=1))
+    body.meta["outer_rigorous"] = rigorous
     return body
 
 
@@ -315,19 +319,6 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
 PPT_MAX_ITER = 20000
 
 
-def _project_state(m):
-    """Frobenius projection onto {rho >= 0, Tr rho = 1} (eigenvalue simplex)."""
-    m = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(m)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(u) + 1)
-    k = ks[u - (css - 1) / ks > 0][-1]
-    tau = (css[k - 1] - 1) / k
-    lam = np.maximum(w - tau, 0)
-    return (v * lam) @ v.conj().T
-
-
 @dataclass
 class PPTMaxResult:
     value: float
@@ -335,6 +326,67 @@ class PPTMaxResult:
     state: np.ndarray
     converged: bool
     iterations: int
+
+
+def _ppt_max_stack(hs, dims, tol):
+    """ppt_max on each row of a stack (n, d, d) in lockstep, each row with its
+    own scale and beta, leaving the live arrays once its bracket closes; returns
+    upper, states, value and iterations per row (RuntimeError as ppt_max)."""
+    if len(dims) != 2:
+        raise ValueError("ppt_max requires a bipartite dimension split")
+    n, d = hs.shape[:2]
+    # the partial transpose on the first factor, as a permutation of each row's entries
+    flip = partial_transpose(np.arange(d * d).reshape(d, d), dims, 0).real.astype(int).ravel()
+
+    def pt(m):
+        return m.reshape(len(m), -1)[:, flip].reshape(m.shape)
+
+    w = np.linalg.eigvalsh(hs)
+    scale = np.maximum(-w[:, 0], w[:, -1])
+    scale[scale == 0] = 1.0
+    mixed = np.eye(d, dtype=complex) / d
+    out_value, out_upper, out_iters, out_rho = np.empty(n), np.empty(n), np.full(n, PPT_MAX_ITER), np.empty_like(hs)
+    live, h, z, u, beta = np.arange(n), hs, np.broadcast_to(mixed, hs.shape), np.zeros_like(hs), np.ones(n)
+    value, upper, rho = np.full(n, -np.inf), w[:, -1], z  # U = 0 certifies lambda_max(H)
+    for it in range(1, PPT_MAX_ITER + 1):
+        # X = P_states(Z - U + H / (scale beta)): shift the spectrum by the simplex threshold tau, clip at 0
+        m = z - u + h / (scale * beta)[:, None, None]
+        wx, vx = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
+        css = np.cumsum(wx[:, ::-1], axis=1)
+        k = d - np.argmax(((wx[:, ::-1] - (css - 1) / np.arange(1, d + 1)) > 0)[:, ::-1], axis=1)
+        tau = (css[np.arange(len(k)), k - 1] - 1) / k
+        x = (vx * np.maximum(wx - tau[:, None], 0)[:, None, :]) @ vx.conj().swapaxes(1, 2)
+        low = np.minimum(np.linalg.eigvalsh(pt(x))[:, 0], 0)
+        t = (low / (low - 1 / d))[:, None, None]
+        cand = (1 - t) * x + t * mixed
+        v = np.trace(h @ cand, axis1=1, axis2=2).real
+        better = v > value
+        value, rho = np.where(better, v, value), np.where(better[:, None, None], cand, rho)
+        wt, vt = np.linalg.eigh(pt(x + u))
+        vth = vt.conj().swapaxes(1, 2)
+        z_prev = z
+        # Moreau: X + U = Z + (its negative part), so U += X - Z in exact form
+        z = pt((vt * np.maximum(wt, 0)[:, None, :]) @ vth)
+        u = pt((vt * np.minimum(wt, 0)[:, None, :]) @ vth)
+        upper = np.minimum(upper, np.linalg.eigvalsh(h - (beta * scale)[:, None, None] * u)[:, -1])
+        r, s = np.sqrt((np.abs(x - z) ** 2).sum((1, 2))), beta * np.sqrt((np.abs(z - z_prev) ** 2).sum((1, 2)))
+        f = np.where(r > 10 * s, 2.0, np.where(s > 10 * r, 0.5, 1.0))
+        beta, u = beta * f, u / f[:, None, None]
+        done = upper - value <= tol
+        if done.any():
+            rows = live[done]
+            out_value[rows], out_upper[rows], out_rho[rows], out_iters[rows] = value[done], upper[done], rho[done], it
+            live, h, scale, z, u, beta, value, upper, rho = (
+                a[~done] for a in (live, h, scale, z, u, beta, value, upper, rho))
+            if not live.size:
+                break
+    out_value[live], out_upper[live], out_rho[live] = value, upper, rho
+    trace = np.trace(out_rho, axis1=1, axis2=2).real
+    low = np.linalg.eigvalsh(np.stack([out_rho, pt(out_rho)]))[..., 0]
+    bad = np.flatnonzero((low < -1e-8).any(axis=0) | (np.abs(trace - 1) > 1e-8))
+    if bad.size:
+        raise RuntimeError(f"PPT iterate is not a state (trace {trace[bad[0]]:.12g})")
+    return out_upper, out_rho, out_value, out_iters
 
 
 def ppt_max(h, dims, tol=1e-9):
@@ -353,67 +405,22 @@ def ppt_max(h, dims, tol=1e-9):
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
-    if len(dims) != 2:
-        raise ValueError("ppt_max requires a bipartite dimension split")
-    d = h.shape[0]
-    w = np.linalg.eigvalsh(h)
-    scale = max(-w[0], w[-1]) or 1.0
-    mixed = np.eye(d, dtype=complex) / d
-    z, u, beta = mixed, np.zeros_like(mixed), 1.0
-    value, upper, rho = -np.inf, w[-1], mixed  # U = 0 certifies lambda_max(H)
-    for it in range(1, PPT_MAX_ITER + 1):
-        x = _project_state(z - u + h / (scale * beta))
-        m = np.linalg.eigvalsh(partial_transpose(x, dims, 0))[0]
-        t = -m / (1 / d - m) if m < 0 else 0.0
-        cand = (1 - t) * x + t * mixed
-        v = expectation(h, cand)
-        if v > value:
-            value, rho = v, cand
-        wt, vt = np.linalg.eigh(partial_transpose(x + u, dims, 0))
-        z_prev = z
-        # Moreau: X + U = Z + (its negative part), so U += X - Z in exact form
-        z = partial_transpose((vt * np.maximum(wt, 0)) @ vt.conj().T, dims, 0)
-        u = partial_transpose((vt * np.minimum(wt, 0)) @ vt.conj().T, dims, 0)
-        upper = min(upper, np.linalg.eigvalsh(h - beta * scale * u)[-1])
-        if upper - value <= tol:
-            break
-        r, s = np.linalg.norm(x - z), beta * np.linalg.norm(z - z_prev)
-        if r > 10 * s:
-            beta, u = 2 * beta, u / 2
-        elif s > 10 * r:
-            beta, u = beta / 2, 2 * u
-    w_rho = np.linalg.eigvalsh(rho)
-    w_ppt = np.linalg.eigvalsh(partial_transpose(rho, dims, 0))
-    trace = np.trace(rho).real
-    if w_rho[0] < -1e-8 or w_ppt[0] < -1e-8 or abs(trace - 1) > 1e-8:
-        raise RuntimeError(f"PPT iterate is not a state (trace {trace:.12g})")
-    return PPTMaxResult(value=float(value), upper=float(upper), state=rho,
-                        converged=bool(upper - value <= tol), iterations=it)
+    upper, states, value, iterations = _ppt_max_stack(h[None], dims, tol)
+    return PPTMaxResult(value=float(value[0]), upper=float(upper[0]), state=states[0],
+                        converged=bool(upper[0] - value[0] <= tol), iterations=int(iterations[0]))
 
 
 def ppt_numerical_range(ops, dims, directions, tol=1e-8):
     """PPT numerical range: per direction, the ppt_max state is an inner
     vertex and its certified `upper` the outer offset (rigorous once every
-    bracket has closed to tol)."""
-    ops = [as_hermitian(x) for x in ops]
-    dims = check_dims(dims, ops[0].shape[0])
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    inner, normals, offsets = [], [], []
-    all_converged = True
-    for n in directions:
-        n = unit(n)
-        hn = sum(ni * xi for ni, xi in zip(n, ops))
-        res = ppt_max(hn, dims, tol=tol)
-        all_converged &= res.converged
-        inner.append([expectation(x, res.state) for x in ops])
-        normals.append(n)
-        offsets.append(res.upper)
-    return ConvexBodyApprox(
-        inner_vertices=np.array(inner),
-        outer_normals=np.array(normals),
-        outer_offsets=np.array(offsets),
-        meta={"outer_rigorous": all_converged, "converged": all_converged},
-    )
+    bracket has closed to tol).  All directions run as one stack; meta
+    adds the ADMM steps summed over them and the widest bracket."""
+    body, (value, iterations) = _range_body(ops, dims, directions, partial(_ppt_max_stack, tol=tol))
+    brackets = body.outer_offsets - value
+    converged = bool((brackets <= tol).all())
+    body.meta = {"outer_rigorous": converged, "converged": converged, "method": "admm",
+                 "iterations": int(iterations.sum()), "max_bracket": float(brackets.max())}
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,12 @@ def apply_transition(trans, table: WignerTable):
 def wh_convertible(rho, sigma, dims):
     """Search for a nonnegative kernel k with W_rho = k (2D-cyclic-conv) W_sigma.
 
-    Deconvolution runs through the multidimensional DFT when the transform
-    of W_sigma has no zeros; otherwise a nonnegative least-squares
-    feasibility solve over the kernel takes over.  Returns the kernel as a
-    (d, d) array or None.
+    In Fourier space the convolution is a product, so no kernel exists where
+    |DFT(W_sigma)| <= ZERO_TOL and DFT(W_rho) is not; else the quotient, 0
+    where DFT(W_sigma) vanishes, is a kernel summing to 1, returned when
+    nonnegative up to NEG_TOL.  Only a negative quotient with such zeros
+    leaves a nonnegative least-squares feasibility solve over the free
+    coefficients.  Returns the kernel as a (d, d) array or None.
     """
     dims = check_wh_dims(dims)
     d = int(np.prod(dims))
@@ -192,12 +194,14 @@ def wh_convertible(rho, sigma, dims):
     w_r = wigner_of(rho, dims).values
     f_r = np.fft.fftn(w_r.reshape(dims + dims))
     f_s = np.fft.fftn(t_s.values.reshape(dims + dims))
-    if np.abs(f_s).min() > ZERO_TOL:
-        k = np.fft.ifftn(f_r / f_s).real
-        if k.min() >= -NEG_TOL:
-            k = np.clip(k, 0.0, None)
-            k /= k.sum()
-            return k.reshape(d, d)
+    zero = np.abs(f_s) <= ZERO_TOL
+    if np.any(np.abs(f_r[zero]) > ZERO_TOL):
+        return None
+    k = np.fft.ifftn(np.where(zero, 0, f_r / np.where(zero, 1, f_s))).real
+    if k.min() >= -NEG_TOL:
+        k = np.clip(k, 0.0, None)
+        return (k / k.sum()).reshape(d, d)
+    if not zero.any():
         return None
     # fallback: nonnegative feasibility across all cyclic shifts of W_sigma
     from scipy.optimize import nnls  # deferred: importing qgeom loads no scipy

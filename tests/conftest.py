@@ -12,3 +12,8 @@ import pytest  # noqa: E402
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def expectation(x, rho):
+    """<X>_rho = Re Tr X rho."""
+    return float(np.trace(np.asarray(x) @ np.asarray(rho)).real)

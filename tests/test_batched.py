@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from qgeom import core
-from qgeom.core import expectation, spin_operators
+from qgeom.core import spin_operators
 from qgeom.numrange import (
     CANDIDATE_GAP,
     DEGENERACY_GAP,
@@ -36,6 +36,7 @@ from qgeom.numrange import (
 )
 from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_necessary_test
 from qgeom.uncertainty import min_sum_variances
+from conftest import expectation
 from test_uncertainty import paraboloid_certificate
 
 

@@ -602,6 +602,44 @@ def test_ppt_jnr_cli_closes_the_triangle_clique_bracket(tmp_path):
     assert doc["outer_offsets"] == pytest.approx([2 / 3, 0.0], abs=1e-8)
 
 
+def test_ppt_jnr_report_same_in_every_process(tmp_path):
+    ops = tmp_path / "ops.json"
+    pair = [core.random_hermitian(6, np.random.default_rng(k)) for k in range(2)]
+    write_ops(ops, pair)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"ppt{k}.json"
+        cmd = [sys.executable, "-m", "qgeom.cli", "ppt-jnr", "--ops", str(ops), "--dims", "2,3",
+               "--dirs", "16", "--out", str(out)]
+        assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    meta = json.loads(reports[0])["meta"]
+    assert meta["method"] == "admm" and meta["converged"] is True and meta["outer_rigorous"] is True
+    runs = [entangle.ppt_max(sum(c * x for c, x in zip(n, pair)), (2, 3), tol=1e-8)
+            for n in numrange.sphere_directions(2, 16)]
+    assert meta["iterations"] == sum(r.iterations for r in runs)
+    assert meta["max_bracket"] == pytest.approx(max(r.upper - r.value for r in runs), abs=1e-14)
+    assert meta["max_bracket"] <= 1e-8
+
+
+def test_ppt_jnr_exits_1_on_an_open_bracket(tmp_path, monkeypatch):
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [core.random_hermitian(4, np.random.default_rng(k)) for k in range(2)])
+    out = tmp_path / "ppt.json"
+    monkeypatch.setattr(entangle, "PPT_MAX_ITER", 2)
+    assert run(["ppt-jnr", "--ops", ops, "--dims", "2,2", "--dirs", 12, "--out", out]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["converged"] is False and doc["meta"]["outer_rigorous"] is False
+    assert doc["meta"]["max_bracket"] > 1e-8 and doc["meta"]["iterations"] <= 2 * 12
+    # every upper is a weak-duality bound at any step, so the PPT states stay inside
+    normals, inner = np.array(doc["outer_normals"]), np.array(doc["inner_vertices"])
+    assert np.all(normals @ inner.T <= np.array(doc["outer_offsets"])[:, None] + 1e-12)
+
+
 def test_wh_convert_cli(tmp_path):
     rng = np.random.default_rng(9)
     sigma = core.random_density(3, rng)

@@ -14,7 +14,6 @@ from qgeom.core import (
     as_hermitian,
     choi_matrix_of_map,
     choi_state,
-    expectation,
     hs_distance,
     max_entangled,
     partial_trace,
@@ -106,29 +105,6 @@ def test_partial_transpose_bell():
 def test_partial_transpose_involution(rng):
     m = core.random_hermitian(6, rng)
     assert np.allclose(partial_transpose(partial_transpose(m, (2, 3), 0), (2, 3), 0), m)
-
-
-def test_expectation_basics():
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    assert expectation(np.eye(2), rho) == pytest.approx(1.0)
-    assert expectation(PAULI_Z, rho) == pytest.approx(1.0)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10**6))
-def test_expectation_linear(seed):
-    rng = np.random.default_rng(seed)
-    x = core.random_hermitian(4, rng)
-    y = core.random_hermitian(4, rng)
-    rho = core.random_density(4, rng)
-    a, b = rng.normal(size=2)
-    lhs = expectation(a * x + b * y, rho)
-    assert abs(lhs - a * expectation(x, rho) - b * expectation(y, rho)) < 1e-10
-
-
-def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        expectation(np.eye(2), np.eye(3) / 3)
 
 
 def test_state_set_in_out_radii():

@@ -16,6 +16,7 @@ from qgeom.entangle import (
     sep_numerical_range,
 )
 from qgeom.numrange import jnr_approximate, sphere_directions, support_batch
+from conftest import expectation
 
 
 def bell_projector():
@@ -55,7 +56,7 @@ def in_ppt_polar(rho, dims, tol):
     d = rho.shape[0]
     m = np.zeros((2 * d, 2 * d), dtype=complex)
     for g in gellmann_basis(d):
-        x = core.expectation(g, rho)
+        x = expectation(g, rho)
         m[:d, :d] -= d * x * g
         m[d:, d:] -= d * x * partial_transpose(g, dims, 0)
     return bool(np.linalg.eigvalsh(m)[-1] <= 1 + tol)
@@ -338,7 +339,7 @@ def test_ppt_value_ordering_qutrit_pair(rng):
 def test_ppt_range_contains_maximally_mixed(rng):
     ops = [core.random_hermitian(4, rng) for _ in range(2)]
     body = ppt_numerical_range(ops, (2, 2), sphere_directions(2, 24), tol=1e-7)
-    center = np.array([core.expectation(x, np.eye(4) / 4) for x in ops])
+    center = np.array([expectation(x, np.eye(4) / 4) for x in ops])
     assert body.outer_contains(center, tol=1e-6)
     assert body.inner_in_outer(tol=1e-6)
 
@@ -495,6 +496,75 @@ def test_ppt_max_of_a_multiple_of_the_identity_closes_at_once(dims, c):
     assert res.iterations == 1 and res.converged
     assert res.value == pytest.approx(c, abs=1e-12) and res.upper == pytest.approx(c, abs=1e-12)
     assert_ppt_state(res.state, dims, 1e-10)
+
+
+def _project_state(m):
+    """Frobenius projection onto {rho >= 0, Tr rho = 1} (eigenvalue simplex)."""
+    m = (m + m.conj().T) / 2
+    w, v = np.linalg.eigh(m)
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, len(u) + 1)
+    k = ks[u - (css - 1) / ks > 0][-1]
+    tau = (css[k - 1] - 1) / k
+    lam = np.maximum(w - tau, 0)
+    return (v * lam) @ v.conj().T
+
+
+def _ppt_max_loop(h, dims, tol):
+    """The ADMM of entangle.ppt_max on one matrix, one step at a time:
+    (value, upper, iterations, state), RuntimeError if the state fails its checks."""
+    d = h.shape[0]
+    w = np.linalg.eigvalsh(h)
+    scale = max(-w[0], w[-1]) or 1.0
+    mixed = np.eye(d, dtype=complex) / d
+    z, u, beta = mixed, np.zeros_like(mixed), 1.0
+    value, upper, rho = -np.inf, w[-1], mixed
+    for it in range(1, entangle.PPT_MAX_ITER + 1):
+        x = _project_state(z - u + h / (scale * beta))
+        m = np.linalg.eigvalsh(partial_transpose(x, dims, 0))[0]
+        t = -m / (1 / d - m) if m < 0 else 0.0
+        cand = (1 - t) * x + t * mixed
+        v = expectation(h, cand)
+        if v > value:
+            value, rho = v, cand
+        wt, vt = np.linalg.eigh(partial_transpose(x + u, dims, 0))
+        z_prev = z
+        z = partial_transpose((vt * np.maximum(wt, 0)) @ vt.conj().T, dims, 0)
+        u = partial_transpose((vt * np.minimum(wt, 0)) @ vt.conj().T, dims, 0)
+        upper = min(upper, np.linalg.eigvalsh(h - beta * scale * u)[-1])
+        if upper - value <= tol:
+            break
+        r, s = np.linalg.norm(x - z), beta * np.linalg.norm(z - z_prev)
+        if r > 10 * s:
+            beta, u = 2 * beta, u / 2
+        elif s > 10 * r:
+            beta, u = beta / 2, 2 * u
+    w_rho = np.linalg.eigvalsh(rho)
+    w_ppt = np.linalg.eigvalsh(partial_transpose(rho, dims, 0))
+    trace = np.trace(rho).real
+    if w_rho[0] < -1e-8 or w_ppt[0] < -1e-8 or abs(trace - 1) > 1e-8:
+        raise RuntimeError(f"PPT iterate is not a state (trace {trace:.12g})")
+    return value, upper, it, rho
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_stacked_ppt_max_matches_per_direction_loop(seed, dims):
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    triple = [core.random_hermitian(d, rng) for _ in range(3)]
+    hs = np.array([sum(c * x for c, x in zip(n, triple)) for n in sphere_directions(3, 12, seed=seed)])
+    tol = 1e-8
+    upper, states, value, iterations = entangle._ppt_max_stack(hs, dims, tol)
+    for i, h in enumerate(hs):
+        want_value, want_upper, want_iterations, _ = _ppt_max_loop(h, dims, tol)
+        scale = np.abs(np.linalg.eigvalsh(h)).max()
+        assert iterations[i] == want_iterations
+        assert abs(upper[i] - want_upper) <= 1e-14 * scale
+        assert abs(value[i] - want_value) <= 1e-14 * scale
+        assert value[i] <= upper[i]
+        assert_ppt_state(states[i], dims, 1e-8)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ from qgeom import core, uncertainty
 from qgeom.core import PAULI_X, PAULI_Z, spin_operators
 from qgeom.numrange import jnr_approximate, sphere_directions, support_batch
 from qgeom.uncertainty import min_sum_variances
+from conftest import expectation
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -19,7 +20,7 @@ def variance(x, rho):
     """<X^2> - <X>^2 over rho, clipped at zero against rounding."""
     x = core.as_hermitian(x)
     rho = np.asarray(rho, dtype=complex)
-    v = core.expectation(x @ x, rho) - core.expectation(x, rho) ** 2
+    v = expectation(x @ x, rho) - expectation(x, rho) ** 2
     if v < -1e-12:
         raise ValueError(f"variance evaluated to {v}")
     return max(v, 0.0)
@@ -145,8 +146,8 @@ def test_min_sum_certificate_self_consistent():
     jx, jy, _ = spin_operators(1)
     b = min_sum_variances(jx, jy)
     # equality condition: the certificate's expectations equal the minimizer
-    ex = core.expectation(jx, b.certificate_state)
-    ey = core.expectation(jy, b.certificate_state)
+    ex = expectation(jx, b.certificate_state)
+    ey = expectation(jy, b.certificate_state)
     assert abs(ex - b.minimizer[0]) < 1e-6
     assert abs(ey - b.minimizer[1]) < 1e-6
     attained = variance(jx, b.certificate_state) + variance(jy, b.certificate_state)
@@ -157,17 +158,17 @@ def test_sector_operator_eigenvalue_point():
     x = np.diag([1.0, 3.0]).astype(complex)
     a = sector_bound_operator(x, 1.0, 1.0)
     rho = np.diag([1.0, 0.0]).astype(complex)
-    assert core.expectation(a, rho) == pytest.approx(0.0)
+    assert expectation(a, rho) == pytest.approx(0.0)
 
 
 def test_sector_operator_qubit_full_range():
     # A_(-1,1) on sigma_z vanishes identically; the bound 0 <= Delta^2 holds
     a = sector_bound_operator(PAULI_Z, -1.0, 1.0)
     assert np.abs(a).max() == 0.0
-    assert core.expectation(a, PLUS) <= variance(PAULI_Z, PLUS)
+    assert expectation(a, PLUS) <= variance(PAULI_Z, PLUS)
     # equality is attained when <X> sits on a sector endpoint
     a01 = sector_bound_operator(PAULI_Z, 0.0, 1.0)
-    assert core.expectation(a01, PLUS) == pytest.approx(variance(PAULI_Z, PLUS))
+    assert expectation(a01, PLUS) == pytest.approx(variance(PAULI_Z, PLUS))
 
 
 def test_sector_operator_bound_holds_inside(rng):
@@ -177,7 +178,7 @@ def test_sector_operator_bound_holds_inside(rng):
     op = sector_bound_operator(x, a, b)
     for _ in range(50):
         rho = core.random_density(3, rng)
-        assert core.expectation(op, rho) <= variance(x, rho) + 1e-10
+        assert expectation(op, rho) <= variance(x, rho) + 1e-10
 
 
 def test_sector_operator_violated_outside_precondition():
@@ -185,7 +186,7 @@ def test_sector_operator_violated_outside_precondition():
     x = np.diag([0.0, 1.0, 4.0]).astype(complex)
     op = sector_bound_operator(x, 0.0, 1.0)
     rho = np.diag([0.0, 0.0, 1.0]).astype(complex)  # <X> = 4 outside [0, 1]
-    assert core.expectation(op, rho) > variance(x, rho) + 1.0
+    assert expectation(op, rho) > variance(x, rho) + 1.0
 
 
 def test_sector_operator_order_error():

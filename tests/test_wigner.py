@@ -228,7 +228,7 @@ def test_wh_convertible_shifted_delta(rng):
 
 def test_wh_convertible_nnls_fallback_feasible():
     # maximally mixed sigma has a vanishing Wigner spectrum outside DC:
-    # the NNLS fallback must still certify rho = sigma = 1/d
+    # rho = sigma = 1/d must still be certified
     rho = np.eye(3) / 3
     k = wh_convertible(rho, rho, (3,))
     assert k is not None
@@ -240,6 +240,33 @@ def test_wh_convertible_nnls_fallback_infeasible(rng):
     v = core.random_pure(3, rng)
     rho = np.outer(v, v.conj())
     assert wh_convertible(rho, np.eye(3) / 3, (3,)) is None
+
+
+def test_wh_convertible_decides_zero_spectra_without_nnls(monkeypatch):
+    # every frequency but DC vanishes for 1/d; the Fourier candidate is the uniform kernel
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda *a: pytest.fail("nnls called"))
+    d = 35
+    k = wh_convertible(np.eye(d) / d, np.eye(d) / d, (5, 7))
+    assert k is not None and np.abs(k - 1 / d**2).max() < 1e-12
+
+
+def test_wh_convertible_nnls_completes_a_negative_fourier_candidate(monkeypatch):
+    # W_sigma has only the frequencies 0 and +-b, and rho is sigma displaced by Z: the
+    # candidate 1 + 2 cos(.) dips below zero at p = 5, and NNLS finds the shift itself
+    import scipy.optimize
+
+    calls = []
+    nnls = scipy.optimize.nnls
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda *a: calls.append(1) or nnls(*a))
+    x, z = wh_displacement(1, 0, (5,)), wh_displacement(0, 1, (5,))
+    sigma = (np.eye(5) + 0.5 * (x + x.conj().T)) / 5
+    k = wh_convertible(z @ sigma @ z.conj().T, sigma, (5,))
+    assert calls == [1]
+    expect = np.zeros((5, 5))
+    expect[0, 1] = 1.0
+    assert np.abs(k - expect).max() < 1e-8
 
 
 def test_wh_convertible_twirl_uniform(rng):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
+TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 STACK_ENTRIES = 2**18  # matrix entries per stacked eigensolve; bounds its memory
 
@@ -36,14 +36,14 @@ def as_hermitian(mat, tol=HERMITIAN_TOL):
     return a
 
 
-def as_density(mat, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
-    """Validate a unit-trace positive-semidefinite operator."""
-    rho = as_hermitian(mat, tol=max(HERMITIAN_TOL, 1e-11))
+def as_density(mat):
+    """Validate a unit-trace positive-semidefinite operator (Hermitian to 1e-11)."""
+    rho = as_hermitian(mat, tol=1e-11)
     tr = np.trace(rho)
-    if abs(tr - 1.0) > max(trace_tol, 1e-9):
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr}")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -psd_tol * max(abs(w[-1]), 1.0):
+    if w[0] < -PSD_TOL * max(abs(w[-1]), 1.0):
         raise ValueError(f"density matrix has negative eigenvalue {w[0]}")
     return rho
 

@@ -30,7 +30,7 @@ from .core import (
     stack_chunks,
     tensor,
 )
-from .numrange import ConvexBodyApprox, jnr_approximate, support_batch, unit
+from .numrange import ConvexBodyApprox, _positively_spanning, jnr_approximate, support_batch, unit
 
 # an alternating-ascent restart stops when a sweep gains less than its TOL, or after SWEEPS sweeps
 SEESAW_TOL, SEESAW_SWEEPS = 1e-10, 500
@@ -273,8 +273,9 @@ def _range_body(ops, dims, directions, solve):
     """A range's body from a stacked bracket solver: solve(hs, dims) takes
     H_n = sum_i n_i X_i over the unit directions, in chunks of
     core.STACK_ENTRIES entries, and returns offsets, states (n, d, d) and
-    any extras per row.  The inner vertices are Tr(X_i rho_n); returns the
-    body (empty meta) and the extras."""
+    any extras per row.  The inner vertices are Tr(X_i rho_n), and the body
+    is unbounded when the normals do not positively span; returns the body
+    (empty meta) and the extras."""
     ops = [as_hermitian(x) for x in ops]
     dims = check_dims(dims, ops[0].shape[0])
     normals = np.array([unit(n) for n in np.atleast_2d(directions)])
@@ -282,7 +283,9 @@ def _range_body(ops, dims, directions, solve):
              for c in stack_chunks(len(normals), ops[0].shape[0])]
     offsets, states, *extras = (np.concatenate(p) for p in zip(*parts))
     inner = np.einsum("kij,nji->nk", np.array(ops), states).real
-    return ConvexBodyApprox(inner_vertices=inner, outer_normals=normals, outer_offsets=offsets), extras
+    body = ConvexBodyApprox(inner_vertices=inner, outer_normals=normals, outer_offsets=offsets,
+                            unbounded=not _positively_spanning(normals))
+    return body, extras
 
 
 def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
@@ -412,13 +415,15 @@ def ppt_max(h, dims, tol=1e-9):
 
 def ppt_numerical_range(ops, dims, directions, tol=1e-8):
     """PPT numerical range: per direction, the ppt_max state is an inner
-    vertex and its certified `upper` the outer offset (rigorous once every
-    bracket has closed to tol).  All directions run as one stack; meta
-    adds the ADMM steps summed over them and the widest bracket."""
+    vertex and its `upper` the outer offset.  `upper` is a weak-duality
+    bound at every ADMM step, so the outer half-spaces are rigorous even
+    where a bracket is still open; `converged` says whether every bracket
+    closed to tol.  All directions run as one stack; meta adds the ADMM
+    steps summed over them and the widest bracket."""
     body, (value, iterations) = _range_body(ops, dims, directions, partial(_ppt_max_stack, tol=tol))
     brackets = body.outer_offsets - value
     converged = bool((brackets <= tol).all())
-    body.meta = {"outer_rigorous": converged, "converged": converged, "method": "admm",
+    body.meta = {"outer_rigorous": True, "converged": converged, "method": "admm",
                  "iterations": int(iterations.sum()), "max_bracket": float(brackets.max())}
     return body
 

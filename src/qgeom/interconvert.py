@@ -8,10 +8,20 @@ squares on the banded convolution matrix of q for floats.  The paper's
 construction -- embed both vectors into a prime-dimensional cyclic space and
 invert a circulant matrix -- stays in `circulant` and `cyclic_majorize` as an
 independent oracle.
+
+The states p reaches are the nonnegative factors q of its polynomial.
+`accessible_states` groups the computed roots that lie within CLUSTER_TOL
+of one another and counts a group of m as one m-fold root only when the
+m-th power of its mean's factor divides p (within VERIFY_TOL); w is then
+p's quotient by each candidate q.  That is the limit: a k-fold root whose
+computed copies spread beyond CLUSTER_TOL (from k = 7 for binomial powers)
+is not recognized, and its splits come back as near-copies of one state.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +32,7 @@ from .core import is_prime as _is_prime_int  # name kept importable for the acce
 
 NEG_TOL = 1e-9  # float quotient entries above -NEG_TOL are clipped to zero
 VERIFY_TOL = 1e-9  # largest |w * q - p| entry a float quotient may leave
+CLUSTER_TOL = 1e-2  # relative spread of computed roots tested as one repeated root
 
 
 class SingularCirculantError(RuntimeError):
@@ -170,12 +181,12 @@ def _fraction_solve(a, b):
     return [m[i][n] for i in range(n)]
 
 
-def cyclic_majorize(p0, q0, neg_tol=NEG_TOL, rcond_tol=1e-10):
+def cyclic_majorize(p0, q0):
     """Weights w with C(w) = C(p) C(q)^{-1}, or None if any entry is negative.
 
     Raises SingularCirculantError when C(q) is singular (reciprocal
-    condition below `rcond_tol` for floats, zero pivot for exact input).
-    Tiny negative float entries are clipped and the result renormalized.
+    condition below 1e-10 for floats, zero pivot for exact input).
+    Float entries above -NEG_TOL are clipped and the result renormalized.
     """
     p0 = list(p0)
     q0 = list(q0)
@@ -190,12 +201,12 @@ def cyclic_majorize(p0, q0, neg_tol=NEG_TOL, rcond_tol=1e-10):
         return w
     cq = circulant([float(v) for v in q0]).astype(float)
     s = np.linalg.svd(cq, compute_uv=False)
-    if s[-1] < rcond_tol * s[0]:
+    if s[-1] < 1e-10 * s[0]:
         raise SingularCirculantError(
             f"circulant of q is numerically singular (rcond {s[-1]/s[0]:.2e})"
         )
     w = np.linalg.solve(cq.T, np.array([float(v) for v in p0]))
-    if w.min() < -neg_tol:
+    if w.min() < -NEG_TOL:
         return None
     w = np.clip(w, 0.0, None)
     return w / w.sum()
@@ -245,6 +256,14 @@ def _as_probvector(state):
     raise TypeError(f"expected LadderState or ProbVector, got {type(state)}")
 
 
+def _band_quotient(p, q):
+    """Least-squares w of p = w * q for float coefficient arrays, q[0] != 0."""
+    m = len(p) - len(q) + 1
+    band = np.zeros((len(p), m))  # column k is q shifted down by k
+    band[np.arange(len(q))[:, None] + np.arange(m), np.arange(m)] = q[:, None]
+    return np.linalg.lstsq(band, p, rcond=None)[0]
+
+
 def _divide(p: ProbVector, q: ProbVector):
     """Nonnegative quotient w of p = w * q for vectors starting at 0, or None.
 
@@ -268,10 +287,7 @@ def _divide(p: ProbVector, q: ProbVector):
         if any(r) or min(w) < 0:
             return None
         return ProbVector.from_weights(w)
-    qw = q.as_floats()
-    band = np.zeros((len(p.weights), m))  # column k is q shifted down by k
-    band[np.arange(len(qw))[:, None] + np.arange(m), np.arange(m)] = qw[:, None]
-    w = np.linalg.lstsq(band, p.as_floats(), rcond=None)[0]
+    w = _band_quotient(p.as_floats(), q.as_floats())
     if w.min() < -NEG_TOL:
         return None
     w = ProbVector.from_weights(np.clip(w, 0.0, None))
@@ -368,120 +384,70 @@ def build_u1_kraus(p: ProbVector, q: ProbVector, w: ProbVector):
     return LadderChannel(channel=channel, window_offset=lo, shifts=tuple(shifts))
 
 
-def _poly_roots(p: ProbVector):
-    coeffs = p.as_floats()
-    # numpy orders highest degree first
-    return np.roots(coeffs[::-1])
+def _real_poly(roots):
+    """Coefficients, lowest degree first, of the real polynomial prod (x - r)."""
+    return np.atleast_1d(np.real(np.poly(roots)))[::-1]
 
 
-def _cluster_roots(roots, tol=1e-8):
-    """Group numerically repeated roots; conjugate pairs stay matched."""
-    used = np.zeros(len(roots), dtype=bool)
-    clusters = []
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        for j in range(i + 1, len(roots)):
-            if not used[j] and abs(roots[j] - r) < tol * max(1.0, abs(r)):
-                group.append(j)
-                used[j] = True
-        clusters.append((r, len(group)))
-    return clusters
+def _factor_classes(p: ProbVector):
+    """(coefficients, multiplicity) of each real irreducible factor of p's polynomial.
 
-
-def accessible_states(p: ProbVector, tol=1e-9, dedup_tol=1e-9):
-    """All factor pairs (q, w) of p's associated polynomial on the simplex.
-
-    Enumerates conjugate-closed root subsets of f_p (with multiplicity
-    grouping for repeated roots), normalizes each factor by g(1) = 1, and
-    keeps pairs whose coefficient vectors are both (near-)nonnegative;
-    every returned q is a state from which p is reachable, with w the
-    realizing weight vector.  Deduplication tolerance is reported.
+    Computed roots within CLUSTER_TOL (relative) of a seed root form a group;
+    a group of m is one m-fold root when the m-th power of its mean's linear
+    factor (a group at the real axis) or quadratic factor (a group off it)
+    divides p within VERIFY_TOL, and otherwise each of its roots stands
+    alone.  The quadratic factor carries the mirror group: `np.roots` takes
+    the eigenvalues of a real companion matrix, which come in exact
+    conjugate pairs, so only roots with Im >= 0 are grouped.
     """
-    m = p.diam
-    if m > 20:
-        raise ValueError("support diameter capped at 20 (2^m enumeration)")
-    if m == 0:
-        return {"pairs": [(p.at_origin(), p.at_origin())], "dedup_tol": dedup_tol}
-    roots = _poly_roots(p)
-    real_mask = np.abs(roots.imag) < 1e-10
-    reals = roots[real_mask].real
-    complexes = roots[~real_mask]
-    pairs_c = _conjugate_pairs(complexes)
-    real_clusters = _cluster_roots(reals.astype(complex))
-    pair_clusters = _cluster_roots(np.array([c for c, _ in pairs_c])) if pairs_c else []
-
-    found = []
-    seen = []
-
-    def emit(subset_roots):
-        g = np.real(np.poly(subset_roots)[::-1]) if len(subset_roots) else np.array([1.0])
-        # complement with multiplicity: remove chosen roots one by one
-        comp = _complement(all_roots_list, subset_roots)
-        h = np.real(np.poly(comp)[::-1]) if len(comp) else np.array([1.0])
-        gs = g.sum()
-        hs = h.sum()
-        if abs(gs) < 1e-12 or abs(hs) < 1e-12:
-            return
-        g = g / gs
-        h = h / hs
-        if g.min() < -tol or h.min() < -tol:
-            return
-        q = ProbVector.from_weights(np.clip(g, 0, None), offset=0)
-        w = ProbVector.from_weights(np.clip(h, 0, None), offset=0)
-        key = (len(q.weights), tuple(np.round(q.as_floats(), 9)))
-        for k2 in seen:
-            if k2[0] == key[0] and max(abs(a - b) for a, b in zip(k2[1], key[1])) <= dedup_tol:
-                return
-        seen.append(key)
-        found.append((q, w))
-
-    all_roots_list = list(reals.astype(complex)) + [r for pr in pairs_c for r in pr]
-
-    choices_real = [(r, mult) for r, mult in real_clusters]
-    choices_pair = pair_clusters
-
-    def rec(idx, chosen):
-        if idx == len(choices_real) + len(choices_pair):
-            emit(list(chosen))
-            return
-        if idx < len(choices_real):
-            r, mult = choices_real[idx]
-            for take in range(mult + 1):
-                rec(idx + 1, chosen + [r.real] * take)
+    pf = p.as_floats()
+    left = np.roots(pf[::-1])
+    left = left[left.imag >= 0]
+    classes = []
+    while len(left):
+        r = left[0]
+        near = np.abs(left - r) <= CLUSTER_TOL * abs(r)
+        group, left = left[near], left[~near]
+        if abs(r.imag) <= CLUSTER_TOL * abs(r):
+            # at the real axis: an upper root stands for itself and its conjugate
+            weight = np.where(group.imag > 0, 2, 1)
+            m, one = int(weight.sum()), [float(weight @ group.real) / weight.sum()]
         else:
-            c, mult = choices_pair[idx - len(choices_real)]
-            for take in range(mult + 1):
-                rec(idx + 1, chosen + [c, np.conj(c)] * take)
+            mu = group.mean()
+            m, one = len(group), [mu, mu.conjugate()]
+        g = _real_poly(one * m)
+        if m > 1 and np.abs(np.convolve(_band_quotient(pf, g), g) - pf).max() <= VERIFY_TOL:
+            classes.append((_real_poly(one), m))
+        else:
+            classes += [(_real_poly([z, z.conjugate()] if z.imag > 0 else [z.real]), 1) for z in group]
+    return classes
 
-    rec(0, [])
-    return {"pairs": found, "dedup_tol": dedup_tol}
 
+def accessible_states(p: ProbVector, tol=1e-9):
+    """All factor pairs (q, w) of p's polynomial with q, w on the simplex.
 
-def _conjugate_pairs(roots, tol=1e-8):
-    pool = list(roots)
+    Each candidate q takes every factor of `_factor_classes` to a power
+    between 0 and its multiplicity, normalized by q(1) = 1; a q with an
+    entry below -tol is dropped, and w is the quotient `_divide(p, q)` --
+    the test of `u1_convertible` -- so every returned q is a state from
+    which p is reachable and w the weight vector that realizes it.
+    """
+    if p.diam > 20:
+        raise ValueError("support diameter capped at 20 (2^m enumeration)")
+    p = p.at_origin()
+    # the powers f^0, ..., f^m of each class's factor f
+    powers = [itertools.accumulate([f] * m, np.convolve, initial=np.ones(1)) for f, m in _factor_classes(p)]
     pairs = []
-    while pool:
-        r = pool.pop()
-        j = min(
-            range(len(pool)),
-            key=lambda i: abs(pool[i] - np.conj(r)),
-            default=None,
-        )
-        if j is None or abs(pool[j] - np.conj(r)) > tol * max(1.0, abs(r)):
-            raise RuntimeError("unpaired complex root; increase clustering tolerance")
-        pairs.append((r, pool.pop(j)))
-    return pairs
-
-
-def _complement(full, chosen):
-    rest = list(full)
-    for c in chosen:
-        j = min(range(len(rest)), key=lambda i: abs(rest[i] - c))
-        rest.pop(j)
-    return rest
+    for choice in itertools.product(*powers):
+        g = functools.reduce(np.convolve, choice, np.ones(1))
+        g = g / g.sum()
+        if g.min() < -tol:
+            continue
+        q = ProbVector.from_weights(np.clip(g, 0.0, None))
+        w = _divide(p, q)
+        if w is not None:
+            pairs.append((q, w))
+    return {"pairs": pairs}
 
 
 def aux_reachable(p: ProbVector, q: ProbVector, d):

@@ -193,11 +193,11 @@ def _positively_spanning(normals):
     The normals positively span R^k iff they have rank k and some lambda >= 1
     gives N^T lambda = 0 (Davis, Amer. J. Math. 76 (1954)).
     """
-    from scipy.optimize import linprog  # deferred: importing qgeom loads no scipy
-
     k = normals.shape[1]
     if len(normals) < k + 1 or np.linalg.matrix_rank(normals) < k:
         return False
+    from scipy.optimize import linprog  # deferred: importing qgeom loads no scipy
+
     res = linprog(
         c=np.zeros(len(normals)),
         A_eq=normals.T,

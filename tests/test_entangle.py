@@ -302,6 +302,15 @@ def test_sep_range_heuristic_path_consistent(rng):
     assert s.max() < 1e-8
 
 
+def test_sep_and_ppt_ranges_flag_an_unbounded_outer_set():
+    # two directions cannot positively span R^3: the outer set is unbounded, as for jnr
+    ops = [core.random_hermitian(4, np.random.default_rng(k)) for k in range(3)]
+    for dirs, unbounded in ((sphere_directions(3, 2), True), (sphere_directions(3, 40), False)):
+        assert jnr_approximate(ops, dirs).unbounded is unbounded
+        assert sep_numerical_range(ops, (2, 2), dirs, restarts=2).unbounded is unbounded
+        assert ppt_numerical_range(ops, (2, 2), dirs).unbounded is unbounded
+
+
 def test_ppt_duality_qubit_qutrit():
     rng = np.random.default_rng(5)
     for _ in range(20):

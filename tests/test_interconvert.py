@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from qgeom.interconvert import (
+    CLUSTER_TOL,
     CirculantTestReport,
     LadderState,
     ProbVector,
@@ -293,6 +294,61 @@ def test_accessible_states_cross_oracle(rng):
         for q, w in acc["pairs"]:
             rep = u1_convertible(p, q)
             assert rep.convertible
+
+
+def _power(base, k):
+    out = np.array([1.0])
+    for _ in range(k):
+        out = np.convolve(out, base)
+    return out
+
+
+def _has_state(pairs, q0, tol=1e-9):
+    return any(len(q.weights) == len(q0) and np.abs(q.as_floats() - q0).max() < tol for q, _ in pairs)
+
+
+POWERS = [((a, 1 - a), k) for a in (0.1, 0.2, 0.3, 0.45, 0.5) for k in range(2, 7)]
+POWERS += [((1 / 3, 1 / 3, 1 / 3), k) for k in range(2, 5)]
+
+
+@pytest.mark.parametrize("base, k", POWERS, ids=[f"{base[0]:.3g}-{len(base)}-pow{k}" for base, k in POWERS])
+def test_accessible_states_of_a_power_are_its_lower_powers(base, k):
+    # one k-fold root (or conjugate pair): the states are base^{*j}, j = 0..k, each once
+    pairs = accessible_states(pv(_power(base, k)))["pairs"]
+    assert len(pairs) == k + 1
+    for j in range(k + 1):
+        assert _has_state(pairs, _power(base, j))
+
+
+def test_accessible_states_repeated_root_with_a_signed_cofactor():
+    # (1 + x)^2 (1 - x + x^2) = 1 + x + x^3 + x^4: the double root's cofactor has a
+    # negative coefficient, and the states are 1, (1 + x)/2, (1 + x^3)/2 and p
+    p = pv([0.25, 0.25, 0.0, 0.25, 0.25])
+    pairs = accessible_states(p)["pairs"]
+    assert len(pairs) == 4
+    for q0 in ([1.0], [0.5, 0.5], [0.5, 0.0, 0.0, 0.5], p.as_floats()):
+        assert _has_state(pairs, np.array(q0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]), st.integers(2, 3))
+def test_accessible_states_find_a_repeated_factor(seed, degree, m):
+    rng = np.random.default_rng(seed)
+    if degree == 1:
+        f = np.array([rng.uniform(0.1, 3.0), 1.0])
+    else:
+        r, th = rng.uniform(0.5, 2.0), rng.uniform(0.55, 0.95) * np.pi
+        f = np.array([r * r, -2 * r * np.cos(th), 1.0])
+    q0 = _power(f, m) / _power(f, m).sum()
+    w0 = rng.random(int(rng.integers(1, 4))) + 0.05
+    # roots of w0 closer than CLUSTER_TOL to f's would join its group
+    far = [abs(z - r) > 2 * CLUSTER_TOL * abs(r) for z in np.roots(w0[::-1]) for r in np.roots(f[::-1])]
+    assume(all(far))
+    p = pv(np.convolve(q0, w0 / w0.sum()))
+    pairs = accessible_states(p)["pairs"]
+    assert _has_state(pairs, q0)
+    for q, _ in pairs:
+        assert u1_convertible(p, q).convertible
 
 
 def test_aux_reachable_identity(rng):

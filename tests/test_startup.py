@@ -45,6 +45,10 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     for m, (i, j) in zip(units, [(0, 1), (0, 2), (1, 2)]):
         m[i, j] = m[j, i] = -1.0
     triple.write_text(json.dumps({"ops": [core.operator_to_json(m) for m in units]}))
+    # a two-qubit triple at two directions: too few normals to span, so no linprog
+    ppt_ops = tmp_path / "ppt_ops.json"
+    rng = np.random.default_rng(2)
+    ppt_ops.write_text(json.dumps({"ops": [core.operator_to_json(core.random_hermitian(4, rng)) for _ in range(3)]}))
     runs = [
         ["su2", "marvian", "--a", a, "--b", b, "--samples", "20"],
         ["gap", "--n", "10"],
@@ -52,6 +56,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
         ["wh-convert", "--rho", rho_path, "--sigma", sigma_path, "--dims", "3"],
         ["classify", "--ops", triple, "--dirs", "400"],
         ["uncertainty", "--table-j", "1"],
+        ["ppt-jnr", "--ops", ppt_ops, "--dims", "2,2", "--dirs", "2"],
     ]
     argvs = [[str(x) for x in argv] + ["--out", str(tmp_path / f"r{i}.json")] for i, argv in enumerate(runs)]
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -65,3 +70,4 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "r2.json").read_text())["aux_reachable"] == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
     assert json.loads((tmp_path / "r3.json").read_text())["convertible"] is True
     assert [json.loads((tmp_path / "r4.json").read_text())[k] for k in ("e", "s")] == [4, 0]
+    assert json.loads((tmp_path / "r6.json").read_text())["unbounded"] is True

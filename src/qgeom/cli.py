@@ -77,7 +77,10 @@ def load_operator_list(path):
     doc = _load_json(path)
     if isinstance(doc, dict) and "ops" in doc:
         ops = [core.operator_from_json(d) for d in doc["ops"]]
-        dims = tuple(doc["dims"]) if "dims" in doc else None
+        try:
+            dims = tuple(doc["dims"]) if "dims" in doc else None
+        except TypeError:
+            raise UsageError(f"bad dims in {path}: {doc['dims']!r}")
         return ops, dims
     if isinstance(doc, list):
         return [core.operator_from_json(d) for d in doc], None
@@ -86,16 +89,23 @@ def load_operator_list(path):
 
 def load_ladder_state(path):
     doc = _load_json(path)
-    amps = [complex(re, im) for re, im in doc["amps"]]
-    return interconvert.LadderState(int(doc.get("offset", 0)), tuple(amps))
+    try:
+        amps = [complex(re, im) for re, im in doc["amps"]]
+        offset = int(doc.get("offset", 0))
+    except (KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"bad ladder state in {path}: {e!r}")
+    return interconvert.LadderState(offset, tuple(amps))
 
 
 def load_spinket(path):
     doc = _load_json(path)
-    terms = []
-    for entry in doc:
-        amp = complex(entry["amp"][0], entry["amp"][1])
-        terms.append((Fraction(entry["j"]), Fraction(entry["m"]), entry.get("tag", ""), amp))
+    try:
+        terms = [
+            (Fraction(t["j"]), Fraction(t["m"]), t.get("tag", ""), complex(t["amp"][0], t["amp"][1]))
+            for t in doc
+        ]
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        raise UsageError(f"bad spin state in {path}: {e!r}")
     return su2.SpinKet.from_terms(terms)
 
 
@@ -236,8 +246,6 @@ def cmd_uncertainty(args):
 
 
 def cmd_gap(args):
-    if args.model != "xy":
-        raise UsageError(f"unknown model {args.model!r}")
     h = gapwitness.xy_majorana(args.n, args.gamma, taper=args.taper)
     v = gapwitness.gap_witness_majorana(args.n, taper=args.taper)
     lams = np.linspace(0.0, args.lambda_max, args.steps)
@@ -260,7 +268,7 @@ def cmd_gap(args):
         "plateau_drift": report.plateau_drift,
         "transient_crossings": report.transient_crossings,
         "meta": {"method": report.method, "solves": report.solves},
-        "_tolerances": {"overlap_threshold": 0.5, "degeneracy": 1e-9},
+        "_tolerances": {"overlap_threshold": gapwitness.OVERLAP_THRESHOLD, "degeneracy": gapwitness.DEGENERACY_TOL},
     }
     write_report(payload, args.out, args)
     return 0
@@ -313,12 +321,8 @@ def cmd_ppt_jnr(args):
 def cmd_interconvert(args):
     psi = load_ladder_state(args.psi)
     phi = load_ladder_state(args.phi)
-    if args.exact:
-        p = _rationalize(psi)
-        q = _rationalize(phi)
-        report = interconvert.u1_convertible(p, q)
-    else:
-        report = interconvert.u1_convertible(psi, phi)
+    p, q = (_rationalize(psi), _rationalize(phi)) if args.exact else (psi.probs(), phi.probs())
+    report = interconvert.u1_convertible(p, q)
     payload = {
         "convertible": report.convertible,
         "embedding_dim": report.embedding_dim,
@@ -330,8 +334,6 @@ def cmd_interconvert(args):
             "weights": [w for w in report.w.weights],
         }
         if args.kraus:
-            p = _rationalize(psi) if args.exact else psi.probs()
-            q = _rationalize(phi) if args.exact else phi.probs()
             lch = interconvert.build_u1_kraus(p, q, report.w)
             payload["kraus"] = {
                 "window_offset": lch.window_offset,
@@ -488,7 +490,6 @@ def build_parser():
     sp.set_defaults(fn=cmd_uncertainty)
 
     sp = sub.add_parser("gap", help="spectral-gap witness on a spin chain")
-    sp.add_argument("--model", default="xy")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--gamma", type=float, default=0.0)
     sp.add_argument("--lambda-max", type=float, default=3.0)

@@ -211,24 +211,11 @@ def spin_operators(j):
     jf = as_half_integer(j)
     if jf < 0:
         raise ValueError(f"invalid spin quantum number {j}")
-    two_j = int(2 * jf)
-    dim = two_j + 1
     jj = float(jf)
-    ms = [jj - k for k in range(dim)]
-    jx = np.zeros((dim, dim), dtype=complex)
-    jy = np.zeros((dim, dim), dtype=complex)
-    for a, n in enumerate(ms):
-        for b, m in enumerate(ms):
-            if abs(n - m - 1) < 1e-9:
-                c = 0.5 * np.sqrt(jj * (jj + 1) - n * m)
-                jx[a, b] += c
-                jy[a, b] += -1j * c
-            if abs(n - m + 1) < 1e-9:
-                c = 0.5 * np.sqrt(jj * (jj + 1) - n * m)
-                jx[a, b] += c
-                jy[a, b] += 1j * c
-    jz = np.diag(np.array(ms, dtype=complex))
-    return jx, jy, jz
+    ms = jj - np.arange(int(2 * jf) + 1)
+    # <m + 1| J_+ |m> / 2 on the superdiagonal: J_X = (J_+ + J_-) / 2, J_Y = (J_+ - J_-) / 2i
+    c = np.diag(0.5 * np.sqrt(jj * (jj + 1) - ms[:-1] * ms[1:]), 1)
+    return (c + c.T).astype(complex), -1j * c + 1j * c.T, np.diag(ms.astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ Two ground-state solvers share the curve and the bisection:
   G = A|A|^-1 of a 2n x 2n real antisymmetric A; E0 = -sum(eps)/2 over the
   eigenvalues +-i*eps of A, <H> = Tr(A_H G)/4, and overlaps are
   |<g|g'>|^2 = sqrt(det((G + G')/2)) (Bravyi 2005).  Modes with
-  eps <= 1e-9 * max(||H||, 1) are zero modes; they are paired by a fixed
-  rule (`_covariance`) instead of by the sign of eps.
+  eps <= DEGENERACY_TOL * max(||H||, 1) are zero modes; they are paired by a
+  fixed rule (`_covariance`) instead of by the sign of eps.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n 
 # 210); on real blocks near 240 (4.6 vs 5.0 ms at 220, 4.9 vs 3.9 ms at 256), too close to move
 # the limit, since complex blocks of 193-240 states would take twice as long densely
 DENSE_LIMIT = 192
+# levels within DEGENERACY_TOL * max(scale, 1) of the ground level count as degenerate with it
+DEGENERACY_TOL = 1e-9
 # block minima this close (relative) are one level: exact ties round to about 1e-14 relative, and a
-# window as wide as the 1e-9 degeneracy one would move the bisection off a crossing between blocks
+# window as wide as DEGENERACY_TOL would move the bisection off a crossing between blocks
 TIE_TOL = 1e-12
+OVERLAP_THRESHOLD = 0.5  # squared overlap with the lambda = 0 ground state below which it has departed
 FULL_SPECTRUM_LIMIT = 4096
 
 
@@ -361,7 +364,7 @@ class _SparseGround:
     def _levels(self, lam):
         """Four lowest levels of H + lam V over all blocks and their degeneracy window.
 
-        The window is 1e-9 * max(|E0|, 1), as on the fermion path.  Levels
+        The window is DEGENERACY_TOL * max(|E0|, 1), as on the fermion path.  Levels
         within TIE_TOL * max(|E0|, 1) of the lowest come first in block
         order, so that rounding does not decide between exactly degenerate
         blocks (the two parity sectors of the XY chain at gamma = 1).  The
@@ -394,7 +397,7 @@ class _SparseGround:
             vecs[idx[row], j] = u[row, :, level]
         if self.basis is not None:
             vecs = self.basis @ vecs
-        return vals[order], vecs, 1e-9 * scale
+        return vals[order], vecs, DEGENERACY_TOL * scale
 
     def solve(self, lam):
         """(E0, ground level degenerate, ground vector)."""
@@ -468,9 +471,9 @@ class _FermionGround:
         self.v = v.a
 
     def _modes(self, lam):
-        # eigenpairs of i*A ascending and the zero-mode threshold 1e-9 * max(||H + lam V||, 1)
+        # eigenpairs of i*A ascending and the zero-mode threshold DEGENERACY_TOL * max(||H + lam V||, 1)
         w, u = np.linalg.eigh(1j * (self.h + lam * self.v))
-        return w, u, 1e-9 * max(w[len(w) // 2 :].sum() / 2, 1.0)
+        return w, u, DEGENERACY_TOL * max(w[len(w) // 2 :].sum() / 2, 1.0)
 
     def solve(self, lam):
         """(E0, zero modes present, ground covariance)."""
@@ -573,22 +576,22 @@ def gap_upper_bound(curve: GroundCurve, true_gap_value=None, refine_iters=40):
     solver = curve.solver
     g0 = curve.states[..., 0]
     ovs = np.array([solver.overlap(g0, curve.states[..., i]) for i in range(len(curve))])
-    if ovs[1] < 0.5:
+    if ovs[1] < OVERLAP_THRESHOLD:
         raise PlateauError(
             "ground state leaves the initial state before the second grid point; "
             "no plateau, witness V unsuitable"
         )
-    above = np.where(ovs >= 0.5)[0]
+    above = np.where(ovs >= OVERLAP_THRESHOLD)[0]
     last = int(above.max())
     if last == len(curve) - 1:
         raise PlateauError("ground state never departs on this grid; extend lambda range")
-    transients = int(np.sum((ovs[:last] < 0.5)))
+    transients = int(np.sum((ovs[:last] < OVERLAP_THRESHOLD)))
     lo, hi = curve.lams[last], curve.lams[last + 1]
 
     for _ in range(refine_iters):
         mid = (lo + hi) / 2
         _, _, g = solver.solve(mid)
-        if solver.overlap(g0, g) < 0.5:
+        if solver.overlap(g0, g) < OVERLAP_THRESHOLD:
             hi = mid
         else:
             lo = mid
@@ -610,7 +613,7 @@ def gap_upper_bound(curve: GroundCurve, true_gap_value=None, refine_iters=40):
 
 
 def true_gap(h):
-    """E_1 - E_0 with exact degeneracy excluded (threshold 1e-9 * ||H||).
+    """E_1 - E_0 with exact degeneracy excluded (threshold DEGENERACY_TOL * ||H||).
 
     For a Majorana form this is the smallest mode energy eps_k above the
     threshold.  Otherwise the spectrum is the union of the spectra of the
@@ -619,7 +622,7 @@ def true_gap(h):
     """
     if isinstance(h, MajoranaForm):
         eps = np.linalg.eigvalsh(1j * h.a)[len(h.a) // 2 :]
-        above = eps[eps > 1e-9 * max(eps.sum() / 2, 1.0)]
+        above = eps[eps > DEGENERACY_TOL * max(eps.sum() / 2, 1.0)]
         return float(above[0]) if len(above) else 0.0
 
     import scipy.sparse as sp
@@ -632,7 +635,7 @@ def true_gap(h):
     groups = _block_stacks(mats, blocks, real)
     w = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, _, (stack,) in groups]))
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    above = w[w > w[0] + 1e-9 * scale]
+    above = w[w > w[0] + DEGENERACY_TOL * scale]
     if len(above) == 0:
         return 0.0
     return float(above[0] - w[0])

@@ -2,12 +2,14 @@
 
 A state with squared amplitudes p can be sent to one with squared
 amplitudes q iff p = w * q for a probability vector w.  On trimmed supports
-that is exact division of the generating polynomials, and division decides
-it: Fraction long division for rational inputs (the verdict is exact), least
-squares on the banded convolution matrix of q for floats.  The paper's
-construction -- embed both vectors into a prime-dimensional cyclic space and
-invert a circulant matrix -- stays in `circulant` and `cyclic_majorize` as an
-independent oracle.
+that is exact division of the generating polynomials: Fraction long division
+for rational inputs, least squares on the banded convolution matrix of q for
+floats.  One product forms w * q (`_product`, `np.convolve`; object arrays
+keep Fractions exact) and one residual rule decides p = w * q (`_is_product`:
+equality for Fractions, VERIFY_TOL for floats), for `_divide`'s quotients and
+`build_u1_kraus`'s triples alike.  The paper's construction -- embed both
+vectors into a prime-dimensional cyclic space and invert a circulant matrix
+-- stays in `circulant` and `cyclic_majorize` as an independent oracle.
 
 The states p reaches are the nonnegative factors q of its polynomial.
 `accessible_states` groups the computed roots that lie within CLUSTER_TOL
@@ -27,12 +29,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import KrausChannel
+from .core import KrausChannel, apply_channel
 from .core import is_prime as _is_prime_int  # name kept importable for the acceptance suite
 
 NEG_TOL = 1e-9  # float quotient entries above -NEG_TOL are clipped to zero
 VERIFY_TOL = 1e-9  # largest |w * q - p| entry a float quotient may leave
 CLUSTER_TOL = 1e-2  # relative spread of computed roots tested as one repeated root
+WEIGHT_TOL = 1e-12  # float weights: trimmed at or below it; negatives and sum drift within it accepted
 
 
 class SingularCirculantError(RuntimeError):
@@ -68,9 +71,9 @@ class ProbVector:
                 raise ValueError("weights must be trimmed to their support")
         else:
             w = tuple(float(v) for v in w)
-            if min(w) < -1e-12:
+            if min(w) < -WEIGHT_TOL:
                 raise ValueError(f"negative weight {min(w)}")
-            if abs(sum(w) - 1.0) > 1e-12:
+            if abs(sum(w) - 1.0) > WEIGHT_TOL:
                 raise ValueError(f"weights sum to {sum(w)}, not 1")
             if w[0] <= 0 or w[-1] <= 0:
                 raise ValueError("weights must be trimmed to their support")
@@ -96,10 +99,10 @@ class ProbVector:
         return ProbVector(0, self.weights)
 
     def as_floats(self):
-        return np.array([float(v) for v in self.weights])
+        return np.array(self.weights, dtype=float)
 
     @staticmethod
-    def from_weights(weights, offset=0, tol=1e-12):
+    def from_weights(weights, offset=0):
         """Trim leading/trailing (near-)zeros and renormalize tiny drift."""
         ws = list(weights)
         exact = _is_exact(ws)
@@ -109,11 +112,11 @@ class ProbVector:
             hi = max(i for i, v in enumerate(ws) if v != 0)
             return ProbVector(offset + lo, tuple(ws[lo : hi + 1]))
         ws = [float(v) for v in ws]
-        if min(ws) < -tol:
+        if min(ws) < -WEIGHT_TOL:
             raise ValueError(f"negative weight {min(ws)}")
         ws = [max(v, 0.0) for v in ws]
-        lo = next(i for i, v in enumerate(ws) if v > tol)
-        hi = max(i for i, v in enumerate(ws) if v > tol)
+        lo = next(i for i, v in enumerate(ws) if v > WEIGHT_TOL)
+        hi = max(i for i, v in enumerate(ws) if v > WEIGHT_TOL)
         ws = ws[lo : hi + 1]
         s = sum(ws)
         return ProbVector(offset + lo, tuple(v / s for v in ws))
@@ -134,10 +137,8 @@ class LadderState:
         object.__setattr__(self, "amps", a)
         object.__setattr__(self, "offset", int(self.offset))
 
-    def probs(self, tol=1e-12):
-        return ProbVector.from_weights(
-            [abs(a) ** 2 for a in self.amps], offset=self.offset, tol=tol
-        )
+    def probs(self):
+        return ProbVector.from_weights([abs(a) ** 2 for a in self.amps], offset=self.offset)
 
     @staticmethod
     def from_probs(probs, offset=0, phases=None):
@@ -212,16 +213,25 @@ def cyclic_majorize(p0, q0):
     return w / w.sum()
 
 
+def _product(a, b):
+    """w * q of two weight sequences: exact on Fractions (object arrays), else in floats."""
+    dtype = object if _is_exact(a) and _is_exact(b) else float
+    return np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+
+
+def _is_product(p, w, q):
+    """Whether weight sequences satisfy p = w * q: exactly if all are exact, else within VERIFY_TOL."""
+    r = _product(w, q)
+    if len(r) != len(p):
+        return False
+    if r.dtype == object and _is_exact(p):
+        return list(r) == list(p)
+    return np.abs(r.astype(float) - np.array(p, dtype=float)).max() <= VERIFY_TOL
+
+
 def convolve(a: ProbVector, b: ProbVector):
     """Non-cyclic convolution of two probability vectors on the ladder."""
-    if a.exact and b.exact:
-        out = [Fraction(0)] * (len(a.weights) + len(b.weights) - 1)
-        for i, x in enumerate(a.weights):
-            for j, y in enumerate(b.weights):
-                out[i + j] += x * y
-    else:
-        out = np.convolve(a.as_floats(), b.as_floats())
-    return ProbVector.from_weights(out, offset=a.offset + b.offset)
+    return ProbVector.from_weights(_product(a.weights, b.weights), offset=a.offset + b.offset)
 
 
 def _next_prime(n):
@@ -244,7 +254,6 @@ class CirculantTestReport:
     w: ProbVector | None
     embedding_dim: int
     exact: bool
-    shift: int = 0  # ladder shift: target support start minus source start
     singular_retries = 0  # division never retries; kept for the perfbench trace probe
 
 
@@ -268,35 +277,30 @@ def _divide(p: ProbVector, q: ProbVector):
     """Nonnegative quotient w of p = w * q for vectors starting at 0, or None.
 
     Trimming makes q_0 > 0, so the banded convolution matrix of q has full
-    column rank and w is the only candidate.  Exact inputs: long division,
-    convertible iff the remainder is zero and w >= 0.  Floats: least
-    squares, entries above -NEG_TOL clipped, w renormalized, and every
-    entry of w * q - p within VERIFY_TOL.
+    column rank and w is the only candidate.  Exact inputs: long division
+    for the low coefficients, w >= 0.  Floats: least squares, entries above
+    -NEG_TOL clipped, w renormalized.  Either way w is kept only if
+    `_is_product(p, w, q)`; a float w whose ends were trimmed is shorter
+    than the quotient and fails it.
     """
     m = len(p.weights) - len(q.weights) + 1
     if m < 1:
         return None
     if p.exact and q.exact:
         # long division from the low end; trimming makes q_0 > 0
-        r = list(p.weights)
-        w = []
+        w = list(p.weights[:m])
         for k in range(m):
-            w.append(r[k] / q.weights[0])
-            for j, qj in enumerate(q.weights):
-                r[k + j] -= w[k] * qj
-        if any(r) or min(w) < 0:
+            w[k] /= q.weights[0]
+            for j in range(1, min(len(q.weights), m - k)):
+                w[k + j] -= w[k] * q.weights[j]
+        if min(w) < 0 or not _is_product(p.weights, w, q.weights):
             return None
         return ProbVector.from_weights(w)
     w = _band_quotient(p.as_floats(), q.as_floats())
     if w.min() < -NEG_TOL:
         return None
     w = ProbVector.from_weights(np.clip(w, 0.0, None))
-    recon = convolve(w, q)
-    if recon.offset != p.offset or len(recon.weights) != len(p.weights):
-        return None
-    if np.abs(recon.as_floats() - p.as_floats()).max() > VERIFY_TOL:
-        return None
-    return w
+    return w if _is_product(p.weights, w.weights, q.weights) else None
 
 
 def u1_convertible(psi, phi):
@@ -317,8 +321,7 @@ def u1_convertible(psi, phi):
     if w is None:
         return CirculantTestReport(False, None, dim, exact)
     # restore the ladder translation: p_raw = (w shifted) * q_raw
-    shift = p_raw.offset - q_raw.offset
-    return CirculantTestReport(True, w.shifted(shift), dim, exact, shift=shift)
+    return CirculantTestReport(True, w.shifted(p_raw.offset - q_raw.offset), dim, exact)
 
 
 @dataclass
@@ -330,58 +333,37 @@ class LadderChannel:
     shifts: tuple  # the k of each Kraus operator
 
     def apply_to(self, state: LadderState):
-        dim = self.channel.kraus[0].shape[0]
-        vec = np.zeros(dim, dtype=complex)
-        for i, a in enumerate(state.amps):
-            idx = state.offset + i - self.window_offset
-            if not 0 <= idx < dim:
-                raise ValueError("state support leaves the channel window")
-            vec[idx] = a
-        rho = np.outer(vec, vec.conj())
-        return sum(k @ rho @ k.conj().T for k in self.channel.kraus)
+        lo = state.offset - self.window_offset
+        if lo < 0 or lo + len(state.amps) > self.channel.dim_in:
+            raise ValueError("state support leaves the channel window")
+        vec = np.zeros(self.channel.dim_in, dtype=complex)
+        vec[lo : lo + len(state.amps)] = state.amps
+        return apply_channel(self.channel, np.outer(vec, vec.conj()))
 
 
 def build_u1_kraus(p: ProbVector, q: ProbVector, w: ProbVector):
     """Kraus operators K_k with entries sqrt(w_{-k} q_{n+k} / p_n) at (n+k, n).
 
-    Requires p = w * q (verified); the channel is trace preserving on the
-    support of p and is flagged sub-normalized on the ambient window (the
-    completion on p's zero pattern is omitted as it never acts on psi).
+    Requires p = w * q (`_is_product`); the channel is trace preserving on
+    the support of p and is flagged sub-normalized on the ambient window
+    (the completion on p's zero pattern is omitted as it never acts on psi).
     """
-    recon = convolve(w, q)
-    ok = (
-        recon.offset == p.offset
-        and len(recon.weights) == len(p.weights)
-        and (
-            tuple(recon.weights) == tuple(p.weights)
-            if (p.exact and q.exact and w.exact)
-            else np.abs(recon.as_floats() - p.as_floats()).max() <= 1e-9
-        )
-    )
-    if not ok:
+    if w.offset + q.offset != p.offset or not _is_product(p.weights, w.weights, q.weights):
         raise ValueError("triple does not satisfy p = w * q")
     lo = min(p.offset, q.offset)
-    hi = max(p.offset + p.diam, q.offset + q.diam)
-    dim = hi - lo + 1
+    dim = max(p.offset + p.diam, q.offset + q.diam) - lo + 1
     pw = p.as_floats()
     qw = q.as_floats()
-    ww = w.as_floats()
+    n = np.arange(p.offset, p.offset + len(pw))  # ladder levels of p
     kraus = []
-    shifts = []
-    for wi, widx in enumerate(w.support):
-        k = -widx  # K_k carries weight w_{-k}
+    for widx, wk in zip(w.support, w.as_floats()):
+        qi = n - widx - q.offset  # K_k, k = -widx, sends level n to n + k with weight w_{-k}
+        on = (pw > 0) & (qi >= 0) & (qi < len(qw))
         m = np.zeros((dim, dim), dtype=complex)
-        for pi, n in enumerate(p.support):
-            if pw[pi] <= 0:
-                continue
-            qi = n + k - q.offset
-            if not 0 <= qi < len(qw):
-                continue
-            m[n + k - lo, n - lo] = np.sqrt(ww[wi] * qw[qi] / pw[pi])
+        m[n[on] - widx - lo, n[on] - lo] = np.sqrt(wk * qw[qi[on]] / pw[on])
         kraus.append(m)
-        shifts.append(k)
     channel = KrausChannel(tuple(kraus), sub_normalized=True)
-    return LadderChannel(channel=channel, window_offset=lo, shifts=tuple(shifts))
+    return LadderChannel(channel=channel, window_offset=lo, shifts=tuple(-k for k in w.support))
 
 
 def _real_poly(roots):

@@ -188,7 +188,7 @@ def test_gap_cli(tmp_path):
     out = tmp_path / "gap.json"
     csv = tmp_path / "curve.csv"
     rc = run(
-        ["gap", "--model", "xy", "--n", 6, "--gamma", 0.5, "--lambda-max", 3.0,
+        ["gap", "--n", 6, "--gamma", 0.5, "--lambda-max", 3.0,
          "--steps", 31, "--out", out, "--csv-out", csv]
     )
     assert rc == 0
@@ -232,7 +232,7 @@ def test_gap_cli_coarse_grid_reports_failure(tmp_path):
     # grid too coarse to resolve the plateau: computational failure, exit 1
     out = tmp_path / "gap.json"
     rc = run(
-        ["gap", "--model", "xy", "--n", 6, "--gamma", 0.5, "--lambda-max", 3.0,
+        ["gap", "--n", 6, "--gamma", 0.5, "--lambda-max", 3.0,
          "--steps", 4, "--out", out]
     )
     assert rc == 1
@@ -677,4 +677,35 @@ def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
     assert run(argv + [target]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("interconvert", {}),
+        ("interconvert", {"amps": 5}),
+        ("su2", [1, 2]),
+        ("su2", [{"j": "1"}]),
+        ("sep-jnr", 5),
+        ("ppt-jnr", 5),
+    ],
+    ids=["ladder-empty", "ladder-amps-5", "spin-list", "spin-no-amp", "sep-jnr-dims-5", "ppt-jnr-dims-5"],
+)
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, doc):
+    bad = tmp_path / "bad.json"
+    good = tmp_path / "good.json"
+    if command == "interconvert":
+        good.write_text(json.dumps({"amps": [[1.0, 0.0]]}))
+        argv = ["interconvert", "--psi", bad, "--phi", good]
+    elif command == "su2":
+        good.write_text(json.dumps([{"j": "1/2", "m": "1/2", "amp": [1.0, 0.0]}]))
+        argv = ["su2", "combine", "--a", bad, "--b", good]
+    else:
+        doc = {"ops": [core.operator_to_json(o) for o in (core.PAULI_X, core.PAULI_Z)], "dims": doc}
+        argv = [command, "--ops", bad, "--dirs", 2]
+    bad.write_text(json.dumps(doc))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
     assert err.count("\n") == 1 and "Traceback" not in err

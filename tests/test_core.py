@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,35 @@ def test_spin_casimir_and_commutator():
         assert np.abs(casimir - j * (j + 1) * np.eye(dim)).max() < 1e-10
         assert np.abs(jx @ jy - jy @ jx - 1j * jz).max() < 1e-12
         j += 0.5
+
+
+def _spin_operators_loop(j):
+    # the former O(d^2) construction: each entry from a float comparison of m values
+    jj = float(j)
+    ms = [jj - k for k in range(int(round(2 * jj)) + 1)]
+    jx = np.zeros((len(ms), len(ms)), dtype=complex)
+    jy = np.zeros((len(ms), len(ms)), dtype=complex)
+    for a, n in enumerate(ms):
+        for b, m in enumerate(ms):
+            if abs(n - m - 1) < 1e-9:
+                c = 0.5 * np.sqrt(jj * (jj + 1) - n * m)
+                jx[a, b] += c
+                jy[a, b] += -1j * c
+            if abs(n - m + 1) < 1e-9:
+                c = 0.5 * np.sqrt(jj * (jj + 1) - n * m)
+                jx[a, b] += c
+                jy[a, b] += 1j * c
+    return jx, jy, np.diag(np.array(ms, dtype=complex))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100))
+def test_spin_operators_match_the_entrywise_loop(two_j):
+    # bit for bit, signed zeros included
+    for got, want in zip(spin_operators(Fraction(two_j, 2)), _spin_operators_loop(two_j / 2)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 def test_spin_invalid_j():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from qgeom import interconvert
 from qgeom.interconvert import (
     CLUSTER_TOL,
     CirculantTestReport,
@@ -265,6 +266,46 @@ def test_build_kraus_inconsistent_triple():
     w = pv([0.5, 0.5])
     with pytest.raises(ValueError):
         build_u1_kraus(p, q, w)
+    # Fractions are held to equality: a residual of 1e-12 fails although VERIFY_TOL would pass it
+    e = F(1, 10**12)
+    with pytest.raises(ValueError):
+        build_u1_kraus(pv([F(1, 4) + e, F(1, 2) - e, F(1, 4)]), pv([F(1, 2)] * 2), pv([F(1, 2)] * 2))
+    # long division leaves w = (2/3, 0) >= 0, but w * q = (1/3, 1/3, 0) misses p
+    assert not u1_convertible(pv([F(1, 3)] * 3), pv([F(1, 2)] * 2)).convertible
+
+
+def test_build_kraus_float_residual_follows_verify_tol(monkeypatch):
+    # w * q = (1/4, 1/2, 1/4); p differs from it by about 1e-12 in two entries
+    q = pv([0.5, 0.5])
+    w = pv([0.5, 0.5])
+    p = pv([0.25 + 1e-12, 0.5 - 1e-12, 0.25])
+    build_u1_kraus(p, q, w)
+    monkeypatch.setattr(interconvert, "VERIFY_TOL", 1e-15)
+    with pytest.raises(ValueError, match="p = w \\* q"):
+        build_u1_kraus(p, q, w)
+
+
+def _convolve_loop(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_weights(6, 0), _int_weights(6, 0), st.integers(-3, 3), st.integers(-3, 3), st.booleans())
+def test_convolve_is_np_convolve_and_exact_on_fractions(a, b, oa, ob, exact):
+    # Fraction weights: the product equals a double loop exactly; floats: np.convolve, renormalized
+    a = pv([F(x, sum(a)) for x in a] if exact else [x / sum(a) for x in a], offset=oa)
+    b = pv([F(x, sum(b)) for x in b] if exact else [x / sum(b) for x in b], offset=ob)
+    got = convolve(a, b)
+    assert got.offset == oa + ob and got.exact == exact
+    if exact:
+        assert list(got.weights) == _convolve_loop(a.weights, b.weights)
+    else:
+        want = np.convolve(a.as_floats(), b.as_floats())
+        assert np.array_equal(got.as_floats(), want / sum(want.tolist()))
 
 
 def test_accessible_states_example():

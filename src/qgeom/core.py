@@ -22,7 +22,6 @@ STACK_ENTRIES = 2**18  # matrix entries per stacked eigensolve; bounds its memor
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = {"i": np.eye(2, dtype=complex), "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 
 def as_hermitian(mat, tol=HERMITIAN_TOL):
@@ -49,7 +48,9 @@ def as_density(mat):
 
 
 def check_dims(dims, dim):
-    """Validate that the local dimensions multiply to the operator dimension."""
+    """Validate integer local dimensions that multiply to the operator dimension."""
+    if isinstance(dims, str) or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+        raise ValueError(f"local dimensions must be integers, got {dims!r}")
     dims = tuple(int(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise ValueError(f"local dimensions must be positive, got {dims}")

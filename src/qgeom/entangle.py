@@ -9,7 +9,9 @@ two.  PPT maxima carry a certified two-sided bracket: ADMM over the state
 set and the PPT cone yields a PPT state below the maximum and a
 weak-duality certificate above it.  Both ranges form H_n = sum n_i X_i for
 all directions in one stacked sum; the PPT range runs the ADMM on all of
-them together, one stacked eigensolve per step.
+them together, one stacked eigensolve per step, and a (2, d) separable
+range runs every direction's branch and bound in lockstep, one top-pair
+kernel call and one eigvalsh per round.
 """
 
 from __future__ import annotations
@@ -20,17 +22,9 @@ from itertools import product
 
 import numpy as np
 
-from .core import (
-    PAULI,
-    as_hermitian,
-    check_dims,
-    partial_trace,
-    partial_transpose,
-    random_pure,
-    stack_chunks,
-    tensor,
-)
-from .numrange import ConvexBodyApprox, _positively_spanning, jnr_approximate, support_batch, unit
+from . import core
+from .core import as_hermitian, check_dims, partial_transpose, random_pure, stack_chunks
+from .numrange import ConvexBodyApprox, _positively_spanning, _top_pairs, jnr_approximate, unit
 
 # an alternating-ascent restart stops when a sweep gains less than its TOL, or after SWEEPS sweeps
 SEESAW_TOL, SEESAW_SWEEPS = 1e-10, 500
@@ -152,19 +146,30 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
 
 
 def _pauli_reductions(h, dims):
-    """H_i = Tr_A[H (sigma_i (x) 1)], i = 0..3, acting on the qudit factor."""
+    """H_i = Tr_A[H (sigma_i (x) 1)], i = 0..3, on the qudit factor of H
+    (2d, 2d) or of each row of a stack (..., 2d, 2d): (..., 4, d, d), exactly
+    Hermitian where H is."""
     d = dims[1]
-    hs = []
-    for s in (PAULI["i"], PAULI["x"], PAULI["y"], PAULI["z"]):
-        hs.append(partial_trace(h @ tensor(s, np.eye(d)), dims, 0))
-    return [as_hermitian(x, tol=1e-9) for x in hs]
+    blocks = h.reshape(h.shape[:-2] + (2, d, 2, d))
+    h00, h01, h10, h11 = (blocks[..., a, :, b, :] for a in (0, 1) for b in (0, 1))
+    return np.stack([h00 + h11, h10 + h01, 1j * (h01 - h10), h00 - h11], axis=-3)
 
 
 SEP_TOL = 1e-9  # certified gap at which the qubit-qudit branch and bound stops
+SEP_BUDGET = 4096  # default evaluations of one qubit-qudit branch and bound
 
 
-def _outer_bounds(hs, tris):
-    """Upper bound of f(r) = lambda_max(H_0 + r.H)/2 on each geodesic triangle.
+def _bloch_operators(hs, rows, r):
+    """H_0 + r.H of the reductions hs[rows], one per row of r (m, 3), in chunks of
+    core.STACK_ENTRIES entries: yields (slice of the rows, (k, d, d) stack)."""
+    for c in stack_chunks(len(r), 2 * hs.shape[-1]):
+        h, p = hs[rows[c]], r[c]
+        yield c, h[:, 0] + p[:, 0, None, None] * h[:, 1] + p[:, 1, None, None] * h[:, 2] + p[:, 2, None, None] * h[:, 3]
+
+
+def _outer_bounds(hs, tris, rows):
+    """Upper bound of f(r) = lambda_max(H_0 + r.H)/2 on each geodesic triangle,
+    H the reductions hs[rows].
 
     tris is (T, 3, 3) with unit vertices in rows.  A triangle whose plane lies
     at distance delta from the origin sits inside conv{v_i, v_i / delta}, so
@@ -172,11 +177,11 @@ def _outer_bounds(hs, tris):
     samples, and this returns max_i f(v_i / delta) from stacked eigvalsh.
     """
     normal = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    delta = np.abs(np.einsum("ti,ti->t", normal, tris[:, 0])) / np.linalg.norm(normal, axis=1)
+    delta = np.abs((normal * tris[:, 0]).sum(axis=1)) / np.linalg.norm(normal, axis=1)
     pts = (tris / delta[:, None, None]).reshape(-1, 3)
     top = np.empty(len(pts))
-    for chunk in stack_chunks(len(pts), hs[0].shape[0]):
-        top[chunk] = np.linalg.eigvalsh(hs[0] + np.einsum("ti,ijk->tjk", pts[chunk], hs[1:]))[:, -1]
+    for c, mats in _bloch_operators(hs, np.repeat(rows, 3), pts):
+        top[c] = np.linalg.eigvalsh(mats)[:, -1]
     return 0.5 * top.reshape(-1, 3).max(axis=1)
 
 
@@ -185,7 +190,83 @@ def _outer_bounds(hs, tris):
 _SPLIT = [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
 
 
-def qubit_qudit_sep_max(h, dims, directions=4096):
+def _qubit_qudit_stack(hs, budget):
+    """The branch and bound of qubit_qudit_sep_max on each row of a stack
+    (n, 2d, 2d) of Hermitian operators, all rows in lockstep.
+
+    Triangles, sphere samples and their seen set carry a row index, and each
+    round solves every row's new samples in one top-pair kernel call and all
+    outer bounds in one eigvalsh (per chunk of core.STACK_ENTRIES entries).
+    A row retires once it has nothing left to split within its budget.
+    Every row rounds as it would alone.  Returns lower, upper, the best
+    qudit states (n, d), their qubit partners (n, 2) and evaluations per row.
+    """
+    n, d = len(hs), hs.shape[1] // 2
+    hs = (hs + hs.conj().transpose(0, 2, 1)) / 2  # the Hermitian part (exact for Hermitian input)
+    red = _pauli_reductions(hs, (2, d))
+    lower, upper, beta = np.full(n, -np.inf), np.empty(n), np.empty((n, d), dtype=complex)
+    evaluations = np.zeros(n, dtype=int)
+    octahedron = np.array(list(product((1, -1), repeat=3)))[:, :, None] * np.eye(3)
+    tris, tri_row = np.tile(octahedron, (n, 1, 1)), np.repeat(np.arange(n), 8)
+    pts, pt_row = np.tile(np.vstack([np.eye(3), -np.eye(3)]), (n, 1)), np.repeat(np.arange(n), 6)
+    kept, kept_row, kept_bounds = np.empty((0, 3, 3)), np.empty(0, dtype=int), np.empty(0)
+    active = np.ones(n, dtype=bool)
+    seen = set()
+    while True:
+        # neighbours share edge midpoints bit for bit (a + b rounds as b + a): solve each once
+        keys = zip(pt_row.tolist(), map(tuple, pts.tolist()))
+        fresh = [i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]
+        pts, pt_row = pts[fresh], pt_row[fresh]
+        vals, states = np.empty(len(pts)), np.empty((len(pts), d), dtype=complex)
+        for c, mats in _bloch_operators(red, pt_row, pts):
+            top = _top_pairs(mats)[1]
+            # p_i = <beta|H_i|beta>, one (1, d) @ (d, d) product per sample and H_i
+            p = ((top.conj()[:, None, None, :] @ red[pt_row[c]])[:, :, 0] * top[:, None, :]).sum(axis=2).real
+            # |p_vec| by the stacked dot product, which rounds as np.linalg.norm of each row
+            vals[c] = 0.5 * (p[:, 0] + np.sqrt(p[:, None, 1:] @ p[:, 1:, None])[:, 0, 0])
+            states[c] = top
+        if len(pts):
+            # each row's best sample, the first of equal values, against its lower
+            order = np.lexsort((-vals, pt_row))
+            best = order[np.r_[True, pt_row[order][1:] != pt_row[order][:-1]]]
+            best = best[vals[best] > lower[pt_row[best]]]
+            lower[pt_row[best]], beta[pt_row[best]] = vals[best], states[best]
+        evaluations += np.bincount(pt_row, minlength=n) + 3 * np.bincount(tri_row, minlength=n)
+        # a pruned triangle stays: its bound may exceed lower by up to SEP_TOL
+        bounds = np.concatenate([kept_bounds, _outer_bounds(red, tris, tri_row)])
+        tris, tri_row = np.concatenate([kept, tris]), np.concatenate([kept_row, tri_row])
+        live = np.flatnonzero(bounds > lower[tri_row] + SEP_TOL)
+        n_split = np.minimum(np.bincount(tri_row[live], minlength=n), (budget - evaluations) // 15)
+        done = active & (n_split <= 0)
+        if done.any():
+            top_bound = np.full(n, -np.inf)
+            np.maximum.at(top_bound, tri_row, bounds)
+            upper[done] = np.maximum(lower[done], top_bound[done])
+            active &= ~done
+            if not active.any():
+                break
+        # each active row splits its n_split highest live bounds, the first of equal bounds first
+        live = live[active[tri_row[live]]]
+        order = live[np.lexsort((-bounds[live], tri_row[live]))]
+        rank = np.arange(len(order)) - np.searchsorted(tri_row[order], tri_row[order])
+        split = order[rank < n_split[tri_row[order]]]
+        keep = active[tri_row]
+        keep[split] = False
+        kept, kept_row, kept_bounds = tris[keep], tri_row[keep], bounds[keep]
+        corners, split_row = tris[split], tri_row[split]
+        mids = corners + np.roll(corners, -1, axis=1)
+        mids /= np.linalg.norm(mids, axis=2, keepdims=True)
+        pts, pt_row = mids.reshape(-1, 3), np.repeat(split_row, 3)
+        tris = np.concatenate([corners, mids], axis=1)[:, _SPLIT].reshape(-1, 3, 3)
+        tri_row = np.repeat(split_row, 4)
+    # the qubit factor: top eigenvector of <beta| H |beta>, one (1, d) @ (d, d) product per block
+    blocks = hs.reshape(n, 2, d, 2, d).transpose(0, 1, 3, 2, 4)
+    hb = ((beta.conj()[:, None, None, None, :] @ blocks)[:, :, :, 0] * beta[:, None, None, :]).sum(axis=3)
+    alpha = np.linalg.eigh(hb)[1][:, :, -1]
+    return lower, upper, beta, alpha, evaluations
+
+
+def qubit_qudit_sep_max(h, dims, directions=SEP_BUDGET):
     """Certified bracket lower <= separable max <= upper on a (2, d) system.
 
     The maximum over product states is the maximum over the Bloch sphere of
@@ -196,9 +277,10 @@ def qubit_qudit_sep_max(h, dims, directions=4096):
     the budget of evaluations (a distinct sphere sample or an outer vertex
     each; at most 15 per split, as a midpoint shared with a neighbour is
     solved once); the 30 of the start mesh always run.  Every sphere sample
-    r yields a qudit state beta with point p = <beta|H_i|beta>, and lower is
-    the best (p_0 + |p_vec|)/2, the value its product witness attains.
-    upper is the largest triangle bound (or lower).
+    r yields a qudit state beta, the top eigenvector of H_0 + r.H, with point
+    p = <beta|H_i|beta>, and lower is the best (p_0 + |p_vec|)/2, the value
+    its product witness attains.  upper is the largest triangle bound (or
+    lower).  This is the one-row case of `_qubit_qudit_stack`.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
@@ -206,58 +288,13 @@ def qubit_qudit_sep_max(h, dims, directions=4096):
         raise ValueError(f"first local dimension must be 2, got {dims[0]}")
     if directions < 1:
         raise ValueError(f"evaluation budget must be at least 1, got {directions}")
-    hs = np.array(_pauli_reductions(h, dims))
-    lower, beta = -np.inf, None
-    pts = np.vstack([np.eye(3), -np.eye(3)])
-    tris = np.array(list(product((1, -1), repeat=3)))[:, :, None] * np.eye(3)
-    kept, kept_bounds = np.empty((0, 3, 3)), np.empty(0)
-    evaluations = 0
-    seen = set()
-    while True:
-        # neighbours share edge midpoints bit for bit (a + b rounds as b + a): solve each once
-        new = [p for p in dict.fromkeys(map(tuple, pts.tolist())) if p not in seen]
-        seen.update(new)
-        pts = np.array(new).reshape(-1, 3)
-        swept = support_batch(hs, np.column_stack([np.ones(len(pts)), pts]))
-        # |p_vec| by the stacked dot product, which rounds as np.linalg.norm of each row
-        p = swept.points
-        vals = 0.5 * (p[:, 0] + np.sqrt(p[:, None, 1:] @ p[:, 1:, None])[:, 0, 0])
-        if len(vals) and vals.max() > lower:
-            lower, beta = vals.max(), swept.witnesses[vals.argmax()]
-        evaluations += len(pts) + 3 * len(tris)
-        # a pruned triangle stays: its bound may exceed lower by up to SEP_TOL
-        bounds = np.concatenate([kept_bounds, _outer_bounds(hs, tris)])
-        tris = np.concatenate([kept, tris])
-        live = np.flatnonzero(bounds > lower + SEP_TOL)
-        n_split = min(len(live), (directions - evaluations) // 15)
-        if n_split <= 0:
-            break
-        split = live[np.argsort(-bounds[live], kind="stable")[:n_split]]
-        keep = np.ones(len(tris), dtype=bool)
-        keep[split] = False
-        kept, kept_bounds = tris[keep], bounds[keep]
-        corners = tris[split]
-        mids = corners + np.roll(corners, -1, axis=1)
-        mids /= np.linalg.norm(mids, axis=2, keepdims=True)
-        pts = mids.reshape(-1, 3)
-        tris = np.concatenate([corners, mids], axis=1)[:, _SPLIT].reshape(-1, 3, 3)
-    upper = max(lower, float(bounds.max()))
-    witness = _witness_from_qudit_state(h, dims, beta)
-    meta = {"method": "bloch-branch-and-bound", "evaluations": evaluations,
-            "converged": bool(upper - lower <= SEP_TOL)}
-    return SepBounds(float(lower), float(upper), witness, meta=meta)
+    lower, upper, beta, alpha, evaluations = _qubit_qudit_stack(h[None], directions)
+    meta = {"method": "bloch-branch-and-bound", "evaluations": int(evaluations[0]),
+            "converged": bool(upper[0] - lower[0] <= SEP_TOL)}
+    return SepBounds(float(lower[0]), float(upper[0]), ProductAnsatz((alpha[0], beta[0])), meta=meta)
 
 
-def _witness_from_qudit_state(h, dims, beta):
-    """Lift an optimal qudit state to the product witness (alpha, beta)."""
-    d = dims[1]
-    beta = np.asarray(beta, dtype=complex)
-    hb = partial_trace(h @ tensor(np.eye(2), np.outer(beta, beta.conj())), dims, 1)
-    _, v = np.linalg.eigh(as_hermitian(hb, tol=1e-9))
-    return ProductAnsatz((v[:, -1], beta))
-
-
-def sep_max(h, dims, restarts=32, seed=0, directions=4096):
+def sep_max(h, dims, restarts=32, seed=0, directions=SEP_BUDGET):
     """Bracket on the maximum of <H> over separable states.
 
     A (2, d) split takes the two-sided qubit_qudit_sep_max with `directions`
@@ -291,28 +328,42 @@ def _range_body(ops, dims, directions, solve):
 def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     """Separable numerical range by per-direction product maximization.
 
-    Each outer offset is the sep_max upper bound where it is certified
-    (qubit-qudit splits, default budget), so the outer half-spaces are
-    rigorous; other splits fall back to see-saw values and the outer
-    description is flagged heuristic.
+    On a (2, d) split every direction's branch and bound runs in lockstep,
+    one stack of at most core.STACK_ENTRIES // SEP_BUDGET directions at a
+    time, and each outer offset is its certified `upper`, so the outer
+    half-spaces are rigorous; meta adds the evaluations summed over
+    directions and whether every bracket closed to SEP_TOL.  Other splits
+    take see-saw values per direction, and the outer description is
+    flagged heuristic.  One factor is the joint numerical range itself.
     """
-    if len(check_dims(dims, len(ops[0]))) == 1:
+    dims = check_dims(dims, len(ops[0]))
+    if len(dims) == 1:
         body = jnr_approximate(ops, directions)
         body.meta["outer_rigorous"] = True
         return body
+    if len(dims) == 2 and dims[0] == 2:
+        def solve(hs, dims):
+            # a row holds O(SEP_BUDGET) triangles and samples while it runs
+            rows = max(1, core.STACK_ENTRIES // SEP_BUDGET)
+            parts = [_qubit_qudit_stack(hs[i:i + rows], SEP_BUDGET) for i in range(0, len(hs), rows)]
+            lower, upper, beta, alpha, evaluations = (np.concatenate(p) for p in zip(*parts))
+            vs = (alpha[:, :, None] * beta[:, None, :]).reshape(len(hs), -1)
+            return upper, vs[:, :, None] * vs[:, None, :].conj(), evaluations, upper - lower <= SEP_TOL
+
+        body, (evaluations, closed) = _range_body(ops, dims, directions, solve)
+        body.meta = {"outer_rigorous": True, "method": "bloch-branch-and-bound",
+                     "evaluations": int(evaluations.sum()), "converged": bool(closed.all())}
+        return body
 
     def solve(hs, dims):
-        bounds = [sep_max(h, dims, restarts=restarts, seed=seed) for h in hs]
+        bounds = [seesaw_product_max(h, dims, restarts=restarts, seed=seed) for h in hs]
         vs = np.array([b.witness.vector() for b in bounds])
-        offsets = np.array([b.lower if b.upper is None else b.upper for b in bounds])
-        return offsets, vs[:, :, None] * vs[:, None, :].conj(), np.array([b.upper is not None for b in bounds])
+        return np.array([b.lower for b in bounds]), vs[:, :, None] * vs[:, None, :].conj()
 
-    body, (certified,) = _range_body(ops, dims, directions, solve)
-    rigorous = bool(certified.all())
-    if not rigorous:
-        # heuristic offsets may undercut other directions' witnesses: lift them to keep inner inside outer
-        body.outer_offsets = np.maximum(body.outer_offsets, (body.outer_normals @ body.inner_vertices.T).max(axis=1))
-    body.meta["outer_rigorous"] = rigorous
+    body, _ = _range_body(ops, dims, directions, solve)
+    # heuristic offsets may undercut other directions' witnesses: lift them to keep inner inside outer
+    body.outer_offsets = np.maximum(body.outer_offsets, (body.outer_normals @ body.inner_vertices.T).max(axis=1))
+    body.meta = {"outer_rigorous": False, "method": "seesaw"}
     return body
 
 

@@ -12,7 +12,9 @@ Two ground-state solvers share the curve and the bisection:
   basis where it is real symmetric (`_real_form`); the XY chain is real
   and its witness imaginary, so RK fixes every block of the pair.
   Extremal eigenpairs of a block are dense up to DENSE_LIMIT (all blocks of
-  one size and dtype in one stacked eigh) and seeded Lanczos above; the
+  one size and dtype in one stacked eigh) and seeded Lanczos above, with
+  a second Lanczos search of the complement of the levels found, for the
+  copies of a degenerate level that one Krylov space cannot hold; the
   Lanczos path never densifies.  Full spectra are capped at 2^12.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas
   (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
@@ -44,6 +46,8 @@ DEGENERACY_TOL = 1e-9
 TIE_TOL = 1e-12
 OVERLAP_THRESHOLD = 0.5  # squared overlap with the lambda = 0 ground state below which it has departed
 FULL_SPECTRUM_LIMIT = 4096
+# relative tolerance of the loose Lanczos search for levels that a block's first Lanczos missed
+COMPLEMENT_TOL = 1e-4
 
 
 class ChainTooLargeError(ValueError):
@@ -205,19 +209,50 @@ def gap_witness_majorana(n_sites, taper=False):
 
 
 def _lowest_levels(m):
-    """(four lowest eigenvalues, their eigenvectors as columns) of a sparse block, by seeded Lanczos."""
+    """(four lowest eigenvalues, their eigenvectors as columns) of a sparse block, by seeded Lanczos.
+
+    A Krylov space holds one vector of each distinct eigenvalue, so Lanczos
+    can return one copy of a degenerate level and the next level in place of
+    the other.  The complement of the found vectors is searched again, by
+    Lanczos on m shifted up on their span from a fixed random start: loosely
+    (tolerance COMPLEMENT_TOL), and exactly only when its lowest level comes
+    within that tolerance of the fourth.  A level below the fourth replaces
+    it, and the search repeats.
+    """
     import scipy.sparse.linalg as spla
 
     dim = m.shape[0]
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
     try:
-        w, v = spla.eigsh(m, k=4, which="SA", v0=v0, maxiter=5000)
+        w, v = _lanczos(m, 4, np.full(dim, 1.0 / np.sqrt(dim)), 0.0)
+        start = np.random.default_rng(0).standard_normal(dim)
+        for _ in range(4):
+            scale = max(abs(w).max(), 1.0)
+            q, _ = np.linalg.qr(v)
+            shift = w[-1] - w[0] + scale
+            rest = spla.LinearOperator(m.shape, matvec=lambda x: m @ x + shift * (q @ (q.conj().T @ x)), dtype=m.dtype)
+            x0 = start - q @ (q.conj().T @ start)
+            low, _ = _lanczos(rest, 1, x0, COMPLEMENT_TOL)
+            if low[0] > w[-1] + COMPLEMENT_TOL * scale:
+                break
+            low, x = _lanczos(rest, 1, x0, 0.0)
+            if low[0] >= w[-1] - TIE_TOL * scale:
+                break
+            w, v = np.append(w[:-1], low), np.column_stack([v[:, :-1], x])
+            order = np.argsort(w)
+            w, v = w[order], v[:, order]
     except spla.ArpackNoConvergence:
-        if dim <= FULL_SPECTRUM_LIMIT:
-            w, v = np.linalg.eigh(m.toarray())
-        else:
+        if dim > FULL_SPECTRUM_LIMIT:
             raise
-    order = np.argsort(w)[:4]
+        w, v = np.linalg.eigh(m.toarray())
+    return w[:4], v[:, :4]
+
+
+def _lanczos(op, k, v0, tol):
+    """The k lowest eigenpairs of a Hermitian operator by ARPACK, ascending."""
+    import scipy.sparse.linalg as spla
+
+    w, v = spla.eigsh(op, k=k, which="SA", v0=v0, maxiter=5000, tol=tol)
+    order = np.argsort(w)
     return w[order], v[:, order]
 
 

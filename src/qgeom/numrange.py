@@ -6,8 +6,12 @@ eigenvalue of n.X, attained by the top eigenvector; sweeping directions
 yields an inner vertex cloud and outer supporting half-spaces that bracket
 the true range.  Every eigensolve over directions goes through
 `support_batch`, which stacks many directions into one call and returns
-one SupportSweep of arrays (a value, point, witness and gap per row).  Rows
-whose top eigenvalue is degenerate also keep their top eigenspace, whose
+one SupportSweep of arrays (a value, point, witness and gap per row).  A
+sweep needs only the top eigenpair and the second eigenvalue, so its
+kernel `_top_pairs` takes every eigenvalue from eigvalsh and the top
+eigenvector from two batched solves of shifted inverse iteration; only
+rows with a degenerate top eigenvalue, or a residual above a tolerance set
+from the dtype, run eigh.  Those rows also keep their top eigenspace, whose
 compressed operators span that face of W.
 
 A qutrit triple's flat faces (`classify_qutrit_jnr`) are found from one 3x3
@@ -36,6 +40,10 @@ COMMON_EIGVEC_TOL = 1e-8
 POLISH_MAXITER = 50
 POLISH_STEP_TOL = 1e-14  # a polish row whose Gauss-Newton step is this short has stopped moving
 ONE_SHOT_TOL = 1e-9  # signed distance from 0 to the eigenvalue hull that still counts as inside
+# top-pair kernel, times d * scale: the inverse-iteration shift above lambda_max,
+# and the largest residual |Hv - lambda v| it accepts before falling back to eigh
+TOP_SHIFT = 8 * np.finfo(float).eps
+TOP_RESIDUAL = 64 * np.finfo(float).eps
 
 
 def unit(v):
@@ -115,15 +123,56 @@ class ConvexBodyApprox:
         return bool(s.max() <= tol)
 
 
+def _top_pairs(mats):
+    """Eigenvalues (ascending), top eigenvectors and wide top eigenspaces of a
+    stack (n, d, d) of Hermitian matrices.
+
+    eigvalsh gives each row's eigenvalues.  Two batched solves of shifted
+    inverse iteration (Ipsen, SIAM Rev. 39, 254 (1997)), with the shift
+    TOP_SHIFT * d * scale above the top eigenvalue and one fixed start vector,
+    give the top eigenvector; scale is the row's largest |eigenvalue|.  A row
+    whose top eigenspace within FACE_GAP is wider than one, or whose residual
+    |Hv - lambda v| exceeds TOP_RESIDUAL * d * scale, is solved again by eigh,
+    and a wide one returns that eigenspace as {row: (d, w) basis, the witness
+    last}.  Every row rounds the same in any stack.
+    """
+    n, d = mats.shape[:2]
+    w = np.linalg.eigvalsh(mats)
+    scale = np.maximum(np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0])), 1e-30)
+    width = (w >= w[:, -1:] - FACE_GAP * scale[:, None]).sum(axis=1)
+    shifted = mats - (w[:, -1] + TOP_SHIFT * d * scale)[:, None, None] * np.eye(d)
+    # a fixed generic real start: real matrices keep real witnesses
+    v = np.broadcast_to(np.random.default_rng(0).standard_normal((d, 1)), (n, d, 1)).astype(complex)
+    try:
+        for _ in range(2):  # one solve leaves the witness off by (shift / gap) in relative terms
+            v = np.linalg.solve(shifted, v)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+    except np.linalg.LinAlgError:  # an exactly singular shifted row: eigh solves every row
+        v = np.full((n, d, 1), np.nan, dtype=complex)
+    residual = np.linalg.norm((mats @ v)[:, :, 0] - w[:, -1:] * v[:, :, 0], axis=1)
+    top = v[:, :, 0]
+    redo = np.flatnonzero((width > 1) | ~(residual <= TOP_RESIDUAL * d * scale))
+    faces = {}
+    if redo.size:
+        vecs = np.linalg.eigh(mats[redo])[1]
+        top[redo] = vecs[:, :, -1]
+        for row, basis in zip(redo.tolist(), vecs):
+            if width[row] > 1:
+                faces[row] = basis[:, d - width[row]:]
+    return w, top, faces
+
+
 def support_batch(ops, directions):
     """The support function of W(ops) on each row of `directions`, as one SupportSweep.
 
     Each row is normalised; its value is lambda_max(sum n_i X_i) and its
-    point the tuple Re<v|X_i|v> over the top eigenvector v.  The operators are
-    validated once per call, and the eigensolves run stacked, in chunks of
-    core.STACK_ENTRIES matrix entries.  A set of zero rows gives empty arrays.
+    point the tuple Re<v|X_i|v> over the top eigenvector v, both from the
+    top-pair kernel `_top_pairs`.  The operators are validated once per
+    call, and the solves run stacked, in chunks of core.STACK_ENTRIES
+    matrix entries.  A set of zero rows gives empty arrays.
     """
-    ops = [as_hermitian(x) for x in ops]
+    # the Hermitian part, which the solves see as eigvalsh does (exact for Hermitian input)
+    ops = [(x + x.conj().T) / 2 for x in map(as_hermitian, ops)]
     d = ops[0].shape[0]
     if any(x.shape[0] != d for x in ops):
         raise ValueError("operators must share one dimension")
@@ -143,17 +192,14 @@ def support_batch(ops, directions):
     )
     for chunk in stack_chunks(len(rows), d):
         n = sweep.directions[chunk]
-        w, v = np.linalg.eigh(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
-        top = v[:, :, -1]
+        w, top, faces = _top_pairs(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
         # one (1, d) @ (d, d) product per row, so a row rounds the same in every chunk
         row = top.conj()[:, None, :]
         sweep.points[chunk] = np.stack([((row @ x)[:, 0] * top).sum(axis=1).real for x in ops], axis=1)
         sweep.values[chunk], sweep.witnesses[chunk] = w[:, -1], top
         scale = np.maximum(np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0])), 1e-30)
         sweep.gaps[chunk] = (w[:, -1] - w[:, -2]) / scale if d > 1 else np.inf
-        width = (w >= w[:, -1:] - FACE_GAP * scale[:, None]).sum(axis=1)
-        for r in np.flatnonzero(width > 1):
-            sweep.faces[chunk.start + int(r)] = v[r, :, d - width[r] :].copy()
+        sweep.faces.update((chunk.start + r, basis) for r, basis in faces.items())
     return sweep
 
 
@@ -184,6 +230,7 @@ def jnr_approximate(ops, directions):
         outer_normals=sweep.directions,
         outer_offsets=sweep.values,
         unbounded=not _positively_spanning(sweep.directions),
+        meta={"method": "support-sweep", "faces": len(rows)},
     )
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import as_half_integer, choi_matrix_of_map, spin_operators, stack_chunks
+from .core import as_half_integer, choi_matrix_of_map, partial_trace, spin_operators, stack_chunks
 
 _CG_CACHE = {}
 
@@ -369,7 +369,7 @@ def zeta_channel_simplex(x0, x1):
     d = 3
     choi = choi_matrix_of_map(g, d)
     # trace preservation check: Tr_B(choi) must be 1/d
-    tb = np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
+    tb = partial_trace(choi, (d, d), 1)
     if np.abs(tb - np.eye(d) / d).max() > 1e-10:
         raise RuntimeError("simplex member is not trace preserving")
     w = np.linalg.eigvalsh((choi + choi.conj().T) / 2)

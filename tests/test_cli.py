@@ -626,6 +626,64 @@ def test_ppt_jnr_report_same_in_every_process(tmp_path):
     assert meta["max_bracket"] <= 1e-8
 
 
+@pytest.mark.parametrize("command", ["sep-jnr", "ppt-jnr"])
+@pytest.mark.parametrize("dims", [[2.5, 2], "22", [2.0, 2.0], [True, 4]], ids=["2.5,2", "str", "floats", "bool"])
+def test_non_integer_dims_in_an_ops_file_are_usage_errors(tmp_path, capsys, command, dims):
+    ops = tmp_path / "ops.json"
+    rng = np.random.default_rng(0)
+    ops.write_text(json.dumps({"ops": [core.operator_to_json(core.random_hermitian(4, rng)) for _ in range(2)],
+                               "dims": dims}))
+    out = tmp_path / "r.json"
+    assert run([command, "--ops", ops, "--dirs", 2, "--out", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: local dimensions must be integers")
+
+
+def test_sep_jnr_offsets_are_the_sep_max_uppers(tmp_path):
+    # each direction's operator H_n, written out and read back exactly, gives through
+    # sep-max the same certified upper, bit for bit, as sep-jnr's outer offset
+    ops = tmp_path / "ops.json"
+    pair = [core.random_hermitian(6, np.random.default_rng(k)) for k in (5, 6)]
+    write_ops(ops, pair)
+    body = tmp_path / "sep.json"
+    assert run(["sep-jnr", "--ops", ops, "--dims", "2,3", "--dirs", 6, "--out", body]) == 0
+    doc = json.loads(body.read_text())
+    for k, (n, offset) in enumerate(zip(doc["outer_normals"], doc["outer_offsets"])):
+        op, out = tmp_path / f"h{k}.json", tmp_path / f"max{k}.json"
+        op.write_text(json.dumps(core.operator_to_json(sum(c * x for c, x in zip(n, pair)))))
+        assert run(["sep-max", "--op", op, "--dims", "2,3", "--out", out]) == 0
+        assert json.loads(out.read_text())["upper"] == offset
+
+
+@pytest.mark.parametrize("command", ["jnr", "sep-jnr"])
+def test_body_reports_same_in_every_process(tmp_path, command):
+    # W(X, Y) is the triangle (0, 0), (1, 1), (1, -1): four directions of eight
+    # have a degenerate top eigenvalue, and jnr samples each of those faces
+    ops = tmp_path / "ops.json"
+    x, y = np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4))
+    y[0, 1] = y[1, 0] = 1.0
+    write_ops(ops, [x, y])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    reports = []
+    extra = [] if command == "jnr" else ["--dims", "2,2"]
+    for k in range(2):
+        out = tmp_path / f"{command}{k}.json"
+        cmd = [sys.executable, "-m", "qgeom.cli", command, "--ops", str(ops), "--dirs", "8", "--out", str(out), *extra]
+        assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    meta = json.loads(reports[0])["meta"]
+    if command == "jnr":
+        assert meta == {"method": "support-sweep", "faces": 4}
+    else:
+        runs = [entangle.qubit_qudit_sep_max(n[0] * x + n[1] * y, (2, 2)) for n in numrange.sphere_directions(2, 8)]
+        assert meta == {"outer_rigorous": True, "method": "bloch-branch-and-bound",
+                        "evaluations": sum(b.meta["evaluations"] for b in runs),
+                        "converged": all(b.meta["converged"] for b in runs)}
+
+
 def test_ppt_jnr_exits_1_on_an_open_bracket(tmp_path, monkeypatch):
     ops = tmp_path / "ops.json"
     write_ops(ops, [core.random_hermitian(4, np.random.default_rng(k)) for k in range(2)])

@@ -74,6 +74,17 @@ def test_partial_trace_preserves_trace(seed):
         assert abs(np.trace(partial_trace(m, (2, 3), which)) - np.trace(m)) < 1e-10
 
 
+@pytest.mark.parametrize("dims", [[2.5, 2], "22", (2.0, 2), (True, 4), [np.float64(2), 2]])
+def test_check_dims_rejects_non_integer_entries(dims):
+    # int() would read each of these as a valid split of 4
+    with pytest.raises(ValueError, match="must be integers"):
+        core.check_dims(dims, 4)
+
+
+def test_check_dims_accepts_numpy_integers():
+    assert core.check_dims((np.int64(2), 2), 4) == (2, 2)
+
+
 def test_partial_trace_index_error():
     with pytest.raises(IndexError):
         partial_trace(np.eye(6), (2, 3), 2)

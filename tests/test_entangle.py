@@ -236,18 +236,27 @@ _EVERY_MIDPOINT = [
 @pytest.mark.parametrize("seed,lower,upper,evaluations", _EVERY_MIDPOINT)
 def test_qubit_qudit_solves_each_sphere_point_once(monkeypatch, seed, lower, upper, evaluations):
     # neighbouring triangles share edge midpoints; each is solved once and
-    # counted once, and the converged bracket does not move
+    # counted once, and the converged bracket does not move.  A kernel row
+    # H_0 + r.H gives back its sphere point r by least squares.
+    from scipy.spatial import cKDTree
+
+    h = core.random_hermitian(6, np.random.default_rng(seed))
+    hs = entangle._pauli_reductions(h, (2, 3))
+    basis = np.stack([hs[1:].real, hs[1:].imag], axis=1).reshape(3, -1).T
     solved = []
 
-    def recording(ops, directions):
-        solved.extend(map(tuple, np.asarray(directions)[:, 1:].tolist()))
-        return support_batch(ops, directions)
+    def recording(mats):
+        rest = (mats - hs[0]).reshape(len(mats), -1)
+        solved.extend(np.linalg.lstsq(basis, np.concatenate([rest.real, rest.imag], axis=1).T, rcond=None)[0].T)
+        return top_pairs(mats)
 
-    monkeypatch.setattr(entangle, "support_batch", recording)
-    h = core.random_hermitian(6, np.random.default_rng(seed))
+    top_pairs = entangle._top_pairs
+    monkeypatch.setattr(entangle, "_top_pairs", recording)
     b = qubit_qudit_sep_max(h, (2, 3))
-    assert len(solved) == len(set(solved))
-    assert b.meta["converged"] and b.meta["evaluations"] < evaluations
+    solved = np.array(solved)
+    assert np.abs(np.linalg.norm(solved, axis=1) - 1).max() < 1e-9
+    assert not cKDTree(solved).query_pairs(1e-9)
+    assert b.meta["converged"] and len(solved) < b.meta["evaluations"] < evaluations
     assert abs(b.lower - lower) <= entangle.SEP_TOL and abs(b.upper - upper) <= entangle.SEP_TOL
 
 
@@ -260,6 +269,45 @@ def test_qubit_qudit_small_budget_still_certifies(rng, budget):
     ppt = ppt_max(h, (2, 3))
     assert b.lower <= ppt.upper + 1e-12 and ppt.value <= b.upper + 1e-12
     assert b.witness.expectation(h) == pytest.approx(b.lower, abs=1e-10)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3)]), st.sampled_from([40, 300, 4096]))
+def test_lockstep_branch_and_bound_matches_one_row_calls(seed, dims, budget):
+    # rows retire in different rounds: random, product (a continuum of maxima
+    # may run out the budget) and a multiple of the identity (closes at once)
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    hs = [core.random_hermitian(d, rng) for _ in range(4)]
+    hs += [tensor(core.random_hermitian(2, rng), core.random_hermitian(dims[1], rng)), 0.5 * np.eye(d)]
+    hs = np.array(hs, dtype=complex)
+    lower, upper, beta, alpha, evaluations = entangle._qubit_qudit_stack(hs, budget)
+    for r, h in enumerate(hs):
+        b = qubit_qudit_sep_max(h, dims, directions=budget)
+        assert (b.lower, b.upper, b.meta["evaluations"]) == (lower[r], upper[r], evaluations[r])
+        np.testing.assert_array_equal(b.witness.factors[0], alpha[r])
+        np.testing.assert_array_equal(b.witness.factors[1], beta[r])
+
+
+def test_sep_range_runs_directions_in_bounded_lockstep_stacks(monkeypatch):
+    # two directions per lockstep stack and small kernel chunks: every row still
+    # rounds as its own sep-max, and each offset is that call's certified upper
+    ops = [core.random_hermitian(6, np.random.default_rng(k)) for k in range(2)]
+    dirs = sphere_directions(2, 5)
+    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * entangle.SEP_BUDGET)
+    calls = []
+    kernel = entangle._top_pairs
+    monkeypatch.setattr(entangle, "_top_pairs", lambda mats: calls.append(len(mats)) or kernel(mats))
+    body = sep_numerical_range(ops, (2, 3), dirs)
+    hs = np.array([sum(c * x for c, x in zip(n, ops)) for n in body.outer_normals])
+    runs = [qubit_qudit_sep_max(h, (2, 3)) for h in hs]
+    assert body.outer_offsets.tolist() == [b.upper for b in runs]
+    assert max(calls) <= 2 * entangle.SEP_BUDGET // 36
+    assert body.meta == {"outer_rigorous": True, "method": "bloch-branch-and-bound",
+                         "evaluations": sum(b.meta["evaluations"] for b in runs), "converged": True}
+    for vertex, b in zip(body.inner_vertices, runs):
+        v = b.witness.vector()
+        assert np.abs(vertex - [np.vdot(v, x @ v).real for x in ops]).max() < 1e-12
 
 
 def test_sep_range_single_subsystem_equals_jnr(rng):
@@ -294,7 +342,7 @@ def test_sep_range_heuristic_path_consistent(rng):
     ops = [core.random_hermitian(9, rng) for _ in range(2)]
     dirs = sphere_directions(2, 16)
     body = sep_numerical_range(ops, (3, 3), dirs, restarts=6, seed=2)
-    assert not body.meta["outer_rigorous"]
+    assert body.meta == {"outer_rigorous": False, "method": "seesaw"}
     assert body.inner_in_outer(tol=1e-9)
     # W_SEP sits inside the full joint numerical range pointwise
     jnr = jnr_approximate(ops, dirs)

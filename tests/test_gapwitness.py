@@ -424,12 +424,20 @@ def _assert_levels_match_dense(solver, h, v, lam):
 
 
 _XX6 = (SpinChainSpec(6, gapwitness._xy_terms(6, 0.0, False)), _XY6[1])
+# one block of 128 whose third and fourth levels are one degenerate pair: a single Lanczos run
+# returned one copy and the fifth level in place of the other
+_HOP7 = tuple(((s, s + 1), (l, l), c) for s in range(6) for l, c in (("x", 3 / 8), ("y", 1 / 16)))
+_PAIR7 = (
+    SpinChainSpec(7, _mirrored(7, _HOP7 + (((1, 3), ("x", "z"), 0.25),))),
+    SpinChainSpec(7, _mirrored(7, gapwitness._witness_terms(7, False))),
+)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_rk_symmetric_pairs(), st.sampled_from([0.0, 0.5, -1.25, 2.0]))
 @example(_XX6, 0.3)  # blocks of 1, 6, 15, 20, 15, 6, 1: dense and Lanczos, all taken by R K
 @example(_XY6, 0.3)
+@example(_PAIR7, 0.0)
 def test_mirror_symmetric_chains_are_solved_real(specs, lam):
     h, v = (build_chain(spec) for spec in specs)
     with pytest.MonkeyPatch.context() as mp:

@@ -106,11 +106,12 @@ def test_face_enrichment_solves_each_direction_once(monkeypatch):
     x = np.diag([1.0, 1.0, 0.0])
     y = _sym(0, 1)
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *rest: calls.append(a.shape) or eigh(a, *rest))
+    kernel = numrange._top_pairs
+    monkeypatch.setattr(numrange, "_top_pairs", lambda mats: calls.append(mats.shape) or kernel(mats))
     body = jnr_approximate([x, y], sphere_directions(2, 8))
     # one sweep, then one sweep of each degenerate face (its reduced operators)
-    assert len(calls) == 4
+    assert calls == [(8, 3, 3)] + [(numrange.FACE_DIRS, 2, 2)] * 3
+    assert body.meta == {"method": "support-sweep", "faces": 3}
     for corner in ([1.0, 1.0], [1.0, -1.0]):
         assert np.linalg.norm(body.inner_vertices - corner, axis=1).min() < 1e-9
 

@@ -11,11 +11,13 @@ Two ground-state solvers share the curve and the bisection:
   conjugation K or by site reversal with conjugation RK is solved in a
   basis where it is real symmetric (`_real_form`); the XY chain is real
   and its witness imaginary, so RK fixes every block of the pair.
-  Extremal eigenpairs of a block are dense up to DENSE_LIMIT (all blocks of
-  one size and dtype in one stacked eigh) and seeded Lanczos above, with
-  a second Lanczos search of the complement of the levels found, for the
-  copies of a degenerate level that one Krylov space cannot hold; the
-  Lanczos path never densifies.  Full spectra are capped at 2^12.
+  A solve returns the ground window, the levels within DEGENERACY_TOL *
+  max(|E0|, 1) of the lowest: dense up to DENSE_LIMIT (all blocks of one
+  size and dtype in one stacked eigh), and above it one seeded Lanczos
+  eigenpair per block and a loose Lanczos search of the complement of the
+  levels found, repeated per extra copy of a degenerate level, which one
+  Krylov space cannot hold.  The Lanczos path never densifies; full spectra
+  are capped at 2^12.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas
   (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
   Lieb, Schultz, Mattis 1961).  A state is the covariance matrix
@@ -34,10 +36,10 @@ import numpy as np
 
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
-# largest block diagonalized densely for eigenpairs (x86-64, one BLAS thread): on complex blocks
-# dense eigh and seeded Lanczos cross near 192 states (7.2 vs 8.0 ms at 165, 12.7 vs 7.1 ms at
-# 210); on real blocks near 240 (4.6 vs 5.0 ms at 220, 4.9 vs 3.9 ms at 256), too close to move
-# the limit, since complex blocks of 193-240 states would take twice as long densely
+# largest block diagonalized densely (x86-64, one BLAS thread, XY blocks at lambda = 0.3): dense eigh
+# and the Lanczos ground window cross near 150 states on complex blocks (1.8 vs 2.4 ms at 128, 3.1 vs
+# 2.8 ms at 165) and near 210 on real ones (1.2 vs 1.5 ms at 165, 1.8 vs 1.7 ms at 210; 22 vs 2.7 ms
+# at 512), so the limit stays between them
 DENSE_LIMIT = 192
 # levels within DEGENERACY_TOL * max(scale, 1) of the ground level count as degenerate with it
 DEGENERACY_TOL = 1e-9
@@ -208,52 +210,49 @@ def gap_witness_majorana(n_sites, taper=False):
     return majorana_form(n_sites, _witness_terms(n_sites, taper))
 
 
-def _lowest_levels(m):
-    """(four lowest eigenvalues, their eigenvectors as columns) of a sparse block, by seeded Lanczos.
+def _ground_window(m):
+    """(levels of the ground window of a sparse block, their eigenvectors as columns), by seeded Lanczos.
 
     A Krylov space holds one vector of each distinct eigenvalue, so Lanczos
-    can return one copy of a degenerate level and the next level in place of
-    the other.  The complement of the found vectors is searched again, by
+    returns one copy of a degenerate level.  The complement of the found
+    vectors is searched for a level in the window of the lowest found, by
     Lanczos on m shifted up on their span from a fixed random start: loosely
     (tolerance COMPLEMENT_TOL), and exactly only when its lowest level comes
-    within that tolerance of the fourth.  A level below the fourth replaces
-    it, and the search repeats.
+    within that tolerance of the window.  Such a level joins those found, and
+    the search repeats.  The merge over blocks drops levels above the window
+    (left by a lower level found later, or by the dense fallback).
     """
     import scipy.sparse.linalg as spla
 
     dim = m.shape[0]
     try:
-        w, v = _lanczos(m, 4, np.full(dim, 1.0 / np.sqrt(dim)), 0.0)
+        w, v = _lanczos(m, np.full(dim, 1.0 / np.sqrt(dim)), 0.0)
         start = np.random.default_rng(0).standard_normal(dim)
-        for _ in range(4):
-            scale = max(abs(w).max(), 1.0)
+        while len(w) < dim:
+            scale = max(abs(w.min()), 1.0)
+            top = w.min() + DEGENERACY_TOL * scale
             q, _ = np.linalg.qr(v)
-            shift = w[-1] - w[0] + scale
-            rest = spla.LinearOperator(m.shape, matvec=lambda x: m @ x + shift * (q @ (q.conj().T @ x)), dtype=m.dtype)
+            rest = spla.LinearOperator(m.shape, matvec=lambda x: m @ x + scale * (q @ (q.conj().T @ x)), dtype=m.dtype)
             x0 = start - q @ (q.conj().T @ start)
-            low, _ = _lanczos(rest, 1, x0, COMPLEMENT_TOL)
-            if low[0] > w[-1] + COMPLEMENT_TOL * scale:
+            low, _ = _lanczos(rest, x0, COMPLEMENT_TOL)
+            if low[0] > top + COMPLEMENT_TOL * scale:
                 break
-            low, x = _lanczos(rest, 1, x0, 0.0)
-            if low[0] >= w[-1] - TIE_TOL * scale:
+            low, x = _lanczos(rest, x0, 0.0)
+            if low[0] > top:
                 break
-            w, v = np.append(w[:-1], low), np.column_stack([v[:, :-1], x])
-            order = np.argsort(w)
-            w, v = w[order], v[:, order]
+            w, v = np.append(w, low), np.column_stack([v, x])
     except spla.ArpackNoConvergence:
         if dim > FULL_SPECTRUM_LIMIT:
             raise
         w, v = np.linalg.eigh(m.toarray())
-    return w[:4], v[:, :4]
+    return w, v
 
 
-def _lanczos(op, k, v0, tol):
-    """The k lowest eigenpairs of a Hermitian operator by ARPACK, ascending."""
+def _lanczos(op, v0, tol):
+    """The lowest eigenpair of a Hermitian operator by ARPACK."""
     import scipy.sparse.linalg as spla
 
-    w, v = spla.eigsh(op, k=k, which="SA", v0=v0, maxiter=5000, tol=tol)
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    return spla.eigsh(op, k=1, which="SA", v0=v0, maxiter=5000, tol=tol)
 
 
 def _invariant_blocks(*mats):
@@ -367,9 +366,9 @@ class _SparseGround:
     The blocks of |H| + |V| are found once, and each block that an
     antiunitary fixes is taken to a real basis (`_real_form`).  Blocks up
     to DENSE_LIMIT are diagonalized densely, all blocks of one size and
-    dtype in one stacked eigh, and larger ones by seeded Lanczos; the four
-    lowest levels over all blocks are merged and mapped back to the
-    computational basis.
+    dtype in one stacked eigh, and larger ones by seeded Lanczos; the ground
+    window over all blocks is merged and mapped back to the computational
+    basis.
     """
 
     def __init__(self, h, v):
@@ -397,9 +396,10 @@ class _SparseGround:
         self._last = None  # (lam, levels) of the last solve
 
     def _levels(self, lam):
-        """Four lowest levels of H + lam V over all blocks and their degeneracy window.
+        """The ground window of H + lam V over all blocks: (levels, eigenvectors as columns).
 
-        The window is DEGENERACY_TOL * max(|E0|, 1), as on the fermion path.  Levels
+        The window holds every level within DEGENERACY_TOL * max(|E0|, 1) of
+        the lowest, E0, as on the fermion path.  Levels
         within TIE_TOL * max(|E0|, 1) of the lowest come first in block
         order, so that rounding does not decide between exactly degenerate
         blocks (the two parity sectors of the XY chain at gamma = 1).  The
@@ -413,18 +413,18 @@ class _SparseGround:
     def _solve_blocks(self, lam):
         solved = []  # (block numbers, indices (m, s), eigenvalues (m, r), eigenvectors (m, s, r))
         for nums, idx, hs, vs in self.dense:
-            w, u = np.linalg.eigh(hs + lam * vs)
-            solved.append((nums, idx, w[:, :4], u[:, :, :4]))
+            solved.append((nums, idx, *np.linalg.eigh(hs + lam * vs)))
         for k, b, hb, vb in self.sparse:
-            w, u = _lowest_levels(hb + lam * vb)
+            w, u = _ground_window(hb + lam * vb)
             solved.append(([k], b[None], w[None], u[None]))
         vals = np.concatenate([w.ravel() for _, _, w, _ in solved])
         blks = np.concatenate([np.repeat(nums, w.shape[1]) for nums, _, w, _ in solved])
         src = np.concatenate([np.full(w.size, i) for i, (_, _, w, _) in enumerate(solved)])
         at = np.concatenate([np.arange(w.size) for _, _, w, _ in solved])
         scale = max(abs(vals.min()), 1.0)
-        near = vals < vals.min() + TIE_TOL * scale
-        order = np.lexsort((vals, np.where(near, blks, 0), ~near))[:4]
+        keep = np.flatnonzero(vals < vals.min() + DEGENERACY_TOL * scale)
+        near = vals[keep] < vals.min() + TIE_TOL * scale
+        order = keep[np.lexsort((vals[keep], np.where(near, blks[keep], 0), ~near))]
         vecs = np.zeros((self.h.shape[0], len(order)), dtype=np.result_type(*[u for *_, u in solved]))
         for j, c in enumerate(order):
             _, idx, w, u = solved[src[c]]
@@ -432,18 +432,18 @@ class _SparseGround:
             vecs[idx[row], j] = u[row, :, level]
         if self.basis is not None:
             vecs = self.basis @ vecs
-        return vals[order], vecs, DEGENERACY_TOL * scale
+        return vals[order], vecs
 
     def solve(self, lam):
         """(E0, ground level degenerate, ground vector)."""
-        w, vecs, tol = self._levels(lam)
-        return w[0], bool(w[1] - w[0] < tol), vecs[:, 0]
+        w, vecs = self._levels(lam)
+        return w[0], len(w) > 1, vecs[:, 0]
 
     def limit(self, lam):
         """The ground vector as lambda decreases to lam: the lowest-<V> state of the ground level."""
-        w, vecs, tol = self._levels(lam)
+        _, vecs = self._levels(lam)
         # Lanczos vectors of a degenerate level need not be orthogonal
-        level, _ = np.linalg.qr(vecs[:, w - w[0] < tol])
+        level, _ = np.linalg.qr(vecs)
         _, c = np.linalg.eigh(level.conj().T @ (self.v @ level))
         return level @ c[:, 0]
 

@@ -14,7 +14,7 @@ from qgeom.gapwitness import (
     ChainTooLargeError,
     PlateauError,
     SpinChainSpec,
-    _lowest_levels,
+    _ground_window,
     _SparseGround,
     build_chain,
     gap_upper_bound,
@@ -296,19 +296,19 @@ def test_true_gap_keeps_imaginary_couplings():
 
 
 def test_lowest_pair_lanczos_never_densifies():
-    m = xy_hamiltonian(13, 0.5) + 0.3 * gap_witness_v(13)
+    m = xy_hamiltonian(14, 0.5) + 0.3 * gap_witness_v(14)
     dim = m.shape[0]
     tracemalloc.start()
     try:
-        w4, g4 = _lowest_levels(m)
+        w, g = _ground_window(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20  # a dense copy alone would be 1 GiB
-    w, v = spla.eigsh(m, k=4, which="SA", v0=np.full(dim, 1.0 / np.sqrt(dim)), maxiter=5000)
-    order = np.argsort(w)
-    assert np.array_equal(w4, w[order])
-    assert np.array_equal(g4, v[:, order])
+    assert peak < 64 * 2**20  # a dense copy alone would be 4 GiB
+    # the ground level is simple, so the complement search adds nothing to the first Lanczos run
+    ref_w, ref_g = spla.eigsh(m, k=1, which="SA", v0=np.full(dim, 1.0 / np.sqrt(dim)), maxiter=5000)
+    assert np.array_equal(w, ref_w)
+    assert np.array_equal(g, ref_g)
 
 
 def _field(n, label, coeffs):
@@ -328,6 +328,7 @@ def _real_chain_specs(draw, n):
 
 _chain_pairs = st.integers(1, 7).flatmap(lambda n: st.tuples(_real_chain_specs(n), _real_chain_specs(n)))
 _XY6 = (SpinChainSpec(6, gapwitness._xy_terms(6, 0.5, False)), SpinChainSpec(6, gapwitness._witness_terms(6, False)))
+_XY8 = (SpinChainSpec(8, gapwitness._xy_terms(8, 0.5, False)), SpinChainSpec(8, gapwitness._witness_terms(8, False)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,11 +338,8 @@ _XY6 = (SpinChainSpec(6, gapwitness._xy_terms(6, 0.5, False)), SpinChainSpec(6, 
 @example(_XY6, 0.3)  # two blocks: the parity sectors
 def test_block_levels_match_dense_eigh(specs, lam):
     h, v = (build_chain(spec) for spec in specs)
-    m = (h + lam * v).toarray()
-    ref = np.linalg.eigvalsh(m)
-    scale = max(abs(ref[0]), abs(ref[-1]), 1.0)
     solver = _SparseGround(h, v)
-    owner = np.full(len(ref), -1)
+    owner = np.full(h.shape[0], -1)
     for k, b in enumerate(solver.blocks):
         assert (owner[b] == -1).all()
         owner[b] = k
@@ -349,12 +347,8 @@ def test_block_levels_match_dense_eigh(specs, lam):
     # no coupling of H or V crosses two blocks
     coupling = np.abs(h.toarray()) + np.abs(v.toarray())
     assert (coupling[owner[:, None] != owner[None, :]] == 0).all()
-    w, vecs, _ = solver._levels(lam)
-    assert len(w) == min(4, len(ref))
-    assert np.abs(np.sort(w) - ref[: len(w)]).max() <= 1e-10 * scale
-    for j, g in enumerate(vecs.T):
-        assert abs(np.linalg.norm(g) - 1.0) <= 1e-10
-        assert np.linalg.norm(m @ g - w[j] * g) <= 1e-9 * scale
+    _assert_levels_match_dense(solver, h, v, lam)
+    for g in solver._levels(lam)[1].T:
         assert len(set(owner[np.flatnonzero(g)])) == 1
 
 
@@ -364,20 +358,6 @@ def test_xy_chain_splits_into_parity_sectors():
     assert solver.method == "lanczos" and not solver.dense
     for b in solver.blocks:  # each block is one eigenspace of prod Z
         assert len({bin(r).count("1") % 2 for r in b.tolist()}) == 1
-
-
-def test_lanczos_blocks_match_dense_eigh(monkeypatch):
-    monkeypatch.setattr(gapwitness, "DENSE_LIMIT", 16)
-    h, v = xy_hamiltonian(8, 0.5), gap_witness_v(8)
-    solver = _SparseGround(h, v)
-    assert solver.method == "lanczos" and len(solver.sparse) == 2
-    for lam in (0.0, 0.2):
-        m = (h + lam * v).toarray()
-        ref = np.linalg.eigvalsh(m)
-        scale = max(abs(ref[0]), abs(ref[-1]), 1.0)
-        w, vecs, _ = solver._levels(lam)
-        assert np.abs(np.sort(w) - ref[:4]).max() <= 1e-10 * scale
-        assert np.linalg.norm(m @ vecs - vecs * w, axis=0).max() <= 1e-9 * scale
 
 
 def _block_dtypes(solver):
@@ -415,11 +395,14 @@ def _rk_symmetric_pairs(draw):
 
 
 def _assert_levels_match_dense(solver, h, v, lam):
+    """The solver's ground window holds dense eigvalsh's levels within the window tolerance, orthonormally."""
     m = (h + lam * v).toarray()
     ref = np.linalg.eigvalsh(m)
     scale = max(abs(ref[0]), abs(ref[-1]), 1.0)
-    w, vecs, _ = solver._levels(lam)
+    w, vecs = solver._levels(lam)
+    assert len(w) == np.sum(ref < ref[0] + gapwitness.DEGENERACY_TOL * max(abs(ref[0]), 1.0))
     assert np.abs(np.sort(w) - ref[: len(w)]).max() <= 1e-10 * scale
+    assert np.abs(vecs.conj().T @ vecs - np.eye(len(w))).max() <= 1e-9
     assert np.linalg.norm(m @ vecs - vecs * w, axis=0).max() <= 1e-9 * scale
 
 
@@ -431,6 +414,30 @@ _PAIR7 = (
     SpinChainSpec(7, _mirrored(7, _HOP7 + (((1, 3), ("x", "z"), 0.25),))),
     SpinChainSpec(7, _mirrored(7, gapwitness._witness_terms(7, False))),
 )
+
+
+def test_lanczos_blocks_match_dense_eigh(monkeypatch):
+    # every block above the limit but the 1s and 6s of _XX6; at lambda* = sqrt(2)/4 of
+    # test_departed_state_at_four_fold_crossing, _XX6's ground level is four-fold, two copies in its block of 20
+    for specs, lam, limit in [(_XY8, 0.0, 16), (_XY8, 0.2, 16), (_PAIR7, 0.0, 12), (_XX6, np.sqrt(2) / 4, 12)]:
+        monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
+        h, v = (build_chain(spec) for spec in specs)
+        solver = _SparseGround(h, v)
+        assert solver.method == "lanczos"
+        _assert_levels_match_dense(solver, h, v, lam)
+
+
+@pytest.mark.parametrize("limit", [gapwitness.DENSE_LIMIT, 4])
+def test_limit_takes_the_whole_ground_level(monkeypatch, limit):
+    # H = Z0 and V = X1 + X2 + X3: two blocks of 8, and at lambda = 0 the ground level is all of one
+    monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
+    h, v = _field(4, "z", [1.0, 0.0, 0.0, 0.0]), _field(4, "x", [0.0, 1.0, 1.0, 1.0])
+    solver = _SparseGround(h, v)
+    assert [len(b) for b in solver.blocks] == [8, 8]
+    assert solver.method == ("dense" if limit >= 8 else "lanczos")
+    assert solver.solve(0.0)[1]
+    _assert_levels_match_dense(solver, h, v, 0.0)
+    assert solver.expect(v, solver.limit(0.0)) == pytest.approx(-3.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -510,9 +517,9 @@ def test_bisection_end_reuses_the_last_solve(monkeypatch):
 
     def counting(m):
         calls.append(m.shape)
-        return _lowest_levels(m)
+        return _ground_window(m)
 
-    monkeypatch.setattr(gapwitness, "_lowest_levels", counting)
+    monkeypatch.setattr(gapwitness, "_ground_window", counting)
     curve = ground_curve(xy_hamiltonian(12, 0.5), gap_witness_v(12), np.linspace(0.0, 0.5, 6))
     rep = gap_upper_bound(curve, refine_iters=3)
     # two parity blocks per solve: six grid points and three bisection steps; the last step moved

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -43,7 +44,65 @@ def _json_default(obj):
     return str(obj)
 
 
+_SLOT = "\x1eqgeom-ndarray-{}\x1e"  # json writes it as "\u001eqgeom-ndarray-<i>\u001e"
+_SLOT_RE = re.compile(r'"\\u001eqgeom-ndarray-(\d+)\\u001e"')
+
+
+def _spliceable(obj):
+    """A finite, non-empty, 1-D or 2-D float array: json and float.__repr__ write it alike."""
+    return (type(obj) is np.ndarray and obj.dtype.kind == "f" and obj.dtype.itemsize <= 8
+            and obj.ndim in (1, 2) and obj.size > 0 and bool(np.isfinite(obj).all()))
+
+
+def _slot_arrays(obj, arrays):
+    """Copy of the dict tree obj with each spliceable array (a dict value) swapped for a slot."""
+    if isinstance(obj, dict):
+        return {k: _slot_arrays(v, arrays) for k, v in obj.items()}
+    if _spliceable(obj):
+        arrays.append(obj)
+        return _SLOT.format(len(arrays) - 1)
+    return obj
+
+
+def _array_text(a, indent):
+    """json.dumps(a.tolist(), indent=1) for a spliceable array, its '[' at this indent."""
+    reprs = map(float.__repr__, a.ravel().tolist())
+    pad = "\n" + " " * indent
+    if a.ndim == 2:
+        row = ",\n" + " " * (indent + 2)
+        reprs = map(f"[{pad}  {{}}{pad} ]".format, map(row.join, zip(*[reprs] * a.shape[1])))
+    return f"[{pad} " + f",{pad} ".join(reprs) + f"{pad}]"
+
+
+def _dumps(doc):
+    """json.dumps(doc, sort_keys=True, indent=1, default=_json_default), byte for byte.
+
+    With an indent json has no C encoder, so the float arrays in doc's dicts
+    go in as slots and are spliced back as text built by float.__repr__ and
+    one join per level.  A slot json did not write exactly once (a string
+    that looks like one) sends the whole doc down the plain path.
+    """
+    arrays = []
+    text = json.dumps(_slot_arrays(doc, arrays), sort_keys=True, indent=1, default=_json_default)
+    slots = list(_SLOT_RE.finditer(text))
+    if sorted(int(m[1]) for m in slots) != list(range(len(arrays))):
+        return json.dumps(doc, sort_keys=True, indent=1, default=_json_default)
+    parts, end = [], 0
+    for m in slots:  # in text order: sort_keys moved them
+        head = text[text.rfind("\n", 0, m.start()) + 1:m.start()]  # indent, key, ": "
+        indent = len(head) - len(head.lstrip(" "))
+        parts += [text[end:m.start()], _array_text(arrays[int(m[1])], indent)]
+        end = m.end()
+    parts.append(text[end:])
+    return "".join(parts)
+
+
 def write_report(payload, path, args):
+    """Write the JSON report (stdout for None or "-"): payload plus tool, version, seed and tolerances.
+
+    The text is json.dumps(doc, sort_keys=True, indent=1, default=_json_default)
+    byte for byte; `_dumps` writes its float arrays without json's Python encoder.
+    """
     doc = {
         "tool": "qgeom",
         "version": __version__,
@@ -51,7 +110,7 @@ def write_report(payload, path, args):
         "tolerances": payload.pop("_tolerances", {}),
         **payload,
     }
-    text = json.dumps(doc, sort_keys=True, indent=1, default=_json_default)
+    text = _dumps(doc)
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -116,32 +175,34 @@ def _parse_dims(text):
         raise UsageError(f"bad dims {text!r}; expected comma-separated integers")
 
 
-def write_obj_mesh(points, path):
-    """ASCII OBJ of the convex hull of a 3D point cloud."""
+def _hull(points, path):
+    """scipy's ConvexHull of the points; a flat range (qhull finds no full-dimensional simplex) is a RuntimeError."""
     from scipy.spatial import ConvexHull
 
+    try:
+        return ConvexHull(points)
+    except RuntimeError:  # scipy's QhullError; the base class needs no version-dependent import
+        raise RuntimeError(f"the range is flat (no {points.shape[1]}D hull); no mesh written to {path}") from None
+
+
+def write_obj_mesh(points, path):
+    """ASCII OBJ of the convex hull of a 3D point cloud."""
     pts = np.asarray(points, dtype=float)
-    hull = ConvexHull(pts)
+    hull = _hull(pts, path)
+    remap = np.zeros(len(pts), dtype=int)
+    remap[hull.vertices] = np.arange(1, len(hull.vertices) + 1)
     with open(path, "w") as fh:
-        for p in pts[hull.vertices]:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        remap = {v: i + 1 for i, v in enumerate(hull.vertices)}
-        for simplex in hull.simplices:
-            a, b, c = (remap[s] for s in simplex)
-            fh.write(f"f {a} {b} {c}\n")
+        fh.write(("v %.17g %.17g %.17g\n" * len(hull.vertices)) % tuple(pts[hull.vertices].ravel().tolist()))
+        fh.write(("f %d %d %d\n" * len(hull.simplices)) % tuple(remap[hull.simplices].ravel().tolist()))
 
 
 def write_boundary_csv(points, path):
     """RFC-4180 CSV polyline of a 2D boundary (hull order)."""
-    from scipy.spatial import ConvexHull
-
     pts = np.asarray(points, dtype=float)
-    hull = ConvexHull(pts)
-    order = list(hull.vertices) + [hull.vertices[0]]
+    hull = _hull(pts, path)
+    order = np.append(hull.vertices, hull.vertices[0])
     with open(path, "w", newline="") as fh:
-        fh.write("x,y\r\n")
-        for i in order:
-            fh.write(f"{pts[i][0]:.17g},{pts[i][1]:.17g}\r\n")
+        fh.write("x,y\r\n" + ("%.17g,%.17g\r\n" * len(order)) % tuple(pts[order].ravel().tolist()))
 
 
 def _mesh_writer(args, k):
@@ -251,10 +312,9 @@ def cmd_gap(args):
     lams = np.linspace(0.0, args.lambda_max, args.steps)
     curve = gapwitness.ground_curve(h, v, lams)
     if args.csv_out:
+        rows = np.column_stack([curve.lams, curve.energies, curve.e_h, curve.e_v])
         with open(args.csv_out, "w", newline="") as fh:
-            fh.write("lambda,E0,eH,eV\r\n")
-            for lam, e0, eh, ev in zip(curve.lams, curve.energies, curve.e_h, curve.e_v):
-                fh.write(f"{lam:.17g},{e0:.17g},{eh:.17g},{ev:.17g}\r\n")
+            fh.write("lambda,E0,eH,eV\r\n" + ("%.17g,%.17g,%.17g,%.17g\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
     try:
         report = gapwitness.gap_upper_bound(curve, true_gap_value=gapwitness.true_gap(h))
     except gapwitness.PlateauError as e:
@@ -371,12 +431,10 @@ def cmd_wigner(args):
         csv_path, report_path = report_path, None
     table = wigner.wigner_of(rho, dims)
     if csv_path:
+        x, q = np.indices(table.values.shape)  # %d writes these small whole floats as integers
+        rows = np.column_stack([x.ravel(), q.ravel(), table.values.ravel()])
         with open(csv_path, "w", newline="") as fh:
-            fh.write("x,q,w\r\n")
-            d = table.d
-            for xf in range(d):
-                for qf in range(d):
-                    fh.write(f"{xf},{qf},{table.values[xf, qf]:.17g}\r\n")
+            fh.write("x,q,w\r\n" + ("%d,%d,%.17g\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
     write_report(
         {
             "dims": list(dims),

@@ -44,6 +44,7 @@ ONE_SHOT_TOL = 1e-9  # signed distance from 0 to the eigenvalue hull that still 
 # and the largest residual |Hv - lambda v| it accepts before falling back to eigh
 TOP_SHIFT = 8 * np.finfo(float).eps
 TOP_RESIDUAL = 64 * np.finfo(float).eps
+SPAN_MARGIN = 1e-8  # relative: the least null-vector entry that certifies positive spanning
 
 
 def unit(v):
@@ -238,11 +239,22 @@ def _positively_spanning(normals):
     """True iff no direction u != 0 has n_i . u <= 0 for all i (outer set bounded).
 
     The normals positively span R^k iff they have rank k and some lambda >= 1
-    gives N^T lambda = 0 (Davis, Amer. J. Math. 76 (1954)).
+    gives N^T lambda = 0 (Davis, Amer. J. Math. 76 (1954)).  A superset of a
+    positively spanning set spans positively, so the k + 1 normals farthest
+    along e_1, ..., e_k and -(1, ..., 1) decide most sets at once: if their
+    k x (k + 1) matrix has a null vector whose entries share one sign with a
+    margin above its rounding error, the answer is True.  Every other set
+    goes to linprog.
     """
     k = normals.shape[1]
     if len(normals) < k + 1 or np.linalg.matrix_rank(normals) < k:
         return False
+    picked = normals[np.append(normals.argmax(axis=0), normals.sum(axis=1).argmin())]
+    _, s, vt = np.linalg.svd(picked.T)  # s has k entries; vt[-1] spans the null space when s[-1] > 0
+    lam = vt[-1] * np.sign(vt[-1, 0])
+    # the computed null vector is off by about eps * s[0] / s[-1] in each entry
+    if (lam.min() - SPAN_MARGIN * np.abs(lam).max()) * s[-1] > 64 * k * np.finfo(float).eps * s[0]:
+        return True
     from scipy.optimize import linprog  # deferred: importing qgeom loads no scipy
 
     res = linprog(

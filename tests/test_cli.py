@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import ConvexHull
 
-from qgeom import __version__, core, entangle, gapwitness, numrange, su2, uncertainty
-from qgeom.cli import load_spinket, main, write_report
+from qgeom import __version__, core, entangle, gapwitness, numrange, su2, uncertainty, wigner
+from qgeom.cli import _json_default, load_spinket, main, write_boundary_csv, write_obj_mesh, write_report
 
 
 def run(args):
@@ -397,6 +403,124 @@ def test_write_report_bytes_match_the_recursive_serializer(tmp_path):
     tolerances = payload.pop("_tolerances")
     doc = {"tool": "qgeom", "version": __version__, "seed": args.seed, "tolerances": tolerances, **payload}
     assert path.read_text() == json.dumps(_jsonify(doc), sort_keys=True, indent=1) + "\n"
+
+
+# strings near the splice's slot text, which must stay plain strings ...
+_SLOT_LIKE = ["qgeom-ndarray-0", "\x1eqgeom-ndarray-0", '"\\u001eqgeom-ndarray-0\\u001e"']
+# ... and strings json writes exactly as a slot, which send the report down the plain path
+_SLOTS = ["\x1eqgeom-ndarray-0\x1e", "\x1eqgeom-ndarray-1\x1e", "\x1eqgeom-ndarray-99\x1e"]
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+_SPECIAL = st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+
+
+def _float_arrays(special):
+    def arrays(dt):
+        finite = st.floats(width=np.dtype(dt).itemsize * 8, allow_nan=False, allow_infinity=False)
+        return hnp.arrays(dt, _SHAPES, elements=finite | _SPECIAL if special else finite)
+    return st.sampled_from([np.float64, np.float32]).flatmap(arrays)
+
+
+_LEAVES = st.one_of(
+    _float_arrays(False), _float_arrays(False), _float_arrays(False), _float_arrays(True),
+    hnp.arrays(st.sampled_from([np.int64, np.bool_, np.complex128]), _SHAPES),
+    st.lists(st.fractions(max_denominator=9), max_size=3).map(lambda f: np.array(f, dtype=object)),
+    st.floats(), st.integers(), st.booleans(), st.none(), st.complex_numbers(), st.fractions(max_denominator=9),
+    st.text(max_size=4), st.sampled_from(_SLOT_LIKE),
+)
+_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["meta", *_SLOT_LIKE]))
+_TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=4),
+                      max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_KEYS, _TREES, max_size=5), st.dictionaries(_KEYS, _TREES, max_size=3),
+       st.sampled_from([None, None, *_SLOTS]), st.booleans())
+def test_write_report_bytes_match_json_dumps(payload, meta, slot, as_key):
+    # the float-array splice against the plain json.dumps it replaces
+    payload["meta"] = {"nested": meta, "counts": np.arange(3), "points": np.ones((2, 3)) / 3}
+    if slot is not None:
+        payload["meta"].update({slot: 1} if as_key else {"text": slot})
+    args = argparse.Namespace(seed=5)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_report(dict(payload), "-", args)
+    doc = {"tool": "qgeom", "version": __version__, "seed": 5, "tolerances": payload.pop("_tolerances", {}), **payload}
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=1, default=_json_default) + "\n"
+
+
+def _old_obj(pts, path):
+    """The OBJ writer's row loop before one formatted write replaced it."""
+    hull = ConvexHull(pts)
+    with open(path, "w") as fh:
+        for p in pts[hull.vertices]:
+            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        remap = {v: i + 1 for i, v in enumerate(hull.vertices)}
+        for simplex in hull.simplices:
+            a, b, c = (remap[s] for s in simplex)
+            fh.write(f"f {a} {b} {c}\n")
+
+
+def _old_boundary(pts, path):
+    hull = ConvexHull(pts)
+    with open(path, "w", newline="") as fh:
+        fh.write("x,y\r\n")
+        for i in list(hull.vertices) + [hull.vertices[0]]:
+            fh.write(f"{pts[i][0]:.17g},{pts[i][1]:.17g}\r\n")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_mesh_writers_match_their_row_loops(tmp_path, k):
+    ops = [core.random_hermitian(16, np.random.default_rng([k, i])) for i in range(k)]
+    pts = numrange.jnr_approximate(ops, numrange.sphere_directions(k, 2000)).inner_vertices
+    pts[0] = -0.0  # signed zeros keep their sign
+    new, old = tmp_path / "new", tmp_path / "old"
+    (write_obj_mesh if k == 3 else write_boundary_csv)(pts, new)
+    (_old_obj if k == 3 else _old_boundary)(pts, old)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.52])
+def test_gap_csv_matches_the_row_loop(tmp_path, gamma):
+    # the benchmark's gap_n10 grid, gamma within its jitter of 0.5 +- 0.03
+    csv = tmp_path / "curve.csv"
+    assert run(["gap", "--n", 10, "--gamma", gamma, "--lambda-max", 0.5, "--steps", 6,
+                "--out", tmp_path / "gap.json", "--csv-out", csv]) == 0
+    h = gapwitness.xy_majorana(10, gamma)
+    curve = gapwitness.ground_curve(h, gapwitness.gap_witness_majorana(10), np.linspace(0.0, 0.5, 6))
+    rows = "".join(f"{lam:.17g},{e0:.17g},{eh:.17g},{ev:.17g}\r\n"
+                   for lam, e0, eh, ev in zip(curve.lams, curve.energies, curve.e_h, curve.e_v))
+    assert csv.read_bytes() == ("lambda,E0,eH,eV\r\n" + rows).encode()
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (5, 7)])
+def test_wigner_csv_matches_the_row_loop(tmp_path, dims):
+    # the benchmark's Weyl-Heisenberg dims, with negative values and a signed zero
+    d = int(np.prod(dims))
+    rho = core.random_density(d, np.random.default_rng(d))
+    st_path, csv = tmp_path / "rho.json", tmp_path / "w.csv"
+    st_path.write_text(json.dumps(core.operator_to_json(rho)))
+    assert run(["wigner", "--state", st_path, "--dims", ",".join(map(str, dims)), "--out", tmp_path / "w.json",
+                "--out-csv", csv]) == 0
+    values = wigner.wigner_of(rho, dims).values
+    assert values.min() < 0
+    rows = "".join(f"{x},{q},{values[x, q]:.17g}\r\n" for x in range(d) for q in range(d))
+    assert csv.read_bytes() == ("x,q,w\r\n" + rows).encode()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("command", ["jnr", "ppt-jnr"])
+def test_mesh_of_a_flat_range_keeps_the_report_and_exits_1(tmp_path, capsys, command, k):
+    # X, Z and X + Z (k = 3) or X and 2X (k = 2) on the first qubit: the range is a disc or a segment
+    x, z = (np.kron(p, np.eye(2)) for p in (core.PAULI_X, core.PAULI_Z))
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [x, z, x + z] if k == 3 else [x, 2 * x])
+    out, mesh = tmp_path / "r.json", tmp_path / ("m.obj" if k == 3 else "m.csv")
+    extra = ["--dims", "2,2"] if command == "ppt-jnr" else []
+    assert run([command, "--ops", ops, "--dirs", 40, "--out", out, "--mesh", mesh, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "flat" in err and "no mesh written" in err and "QH" not in err
+    assert json.loads(out.read_text())["unbounded"] is False
+    assert not mesh.exists()
 
 
 def test_su2_marvian_cli(tmp_path):

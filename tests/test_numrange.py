@@ -154,6 +154,33 @@ def test_positively_spanning_in_space_matches_the_hull(rows):
     assert _positively_spanning(normals) == inside
 
 
+def _linprog_spanning(normals):
+    """The LP that decided every set before the k + 1 normal certificate."""
+    k = normals.shape[1]
+    if len(normals) < k + 1 or np.linalg.matrix_rank(normals) < k:
+        return False
+    res = linprog(np.zeros(len(normals)), A_eq=normals.T, b_eq=np.zeros(k), bounds=[(1, None)] * len(normals),
+                  method="highs")
+    return res.success
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 10**6))
+def test_positively_spanning_matches_linprog_on_random_normals(k, m, crowd, seed):
+    # crowd > 0 pushes the normals toward the half-space n_0 >= 0, where spanning fails or holds narrowly
+    normals = np.random.default_rng(seed).normal(size=(m, k))
+    normals[:, 0] = (1 - crowd) * normals[:, 0] + crowd * (np.abs(normals[:, 0]) - 0.05)
+    assert _positively_spanning(normals) == _linprog_spanning(normals)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_sphere_directions_span_without_linprog(monkeypatch, k):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **kw: pytest.fail("linprog called"))
+    assert _positively_spanning(sphere_directions(k, 2000))
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_support_sublinear(seed):

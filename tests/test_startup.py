@@ -55,6 +55,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
         ["interconvert", "--psi", psi, "--phi", phi, "--aux-d", "1"],
         ["wh-convert", "--rho", rho_path, "--sigma", sigma_path, "--dims", "3"],
         ["classify", "--ops", triple, "--dirs", "400"],
+        ["jnr", "--ops", triple, "--dirs", "200"],  # bounded: the k + 1 picked normals span, so no linprog
         ["uncertainty", "--table-j", "1"],
         ["ppt-jnr", "--ops", ppt_ops, "--dims", "2,2", "--dirs", "2"],
     ]
@@ -70,4 +71,5 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "r2.json").read_text())["aux_reachable"] == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
     assert json.loads((tmp_path / "r3.json").read_text())["convertible"] is True
     assert [json.loads((tmp_path / "r4.json").read_text())[k] for k in ("e", "s")] == [4, 0]
-    assert json.loads((tmp_path / "r6.json").read_text())["unbounded"] is True
+    assert json.loads((tmp_path / "r5.json").read_text())["unbounded"] is False
+    assert json.loads((tmp_path / "r7.json").read_text())["unbounded"] is True

@@ -9,6 +9,8 @@ i_1 * d_2*...*d_n + ... + i_n.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,7 +19,15 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
-STACK_ENTRIES = 2**18  # matrix entries per stacked eigensolve; bounds its memory
+# matrix entries per stacked eigensolve, shared by the chunks that run at once; bounds their memory
+STACK_ENTRIES = 2**18
+# smallest matrix dimension whose stacks run on threads (x86-64, 2 CPUs, one BLAS thread): the d = 64
+# `jnr --dirs 300` of perfbench's `chains` workload takes 67 ms threaded against 106 ms serial, but
+# threading the d = 16 sweeps of its `sweeps` workload saves 3-6% of that pass and adds 10 MB (6%) to
+# its peak memory (per-thread BLAS and allocator buffers), so small stacks stay serial
+THREAD_MIN_DIM = 32
+# the variables that set the BLAS's threads per call: OpenBLAS's, MKL's, and OpenMP's, which both read last
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -59,11 +69,71 @@ def check_dims(dims, dim):
     return dims
 
 
-def stack_chunks(count, dim):
+def stack_chunks(count, dim, parts=1):
     """Consecutive slices of `count` stacked dim x dim matrices, each holding
-    at most STACK_ENTRIES entries (and at least one matrix)."""
-    step = max(1, STACK_ENTRIES // (dim * dim))
+    at most STACK_ENTRIES / parts entries (and at least one matrix), and at
+    least `parts` slices when there are that many matrices."""
+    step = max(1, min(STACK_ENTRIES // parts // (dim * dim), -(-count // parts)))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def cpu_workers():
+    """The threads of a stacked solve: the CPUs in this process's affinity mask, or 1 unless the BLAS
+    runs one thread per call (the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+    OMP_NUM_THREADS that is set is 1).  A threaded BLAS called from several threads at once
+    oversubscribes the CPUs: with two OpenBLAS threads, a d = 64 `jnr --dirs 300` takes 172 ms on two
+    threads against 114 ms serial (72 ms on two threads with one BLAS thread; x86-64, 2 CPUs)."""
+    blas = next((os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)), None)
+    if blas != "1" or not hasattr(os, "sched_getaffinity"):  # no affinity masks on this platform: serial
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _StackPool:
+    """The threads of `stack_map`, started on first use; a forked child starts without them."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.executor = None
+        self.workers = 0
+
+    def map(self, fn, chunks, workers):
+        from concurrent.futures import ThreadPoolExecutor, wait  # deferred: serial stacks never load it
+
+        with self.lock:
+            if self.workers != workers:
+                if self.executor is not None:
+                    self.executor.shutdown(wait=False)
+                self.executor = ThreadPoolExecutor(workers, thread_name_prefix="qgeom-stack")
+                self.workers = workers
+            pool = self.executor
+        futures = [pool.submit(fn, c) for c in chunks]
+        wait(futures)
+        return [f.result() for f in futures]
+
+
+_STACK_POOL = _StackPool()
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_STACK_POOL.__init__)
+
+
+def stack_map(fn, count, dim, thread_dim=None):
+    """[fn(chunk) for each chunk of `count` stacked dim x dim matrices], in chunk order.
+
+    The one place that decides how a stack is cut and where the chunks run.
+    From dim = thread_dim (default THREAD_MIN_DIM) on, with w = cpu_workers()
+    > 1, the stack is cut into at least w chunks of at most STACK_ENTRIES / w
+    entries, which run on one shared pool of w threads (LAPACK releases the
+    GIL); smaller stacks, and every stack when there is one worker, run
+    serially in chunks of STACK_ENTRIES.  fn must give each matrix the same result in any
+    chunk, so that results do not depend on the worker count.  Every chunk
+    finishes before the first exception, in chunk order, is raised.
+    """
+    workers = cpu_workers() if dim >= (THREAD_MIN_DIM if thread_dim is None else thread_dim) else 1
+    chunks = stack_chunks(count, dim, workers)
+    if workers == 1 or len(chunks) == 1:
+        return [fn(c) for c in chunks]
+    return _STACK_POOL.map(fn, chunks, workers)
 
 
 def tensor(*ops):

@@ -17,7 +17,10 @@ Two ground-state solvers share the curve and the bisection:
   eigenpair per block and a loose Lanczos search of the complement of the
   levels found, repeated per extra copy of a degenerate level, which one
   Krylov space cannot hold.  The Lanczos path never densifies; full spectra
-  are capped at 2^12.
+  are capped at 2^12.  Both run through `core.stack_map`: a dense stack in
+  chunks that share core.STACK_ENTRIES entries among the threads running
+  them, and Lanczos blocks from LANCZOS_THREAD_DIM states on concurrently;
+  every block rounds the same on any thread.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas
   (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
   Lieb, Schultz, Mattis 1961).  A state is the covariance matrix
@@ -31,16 +34,24 @@ Two ground-state solvers share the curve and the bisection:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
+from .core import stack_map
+
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
-# largest block diagonalized densely (x86-64, one BLAS thread, XY blocks at lambda = 0.3): dense eigh
-# and the Lanczos ground window cross near 150 states on complex blocks (1.8 vs 2.4 ms at 128, 3.1 vs
-# 2.8 ms at 165) and near 210 on real ones (1.2 vs 1.5 ms at 165, 1.8 vs 1.7 ms at 210; 22 vs 2.7 ms
-# at 512), so the limit stays between them
-DENSE_LIMIT = 192
+# largest block diagonalized densely (x86-64, 2 CPUs, one BLAS thread, pairs of XY blocks at lambda =
+# 0.3, the pair's dense stack on two threads and its Lanczos windows serial): dense and Lanczos cross
+# near 250 states on real pairs (2.4 vs 3.8 ms at 210, 3.0 vs 3.4 at 220, 3.3 vs 2.9 at 256, 24 vs 5.7
+# at 512) and near 200 on complex ones (4.3 vs 5.8 ms at 165, 7.1 vs 6.7 at 210, 11 vs 5.0 at 256);
+# a single block, which one thread diagonalizes, crosses near 200 (real) and 150 (complex)
+DENSE_LIMIT = 224
+# smallest Lanczos block whose windows run on threads: ARPACK's loop holds the GIL between its
+# solves, and two threads contending for it lose below a few thousand states (pairs of XY blocks,
+# serial vs threaded: 5.5 vs 8.4 ms at 512, 7.5 vs 10.3 at 924, 15 vs 14 at 2048, 26 vs 18 at 4096)
+LANCZOS_THREAD_DIM = 2048
 # levels within DEGENERACY_TOL * max(scale, 1) of the ground level count as degenerate with it
 DEGENERACY_TOL = 1e-9
 # block minima this close (relative) are one level: exact ties round to about 1e-14 relative, and a
@@ -366,9 +377,10 @@ class _SparseGround:
     The blocks of |H| + |V| are found once, and each block that an
     antiunitary fixes is taken to a real basis (`_real_form`).  Blocks up
     to DENSE_LIMIT are diagonalized densely, all blocks of one size and
-    dtype in one stacked eigh, and larger ones by seeded Lanczos; the ground
-    window over all blocks is merged and mapped back to the computational
-    basis.
+    dtype in one stacked eigh (chunked and threaded by `core.stack_map`),
+    and larger ones by seeded Lanczos, on threads from LANCZOS_THREAD_DIM
+    states; the ground window over all blocks is merged and mapped back to
+    the computational basis.
     """
 
     def __init__(self, h, v):
@@ -413,9 +425,15 @@ class _SparseGround:
     def _solve_blocks(self, lam):
         solved = []  # (block numbers, indices (m, s), eigenvalues (m, r), eigenvectors (m, s, r))
         for nums, idx, hs, vs in self.dense:
-            solved.append((nums, idx, *np.linalg.eigh(hs + lam * vs)))
-        for k, b, hb, vb in self.sparse:
-            w, u = _ground_window(hb + lam * vb)
+            parts = stack_map(lambda c: np.linalg.eigh(hs[c] + lam * vs[c]), len(hs), hs.shape[1])
+            solved.append((nums, idx, *(np.concatenate(p) for p in zip(*parts))))
+        windows = stack_map(
+            lambda c: [_ground_window(hb + lam * vb) for _, _, hb, vb in self.sparse[c]],
+            len(self.sparse),
+            max((len(b) for _, b, _, _ in self.sparse), default=1),
+            thread_dim=LANCZOS_THREAD_DIM,
+        )
+        for (k, b, _, _), (w, u) in zip(self.sparse, chain.from_iterable(windows)):
             solved.append(([k], b[None], w[None], u[None]))
         vals = np.concatenate([w.ravel() for _, _, w, _ in solved])
         blks = np.concatenate([np.repeat(nums, w.shape[1]) for nums, _, w, _ in solved])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PAULI_X, PAULI_Y, PAULI_Z, as_hermitian, stack_chunks
+from .core import PAULI_X, PAULI_Y, PAULI_Z, as_hermitian, stack_map
 
 DEGENERACY_GAP = 1e-10
 FLAT_GAP = 1e-8
@@ -169,8 +169,11 @@ def support_batch(ops, directions):
     Each row is normalised; its value is lambda_max(sum n_i X_i) and its
     point the tuple Re<v|X_i|v> over the top eigenvector v, both from the
     top-pair kernel `_top_pairs`.  The operators are validated once per
-    call, and the solves run stacked, in chunks of core.STACK_ENTRIES
-    matrix entries.  A set of zero rows gives empty arrays.
+    call, and the solves run stacked through `core.stack_map`: in chunks
+    that share core.STACK_ENTRIES matrix entries among the threads that run
+    them, threaded from d = core.THREAD_MIN_DIM on.  Every row rounds the
+    same in any chunk, so the sweep does not depend on the worker count.  A
+    set of zero rows gives empty arrays.
     """
     # the Hermitian part, which the solves see as eigvalsh does (exact for Hermitian input)
     ops = [(x + x.conj().T) / 2 for x in map(as_hermitian, ops)]
@@ -191,7 +194,8 @@ def support_batch(ops, directions):
         witnesses=np.empty((len(rows), d), dtype=complex),
         gaps=np.empty(len(rows)),
     )
-    for chunk in stack_chunks(len(rows), d):
+
+    def solve(chunk):
         n = sweep.directions[chunk]
         w, top, faces = _top_pairs(sum(n[:, i, None, None] * x for i, x in enumerate(ops)))
         # one (1, d) @ (d, d) product per row, so a row rounds the same in every chunk
@@ -200,7 +204,10 @@ def support_batch(ops, directions):
         sweep.values[chunk], sweep.witnesses[chunk] = w[:, -1], top
         scale = np.maximum(np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0])), 1e-30)
         sweep.gaps[chunk] = (w[:, -1] - w[:, -2]) / scale if d > 1 else np.inf
-        sweep.faces.update((chunk.start + r, basis) for r, basis in faces.items())
+        return {chunk.start + r: basis for r, basis in faces.items()}
+
+    for faces in stack_map(solve, len(rows), d):  # chunks write disjoint rows; faces merge in row order
+        sweep.faces.update(faces)
     return sweep
 
 

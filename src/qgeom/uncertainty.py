@@ -61,8 +61,9 @@ def min_sum_variances(x, y):
     quadratic.  Each round drops the simplices whose bound is within the
     target of the least evaluated g, splits the rest at their longest edge
     and evaluates the new midpoints in one stacked eigvalsh.  It stops when
-    upper - lower <= max(BRACKET_TOL * max(1, |upper|), FLOOR * allowance),
-    or before it would exceed EVALUATION_CAP eigensolves.
+    no simplex is left, i.e. upper - lower <= target with target =
+    max(BRACKET_TOL * max(1, |upper|), FLOOR * allowance), or before it would
+    exceed EVALUATION_CAP eigensolves.
     """
     x, y = as_hermitian(x), as_hermitian(y)
     if x.shape != y.shape:
@@ -99,10 +100,12 @@ def min_sum_variances(x, y):
         target = max(BRACKET_TOL * max(1.0, abs(upper)), FLOOR * allowance)
         bounds = _simplex_bounds(pts[simplices], h[simplices] - allowance)
         lower = min(dropped, bounds.min())
-        converged = bool(upper - lower <= target)
+        # one comparison decides both pruning and the stop: a separate test of upper - lower <= target
+        # can disagree with it by one rounding and leave no simplex to split
+        live = bounds < upper - target
+        converged = not live.any()
         if converged:
             break
-        live = bounds < upper - target
         dropped = min(dropped, bounds[~live].min(initial=np.inf))
         simplices = simplices[live]
         ends = np.array(pairs)[np.argmax([np.linalg.norm(pts[simplices[:, i]] - pts[simplices[:, j]], axis=1)
@@ -117,7 +120,8 @@ def min_sum_variances(x, y):
             mids[r] = edges[key]
         if len(pts) + len(new) > EVALUATION_CAP:
             break
-        new = np.array(new).reshape(-1, 2)
+        # the live simplices may all split at midpoints their neighbours made already: then new is empty
+        new = np.array(new, dtype=np.int64).reshape(-1, 2)
         fresh = (pts[new[:, 0]] + pts[new[:, 1]]) / 2
         pts, h = np.concatenate([pts, fresh]), np.concatenate([h, _lambda_min(sq, x, y, fresh)])
         first, second = simplices.copy(), simplices.copy()

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -891,3 +892,38 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_jnr_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers):
+    rng = np.random.default_rng(64)
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [core.random_hermitian(64, rng) for _ in range(3)])
+    reports = []
+    for w in (1, workers):
+        monkeypatch.setattr(core, "cpu_workers", lambda: w)
+        out = tmp_path / f"jnr{w}.json"
+        assert run(["jnr", "--ops", ops, "--dirs", 300, "--out", out]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+
+
+def test_an_error_in_a_threaded_chunk_exits_1(tmp_path, monkeypatch, capsys):
+    class ChunkFailure(RuntimeError):
+        pass
+
+    starts = itertools.count()
+    top_pairs = numrange._top_pairs
+
+    def second_chunk_fails(mats):
+        if next(starts) == 1:
+            raise ChunkFailure("the second chunk failed")
+        return top_pairs(mats)
+
+    monkeypatch.setattr(core, "cpu_workers", lambda: 2)
+    monkeypatch.setattr(numrange, "_top_pairs", second_chunk_fails)
+    rng = np.random.default_rng(32)
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [core.random_hermitian(32, rng) for _ in range(3)])
+    assert run(["jnr", "--ops", ops, "--dirs", 500, "--out", tmp_path / "r.json"]) == 1
+    assert "computation failed: the second chunk failed" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -299,3 +301,35 @@ def test_operator_json_missing_key(drop):
     del doc[drop]
     with pytest.raises(ValueError, match=repr(drop)):
         core.operator_from_json(doc)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("dim", [16, 32, 64])
+def test_stack_map_threads_from_thread_min_dim_within_a_shared_budget(monkeypatch, workers, dim):
+    monkeypatch.setattr(core, "cpu_workers", lambda: workers)
+    count = 700
+    seen = core.stack_map(lambda c: (c, threading.current_thread().name), count, dim)
+    rows = [range(count)[c] for c, _ in seen]
+    assert [i for r in rows for i in r] == list(range(count))
+    threaded = workers > 1 and dim >= core.THREAD_MIN_DIM
+    parts = workers if threaded else 1
+    assert len(rows) >= parts
+    assert all(len(r) * dim * dim <= core.STACK_ENTRIES // parts for r in rows)
+    assert all(name.startswith("qgeom-stack") == threaded for _, name in seen)
+
+
+@pytest.mark.parametrize(
+    "env, pinned",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # OpenBLAS reads its own first
+        ({}, False),  # the BLAS takes every CPU
+    ],
+)
+def test_stacks_thread_only_on_a_single_threaded_blas(monkeypatch, env, pinned):
+    for var in core.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert core.cpu_workers() == (len(os.sched_getaffinity(0)) if pinned else 1)

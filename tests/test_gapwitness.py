@@ -427,7 +427,7 @@ def test_lanczos_blocks_match_dense_eigh(monkeypatch):
         _assert_levels_match_dense(solver, h, v, lam)
 
 
-@pytest.mark.parametrize("limit", [gapwitness.DENSE_LIMIT, 4])
+@pytest.mark.parametrize("limit", [192, gapwitness.DENSE_LIMIT, 4])
 def test_limit_takes_the_whole_ground_level(monkeypatch, limit):
     # H = Z0 and V = X1 + X2 + X3: two blocks of 8, and at lambda = 0 the ground level is all of one
     monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
@@ -510,6 +510,26 @@ def test_xy_chain_blocks_are_stored_real(n, gamma):
     solver = _SparseGround(xy_hamiltonian(n, gamma), gap_witness_v(n))
     assert solver.basis is not None  # the witness is imaginary, so the form is R K's
     assert all(d == {np.dtype(float)} for d in _block_dtypes(solver).values())
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n, gamma, lam", [(7, 0.5, 0.3), (8, 0.0, 0.3), (8, 1.0, 0.0)])
+def test_threaded_ground_windows_are_bit_identical_to_serial(monkeypatch, workers, n, gamma, lam):
+    # dense stacks of 64 (n = 7) and of 56, 70 and 56 (n = 8, gamma = 0), then the same blocks by Lanczos,
+    # threaded from any size; at gamma = 1 and lambda = 0 the ground level spans both parity blocks
+    h, v = xy_hamiltonian(n, gamma), gap_witness_v(n)
+    for limit, method in ((gapwitness.DENSE_LIMIT, "dense"), (12, "lanczos")):
+        monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
+        monkeypatch.setattr(gapwitness, "LANCZOS_THREAD_DIM", 1)
+        solver = _SparseGround(h, v)
+        assert solver.method == method
+        windows = []
+        for w in (1, workers):
+            monkeypatch.setattr(core, "cpu_workers", lambda: w)
+            windows.append(solver._solve_blocks(lam))
+        (w1, v1), (w2, v2) = windows
+        np.testing.assert_array_equal(w2, w1)
+        np.testing.assert_array_equal(v2, v1)
 
 
 def test_bisection_end_reuses_the_last_solve(monkeypatch):

@@ -1,3 +1,10 @@
+import os
+import signal
+import sys
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,3 +411,82 @@ def test_one_shot_matches_the_hull_lp(seed, d, kind):
     else:
         assert abs(np.linalg.norm(wit) - 1) < 1e-12
         assert (np.stack([lam.real, lam.imag], axis=1) @ wit).min() > 0
+
+
+def _sweep_at(workers, ops, dirs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "cpu_workers", lambda: workers)
+        return support_batch(ops, dirs)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([32, 48, 64, 80]),
+    st.sampled_from([2, 3]),
+    st.integers(1, 3),
+    st.integers(-1, 1),
+    st.booleans(),
+)
+def test_threaded_support_batch_is_bit_identical_to_serial(seed, d, workers, chunks, edge, degenerate):
+    # row counts one short of, at and one past the edge of `chunks` threaded chunks; degenerate operators
+    # (A (x) 1_2) make every row an eigh row with a face
+    rng = np.random.default_rng(seed)
+    if degenerate:
+        ops = [np.kron(core.random_hermitian(d // 2, rng), np.eye(2)) for _ in range(3)]
+    else:
+        ops = [core.random_hermitian(d, rng) for _ in range(3)]
+    rows = max(1, chunks * (core.STACK_ENTRIES // workers // (d * d)) + edge)
+    dirs = rng.normal(size=(rows, 3))
+    serial, threaded = _sweep_at(1, ops, dirs), _sweep_at(workers, ops, dirs)
+    for name in ("directions", "values", "points", "witnesses", "gaps"):
+        np.testing.assert_array_equal(getattr(threaded, name), getattr(serial, name))
+    assert list(threaded.faces) == list(serial.faces) == (list(range(rows)) if degenerate else [])
+    for r, basis in serial.faces.items():
+        np.testing.assert_array_equal(threaded.faces[r], basis)
+
+
+def test_forked_child_runs_a_threaded_sweep(monkeypatch):
+    # the parent's pool threads do not survive fork; the child must start its own instead of waiting on them
+    monkeypatch.setattr(core, "cpu_workers", lambda: 2)
+    rng = np.random.default_rng(5)
+    ops = [core.random_hermitian(32, rng) for _ in range(3)]
+    dirs = sphere_directions(3, 300)
+    values = support_batch(ops, dirs).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a process with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(support_batch(ops, dirs).values, values) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its threaded sweep within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_concurrent_callers_share_the_pool_under_fast_switching(monkeypatch):
+    # more workers than CPUs, eight callers at once and a switch interval of 1 us: a lost or misplaced
+    # chunk write would show in some caller's arrays
+    monkeypatch.setattr(core, "cpu_workers", lambda: 3)
+    rng = np.random.default_rng(8)
+    ops = [core.random_hermitian(32, rng) for _ in range(3)]
+    dirs = rng.normal(size=(400, 3))
+    serial = _sweep_at(1, ops, dirs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as callers:
+            sweeps = list(callers.map(lambda _: support_batch(ops, dirs), range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for sweep in sweeps:
+        for name in ("values", "points", "witnesses", "gaps"):
+            np.testing.assert_array_equal(getattr(sweep, name), getattr(serial, name))

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import minimize
@@ -291,6 +291,8 @@ def test_min_sum_matches_random_restart_oracle(rng):
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.floats(0.2, 2.0), min_size=1, max_size=4), st.floats(-2, 2), st.floats(-2, 2))
+# the stop test once disagreed with the pruning test by one rounding here, dropping every simplex
+@example(amps=[1.0, 0.35229785528962565, 1.3667737309370325], a=-1.791015625, b=1.625)
 def test_radial_search_matches_planar_on_charge_ladders(amps, a, b):
     # A lowers the charge diag(0, 1, ..., d-1) by one, so exp(i theta diag) turns (A + A^+, -i(A - A^+))
     # by theta; with unequal amplitudes the generator has a diagonal part that least squares must find

@@ -561,7 +561,7 @@ def build_parser():
     sp.add_argument("--op", required=True)
     sp.add_argument("--dims", required=True)
     sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--dirs", type=int, default=entangle.SEP_BUDGET, help="evaluation budget")
+    sp.add_argument("--dirs", type=int, default=entangle.SEP_BUDGET, help="sphere samples on (2, d)")
     common(sp)
     sp.set_defaults(fn=cmd_sep_max)
 

@@ -11,7 +11,7 @@ weak-duality certificate above it.  Both ranges form H_n = sum n_i X_i for
 all directions in one stacked sum; the PPT range runs the ADMM on all of
 them together, one stacked eigensolve per step, and a (2, d) separable
 range runs every direction's branch and bound in lockstep, one top-pair
-kernel call and one eigvalsh per round.
+kernel call per round for the new sphere samples.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from . import core
 from .core import as_hermitian, check_dims, partial_transpose, random_pure, stack_chunks
 from .numrange import ConvexBodyApprox, _positively_spanning, _top_pairs, jnr_approximate, unit
+from .uncertainty import ROUNDING
 
 # an alternating-ascent restart stops when a sweep gains less than its TOL, or after SWEEPS sweeps
 SEESAW_TOL, SEESAW_SWEEPS = 1e-10, 500
@@ -105,7 +106,8 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
     one stacked eigensolve per factor update; a restart retires once a
     sweep gains less than SEESAW_TOL.  One more start, from the leading
     Schmidt pairs of the top eigenvector, replaces the best seeded restart
-    only where it beats it by more than SEESAW_TOL.
+    only where it beats it by more than SEESAW_TOL.  meta adds the sweeps of
+    the slowest start and whether every start stopped before SEESAW_SWEEPS.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
@@ -118,7 +120,7 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
     val = np.full(restarts + 1, -np.inf)
     prev = val.copy()
     live = np.arange(restarts + 1)
-    for _ in range(SEESAW_SWEEPS):
+    for sweeps in range(1, SEESAW_SWEEPS + 1):
         for k in range(len(dims)):
             red = _reduced_operator(ht, dims, [f[live] for f in factors], k)
             w, v = np.linalg.eigh((red + red.conj().transpose(0, 2, 1)) / 2)
@@ -132,13 +134,8 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
     best = int(np.argmax(val[:restarts]))
     if val[restarts] - val[best] > SEESAW_TOL:
         best = restarts
-    witness = ProductAnsatz(tuple(f[best].copy() for f in factors))
-    return SepBounds(
-        lower=float(val[best]),
-        upper=None,
-        witness=witness,
-        meta={"restarts": restarts, "seed": seed},
-    )
+    return SepBounds(float(val[best]), None, ProductAnsatz(tuple(f[best].copy() for f in factors)),
+                     meta={"restarts": restarts, "seed": seed, "sweeps": sweeps, "converged": not live.size})
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,7 @@ def _pauli_reductions(h, dims):
 
 
 SEP_TOL = 1e-9  # certified gap at which the qubit-qudit branch and bound stops
-SEP_BUDGET = 4096  # default evaluations of one qubit-qudit branch and bound
+SEP_BUDGET = 2048  # default sphere samples (eigensolves) of one qubit-qudit branch and bound
 
 
 def _bloch_operators(hs, rows, r):
@@ -167,26 +164,9 @@ def _bloch_operators(hs, rows, r):
         yield c, h[:, 0] + p[:, 0, None, None] * h[:, 1] + p[:, 1, None, None] * h[:, 2] + p[:, 2, None, None] * h[:, 3]
 
 
-def _outer_bounds(hs, tris, rows):
-    """Upper bound of f(r) = lambda_max(H_0 + r.H)/2 on each geodesic triangle,
-    H the reductions hs[rows].
-
-    tris is (T, 3, 3) with unit vertices in rows.  A triangle whose plane lies
-    at distance delta from the origin sits inside conv{v_i, v_i / delta}, so
-    the convex f is at most its largest value there; the v_i are evaluated as
-    samples, and this returns max_i f(v_i / delta) from stacked eigvalsh.
-    """
-    normal = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    delta = np.abs((normal * tris[:, 0]).sum(axis=1)) / np.linalg.norm(normal, axis=1)
-    pts = (tris / delta[:, None, None]).reshape(-1, 3)
-    top = np.empty(len(pts))
-    for c, mats in _bloch_operators(hs, np.repeat(rows, 3), pts):
-        top[c] = np.linalg.eigvalsh(mats)[:, -1]
-    return 0.5 * top.reshape(-1, 3).max(axis=1)
-
-
-# corners and edge midpoints (3, 4, 5 = midpoints of edges 01, 12, 20) of the
-# four triangles that split a geodesic triangle
+# the octahedron's faces over its vertices (e_0, e_1, e_2, -e_0, -e_1, -e_2), and the four triangles
+# that split a triangle over its corners and edge midpoints (3, 4, 5 = midpoints of edges 01, 12, 20)
+_OCTAHEDRON = np.array(list(product((0, 3), repeat=3))) + np.arange(3)
 _SPLIT = [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
 
 
@@ -194,71 +174,81 @@ def _qubit_qudit_stack(hs, budget):
     """The branch and bound of qubit_qudit_sep_max on each row of a stack
     (n, 2d, 2d) of Hermitian operators, all rows in lockstep.
 
-    Triangles, sphere samples and their seen set carry a row index, and each
-    round solves every row's new samples in one top-pair kernel call and all
-    outer bounds in one eigvalsh (per chunk of core.STACK_ENTRIES entries).
-    A row retires once it has nothing left to split within its budget.
-    Every row rounds as it would alone.  Returns lower, upper, the best
-    qudit states (n, d), their qubit partners (n, 2) and evaluations per row.
+    Triangles and sphere samples carry a row index, and each round solves
+    every row's new samples in one top-pair kernel call (per chunk of
+    core.STACK_ENTRIES entries).  A row retires once it has nothing left to
+    split within its budget.  Every row rounds as it would alone.  Returns
+    lower, upper, the best qudit states (n, d), their qubit partners (n, 2)
+    and evaluations (distinct sphere samples) per row.
     """
     n, d = len(hs), hs.shape[1] // 2
     hs = (hs + hs.conj().transpose(0, 2, 1)) / 2  # the Hermitian part (exact for Hermitian input)
     red = _pauli_reductions(hs, (2, d))
+    # lambda_max(y.H) <= |y| reach by operator Cauchy-Schwarz, and slack allows for eigvalsh's rounding
+    reach = np.sqrt(np.maximum(np.linalg.eigvalsh((red[:, 1:] @ red[:, 1:]).sum(axis=1))[:, -1], 0))
+    slack = ROUNDING * d * (np.linalg.norm(red[:, 0], axis=(1, 2)) + reach)
     lower, upper, beta = np.full(n, -np.inf), np.empty(n), np.empty((n, d), dtype=complex)
     evaluations = np.zeros(n, dtype=int)
-    octahedron = np.array(list(product((1, -1), repeat=3)))[:, :, None] * np.eye(3)
-    tris, tri_row = np.tile(octahedron, (n, 1, 1)), np.repeat(np.arange(n), 8)
-    pts, pt_row = np.tile(np.vstack([np.eye(3), -np.eye(3)]), (n, 1)), np.repeat(np.arange(n), 6)
-    kept, kept_row, kept_bounds = np.empty((0, 3, 3)), np.empty(0, dtype=int), np.empty(0)
-    active = np.ones(n, dtype=bool)
-    seen = set()
+    # a round's new triangles index `table` into their group's corners and new points
+    corners, corner_tops, group_row = np.empty((n, 0, 3)), np.empty((n, 0)), np.arange(n)
+    pts, table = np.tile(np.vstack([np.eye(3), -np.eye(3)]), (n, 1, 1)), _OCTAHEDRON
+    # the unsplit live triangles carried into the next round: tris, tri_row, tri_tops, bounds
+    kept = np.empty((0, 3, 3)), np.empty(0, dtype=int), np.empty((0, 3)), np.empty(0)
+    active, top_bound = np.ones(n, dtype=bool), np.full(n, -np.inf)
+    seen = {}  # the bytes of (row, sphere sample) -> lambda_max(H_0 + r.H)
     while True:
+        pt_row = np.repeat(group_row, pts.shape[1])
+        keys = np.column_stack([pt_row, pts.reshape(-1, 3)]).view("V32")[:, 0].tolist()
         # neighbours share edge midpoints bit for bit (a + b rounds as b + a): solve each once
-        keys = zip(pt_row.tolist(), map(tuple, pts.tolist()))
-        fresh = [i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]
-        pts, pt_row = pts[fresh], pt_row[fresh]
-        vals, states = np.empty(len(pts)), np.empty((len(pts), d), dtype=complex)
-        for c, mats in _bloch_operators(red, pt_row, pts):
-            top = _top_pairs(mats)[1]
+        fresh = [i for i, key in enumerate(keys) if not (key in seen or seen.setdefault(key, None))]
+        new, new_row = pts.reshape(-1, 3)[fresh], pt_row[fresh]
+        vals, tops, states = np.empty(len(new)), np.empty(len(new)), np.empty((len(new), d), dtype=complex)
+        for c, mats in _bloch_operators(red, new_row, new):
+            w, top, _ = _top_pairs(mats)
             # p_i = <beta|H_i|beta>, one (1, d) @ (d, d) product per sample and H_i
-            p = ((top.conj()[:, None, None, :] @ red[pt_row[c]])[:, :, 0] * top[:, None, :]).sum(axis=2).real
+            p = ((top.conj()[:, None, None, :] @ red[new_row[c]])[:, :, 0] * top[:, None, :]).sum(axis=2).real
             # |p_vec| by the stacked dot product, which rounds as np.linalg.norm of each row
             vals[c] = 0.5 * (p[:, 0] + np.sqrt(p[:, None, 1:] @ p[:, 1:, None])[:, 0, 0])
-            states[c] = top
-        if len(pts):
+            tops[c], states[c] = w[:, -1], top
+        if len(new):
             # each row's best sample, the first of equal values, against its lower
-            order = np.lexsort((-vals, pt_row))
-            best = order[np.r_[True, pt_row[order][1:] != pt_row[order][:-1]]]
-            best = best[vals[best] > lower[pt_row[best]]]
-            lower[pt_row[best]], beta[pt_row[best]] = vals[best], states[best]
-        evaluations += np.bincount(pt_row, minlength=n) + 3 * np.bincount(tri_row, minlength=n)
-        # a pruned triangle stays: its bound may exceed lower by up to SEP_TOL
-        bounds = np.concatenate([kept_bounds, _outer_bounds(red, tris, tri_row)])
-        tris, tri_row = np.concatenate([kept, tris]), np.concatenate([kept_row, tri_row])
-        live = np.flatnonzero(bounds > lower[tri_row] + SEP_TOL)
-        n_split = np.minimum(np.bincount(tri_row[live], minlength=n), (budget - evaluations) // 15)
+            order = np.lexsort((-vals, new_row))
+            best = order[np.r_[True, new_row[order][1:] != new_row[order][:-1]]]
+            best = best[vals[best] > lower[new_row[best]]]
+            lower[new_row[best]], beta[new_row[best]] = vals[best], states[best]
+        evaluations += np.bincount(new_row, minlength=n)
+        seen.update(zip([keys[i] for i in fresh], tops.tolist()))
+        tris = np.concatenate([corners, pts], axis=1)[:, table].reshape(-1, 3, 3)
+        point_tops = np.array([seen[key] for key in keys]).reshape(pts.shape[:2])
+        tri_tops = np.concatenate([corner_tops, point_tops], axis=1)[:, table].reshape(-1, 3)
+        tri_row = np.repeat(group_row, len(table))
+        # a point of the geodesic triangle is y/|y|, y in the flat one, |y| >= delta; convexity and Weyl give
+        # f(y/|y|) <= max_i f(v_i) + (1/|y| - 1) lambda_max(y.H)/2 <= max_i f(v_i) + (1 - delta) reach/2
+        normal = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        delta = np.abs((normal * tris[:, 0]).sum(axis=1)) / np.linalg.norm(normal, axis=1)
+        bounds = 0.5 * (tri_tops.max(axis=1) + np.maximum(1 - delta, 0) * reach[tri_row] + slack[tri_row])
+        tris, tri_row, tri_tops, bounds = (np.concatenate(p) for p in zip(kept, (tris, tri_row, tri_tops, bounds)))
+        live = bounds > lower[tri_row] + SEP_TOL
+        n_split = np.minimum(np.bincount(tri_row[live], minlength=n), (budget - evaluations) // 3)
         done = active & (n_split <= 0)
-        if done.any():
-            top_bound = np.full(n, -np.inf)
-            np.maximum.at(top_bound, tri_row, bounds)
-            upper[done] = np.maximum(lower[done], top_bound[done])
-            active &= ~done
-            if not active.any():
-                break
+        # a triangle leaves once pruned (lower only grows) or once its row is done, and its row's upper
+        # keeps its bound, which may exceed lower by up to SEP_TOL
+        gone = ~live | done[tri_row]
+        np.maximum.at(top_bound, tri_row[gone], bounds[gone])
+        upper[done] = np.maximum(lower[done], top_bound[done])
+        active &= ~done
+        if not active.any():
+            break
         # each active row splits its n_split highest live bounds, the first of equal bounds first
-        live = live[active[tri_row[live]]]
+        live = np.flatnonzero(live & active[tri_row])
         order = live[np.lexsort((-bounds[live], tri_row[live]))]
         rank = np.arange(len(order)) - np.searchsorted(tri_row[order], tri_row[order])
-        split = order[rank < n_split[tri_row[order]]]
-        keep = active[tri_row]
-        keep[split] = False
-        kept, kept_row, kept_bounds = tris[keep], tri_row[keep], bounds[keep]
-        corners, split_row = tris[split], tri_row[split]
-        mids = corners + np.roll(corners, -1, axis=1)
-        mids /= np.linalg.norm(mids, axis=2, keepdims=True)
-        pts, pt_row = mids.reshape(-1, 3), np.repeat(split_row, 3)
-        tris = np.concatenate([corners, mids], axis=1)[:, _SPLIT].reshape(-1, 3, 3)
-        tri_row = np.repeat(split_row, 4)
+        take = rank < n_split[tri_row[order]]
+        split, keep = order[take], order[~take]
+        kept = tris[keep], tri_row[keep], tri_tops[keep], bounds[keep]
+        corners, corner_tops, group_row, table = tris[split], tri_tops[split], tri_row[split], _SPLIT
+        pts = corners + np.roll(corners, -1, axis=1)
+        pts /= np.linalg.norm(pts, axis=2, keepdims=True)
     # the qubit factor: top eigenvector of <beta| H |beta>, one (1, d) @ (d, d) product per block
     blocks = hs.reshape(n, 2, d, 2, d).transpose(0, 1, 3, 2, 4)
     hb = ((beta.conj()[:, None, None, None, :] @ blocks)[:, :, :, 0] * beta[:, None, None, :]).sum(axis=3)
@@ -273,11 +263,13 @@ def qubit_qudit_sep_max(h, dims, directions=SEP_BUDGET):
     the convex f(r) = lambda_max(H_0 + r.H)/2, H_i the Pauli reductions.
     Branch and bound on geodesic triangles, starting from the octahedron:
     each round splits the live triangles (bound above lower + SEP_TOL) at
-    their normalised edge midpoints, highest bound first.  `directions` is
-    the budget of evaluations (a distinct sphere sample or an outer vertex
-    each; at most 15 per split, as a midpoint shared with a neighbour is
-    solved once); the 30 of the start mesh always run.  Every sphere sample
-    r yields a qudit state beta, the top eigenvector of H_0 + r.H, with point
+    their normalised edge midpoints, highest bound first.  A triangle whose
+    plane lies at distance delta from 0 is bounded by its vertices' values:
+    max_i f(v_i) + (1 - delta) ||sum_i H_i^2||^(1/2) / 2, plus a rounding
+    allowance.  `directions` is the budget of sphere samples (eigensolves;
+    at most 3 per split, as a midpoint shared with a neighbour is solved
+    once); the 6 of the start mesh always run.  Every sample r yields a
+    qudit state beta, the top eigenvector of H_0 + r.H, with point
     p = <beta|H_i|beta>, and lower is the best (p_0 + |p_vec|)/2, the value
     its product witness attains.  upper is the largest triangle bound (or
     lower).  This is the one-row case of `_qubit_qudit_stack`.
@@ -287,7 +279,7 @@ def qubit_qudit_sep_max(h, dims, directions=SEP_BUDGET):
     if dims[0] != 2:
         raise ValueError(f"first local dimension must be 2, got {dims[0]}")
     if directions < 1:
-        raise ValueError(f"evaluation budget must be at least 1, got {directions}")
+        raise ValueError(f"sample budget must be at least 1, got {directions}")
     lower, upper, beta, alpha, evaluations = _qubit_qudit_stack(h[None], directions)
     meta = {"method": "bloch-branch-and-bound", "evaluations": int(evaluations[0]),
             "converged": bool(upper[0] - lower[0] <= SEP_TOL)}
@@ -298,7 +290,7 @@ def sep_max(h, dims, restarts=32, seed=0, directions=SEP_BUDGET):
     """Bracket on the maximum of <H> over separable states.
 
     A (2, d) split takes the two-sided qubit_qudit_sep_max with `directions`
-    as its evaluation budget; every other split takes the see-saw lower
+    as its sphere-sample budget; every other split takes the see-saw lower
     bound seesaw_product_max over `restarts` seeded restarts, with upper None.
     """
     if len(dims) == 2 and dims[0] == 2:
@@ -331,10 +323,11 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     On a (2, d) split every direction's branch and bound runs in lockstep,
     one stack of at most core.STACK_ENTRIES // SEP_BUDGET directions at a
     time, and each outer offset is its certified `upper`, so the outer
-    half-spaces are rigorous; meta adds the evaluations summed over
-    directions and whether every bracket closed to SEP_TOL.  Other splits
-    take see-saw values per direction, and the outer description is
-    flagged heuristic.  One factor is the joint numerical range itself.
+    half-spaces are rigorous; meta adds the evaluations (sphere samples)
+    summed over directions and whether every bracket closed to SEP_TOL.
+    Other splits take see-saw values per direction, flagged heuristic, and
+    meta adds their sweeps summed over directions and whether every see-saw
+    converged.  One factor is the joint numerical range itself.
     """
     dims = check_dims(dims, len(ops[0]))
     if len(dims) == 1:
@@ -343,7 +336,8 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
         return body
     if len(dims) == 2 and dims[0] == 2:
         def solve(hs, dims):
-            # a row holds O(SEP_BUDGET) triangles and samples while it runs
+            # a row holds at most SEP_BUDGET samples and, as a midpoint serves at most two
+            # splits, 2 SEP_BUDGET + 8 triangles while it runs
             rows = max(1, core.STACK_ENTRIES // SEP_BUDGET)
             parts = [_qubit_qudit_stack(hs[i:i + rows], SEP_BUDGET) for i in range(0, len(hs), rows)]
             lower, upper, beta, alpha, evaluations = (np.concatenate(p) for p in zip(*parts))
@@ -358,12 +352,14 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     def solve(hs, dims):
         bounds = [seesaw_product_max(h, dims, restarts=restarts, seed=seed) for h in hs]
         vs = np.array([b.witness.vector() for b in bounds])
-        return np.array([b.lower for b in bounds]), vs[:, :, None] * vs[:, None, :].conj()
+        sweeps, converged = (np.array([b.meta[key] for b in bounds]) for key in ("sweeps", "converged"))
+        return np.array([b.lower for b in bounds]), vs[:, :, None] * vs[:, None, :].conj(), sweeps, converged
 
-    body, _ = _range_body(ops, dims, directions, solve)
+    body, (sweeps, converged) = _range_body(ops, dims, directions, solve)
     # heuristic offsets may undercut other directions' witnesses: lift them to keep inner inside outer
     body.outer_offsets = np.maximum(body.outer_offsets, (body.outer_normals @ body.inner_vertices.T).max(axis=1))
-    body.meta = {"outer_rigorous": False, "method": "seesaw"}
+    body.meta = {"outer_rigorous": False, "method": "seesaw", "sweeps": int(sweeps.sum()),
+                 "converged": bool(converged.all())}
     return body
 
 

@@ -68,7 +68,20 @@ def test_sep_max_deterministic(tmp_path):
     assert doc["tolerances"] == {"bracket_gap": entangle.SEP_TOL}
     meta = doc["meta"]
     assert meta["method"] == "bloch-branch-and-bound"
-    assert meta["converged"] is True and 30 <= meta["evaluations"] <= 4096
+    assert meta["converged"] is True and 6 <= meta["evaluations"] <= entangle.SEP_BUDGET
+
+
+def test_sep_max_seesaw_reports_are_byte_identical(tmp_path):
+    # off (2, d) the see-saw reports its sweeps and whether every start converged
+    op = tmp_path / "h.json"
+    op.write_text(json.dumps(core.operator_to_json(core.random_hermitian(9, np.random.default_rng(4)))))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run(["sep-max", "--op", op, "--dims", "3,3", "--restarts", 8, "--out", out]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    meta = json.loads(outs[0].read_text())["meta"]
+    res = entangle.seesaw_product_max(core.random_hermitian(9, np.random.default_rng(4)), (3, 3), restarts=8)
+    assert meta == res.meta and meta["converged"] is True and 1 <= meta["sweeps"] < entangle.SEESAW_SWEEPS
 
 
 def test_uncertainty_table_j1(tmp_path):
@@ -280,7 +293,8 @@ def test_sep_max_cli_seesaw_off_qubit_qudit_splits(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["lower"] == pytest.approx(2 / 3, abs=1e-9) and doc["upper"] is None
     assert doc["tolerances"] == {"seesaw_stagnation": entangle.SEESAW_TOL}
-    assert doc["meta"] == {"restarts": 4, "seed": 0}
+    assert doc["meta"] == {"restarts": 4, "seed": 0, "sweeps": doc["meta"]["sweeps"], "converged": True}
+    assert 1 <= doc["meta"]["sweeps"] <= entangle.SEESAW_SWEEPS
 
 
 def test_wigner_cli(tmp_path):
@@ -680,7 +694,7 @@ def test_sep_max_cli_budget(tmp_path, capsys):
     out = tmp_path / "sep.json"
     assert run(["sep-max", "--op", op, "--dims", "2,3", "--dirs", 20, "--out", out]) == 0
     doc = json.loads(out.read_text())
-    assert doc["lower"] <= doc["upper"] and doc["meta"]["evaluations"] == 30
+    assert doc["lower"] <= doc["upper"] and doc["meta"]["evaluations"] == 18
     assert run(["sep-max", "--op", op, "--dims", "2,3", "--dirs", 0]) == 2
     assert run(["sep-max", "--op", op, "--dims", "3,2", "--restarts", 0]) == 2
     err = capsys.readouterr().err

@@ -13,14 +13,16 @@ Two ground-state solvers share the curve and the bisection:
   and its witness imaginary, so RK fixes every block of the pair.
   A solve returns the ground window, the levels within DEGENERACY_TOL *
   max(|E0|, 1) of the lowest: dense up to DENSE_LIMIT (all blocks of one
-  size and dtype in one stacked eigh), and above it one seeded Lanczos
-  eigenpair per block and a loose Lanczos search of the complement of the
-  levels found, repeated per extra copy of a degenerate level, which one
-  Krylov space cannot hold.  The Lanczos path never densifies; full spectra
-  are capped at 2^12.  Both run through `core.stack_map`: a dense stack in
-  chunks that share core.STACK_ENTRIES entries among the threads running
-  them, and Lanczos blocks from LANCZOS_THREAD_DIM states on concurrently;
-  every block rounds the same on any thread.
+  size and dtype in one stacked eigh), and above it one Lanczos eigenpair
+  per block from a seeded random start.  Only a block whose lowest level
+  lies in the window of the lowest level over all blocks then runs a loose
+  Lanczos search of the complement of the levels found, repeated per extra
+  copy of a degenerate level, which one Krylov space cannot hold.  The
+  Lanczos path never densifies; full spectra are capped at 2^12.  Both run
+  through `core.stack_map`: a dense stack in chunks that share
+  core.STACK_ENTRIES entries among the threads running them, and each
+  Lanczos pass over the blocks from LANCZOS_THREAD_DIM states on
+  concurrently; every block rounds the same on any thread.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas
   (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
   Lieb, Schultz, Mattis 1961).  A state is the covariance matrix
@@ -43,10 +45,12 @@ from .core import stack_map
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
 # largest block diagonalized densely (x86-64, 2 CPUs, one BLAS thread, pairs of XY blocks at lambda =
-# 0.3, the pair's dense stack on two threads and its Lanczos windows serial): dense and Lanczos cross
-# near 250 states on real pairs (2.4 vs 3.8 ms at 210, 3.0 vs 3.4 at 220, 3.3 vs 2.9 at 256, 24 vs 5.7
-# at 512) and near 200 on complex ones (4.3 vs 5.8 ms at 165, 7.1 vs 6.7 at 210, 11 vs 5.0 at 256);
-# a single block, which one thread diagonalizes, crosses near 200 (real) and 150 (complex)
+# 0.3, the pair's dense stack on two threads and its Lanczos passes serial; magnetization pairs at
+# gamma = 0 tie, so both search their complement, parity pairs at gamma = 1/2 search one): dense and
+# Lanczos cross near 250 states on real pairs (1.3 vs 2.7 ms at 128, 2.5 vs 3.9 at 210, 2.9 vs 3.5 at
+# 220, 3.5 vs 3.3 at 256, 24 vs 4.8 at 512) and near 215 on complex ones (3.7 vs 5.9 ms at 165, 6.3 vs
+# 6.9 at 210, 7.3 vs 6.3 at 220, 10 vs 6.7 at 256); a single block, which one thread diagonalizes,
+# crosses near 180 (real) and 150 (complex)
 DENSE_LIMIT = 224
 # smallest Lanczos block whose windows run on threads: ARPACK's loop holds the GIL between its
 # solves, and two threads contending for it lose below a few thousand states (pairs of XY blocks,
@@ -221,24 +225,48 @@ def gap_witness_majorana(n_sites, taper=False):
     return majorana_form(n_sites, _witness_terms(n_sites, taper))
 
 
-def _ground_window(m):
-    """(levels of the ground window of a sparse block, their eigenvectors as columns), by seeded Lanczos.
+def _start(dim):
+    """The seeded random start of every Lanczos run on a block of dim states."""
+    return np.random.default_rng(0).standard_normal(dim)
+
+
+def _lowest_pair(m):
+    """(lowest level of a sparse block, its eigenvector as a column), by Lanczos from `_start`.
+
+    A uniform start would be orthogonal to every state odd under a symmetry
+    that fixes it (a spin flip, say), and Lanczos from it would miss a ground
+    level there; a random start is unlikely to miss one.  Where ARPACK does
+    not converge, the block is diagonalized densely and every level returned.
+    """
+    import scipy.sparse.linalg as spla
+
+    try:
+        return _lanczos(m, _start(m.shape[0]), 0.0)
+    except spla.ArpackNoConvergence:
+        if m.shape[0] > FULL_SPECTRUM_LIMIT:
+            raise
+        return np.linalg.eigh(m.toarray())
+
+
+def _ground_window(m, w, v):
+    """(levels of a sparse block's ground window, their eigenvectors as columns), from `_lowest_pair`'s w, v.
 
     A Krylov space holds one vector of each distinct eigenvalue, so Lanczos
     returns one copy of a degenerate level.  The complement of the found
     vectors is searched for a level in the window of the lowest found, by
-    Lanczos on m shifted up on their span from a fixed random start: loosely
+    Lanczos on m shifted up on their span from `_start`: loosely
     (tolerance COMPLEMENT_TOL), and exactly only when its lowest level comes
     within that tolerance of the window.  Such a level joins those found, and
     the search repeats.  The merge over blocks drops levels above the window
-    (left by a lower level found later, or by the dense fallback).
+    (left by a lower level found later, or by the dense fallback); a block
+    whose lowest level lies above the window over all blocks would add none,
+    so `_SparseGround` skips its search.
     """
     import scipy.sparse.linalg as spla
 
     dim = m.shape[0]
     try:
-        w, v = _lanczos(m, np.full(dim, 1.0 / np.sqrt(dim)), 0.0)
-        start = np.random.default_rng(0).standard_normal(dim)
+        start = _start(dim)
         while len(w) < dim:
             scale = max(abs(w.min()), 1.0)
             top = w.min() + DEGENERACY_TOL * scale
@@ -257,6 +285,12 @@ def _ground_window(m):
             raise
         w, v = np.linalg.eigh(m.toarray())
     return w, v
+
+
+def _map_lanczos(fn, items, dim):
+    """[fn(x) for x in items] over Lanczos blocks of up to dim states, on threads from LANCZOS_THREAD_DIM states."""
+    chunks = stack_map(lambda c: [fn(x) for x in items[c]], len(items), dim, thread_dim=LANCZOS_THREAD_DIM)
+    return list(chain.from_iterable(chunks))
 
 
 def _lanczos(op, v0, tol):
@@ -378,9 +412,12 @@ class _SparseGround:
     antiunitary fixes is taken to a real basis (`_real_form`).  Blocks up
     to DENSE_LIMIT are diagonalized densely, all blocks of one size and
     dtype in one stacked eigh (chunked and threaded by `core.stack_map`),
-    and larger ones by seeded Lanczos, on threads from LANCZOS_THREAD_DIM
-    states; the ground window over all blocks is merged and mapped back to
-    the computational basis.
+    and larger ones by seeded Lanczos in two passes, each on threads from
+    LANCZOS_THREAD_DIM states: the lowest eigenpair of every block
+    (`_lowest_pair`), then the complement search (`_ground_window`) only in
+    the blocks whose lowest level lies in the window of the lowest level
+    over all blocks, dense ones included.  The ground window over all
+    blocks is merged and mapped back to the computational basis.
     """
 
     def __init__(self, h, v):
@@ -427,13 +464,21 @@ class _SparseGround:
         for nums, idx, hs, vs in self.dense:
             parts = stack_map(lambda c: np.linalg.eigh(hs[c] + lam * vs[c]), len(hs), hs.shape[1])
             solved.append((nums, idx, *(np.concatenate(p) for p in zip(*parts))))
-        windows = stack_map(
-            lambda c: [_ground_window(hb + lam * vb) for _, _, hb, vb in self.sparse[c]],
-            len(self.sparse),
-            max((len(b) for _, b, _, _ in self.sparse), default=1),
-            thread_dim=LANCZOS_THREAD_DIM,
-        )
-        for (k, b, _, _), (w, u) in zip(self.sparse, chain.from_iterable(windows)):
+
+        def first(block):
+            _, _, hb, vb = block
+            m = hb + lam * vb
+            return m, *_lowest_pair(m)
+
+        # a Lanczos block whose lowest level lies above the window of the lowest level over all blocks
+        # adds nothing to the merge, so only the blocks that reach the window search their complement
+        dim = max((len(b) for _, b, _, _ in self.sparse), default=1)
+        firsts = _map_lanczos(first, self.sparse, dim)
+        lowest = min([w.min() for _, _, w, _ in solved] + [w[0] for _, w, _ in firsts])
+        top = lowest + DEGENERACY_TOL * max(abs(lowest), 1.0)
+        windows = iter(_map_lanczos(lambda f: _ground_window(*f), [f for f in firsts if f[1][0] < top], dim))
+        for (k, b, _, _), (_, w, u) in zip(self.sparse, firsts):
+            w, u = next(windows) if w[0] < top else (w, u)
             solved.append(([k], b[None], w[None], u[None]))
         vals = np.concatenate([w.ravel() for _, _, w, _ in solved])
         blks = np.concatenate([np.repeat(nums, w.shape[1]) for nums, _, w, _ in solved])

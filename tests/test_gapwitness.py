@@ -15,6 +15,7 @@ from qgeom.gapwitness import (
     PlateauError,
     SpinChainSpec,
     _ground_window,
+    _lowest_pair,
     _SparseGround,
     build_chain,
     gap_upper_bound,
@@ -300,13 +301,15 @@ def test_lowest_pair_lanczos_never_densifies():
     dim = m.shape[0]
     tracemalloc.start()
     try:
-        w, g = _ground_window(m)
+        w, g = _ground_window(m, *_lowest_pair(m))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # a dense copy alone would be 4 GiB
-    # the ground level is simple, so the complement search adds nothing to the first Lanczos run
-    ref_w, ref_g = spla.eigsh(m, k=1, which="SA", v0=np.full(dim, 1.0 / np.sqrt(dim)), maxiter=5000)
+    # the ground level is simple, so the complement search adds nothing to the first Lanczos run,
+    # which starts from the seeded random vector
+    start = np.random.default_rng(0).standard_normal(dim)
+    ref_w, ref_g = spla.eigsh(m, k=1, which="SA", v0=start, maxiter=5000)
     assert np.array_equal(w, ref_w)
     assert np.array_equal(g, ref_g)
 
@@ -416,15 +419,69 @@ _PAIR7 = (
 )
 
 
+# a transverse-field Ising chain on sites 1..6, 1.55 X0 + 1.45 X0 Z7 and lambda Z7: two blocks of 128
+# (Z7 = +-1) with X0 coefficients 3.0 and 0.1.  At lambda = 1.5 the second block's ground level,
+# odd under the X0 flip and so orthogonal to a uniform start, lies 0.1 below the first block's,
+# and its lowest X0-even level 0.1 above it
+_FLIP8 = (
+    SpinChainSpec(
+        8,
+        tuple(((s, s + 1), ("z", "z"), -1.0) for s in range(1, 6))
+        + tuple(((s,), ("x",), -0.75) for s in range(1, 7))
+        + (((0,), ("x",), 1.55), ((0, 7), ("x", "z"), 1.45)),
+    ),
+    SpinChainSpec(8, (((7,), ("z",), 1.0),)),
+)
+
+
 def test_lanczos_blocks_match_dense_eigh(monkeypatch):
-    # every block above the limit but the 1s and 6s of _XX6; at lambda* = sqrt(2)/4 of
-    # test_departed_state_at_four_fold_crossing, _XX6's ground level is four-fold, two copies in its block of 20
-    for specs, lam, limit in [(_XY8, 0.0, 16), (_XY8, 0.2, 16), (_PAIR7, 0.0, 12), (_XX6, np.sqrt(2) / 4, 12)]:
+    # the window equals dense eigvalsh's, and only blocks whose lowest level reaches it search their
+    # complement.  _XY8 and _FLIP8: two blocks; XY at gamma = 0: magnetization blocks of 28, 56, 70, 56
+    # and 28 by Lanczos; _PAIR7: a degenerate pair in one block; at lambda* = sqrt(2)/4 of
+    # test_departed_state_at_four_fold_crossing, _XX6's ground level is four-fold, two copies in its
+    # block of 20; XY at gamma = 1, lambda = 0 (last): the parity blocks tie, and both search
+    xx8 = (SpinChainSpec(8, gapwitness._xy_terms(8, 0.0, False)), _XY8[1])
+    ising8 = (SpinChainSpec(8, gapwitness._xy_terms(8, 1.0, False)), _XY8[1])
+    cases = [
+        (_XY8, 0.0, 16),
+        (_XY8, 0.2, 16),
+        (xx8, 0.2, 12),
+        (_PAIR7, 0.0, 12),
+        (_XX6, np.sqrt(2) / 4, 12),
+        (_FLIP8, 1.5, 12),
+        (ising8, 0.0, 12),
+    ]
+    firsts, searched = [], []
+
+    def first(m):
+        w, u = _lowest_pair(m)
+        firsts.append((m, w[0]))
+        return w, u
+
+    def window(m, w, u):
+        searched.append(m)
+        return _ground_window(m, w, u)
+
+    monkeypatch.setattr(gapwitness, "_lowest_pair", first)
+    monkeypatch.setattr(gapwitness, "_ground_window", window)
+    for specs, lam, limit in cases:
         monkeypatch.setattr(gapwitness, "DENSE_LIMIT", limit)
         h, v = (build_chain(spec) for spec in specs)
         solver = _SparseGround(h, v)
         assert solver.method == "lanczos"
+        firsts.clear()
+        searched.clear()
         _assert_levels_match_dense(solver, h, v, lam)
+        assert len(firsts) == len(solver.sparse)
+        e0 = np.linalg.eigvalsh((h + lam * v).toarray())[0]
+        reach = [m for m, w0 in firsts if w0 < e0 + gapwitness.DEGENERACY_TOL * max(abs(e0), 1.0)]
+        assert len(searched) == len(reach) and all(a is b for a, b in zip(searched, reach))
+    # the tie: one level per parity block, in block order
+    owner = np.zeros(h.shape[0], dtype=int)
+    for k, b in enumerate(solver.blocks):
+        owner[b] = k
+    assert len(searched) == 2
+    assert [set(owner[np.flatnonzero(g)].tolist()) for g in solver._levels(0.0)[1].T] == [{0}, {1}]
 
 
 @pytest.mark.parametrize("limit", [192, gapwitness.DENSE_LIMIT, 4])
@@ -533,18 +590,25 @@ def test_threaded_ground_windows_are_bit_identical_to_serial(monkeypatch, worker
 
 
 def test_bisection_end_reuses_the_last_solve(monkeypatch):
-    calls = []
+    calls = {"_lowest_pair": 0, "_ground_window": 0}
 
-    def counting(m):
-        calls.append(m.shape)
-        return _ground_window(m)
+    def counting(name):
+        step = getattr(gapwitness, name)
 
-    monkeypatch.setattr(gapwitness, "_ground_window", counting)
+        def call(*args):
+            calls[name] += 1
+            return step(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(gapwitness, name, counting(name))
     curve = ground_curve(xy_hamiltonian(12, 0.5), gap_witness_v(12), np.linspace(0.0, 0.5, 6))
     rep = gap_upper_bound(curve, refine_iters=3)
     # two parity blocks per solve: six grid points and three bisection steps; the last step moved
-    # lambda*, so the limit there is the bisection's own solve
-    assert len(calls) == 2 * (6 + 3)
+    # lambda*, so the limit there is the bisection's own solve.  The other block's ground level lies
+    # 1e-5 to 5e-2 above the window at every lambda, so only one block per solve searches its complement
+    assert calls == {"_lowest_pair": 2 * (6 + 3), "_ground_window": 6 + 3}
     assert rep.solves == 6 + 3 + 1
 
 

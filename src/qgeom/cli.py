@@ -493,6 +493,7 @@ def cmd_su2(args):
             "used": verdict.used,
             "skipped": verdict.skipped,
             "min_eig": verdict.min_eig,
+            "min_eig_bound": verdict.min_eig_bound,
         }
         if verdict.certificate is not None:
             payload["certificate"] = verdict.certificate

@@ -225,9 +225,9 @@ def gap_witness_majorana(n_sites, taper=False):
     return majorana_form(n_sites, _witness_terms(n_sites, taper))
 
 
-def _start(dim):
-    """The seeded random start of every Lanczos run on a block of dim states."""
-    return np.random.default_rng(0).standard_normal(dim)
+def _start(dim, seed=0):
+    """A seeded random start for a Lanczos run on a block of dim states."""
+    return np.random.default_rng(seed).standard_normal(dim)
 
 
 def _lowest_pair(m):
@@ -254,7 +254,7 @@ def _ground_window(m, w, v):
     A Krylov space holds one vector of each distinct eigenvalue, so Lanczos
     returns one copy of a degenerate level.  The complement of the found
     vectors is searched for a level in the window of the lowest found, by
-    Lanczos on m shifted up on their span from `_start`: loosely
+    Lanczos on m shifted up on their span from `_start(dim, 1)`: loosely
     (tolerance COMPLEMENT_TOL), and exactly only when its lowest level comes
     within that tolerance of the window.  Such a level joins those found, and
     the search repeats.  The merge over blocks drops levels above the window
@@ -266,7 +266,9 @@ def _ground_window(m, w, v):
 
     dim = m.shape[0]
     try:
-        start = _start(dim)
+        # not the first solve's start: Lanczos from s returns the ground vector along P s, so
+        # s minus its projection on that vector has no component in the ground level
+        start = _start(dim, 1)
         while len(w) < dim:
             scale = max(abs(w.min()), 1.0)
             top = w.min() + DEGENERACY_TOL * scale

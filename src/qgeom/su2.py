@@ -1,9 +1,9 @@
 """SU(2) spin-state composition, characteristic functions, J_Z-eigenstate
 covariant interconversion, the sampled positive-definiteness test, and the
-j = 1 covariant-channel simplex.  Characteristic functions are evaluated
-for many group elements at once in closed form: each element's spin-1/2
-matrix gives its Euler angles, and each spin block is then two matrix
-products with the eigenvectors of J_Y and one weighted sum.
+j = 1 covariant-channel simplex.  A state is rotated by many group elements
+at once in closed form: each element's spin-1/2 matrix gives its Euler
+angles, and each spin block is then two matrix products with the
+eigenvectors of J_Y.  Characteristic values are overlaps of rotated kets.
 
 Clebsch-Gordan coefficients follow the Condon-Shortley convention and are
 evaluated through the Racah sum in exact rational arithmetic (their squares
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import as_half_integer, choi_matrix_of_map, partial_trace, spin_operators, stack_chunks
+from .core import as_half_integer, choi_matrix_of_map, partial_trace, spin_operators
 
 _CG_CACHE = {}
 
@@ -194,8 +194,8 @@ def _block_data(s: SpinKet):
     return out
 
 
-def _chi(blocks, u):
-    """<s| D(u) |s> for stacked spin-1/2 matrices u; `blocks` from _block_data.
+def _rotated(blocks, u):
+    """Rows D(u_i) s, (j, tag) blocks side by side, for stacked spin-1/2 u; `blocks` from _block_data.
 
     With a = u_00, b = u_01: u = e^{i alpha J_Z} e^{i beta J_Y} e^{i gamma J_Z},
     sign included, for beta = 2 atan2(|b|, |a|), alpha = arg a + arg b and
@@ -206,12 +206,11 @@ def _chi(blocks, u):
     beta = 2 * np.arctan2(np.abs(b), np.abs(a))
     alpha = np.angle(a) + np.angle(b)
     gamma = np.angle(a) - np.angle(b)
-    total = np.zeros(len(u), dtype=complex)
+    parts = []
     for ms, vec, mu, w in blocks:
-        left = (vec.conj() * np.exp(1j * np.outer(alpha, ms))) @ w
-        right = (vec * np.exp(1j * np.outer(gamma, ms))) @ w.conj()
-        total += (left * np.exp(1j * np.outer(beta, mu)) * right).sum(axis=1)
-    return total
+        x = ((vec * np.exp(1j * np.outer(gamma, ms))) @ w.conj()) * np.exp(1j * np.outer(beta, mu))
+        parts.append(np.exp(1j * np.outer(alpha, ms)) * (x @ w.T))
+    return np.concatenate(parts, axis=1)
 
 
 def characteristic_values(s: SpinKet, vs):
@@ -223,7 +222,8 @@ def characteristic_values(s: SpinKet, vs):
     t = np.linalg.norm(vs, axis=1)
     # sin(t/2) / t = sinc(t / 2 pi) / 2, finite at t = 0
     q = np.column_stack([np.cos(t / 2), 0.5 * np.sinc(t / (2 * np.pi))[:, None] * vs])
-    return _chi(_block_data(s), _spin_half(q))
+    blocks = _block_data(s)
+    return _rotated(blocks, _spin_half(q)) @ np.concatenate([vec.conj() for _, vec, *_ in blocks])
 
 
 def characteristic_function(s: SpinKet, g: GroupElement):
@@ -297,44 +297,42 @@ class MarvianVerdict:
     used: int
     skipped: int
     min_eig: float
+    min_eig_bound: float
 
 
 def marvian_necessary_test(psi: SpinKet, phi: SpinKet, samples=200, seed=0, zero_tol=1e-8):
     """Sampled positive-definiteness of f = chi_psi / chi_phi over SU(2).
 
-    Builds M_ik = f(u_k^dag u_i), the element of q_i q_k^-1, on Haar samples:
-    pairs i < k in chunks, M_ki = conj M_ik as chi(g^-1) = conj chi(g), and
-    M_ii = f(e) = 1.  Greedily drops indices whose pairs meet |chi_phi| below
-    `zero_tol` (reported as coverage loss), and declares "impossible" with
-    the eigenvector certificate when M has a significantly negative
-    eigenvalue.  Necessary only: a consistent verdict never claims the
-    conversion is possible.
+    Builds M_ik = f(u_k^dag u_i), the element of q_i q_k^-1, on Haar samples,
+    as a quotient of the rotated kets' Gram matrices: D is a representation,
+    so chi_s(u_k^dag u_i) = <D(u_k) s|D(u_i) s>.  Greedily drops indices whose
+    pairs meet |chi_phi| below `zero_tol` (reported as coverage loss), and
+    declares "impossible" with the eigenvector certificate when M has a
+    significantly negative eigenvalue.  Necessary only: a consistent verdict
+    never claims the conversion is possible.  `min_eig_bound` is its rounding,
+    n eps (2 dim / min |chi_phi|^2 + ||M||): by Weyl, n times the error of a
+    quotient of Gram entries that err by about dim eps, plus eigh's own.
     """
     if samples < 2:
         raise ValueError(f"the Marvian test needs at least 2 samples, got {samples}")
     u = _spin_half(haar_quaternions(samples, seed=seed))
-    num, den = _block_data(psi), _block_data(phi)
-    m = np.eye(samples, dtype=complex)  # f(e) = 1 for unit kets
-    bad = np.zeros((samples, samples), dtype=bool)
-    rows, cols = np.triu_indices(samples, 1)
-    dim = max(len(ms) for ms, *_ in num + den)
-    for chunk in stack_chunks(len(rows), dim):
-        i, k = rows[chunk], cols[chunk]
-        g = np.einsum("pba,pbc->pac", u[k].conj(), u[i])
-        d = _chi(den, g)
-        ok = np.abs(d) >= zero_tol
-        f = np.divide(_chi(num, g), d, out=np.zeros_like(d), where=ok)
-        m[i, k], m[k, i] = f, f.conj()
-        bad[i, k] = bad[k, i] = ~ok
+    s_psi, s_phi = (_rotated(_block_data(s), u) for s in (psi, phi))
+    den = s_phi @ s_phi.conj().T  # den[i, k] = chi_phi(u_k^dag u_i)
+    size = np.abs(den)
+    bad = (size < zero_tol) | (size.T < zero_tol)  # den is Hermitian only up to rounding
     keep = np.arange(samples)
     while bad[np.ix_(keep, keep)].any():
         keep = np.delete(keep, np.argmax(bad[np.ix_(keep, keep)].sum(axis=0)))
     used, skipped = len(keep), samples - len(keep)
     if used < 2:
-        return MarvianVerdict(True, None, used, skipped, 0.0)
+        return MarvianVerdict(True, None, used, skipped, 0.0, 0.0)
+    m = np.divide(s_psi @ s_psi.conj().T, den, out=den, where=~bad)  # in place: two n x n complex arrays
+    np.fill_diagonal(m, 1.0)  # f(e) = 1 for unit kets
     w, v = np.linalg.eigh(m[np.ix_(keep, keep)])
+    dim = max(s_psi.shape[1], s_phi.shape[1])
+    bound = used * np.finfo(float).eps * (2 * dim / size[np.ix_(keep, keep)].min() ** 2 + np.abs(w).max())
     impossible = w[0] < -1e-6 * max(w[-1], 1e-30)
-    return MarvianVerdict(not impossible, v[:, 0] if impossible else None, used, skipped, float(w[0]))
+    return MarvianVerdict(not impossible, v[:, 0] if impossible else None, used, skipped, float(w[0]), float(bound))
 
 
 # ---------------------------------------------------------------------------

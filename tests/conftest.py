@@ -7,6 +7,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+# --hypothesis-profile=ci: the default settings, but a failing property also prints its
+# @reproduce_failure blob, so a failure drawn from a random seed can be replayed
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

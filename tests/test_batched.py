@@ -36,7 +36,15 @@ from qgeom.numrange import (
     support_batch,
     unit,
 )
-from qgeom.su2 import SpinKet, characteristic_values, haar_quaternions, marvian_necessary_test
+from qgeom.su2 import (
+    SpinKet,
+    _block_data,
+    _rotated,
+    _spin_half,
+    characteristic_values,
+    haar_quaternions,
+    marvian_necessary_test,
+)
 from qgeom.uncertainty import min_sum_variances
 from conftest import expectation
 from test_uncertainty import paraboloid_certificate
@@ -390,10 +398,10 @@ _SPINS = [F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 2)]
 
 
 @st.composite
-def _spin_kets(draw):
+def _spin_kets(draw, spins=_SPINS):
     terms = []
     for _ in range(draw(st.integers(1, 4))):
-        j = draw(st.sampled_from(_SPINS))
+        j = draw(st.sampled_from(spins))
         m = j - draw(st.integers(0, int(2 * j)))
         tag = draw(st.sampled_from(["", "a"]))
         amp = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
@@ -511,6 +519,8 @@ def _marvian_loop(psi, phi, samples, seed, zero_tol=1e-8):
 
 @settings(max_examples=30, deadline=None)
 @given(_spin_kets(), _spin_kets(), st.integers(2, 40), st.integers(0, 10**6), st.sampled_from([1e-8, 0.3]))
+# j = 0 alone: M is all ones, and min_eig is eigh's rounding of a zero eigenvalue
+@example(SpinKet.from_terms([(0, 0, 1 + 1j)], normalize=True), SpinKet.from_terms([(0, 0, 8 + 1j)], normalize=True), 2, 0, 1e-8)
 def test_marvian_test_matches_quaternion_expm_loop(psi, phi, samples, seed, zero_tol):
     # zero_tol = 0.3 drops many samples, so the greedy coverage loss is compared too
     verdict = marvian_necessary_test(psi, phi, samples=samples, seed=seed, zero_tol=zero_tol)
@@ -518,4 +528,21 @@ def test_marvian_test_matches_quaternion_expm_loop(psi, phi, samples, seed, zero
     assert (verdict.consistent, verdict.used, verdict.skipped) == (consistent, used, skipped)
     # 1e-10, unless small chi_phi amplify the rounding of the entries
     assert abs(verdict.min_eig - min_eig) <= max(1e-10, 1e-13 * scale)
+    assert abs(verdict.min_eig - min_eig) <= verdict.min_eig_bound
     assert (verdict.certificate is None) == consistent
+
+
+@settings(max_examples=30, deadline=None)
+@given(_spin_kets(spins=[F(k, 2) for k in range(21)]), st.integers(2, 30), st.integers(0, 10**6))
+def test_gram_of_rotated_kets_is_chi_of_pair_products(s, n, seed):
+    # D is a representation: <D(u_k) s|D(u_i) s> = chi_s(u_k^dag u_i), for every ordered pair
+    u = _spin_half(haar_quaternions(n, seed=seed))
+    kets = _rotated(_block_data(s), u)
+    gram = kets.conj() @ kets.T
+    g = np.einsum("kba,ibc->kiac", u.conj(), u).reshape(-1, 2, 2)
+    # u = w + i (x, y, z).sigma, and the rotation vector has angle 2 atan2(|xyz|, w) along xyz
+    xyz = np.column_stack([g[:, 0, 1].imag, g[:, 0, 1].real, g[:, 0, 0].imag])
+    norm = np.linalg.norm(xyz, axis=1)
+    t = 2 * np.arctan2(norm, g[:, 0, 0].real)
+    vs = xyz * np.divide(t, norm, out=np.full_like(t, 2.0), where=norm > 0)[:, None]
+    assert np.abs(gram - characteristic_values(s, vs).reshape(n, n)).max() <= 1e-12

@@ -314,6 +314,21 @@ def test_lowest_pair_lanczos_never_densifies():
     assert np.array_equal(g, ref_g)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_ground_window_finds_both_copies_of_a_doubled_level(seed):
+    # M = Q (A + A) Q^T: every level of M, the ground level included, is exactly two-fold
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((150, 150))
+    q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    m = q @ np.kron(np.eye(2), a + a.T) @ q.T
+    m = (m + m.T) / 2
+    w, v = _ground_window(sp.csr_matrix(m), *_lowest_pair(sp.csr_matrix(m)))
+    ref = np.linalg.eigvalsh(m)
+    assert len(w) == 2
+    assert np.abs(w - ref[:2]).max() <= 1e-10 * abs(ref).max()
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-9
+
+
 def _field(n, label, coeffs):
     return build_chain(SpinChainSpec(n, tuple(((s,), (label,), c) for s, c in enumerate(coeffs))))
 
@@ -497,11 +512,21 @@ def test_limit_takes_the_whole_ground_level(monkeypatch, limit):
     assert solver.expect(v, solver.limit(0.0)) == pytest.approx(-3.0, abs=1e-12)
 
 
+# 3/16 (XX + YY) on every bond and its mirror image, V = (X0 + X6)/4: at lambda = 0 one block of
+# 128 whose ground level is exactly two-fold, missed when the complement search started from the
+# first solve's start vector
+_DOUBLE7 = (
+    SpinChainSpec(7, _mirrored(7, tuple(((s, s + 1), (l, l), 3 / 16) for s in range(6) for l in "xy"))),
+    SpinChainSpec(7, _mirrored(7, (((0,), ("x",), 0.25),))),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_rk_symmetric_pairs(), st.sampled_from([0.0, 0.5, -1.25, 2.0]))
 @example(_XX6, 0.3)  # blocks of 1, 6, 15, 20, 15, 6, 1: dense and Lanczos, all taken by R K
 @example(_XY6, 0.3)
 @example(_PAIR7, 0.0)
+@example(_DOUBLE7, 0.0)
 def test_mirror_symmetric_chains_are_solved_real(specs, lam):
     h, v = (build_chain(spec) for spec in specs)
     with pytest.MonkeyPatch.context() as mp:

@@ -17,7 +17,7 @@ from qgeom.su2 import (
     zeta_channel_simplex,
     zeta_map,
     _block_data,
-    _chi,
+    _rotated,
     _spin_half,
 )
 
@@ -205,23 +205,22 @@ def test_jz_convert_rejects_non_eigenstate():
 
 
 def test_pair_products_compose_like_expm():
-    # D(u_k^dag u_i) = D(u_k)^dag D(u_i): chi of the batched pair products against
-    # the product of two expm's of the samples' rotation vectors, 4 pi sign included
+    # D(u_k^dag u_i) = D(u_k)^dag D(u_i): the Gram matrix of the rotated kets against the product
+    # of two expm's of the samples' rotation vectors, 4 pi sign included
     s = SpinKet.from_terms([(H, -H, 0.5), (1, 0, 0.5j), (F(3, 2), H, "a", 0.5), (F(5, 2), F(-3, 2), -0.5)])
     q = haar_quaternions(12, seed=5)
     norm = np.linalg.norm(q[:, 1:], axis=1, keepdims=True)
     vs = 2 * np.arctan2(norm, q[:, :1]) * q[:, 1:] / norm
-    u = _spin_half(q)
-    i, k = np.triu_indices(12, 1)
-    chi = _chi(_block_data(s), u[k].conj().transpose(0, 2, 1) @ u[i])
-    for c, a, b in zip(chi, i, k):
+    kets = _rotated(_block_data(s), _spin_half(q))
+    gram = kets.conj() @ kets.T
+    for k, i in np.ndindex(gram.shape):
         expect = 0j
         for (j, _tag), block in s.blocks().items():
             vec = np.array([block.get(j - n, 0) for n in range(int(2 * j) + 1)], dtype=complex)
             jx, jy, jz = core.spin_operators(j)
-            ua, ub = (expm(1j * (v[0] * jx + v[1] * jy + v[2] * jz)) for v in (vs[a], vs[b]))
-            expect += vec.conj() @ ub.conj().T @ ua @ vec
-        assert abs(c - expect) <= 1e-12
+            ui, uk = (expm(1j * (v[0] * jx + v[1] * jy + v[2] * jz)) for v in (vs[i], vs[k]))
+            expect += vec.conj() @ uk.conj().T @ ui @ vec
+        assert abs(gram[k, i] - expect) <= 1e-12
 
 
 def test_marvian_rejects_vacuous_sample_counts():
@@ -251,6 +250,7 @@ def test_marvian_detects_impossible():
     verdict = marvian_necessary_test(psi, phi, samples=200, seed=3)
     assert not verdict.consistent
     assert verdict.certificate is not None
+    assert abs(verdict.min_eig) > verdict.min_eig_bound > 0
 
 
 def test_zeta_unital_and_trace_preserving(rng):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -262,6 +263,7 @@ def cmd_classify(args):
             for f in cls.faces
         ],
         "min_unpolished_gap": cls.min_unpolished_gap,
+        "meta": {"method": "sweep-polish", "candidates": cls.candidates, "polish_steps": cls.polish_steps},
         "_tolerances": {"flat_gap": numrange.FLAT_GAP, "merge": numrange.FACE_MERGE_TOL},
     }
     write_report(payload, args.out, args)
@@ -307,6 +309,10 @@ def cmd_uncertainty(args):
 
 
 def cmd_gap(args):
+    if args.steps < 2:
+        raise UsageError(f"--steps must be at least 2, got {args.steps}")
+    if not 0 < args.lambda_max < np.inf:
+        raise UsageError(f"--lambda-max must be finite and > 0, got {args.lambda_max}")
     h = gapwitness.xy_majorana(args.n, args.gamma, taper=args.taper)
     v = gapwitness.gap_witness_majorana(args.n, taper=args.taper)
     lams = np.linspace(0.0, args.lambda_max, args.steps)
@@ -513,7 +519,17 @@ def _spinket_payload(s: su2.SpinKet):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The qgeom argument parser, built on the first call and shared for the whole process.
+
+    `main` parses every argv with this one parser: `parse_args` fills a
+    fresh Namespace per call and leaves the parser as it was, so one call's
+    options never reach the next.  Callers must not mutate the parser.
+    Each `set_defaults(fn=cmd_*)` binds its handler, and `sep-max --dirs`
+    its default `entangle.SEP_BUDGET`, when the parser is first built;
+    `build_parser.__wrapped__()` builds a new one.
+    """
     p = argparse.ArgumentParser(prog="qgeom", description=__doc__)
     p.add_argument("--version", action="version", version=f"qgeom {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

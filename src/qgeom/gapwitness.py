@@ -623,6 +623,8 @@ def ground_curve(h, v, lam_grid):
     take exact diagonalization.
     """
     lams = np.asarray(lam_grid, dtype=float)
+    if not lams.size or not np.isfinite(lams).all():
+        raise ValueError("lambda grid must be non-empty and finite")
     if np.any(np.diff(lams) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
     solver = _FermionGround(h, v) if isinstance(h, MajoranaForm) else _SparseGround(h, v)

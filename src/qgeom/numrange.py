@@ -312,6 +312,9 @@ class JNRClassification:
     # smallest sweep gap of a rejected candidate; without one, of the
     # non-candidate directions (None when every direction was a candidate)
     min_unpolished_gap: float | None
+    # work counters, left out of ==: sweep directions polished, stacked Gauss-Newton steps
+    candidates: int = field(compare=False)
+    polish_steps: int = field(compare=False)
 
 
 def _common_eigenvector(ops):
@@ -342,7 +345,7 @@ def _top_pair(ops, n):
 
 
 def _polish_flat_directions(ops, starts):
-    """Flat-face candidates taken to a degeneracy: (unit normals, relative gaps, Bloch matrices).
+    """Flat-face candidates taken to a degeneracy: (unit normals, relative gaps, Bloch matrices, steps).
 
     Gauss-Newton on B(n) m = 0: up to O(|m - n|^2) the top two eigenvalues
     of m.X are those of its compression to the top-two eigenspace of n.X, so
@@ -351,12 +354,14 @@ def _polish_flat_directions(ops, starts):
     A row below FLAT_GAP stops at the first step that does not lower its
     gap, and keeps the point before it; a row stops after a step no longer
     than POLISH_STEP_TOL, and every row after POLISH_MAXITER steps.  Gaps
-    and B are those at the returned normals.
+    and B are those at the returned normals; steps counts the stacked steps.
     """
     n = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     gap, bloch = _top_pair(ops, n)
     live = np.arange(len(n))
-    for _ in range(POLISH_MAXITER):
+    steps = 0
+    while len(live) and steps < POLISH_MAXITER:
+        steps += 1
         m = np.linalg.svd(bloch[live])[2][:, -1]
         m *= np.where((m * n[live]).sum(axis=1) < 0, -1.0, 1.0)[:, None]
         g, b = _top_pair(ops, m)
@@ -365,9 +370,7 @@ def _polish_flat_directions(ops, starts):
         live = live[take]
         n[live], gap[live], bloch[live] = m[take], g[take], b[take]
         live = live[moving[take]]
-        if not len(live):
-            break
-    return n, gap, bloch
+    return n, gap, bloch, steps
 
 
 def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
@@ -396,7 +399,7 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
     swept = support_batch(ops, sphere_directions(3, sweep))
     gaps = swept.gaps
     order = np.argsort(gaps)[: np.count_nonzero(gaps <= CANDIDATE_GAP)]
-    normals, polished, bloch = _polish_flat_directions(ops, swept.directions[order])
+    normals, polished, bloch, steps = _polish_flat_directions(ops, swept.directions[order])
     rejected = polished >= FLAT_GAP
     faces = []
     for i in np.flatnonzero(~rejected):
@@ -411,7 +414,8 @@ def classify_qutrit_jnr(x1, x2, x3, sweep=2000):
     s = sum(1 for f in faces if f.shape == "segment")
     margin = gaps[order[rejected]] if rejected.any() else gaps[gaps > CANDIDATE_GAP]
     min_gap = float(margin.min()) if len(margin) else None
-    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=min_gap)
+    return JNRClassification(e=e, s=s, faces=faces, min_unpolished_gap=min_gap,
+                             candidates=len(order), polish_steps=steps)
 
 
 # ---------------------------------------------------------------------------

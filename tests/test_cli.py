@@ -6,6 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import ConvexHull
 
-from qgeom import __version__, core, entangle, gapwitness, numrange, su2, uncertainty, wigner
+from qgeom import __version__, cli, core, entangle, gapwitness, numrange, su2, uncertainty, wigner
 from qgeom.cli import _json_default, load_spinket, main, write_boundary_csv, write_obj_mesh, write_report
 
 
@@ -256,6 +259,37 @@ def test_gap_cli_coarse_grid_reports_failure(tmp_path):
          "--steps", 4, "--out", out]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "grid, option",
+    [
+        (["--steps", 0], "--steps"),
+        (["--steps", 1], "--steps"),
+        (["--lambda-max", "nan"], "--lambda-max"),
+        (["--lambda-max", "inf"], "--lambda-max"),
+        (["--lambda-max", 0], "--lambda-max"),
+        (["--lambda-max", -1], "--lambda-max"),
+    ],
+    ids=["steps-0", "steps-1", "lambda-nan", "lambda-inf", "lambda-0", "lambda-negative"],
+)
+def test_gap_cli_rejects_a_bad_grid_before_writing(tmp_path, capsys, grid, option):
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = ["gap", "--n", 6, *grid, "--out", work / "gap.json", "--csv-out", work / "curve.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} must be") and err.count("\n") == 1
+    assert not any(work.iterdir())
+
+
+@pytest.mark.parametrize("lams", [[], [0.0, np.nan], [0.0, np.inf]], ids=["empty", "nan", "inf"])
+def test_ground_curve_rejects_an_empty_or_non_finite_grid(lams):
+    h = gapwitness.xy_majorana(6, 0.5)
+    with pytest.raises(ValueError, match="non-empty and finite"):
+        gapwitness.ground_curve(h, gapwitness.gap_witness_majorana(6), lams)
 
 
 def test_gap_cli_memory_error_is_computational_failure(tmp_path, monkeypatch, capsys):
@@ -635,16 +669,29 @@ def test_distinguish_cli(tmp_path):
     assert doc["distinguishable"] is True
 
 
-def test_classify_cli(tmp_path):
+def test_classify_cli(tmp_path, monkeypatch):
     ops = tmp_path / "triple.json"
     e01 = np.zeros((3, 3)); e01[0, 1] = e01[1, 0] = -1.0
     e02 = np.zeros((3, 3)); e02[0, 2] = e02[2, 0] = -1.0
     e12 = np.zeros((3, 3)); e12[1, 2] = e12[2, 1] = -1.0
     write_ops(ops, [e01, e02, e12])
-    out = tmp_path / "cls.json"
-    assert run(["classify", "--ops", ops, "--dirs", 800, "--out", out]) == 0
-    doc = json.loads(out.read_text())
+    rows = []  # rows of each _top_pair call: the candidates, then the live rows of each polish step
+    top_pair = numrange._top_pair
+
+    def counting(ops, n):
+        rows.append(len(n))
+        return top_pair(ops, n)
+
+    monkeypatch.setattr(numrange, "_top_pair", counting)
+    outs = [tmp_path / "cls.json", tmp_path / "again.json"]
+    for out in outs:
+        rows.clear()
+        assert run(["classify", "--ops", ops, "--dirs", 800, "--out", out]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    doc = json.loads(outs[0].read_text())
     assert (doc["e"], doc["s"]) == (4, 0)
+    assert doc["meta"] == {"method": "sweep-polish", "candidates": rows[0], "polish_steps": len(rows) - 1}
+    assert rows[0] > 0 and len(rows) > 1
     # commuting triple: refusal report and exit 1
     write_ops(ops, [np.diag([1.0, 2, 3]), np.diag([0.0, 1, -1]), np.diag([2.0, 2, 5])])
     assert run(["classify", "--ops", ops, "--out", tmp_path / "r.json"]) == 1
@@ -665,6 +712,7 @@ def test_classify_cli_without_candidates_writes_strict_json(tmp_path):
     doc = json.loads(out.read_text(), parse_constant=reject)
     assert (doc["e"], doc["s"], doc["faces"]) == (0, 0, [])
     assert doc["min_unpolished_gap"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["meta"] == {"method": "sweep-polish", "candidates": 0, "polish_steps": 0}
 
 
 def test_classify_cli_every_direction_merged_writes_strict_json(tmp_path, monkeypatch):
@@ -686,6 +734,7 @@ def test_classify_cli_every_direction_merged_writes_strict_json(tmp_path, monkey
     doc = json.loads(out.read_text(), parse_constant=reject)
     assert (doc["e"], doc["s"]) == (4, 0)
     assert doc["min_unpolished_gap"] is None
+    assert doc["meta"]["candidates"] == 30
 
 
 def test_sep_max_cli_budget(tmp_path, capsys):
@@ -941,3 +990,105 @@ def test_an_error_in_a_threaded_chunk_exits_1(tmp_path, monkeypatch, capsys):
     write_ops(ops, [core.random_hermitian(32, rng) for _ in range(3)])
     assert run(["jnr", "--ops", ops, "--dirs", 500, "--out", tmp_path / "r.json"]) == 1
     assert "computation failed: the second chunk failed" in capsys.readouterr().err
+
+
+def _spin_file(path, terms):
+    path.write_text(json.dumps([{"j": j, "m": m, "amp": [a, 0.0]} for j, m, a in terms]))
+    return path
+
+
+def _shared_parser_sequence(tmp_path):
+    """argv lists that set options the next call of the same subcommand leaves at their defaults."""
+    ops3 = tmp_path / "ops3.json"
+    write_ops(ops3, [core.PAULI_X, core.PAULI_Y, core.PAULI_Z])
+    pair = tmp_path / "pair.json"
+    write_ops(pair, core.spin_operators(0.5)[:2])
+    s = 1 / np.sqrt(2)
+    a = _spin_file(tmp_path / "a.json", [("1/2", "1/2", 1.0)])
+    b = _spin_file(tmp_path / "b.json", [("0", "0", s), ("1", "1", s)])
+    return [
+        ["jnr", "--ops", ops3, "--dirs", 60, "--seed", 4, "--mesh", "@mesh.obj", "--out", "@jnr_mesh.json"],
+        ["jnr", "--dirs", 7, "--seed", 9],  # usage error: --ops is missing
+        ["jnr", "--ops", ops3, "--out", "@jnr.json"],
+        ["uncertainty", "--ops", pair, "--out", "@u_ops.json"],
+        ["--version"],
+        ["uncertainty", "--table-j", "1", "--out", "@u_table.json"],
+        ["su2", "marvian", "--a", a, "--b", b, "--samples", 20, "--seed", 3, "--out", "@marvian.json"],
+        ["su2", "combine", "--a", a, "--b", b, "--out", "@combine.json"],
+    ]
+
+
+def _run_sequence(sequence, outdir):
+    """Exit code (or SystemExit code) of each call, and the bytes of every file the calls wrote."""
+    outdir.mkdir()
+    codes = []
+    for argv in sequence:
+        argv = [str(outdir / a[1:]) if isinstance(a, str) and a.startswith("@") else str(a) for a in argv]
+        try:
+            codes.append(main(argv))
+        except SystemExit as e:
+            codes.append(("exit", e.code))
+    return codes, {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def test_the_shared_parser_gives_the_reports_of_a_fresh_one(tmp_path, monkeypatch, capsys):
+    sequence = _shared_parser_sequence(tmp_path)
+    shared = _run_sequence(sequence, tmp_path / "shared")
+    shared_out = capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+    fresh = _run_sequence(sequence, tmp_path / "fresh")
+    assert shared == fresh and shared_out == capsys.readouterr()
+    codes, files = shared
+    assert codes == [0, ("exit", 2), 0, 0, ("exit", 0), 0, 0, 0]
+    assert shared_out.out == f"qgeom {__version__}\n"
+    # the second jnr wrote its report and no mesh
+    assert sorted(files) == ["combine.json", "jnr.json", "jnr_mesh.json", "marvian.json", "mesh.obj",
+                             "u_ops.json", "u_table.json"]
+    marvian = json.loads(files["marvian.json"])
+    assert marvian["used"] + marvian["skipped"] == 20
+
+
+def test_no_option_value_carries_over_between_calls():
+    parser, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+    assert cli.build_parser() is parser
+    for argv in [
+        ["jnr", "--ops", "o.json", "--dirs", "7", "--mesh", "m.obj", "--seed", "4", "--out", "r.json"],
+        ["jnr", "--ops", "o.json"],
+        ["uncertainty", "--ops", "p.json"],
+        ["uncertainty", "--table-j", "1"],
+        ["su2", "marvian", "--a", "a.json", "--b", "b.json", "--samples", "20"],
+        ["su2", "combine", "--a", "a.json", "--b", "b.json"],
+    ]:
+        assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))
+    plain = parser.parse_args(["jnr", "--ops", "o.json"])
+    assert (plain.mesh, plain.dirs, plain.seed, plain.out) == (None, 1000, 0, None)
+    assert parser.parse_args(["uncertainty", "--table-j", "1"]).ops is None
+    assert parser.parse_args(["su2", "combine"]).samples == 200
+
+
+def test_two_subcommands_on_two_threads_write_their_serial_reports(tmp_path):
+    rng = np.random.default_rng(8)
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [core.random_hermitian(4, rng) for _ in range(3)])
+    s = 1 / np.sqrt(2)
+    a = _spin_file(tmp_path / "a.json", [("1/2", "1/2", 1.0)])
+    b = _spin_file(tmp_path / "b.json", [("0", "0", s), ("1", "1", s)])
+
+    def calls(tag):
+        return [["jnr", "--ops", ops, "--dirs", 400, "--seed", 2, "--out", tmp_path / f"jnr_{tag}.json"],
+                ["su2", "marvian", "--a", a, "--b", b, "--samples", 60, "--seed", 5,
+                 "--out", tmp_path / f"marvian_{tag}.json"]]
+
+    assert [run(argv) for argv in calls("serial")] == [0, 0]
+    cli.build_parser.cache_clear()  # both threads may also race to build the parser
+    start = threading.Barrier(2, timeout=60)
+
+    def at_once(argv):
+        start.wait()
+        return run(argv)
+
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(at_once, argv) for argv in calls("threaded")]
+        assert [f.result(timeout=120) for f in futures] == [0, 0]
+    for name in ("jnr", "marvian"):
+        assert (tmp_path / f"{name}_threaded.json").read_bytes() == (tmp_path / f"{name}_serial.json").read_bytes()

@@ -302,8 +302,9 @@ def test_classify_segment_triple():
 def test_flat_polish_keeps_an_exact_segment_normal():
     # at a segment's normal B has rank 1: its null space is a plane, and its last singular vector
     # may point off the face, so a row below FLAT_GAP takes a step only if it lowers the gap
-    normals, gaps, _ = _polish_flat_directions(_segment_triple(), np.eye(3)[2:])
+    normals, gaps, _, steps = _polish_flat_directions(_segment_triple(), np.eye(3)[2:])
     assert np.array_equal(normals, np.eye(3)[2:]) and gaps[0] == 0.0
+    assert steps == 1  # the one step that did not lower the zero gap
 
 
 def test_flat_polish_drops_rows_that_stopped_moving(monkeypatch):
@@ -326,6 +327,9 @@ def test_flat_polish_drops_rows_that_stopped_moving(monkeypatch):
     (cls, n_steps), (full, full_steps) = runs.values()
     assert cls == full and not cls.faces and cls.min_unpolished_gap is not None
     assert full_steps == numrange.POLISH_MAXITER and n_steps <= 12
+    # the counters are the steps counted here, and are left out of ==
+    assert (cls.polish_steps, full.polish_steps) == (n_steps, full_steps)
+    assert cls.candidates == full.candidates == steps[0] > 0
 
 
 def test_classify_random_constraints(rng):

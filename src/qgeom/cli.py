@@ -286,8 +286,7 @@ def cmd_distinguish(args):
 def cmd_uncertainty(args):
     if args.table_j is not None:
         j = Fraction(args.table_j)
-        jx, jy, _ = core.spin_operators(j)
-        x, y = jx, jy
+        x, y, _ = core.spin_operators(j)
     else:
         ops, _ = load_operator_list(args.ops)
         if len(ops) != 2:
@@ -309,6 +308,10 @@ def cmd_uncertainty(args):
 
 
 def cmd_gap(args):
+    if not 3 <= args.n <= gapwitness.MAX_XY_SITES:
+        raise UsageError(f"--n must be in 3..{gapwitness.MAX_XY_SITES}, got {args.n}")
+    if not np.isfinite(args.gamma):
+        raise UsageError(f"--gamma must be finite, got {args.gamma}")
     if args.steps < 2:
         raise UsageError(f"--steps must be at least 2, got {args.steps}")
     if not 0 < args.lambda_max < np.inf:
@@ -344,14 +347,11 @@ def cmd_sep_max(args):
     h = load_operator(args.op)
     dims = _parse_dims(args.dims)
     b = entangle.sep_max(h, dims, restarts=args.restarts, seed=args.seed, directions=args.dirs)
-    if b.upper is None:
-        tolerances = {"seesaw_stagnation": entangle.SEESAW_TOL}
-    else:
-        tolerances = {"bracket_gap": entangle.SEP_TOL}
+    tolerances = {"seesaw_stagnation": entangle.SEESAW_TOL} if b.upper is None else {"bracket_gap": entangle.SEP_TOL}
     payload = {
         "lower": b.lower,
         "upper": b.upper,
-        "witness": [f for f in b.witness.factors],
+        "witness": list(b.witness.factors),
         "meta": b.meta,
         "_tolerances": tolerances,
     }

@@ -9,8 +9,8 @@ i_1 * d_2*...*d_n + ... + i_n.
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,32 +89,17 @@ def cpu_workers():
     return len(os.sched_getaffinity(0))
 
 
-class _StackPool:
-    """The threads of `stack_map`, started on first use; a forked child starts without them."""
+@functools.cache
+def _pool(workers):
+    """The threads of `stack_map` for one worker count, started on first use; should two first calls
+    race, the cache keeps one pool and the other's threads exit once its chunks are done."""
+    from concurrent.futures import ThreadPoolExecutor  # deferred: serial stacks never load it
 
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.executor = None
-        self.workers = 0
-
-    def map(self, fn, chunks, workers):
-        from concurrent.futures import ThreadPoolExecutor, wait  # deferred: serial stacks never load it
-
-        with self.lock:
-            if self.workers != workers:
-                if self.executor is not None:
-                    self.executor.shutdown(wait=False)
-                self.executor = ThreadPoolExecutor(workers, thread_name_prefix="qgeom-stack")
-                self.workers = workers
-            pool = self.executor
-        futures = [pool.submit(fn, c) for c in chunks]
-        wait(futures)
-        return [f.result() for f in futures]
+    return ThreadPoolExecutor(workers, thread_name_prefix="qgeom-stack")
 
 
-_STACK_POOL = _StackPool()
-if hasattr(os, "register_at_fork"):  # POSIX
-    os.register_at_fork(after_in_child=_STACK_POOL.__init__)
+if hasattr(os, "register_at_fork"):  # POSIX: a forked child starts without the parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def stack_map(fn, count, dim, thread_dim=None):
@@ -123,17 +108,21 @@ def stack_map(fn, count, dim, thread_dim=None):
     The one place that decides how a stack is cut and where the chunks run.
     From dim = thread_dim (default THREAD_MIN_DIM) on, with w = cpu_workers()
     > 1, the stack is cut into at least w chunks of at most STACK_ENTRIES / w
-    entries, which run on one shared pool of w threads (LAPACK releases the
+    entries, which run on a shared pool of w threads (LAPACK releases the
     GIL); smaller stacks, and every stack when there is one worker, run
-    serially in chunks of STACK_ENTRIES.  fn must give each matrix the same result in any
-    chunk, so that results do not depend on the worker count.  Every chunk
-    finishes before the first exception, in chunk order, is raised.
+    serially in chunks of STACK_ENTRIES.  fn must give each matrix the same
+    result in any chunk, so that results do not depend on the worker count.
+    Every chunk finishes before the first exception, in chunk order, is raised.
     """
     workers = cpu_workers() if dim >= (THREAD_MIN_DIM if thread_dim is None else thread_dim) else 1
     chunks = stack_chunks(count, dim, workers)
     if workers == 1 or len(chunks) == 1:
         return [fn(c) for c in chunks]
-    return _STACK_POOL.map(fn, chunks, workers)
+    from concurrent.futures import wait
+
+    futures = [_pool(workers).submit(fn, c) for c in chunks]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def tensor(*ops):

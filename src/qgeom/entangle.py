@@ -9,15 +9,15 @@ two.  PPT maxima carry a certified two-sided bracket: ADMM over the state
 set and the PPT cone yields a PPT state below the maximum and a
 weak-duality certificate above it.  Both ranges form H_n = sum n_i X_i for
 all directions in one stacked sum; the PPT range runs the ADMM on all of
-them together, one stacked eigensolve per step, and a (2, d) separable
-range runs every direction's branch and bound in lockstep, one top-pair
-kernel call per round for the new sphere samples.
+them together, one stacked eigensolve per step; a separable range runs
+every direction's branch and bound ((2, d) splits) or see-saw starts (other
+splits) in lockstep, one stacked eigensolve per round or factor update.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 
 import numpy as np
@@ -45,10 +45,7 @@ class ProductAnsatz:
         object.__setattr__(self, "factors", fs)
 
     def vector(self):
-        v = self.factors[0]
-        for f in self.factors[1:]:
-            v = np.kron(v, f)
-        return v
+        return reduce(np.kron, self.factors)
 
     def expectation(self, h):
         v = self.vector()
@@ -68,33 +65,73 @@ class SepBounds:
 def _reduced_operator(ht, dims, factors, k):
     """<others| H |others>: the effective operators on factor k, one per row.
 
-    ht carries bra axes 0..n-1 and ket axes n..2n-1; factors[i] is a stack
-    (R, d_i) of row vectors, and every factor i != k is contracted as
-    conj(f_i) on bra axis i and f_i on ket axis i.  Returns (R, d_k, d_k).
+    ht carries bra axes 0..n-1 and ket axes n..2n-1, behind a row axis if each
+    row has its own H; factors[i] is a stack (R, d_i) of rows, and each i != k
+    is contracted as conj(f_i) on bra axis i and f_i on ket axis i: (R, d_k, d_k).
     """
     n = len(dims)
-    if n == 1:  # no other factor to contract: every row sees H itself
-        return np.broadcast_to(ht, (len(factors[0]),) + ht.shape)
+    if n == 1:  # no other factor to contract: every row sees its H itself
+        return np.broadcast_to(ht, (len(factors[0]),) + ht.shape[-2:])
     row = 2 * n
-    args = [ht, list(range(2 * n))]
+    args = [ht, ([row] if ht.ndim > row else []) + list(range(row))]
     for i, f in enumerate(factors):
         if i != k:
             args += [f.conj(), [row, i], f, [row, n + i]]
     return np.einsum(*args, [row, k, n + k])
 
 
-def _schmidt_start(h, dims):
-    """Product start from the top eigenvector psi of h by sequential SVDs:
-    factor i is the leading left singular vector of the remainder reshaped
-    to (d_i, -1), and the leading right singular vector is the next remainder."""
-    rest = np.linalg.eigh(h)[1][:, -1]
+def _schmidt_start(hs, dims):
+    """Product starts (n, d_i) from the top eigenvector of each row of hs by
+    sequential SVDs: factor i is the leading left singular vector of the
+    remainder reshaped to (d_i, -1), the leading right one the next remainder."""
+    rest = np.linalg.eigh(hs)[1][:, :, -1]
     factors = []
     for d in dims[:-1]:
-        u, _, vh = np.linalg.svd(rest.reshape(d, -1), full_matrices=False)
-        factors.append(u[:, 0])
-        rest = vh[0]
-    factors.append(rest)
-    return factors
+        u, _, vh = np.linalg.svd(rest.reshape(len(hs), d, -1), full_matrices=False)
+        factors.append(u[:, :, 0])
+        rest = vh[:, 0]
+    return factors + [rest]
+
+
+def _seesaw_stack(hs, dims, restarts, seed):
+    """seesaw_product_max on each row of a stack (n, D, D), all in lockstep:
+    every row takes the same seeded restarts and its own Schmidt start.  Rows
+    go in chunks whose starts hold at most core.STACK_ENTRIES entries of H
+    (one H gathered per start unless n = 1), and a chunk's factor update is one
+    contraction and one stacked eigensolve, so each row rounds as it would
+    alone.  Returns per row lower, its slowest start's sweeps, whether all its
+    starts stopped, and then the witness factors (n, d_i)."""
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    n, rows = len(hs), max(1, core.STACK_ENTRIES // ((restarts + 1) * hs.shape[1] ** 2))
+    if n > rows:
+        return tuple(np.concatenate(p) for p in zip(*(_seesaw_stack(hs[i:i + rows], dims, restarts, seed)
+                                                      for i in range(0, n, rows))))
+    rng = np.random.default_rng(seed)
+    seeded = [[random_pure(d, rng) for d in dims] for _ in range(restarts)]
+    # start j of row r sits at j * n + r, the Schmidt starts (j = restarts) last
+    factors = [np.concatenate([np.repeat([s[i] for s in seeded], n, axis=0), f])
+               for i, f in enumerate(_schmidt_start(hs, dims))]
+    hts, val = hs.reshape((n,) + dims + dims), np.full(n * (restarts + 1), -np.inf)
+    live, last = np.arange(len(val)), np.empty(len(val), dtype=int)  # last: the last sweep a start ran
+    for sweep in range(1, SEESAW_SWEEPS + 1):
+        ht, fs = hts[0] if n == 1 else hts[live % n], [f[live] for f in factors]  # one row: its one H, unstacked
+        for k in range(len(dims)):
+            red = _reduced_operator(ht, dims, fs, k)
+            w, v = np.linalg.eigh((red + red.conj().transpose(0, 2, 1)) / 2)
+            factors[k][live] = fs[k] = v[:, :, -1].copy()  # contiguous as if gathered: same rounding
+        done = w[:, -1] - val[live] < SEESAW_TOL
+        val[live], last[live] = w[:, -1], sweep
+        live = live[~done]
+        if not live.size:
+            break
+    # each row's best seeded restart, the first of equal values, unless its Schmidt start beats it by SEESAW_TOL
+    val = val.reshape(-1, n)
+    best = val[:restarts].argmax(axis=0)
+    best[val[restarts] - val[best, np.arange(n)] > SEESAW_TOL] = restarts
+    pick = best * n + np.arange(n)
+    return (val.ravel()[pick], last.reshape(-1, n).max(axis=0), np.bincount(live % n, minlength=n) == 0,
+            *(f[pick] for f in factors))
 
 
 def seesaw_product_max(h, dims, restarts=32, seed=0):
@@ -102,40 +139,18 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
 
     Monotone per sweep (each factor update is an exact maximization with
     the others fixed); the best value over seeded restarts is a certified
-    lower bound for the separable maximum.  All restarts advance together,
-    one stacked eigensolve per factor update; a restart retires once a
-    sweep gains less than SEESAW_TOL.  One more start, from the leading
-    Schmidt pairs of the top eigenvector, replaces the best seeded restart
-    only where it beats it by more than SEESAW_TOL.  meta adds the sweeps of
-    the slowest start and whether every start stopped before SEESAW_SWEEPS.
+    lower bound for the separable maximum.  All restarts advance in lockstep
+    and retire once a sweep gains less than SEESAW_TOL.  One more start, from
+    the leading Schmidt pairs of the top eigenvector, replaces the best seeded
+    restart only where it beats it by more than SEESAW_TOL.  meta adds the
+    sweeps of the slowest start and whether every start stopped before
+    SEESAW_SWEEPS.  This is the one-row case of `_seesaw_stack`.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    ht = h.reshape(dims + dims)
-    rng = np.random.default_rng(seed)
-    starts = [[random_pure(d, rng) for d in dims] for _ in range(restarts)] + [_schmidt_start(h, dims)]
-    factors = [np.array([s[i] for s in starts]) for i in range(len(dims))]
-    val = np.full(restarts + 1, -np.inf)
-    prev = val.copy()
-    live = np.arange(restarts + 1)
-    for sweeps in range(1, SEESAW_SWEEPS + 1):
-        for k in range(len(dims)):
-            red = _reduced_operator(ht, dims, [f[live] for f in factors], k)
-            w, v = np.linalg.eigh((red + red.conj().transpose(0, 2, 1)) / 2)
-            factors[k][live] = v[:, :, -1]
-            val[live] = w[:, -1]
-        done = val[live] - prev[live] < SEESAW_TOL
-        prev[live] = val[live]
-        live = live[~done]
-        if not live.size:
-            break
-    best = int(np.argmax(val[:restarts]))
-    if val[restarts] - val[best] > SEESAW_TOL:
-        best = restarts
-    return SepBounds(float(val[best]), None, ProductAnsatz(tuple(f[best].copy() for f in factors)),
-                     meta={"restarts": restarts, "seed": seed, "sweeps": sweeps, "converged": not live.size})
+    lower, sweeps, stopped, *factors = _seesaw_stack(h[None], dims, restarts, seed)
+    return SepBounds(float(lower[0]), None, ProductAnsatz(tuple(f[0] for f in factors)),
+                     meta={"restarts": restarts, "seed": seed, "sweeps": int(sweeps[0]), "converged": bool(stopped[0])})
 
 
 # ---------------------------------------------------------------------------
@@ -325,41 +340,36 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     time, and each outer offset is its certified `upper`, so the outer
     half-spaces are rigorous; meta adds the evaluations (sphere samples)
     summed over directions and whether every bracket closed to SEP_TOL.
-    Other splits take see-saw values per direction, flagged heuristic, and
-    meta adds their sweeps summed over directions and whether every see-saw
-    converged.  One factor is the joint numerical range itself.
+    Other splits run every direction's see-saw starts in lockstep and take
+    their lower values, flagged heuristic; meta adds their sweeps summed over
+    directions and whether every see-saw converged.  One factor is the joint
+    numerical range itself.
     """
     dims = check_dims(dims, len(ops[0]))
     if len(dims) == 1:
         body = jnr_approximate(ops, directions)
         body.meta["outer_rigorous"] = True
         return body
-    if len(dims) == 2 and dims[0] == 2:
-        def solve(hs, dims):
+    bloch = len(dims) == 2 and dims[0] == 2
+
+    def solve(hs, dims):
+        if bloch:
             # a row holds at most SEP_BUDGET samples and, as a midpoint serves at most two
             # splits, 2 SEP_BUDGET + 8 triangles while it runs
             rows = max(1, core.STACK_ENTRIES // SEP_BUDGET)
             parts = [_qubit_qudit_stack(hs[i:i + rows], SEP_BUDGET) for i in range(0, len(hs), rows)]
-            lower, upper, beta, alpha, evaluations = (np.concatenate(p) for p in zip(*parts))
-            vs = (alpha[:, :, None] * beta[:, None, :]).reshape(len(hs), -1)
-            return upper, vs[:, :, None] * vs[:, None, :].conj(), evaluations, upper - lower <= SEP_TOL
+            lower, offsets, beta, alpha, work = (np.concatenate(p) for p in zip(*parts))
+            factors, closed = (alpha, beta), offsets - lower <= SEP_TOL
+        else:
+            offsets, work, closed, *factors = _seesaw_stack(hs, dims, restarts, seed)
+        vs = reduce(lambda v, f: (v[:, :, None] * f[:, None, :]).reshape(len(hs), -1), factors)  # kron per row
+        return offsets, vs[:, :, None] * vs[:, None, :].conj(), work, closed
 
-        body, (evaluations, closed) = _range_body(ops, dims, directions, solve)
-        body.meta = {"outer_rigorous": True, "method": "bloch-branch-and-bound",
-                     "evaluations": int(evaluations.sum()), "converged": bool(closed.all())}
-        return body
-
-    def solve(hs, dims):
-        bounds = [seesaw_product_max(h, dims, restarts=restarts, seed=seed) for h in hs]
-        vs = np.array([b.witness.vector() for b in bounds])
-        sweeps, converged = (np.array([b.meta[key] for b in bounds]) for key in ("sweeps", "converged"))
-        return np.array([b.lower for b in bounds]), vs[:, :, None] * vs[:, None, :].conj(), sweeps, converged
-
-    body, (sweeps, converged) = _range_body(ops, dims, directions, solve)
-    # heuristic offsets may undercut other directions' witnesses: lift them to keep inner inside outer
-    body.outer_offsets = np.maximum(body.outer_offsets, (body.outer_normals @ body.inner_vertices.T).max(axis=1))
-    body.meta = {"outer_rigorous": False, "method": "seesaw", "sweeps": int(sweeps.sum()),
-                 "converged": bool(converged.all())}
+    body, (work, closed) = _range_body(ops, dims, directions, solve)
+    if not bloch:  # heuristic offsets may undercut other directions' witnesses: lift them to keep inner inside outer
+        body.outer_offsets = np.maximum(body.outer_offsets, (body.outer_normals @ body.inner_vertices.T).max(axis=1))
+    body.meta = {"outer_rigorous": bloch, "method": "bloch-branch-and-bound" if bloch else "seesaw",
+                 "evaluations" if bloch else "sweeps": int(work.sum()), "converged": bool(closed.all())}
     return body
 
 

@@ -233,7 +233,8 @@ def test_gap_cli_long_chain_is_deterministic(tmp_path):
     assert doc["meta"] == {"method": "fermion", "solves": 31 + 40 + 1}
     assert all(np.isfinite(doc[k]) for k in ("epsilon", "lambda_star", "true_gap", "plateau_drift"))
     assert isinstance(doc["consistent"], bool)
-    assert run(["gap", "--n", gapwitness.MAX_XY_SITES + 1, "--out", tmp_path / "c.json"]) == 1
+    # too long a chain is a usage error, as any --n outside 3..MAX_XY_SITES
+    assert run(["gap", "--n", gapwitness.MAX_XY_SITES + 1, "--out", tmp_path / "c.json"]) == 2
 
 
 def test_gap_cli_zero_modes_same_in_every_process(tmp_path):
@@ -270,8 +271,13 @@ def test_gap_cli_coarse_grid_reports_failure(tmp_path):
         (["--lambda-max", "inf"], "--lambda-max"),
         (["--lambda-max", 0], "--lambda-max"),
         (["--lambda-max", -1], "--lambda-max"),
+        (["--gamma", "nan"], "--gamma"),
+        (["--gamma", "inf"], "--gamma"),
+        (["--n", 2], "--n"),
+        (["--n", gapwitness.MAX_XY_SITES + 1], "--n"),
     ],
-    ids=["steps-0", "steps-1", "lambda-nan", "lambda-inf", "lambda-0", "lambda-negative"],
+    ids=["steps-0", "steps-1", "lambda-nan", "lambda-inf", "lambda-0", "lambda-negative", "gamma-nan", "gamma-inf",
+         "n-2", "n-301"],
 )
 def test_gap_cli_rejects_a_bad_grid_before_writing(tmp_path, capsys, grid, option):
     work = tmp_path / "work"
@@ -748,6 +754,16 @@ def test_sep_max_cli_budget(tmp_path, capsys):
     assert run(["sep-max", "--op", op, "--dims", "3,2", "--restarts", 0]) == 2
     err = capsys.readouterr().err
     assert "budget" in err and "restart" in err and "Traceback" not in err
+
+
+def test_sep_jnr_seesaw_needs_a_restart(tmp_path, capsys):
+    ops = tmp_path / "ops.json"
+    write_ops(ops, [core.random_hermitian(9, np.random.default_rng(k)) for k in range(3)])
+    out = tmp_path / "r.json"
+    assert run(["sep-jnr", "--ops", ops, "--dims", "3,3", "--restarts", 0, "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "need at least one restart" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["jnr", "sep-jnr", "ppt-jnr"])

@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +317,33 @@ def test_stack_map_threads_from_thread_min_dim_within_a_shared_budget(monkeypatc
     assert len(rows) >= parts
     assert all(len(r) * dim * dim <= core.STACK_ENTRIES // parts for r in rows)
     assert all(name.startswith("qgeom-stack") == threaded for _, name in seen)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_stack_map_finishes_every_chunk_then_raises_the_first_error(monkeypatch, workers):
+    monkeypatch.setattr(core, "cpu_workers", lambda: workers)
+    count, dim = 700, core.THREAD_MIN_DIM
+    index = {c.start: i for i, c in enumerate(core.stack_chunks(count, dim, workers))}
+    finished, threads = [], set()
+
+    def fn(c):
+        i = index[c.start]
+        threads.add(threading.current_thread())
+        try:
+            time.sleep(0.05 if i == 1 else 0.01)  # chunk 2 fails first, chunk 1 later
+            if i in (1, 2):
+                raise ValueError(f"chunk {i}")
+        finally:
+            finished.append(i)
+
+    with pytest.raises(ValueError, match="chunk 1"):
+        core.stack_map(fn, count, dim)
+    assert sorted(finished) == list(range(len(index)))
+    # another worker count in the same process runs on threads of its own
+    monkeypatch.setattr(core, "cpu_workers", lambda: 5 - workers)
+    others = set(core.stack_map(lambda c: threading.current_thread(), count, dim))
+    assert all(t.name.startswith("qgeom-stack") for t in threads | others)
+    assert not others & threads
 
 
 @pytest.mark.parametrize(

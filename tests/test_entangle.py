@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -127,7 +129,7 @@ def test_lockstep_seesaw_matches_per_restart_loop(seed, dims, restarts):
     h = core.random_hermitian(int(np.prod(dims)), rng)
     draws = np.random.default_rng(seed)
     starts = [[core.random_pure(d, draws) for d in dims] for _ in range(restarts)]
-    runs = _per_restart_seesaw(h, dims, starts + [entangle._schmidt_start(h, dims)])
+    runs = _per_restart_seesaw(h, dims, starts + [[f[0] for f in entangle._schmidt_start(h[None], dims)]])
     best = max(runs[:-1], key=lambda run: run[0])  # max keeps the first of equal values
     if runs[-1][0] - best[0] > entangle.SEESAW_TOL:
         best = runs[-1]
@@ -135,6 +137,30 @@ def test_lockstep_seesaw_matches_per_restart_loop(seed, dims, restarts):
     assert res.lower == pytest.approx(best[0], abs=1e-12)
     for got, want in zip(res.witness.factors, best[1]):
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([(4,), (2, 2), (3, 3), (2, 2, 2), (3, 4)]),
+    st.integers(1, 32),
+    st.integers(1, 5),
+    st.sampled_from([None, 1, 2]),
+)
+def test_seesaw_stack_rows_equal_one_row_calls(seed, dims, restarts, rows, chunk):
+    # every row of a stack rounds as seesaw_product_max does alone; a STACK_ENTRIES of `chunk` rows'
+    # gathered H per start cuts the stack into several chunks (None: one chunk)
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    hs = np.array([core.random_hermitian(d, rng) for _ in range(rows)])
+    with patch.object(core, "STACK_ENTRIES", chunk * (restarts + 1) * d * d if chunk else core.STACK_ENTRIES):
+        lower, sweeps, stopped, *factors = entangle._seesaw_stack(hs, dims, restarts, seed)
+    for i, h in enumerate(hs):
+        one = seesaw_product_max(h, dims, restarts=restarts, seed=seed)
+        assert lower[i] == one.lower
+        for got, want in zip(factors, one.witness.factors):
+            np.testing.assert_array_equal(got[i], want)
+        assert (sweeps[i], stopped[i]) == (one.meta["sweeps"], one.meta["converged"])
 
 
 @pytest.mark.parametrize("dims, seed", [((2, 2), 456), ((2, 3), 474), ((2, 3), 898)])

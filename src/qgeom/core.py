@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,10 +22,12 @@ TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 # matrix entries per stacked eigensolve, shared by the chunks that run at once; bounds their memory
 STACK_ENTRIES = 2**18
-# smallest matrix dimension whose stacks run on threads (x86-64, 2 CPUs, one BLAS thread): the d = 64
-# `jnr --dirs 300` of perfbench's `chains` workload takes 67 ms threaded against 106 ms serial, but
-# threading the d = 16 sweeps of its `sweeps` workload saves 3-6% of that pass and adds 10 MB (6%) to
-# its peak memory (per-thread BLAS and allocator buffers), so small stacks stay serial
+# smallest matrix dimension whose stacks run on threads (x86-64, 2 CPUs, one BLAS thread; threaded against serial):
+# 67 against 106 ms for the d = 64 `jnr --dirs 300` of perfbench's `chains` workload; medians of 0.89 against 1.37 s
+# for `sep_numerical_range` at (4, 8) over 100 directions, 0.67 against 0.92 s at (2, 16) over 40, 4.2 against 4.6 s
+# for `ppt_numerical_range` at (4, 8) over 24 and 0.24 against 0.37 s for `sep_max` at (2, 48); but threading the
+# d = 16 sweeps of its `sweeps` workload saves 3-6% of that pass and adds 10 MB (6%) to its peak memory (per-thread
+# BLAS and allocator buffers), so small stacks stay serial
 THREAD_MIN_DIM = 32
 # the variables that set the BLAS's threads per call: OpenBLAS's, MKL's, and OpenMP's, which both read last
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -69,11 +72,11 @@ def check_dims(dims, dim):
     return dims
 
 
-def stack_chunks(count, dim, parts=1):
-    """Consecutive slices of `count` stacked dim x dim matrices, each holding
-    at most STACK_ENTRIES / parts entries (and at least one matrix), and at
-    least `parts` slices when there are that many matrices."""
-    step = max(1, min(STACK_ENTRIES // parts // (dim * dim), -(-count // parts)))
+def stack_chunks(count, dim, parts=1, per_row=1):
+    """Consecutive slices of `count` stack rows, each row holding `per_row`
+    dim x dim matrices, each slice at most STACK_ENTRIES / parts entries (and
+    at least one row), and at least `parts` slices when there are that many rows."""
+    step = max(1, min(STACK_ENTRIES // parts // (per_row * dim * dim), -(-count // parts)))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
@@ -102,20 +105,23 @@ if hasattr(os, "register_at_fork"):  # POSIX: a forked child starts without the 
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def stack_map(fn, count, dim, thread_dim=None):
-    """[fn(chunk) for each chunk of `count` stacked dim x dim matrices], in chunk order.
+def stack_map(fn, count, dim, thread_dim=None, per_row=1):
+    """[fn(chunk) for each chunk of `count` stacked rows], in chunk order.
 
     The one place that decides how a stack is cut and where the chunks run.
-    From dim = thread_dim (default THREAD_MIN_DIM) on, with w = cpu_workers()
-    > 1, the stack is cut into at least w chunks of at most STACK_ENTRIES / w
-    entries, which run on a shared pool of w threads (LAPACK releases the
-    GIL); smaller stacks, and every stack when there is one worker, run
-    serially in chunks of STACK_ENTRIES.  fn must give each matrix the same
+    A row holds `per_row` dim x dim matrices while fn runs, as its caller
+    counts them from the inputs.  From dim = thread_dim (default
+    THREAD_MIN_DIM) on, with w = cpu_workers() > 1, the stack is cut into at
+    least w chunks of at most STACK_ENTRIES / w entries, which run on a
+    shared pool of w threads (LAPACK releases the GIL); other stacks, and any
+    stack_map called from a pool chunk (whose threads may all wait on it),
+    run serially in chunks of STACK_ENTRIES.  fn must give each row the same
     result in any chunk, so that results do not depend on the worker count.
     Every chunk finishes before the first exception, in chunk order, is raised.
     """
-    workers = cpu_workers() if dim >= (THREAD_MIN_DIM if thread_dim is None else thread_dim) else 1
-    chunks = stack_chunks(count, dim, workers)
+    nested = threading.current_thread().name.startswith("qgeom-stack")  # a chunk of `_pool`
+    workers = cpu_workers() if dim >= (THREAD_MIN_DIM if thread_dim is None else thread_dim) and not nested else 1
+    chunks = stack_chunks(count, dim, workers, per_row)
     if workers == 1 or len(chunks) == 1:
         return [fn(c) for c in chunks]
     from concurrent.futures import wait

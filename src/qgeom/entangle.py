@@ -22,8 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from . import core
-from .core import as_hermitian, check_dims, partial_transpose, random_pure, stack_chunks
+from .core import as_hermitian, check_dims, partial_transpose, random_pure, stack_map
 from .numrange import ConvexBodyApprox, _positively_spanning, _top_pairs, jnr_approximate, unit
 from .uncertainty import ROUNDING
 
@@ -65,15 +64,12 @@ class SepBounds:
 def _reduced_operator(ht, dims, factors, k):
     """<others| H |others>: the effective operators on factor k, one per row.
 
-    ht carries bra axes 0..n-1 and ket axes n..2n-1, behind a row axis if each
-    row has its own H; factors[i] is a stack (R, d_i) of rows, and each i != k
-    is contracted as conj(f_i) on bra axis i and f_i on ket axis i: (R, d_k, d_k).
+    ht carries a row axis and then bra axes 0..n-1 and ket axes n..2n-1 of each
+    row's H; factors[i] is a stack (R, d_i) of rows, and each i != k is
+    contracted as conj(f_i) on bra axis i and f_i on ket axis i: (R, d_k, d_k).
     """
-    n = len(dims)
-    if n == 1:  # no other factor to contract: every row sees its H itself
-        return np.broadcast_to(ht, (len(factors[0]),) + ht.shape[-2:])
-    row = 2 * n
-    args = [ht, ([row] if ht.ndim > row else []) + list(range(row))]
+    n, row = len(dims), 2 * len(dims)
+    args = [ht, [row] + list(range(row))]
     for i, f in enumerate(factors):
         if i != k:
             args += [f.conj(), [row, i], f, [row, n + i]]
@@ -95,18 +91,12 @@ def _schmidt_start(hs, dims):
 
 def _seesaw_stack(hs, dims, restarts, seed):
     """seesaw_product_max on each row of a stack (n, D, D), all in lockstep:
-    every row takes the same seeded restarts and its own Schmidt start.  Rows
-    go in chunks whose starts hold at most core.STACK_ENTRIES entries of H
-    (one H gathered per start unless n = 1), and a chunk's factor update is one
-    contraction and one stacked eigensolve, so each row rounds as it would
-    alone.  Returns per row lower, its slowest start's sweeps, whether all its
-    starts stopped, and then the witness factors (n, d_i)."""
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    n, rows = len(hs), max(1, core.STACK_ENTRIES // ((restarts + 1) * hs.shape[1] ** 2))
-    if n > rows:
-        return tuple(np.concatenate(p) for p in zip(*(_seesaw_stack(hs[i:i + rows], dims, restarts, seed)
-                                                      for i in range(0, n, rows))))
+    every row takes the same seeded restarts and its own Schmidt start.  A
+    factor update gathers one H per live start and is one contraction and one
+    stacked eigensolve, so each row rounds as it would alone.  Returns per row
+    lower, its slowest start's sweeps, whether all its starts stopped, and then
+    the witness factors (n, d_i)."""
+    n = len(hs)
     rng = np.random.default_rng(seed)
     seeded = [[random_pure(d, rng) for d in dims] for _ in range(restarts)]
     # start j of row r sits at j * n + r, the Schmidt starts (j = restarts) last
@@ -115,7 +105,7 @@ def _seesaw_stack(hs, dims, restarts, seed):
     hts, val = hs.reshape((n,) + dims + dims), np.full(n * (restarts + 1), -np.inf)
     live, last = np.arange(len(val)), np.empty(len(val), dtype=int)  # last: the last sweep a start ran
     for sweep in range(1, SEESAW_SWEEPS + 1):
-        ht, fs = hts[0] if n == 1 else hts[live % n], [f[live] for f in factors]  # one row: its one H, unstacked
+        ht, fs = hts[live % n], [f[live] for f in factors]
         for k in range(len(dims)):
             red = _reduced_operator(ht, dims, fs, k)
             w, v = np.linalg.eigh((red + red.conj().transpose(0, 2, 1)) / 2)
@@ -148,6 +138,7 @@ def seesaw_product_max(h, dims, restarts=32, seed=0):
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])
+    _check_counts(restarts=restarts)
     lower, sweeps, stopped, *factors = _seesaw_stack(h[None], dims, restarts, seed)
     return SepBounds(float(lower[0]), None, ProductAnsatz(tuple(f[0] for f in factors)),
                      meta={"restarts": restarts, "seed": seed, "sweeps": int(sweeps[0]), "converged": bool(stopped[0])})
@@ -171,12 +162,12 @@ SEP_TOL = 1e-9  # certified gap at which the qubit-qudit branch and bound stops
 SEP_BUDGET = 2048  # default sphere samples (eigensolves) of one qubit-qudit branch and bound
 
 
-def _bloch_operators(hs, rows, r):
-    """H_0 + r.H of the reductions hs[rows], one per row of r (m, 3), in chunks of
-    core.STACK_ENTRIES entries: yields (slice of the rows, (k, d, d) stack)."""
-    for c in stack_chunks(len(r), 2 * hs.shape[-1]):
-        h, p = hs[rows[c]], r[c]
-        yield c, h[:, 0] + p[:, 0, None, None] * h[:, 1] + p[:, 1, None, None] * h[:, 2] + p[:, 2, None, None] * h[:, 3]
+def _check_counts(restarts=1, directions=1):
+    """Reject a see-saw without restarts and a branch and bound without sphere samples."""
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    if directions < 1:
+        raise ValueError(f"sample budget must be at least 1, got {directions}")
 
 
 # the octahedron's faces over its vertices (e_0, e_1, e_2, -e_0, -e_1, -e_2), and the four triangles
@@ -190,11 +181,11 @@ def _qubit_qudit_stack(hs, budget):
     (n, 2d, 2d) of Hermitian operators, all rows in lockstep.
 
     Triangles and sphere samples carry a row index, and each round solves
-    every row's new samples in one top-pair kernel call (per chunk of
-    core.STACK_ENTRIES entries).  A row retires once it has nothing left to
-    split within its budget.  Every row rounds as it would alone.  Returns
-    lower, upper, the best qudit states (n, d), their qubit partners (n, 2)
-    and evaluations (distinct sphere samples) per row.
+    every row's new samples H_0 + r.H (each gathers its row's four H_i) in
+    one stack of top-pair kernel calls.  A row retires once it has nothing
+    left to split within its budget.  Every row rounds as it would alone.
+    Returns lower, upper, the best qudit states (n, d), their qubit partners
+    (n, 2) and evaluations (distinct sphere samples) per row.
     """
     n, d = len(hs), hs.shape[1] // 2
     hs = (hs + hs.conj().transpose(0, 2, 1)) / 2  # the Hermitian part (exact for Hermitian input)
@@ -218,13 +209,17 @@ def _qubit_qudit_stack(hs, budget):
         fresh = [i for i, key in enumerate(keys) if not (key in seen or seen.setdefault(key, None))]
         new, new_row = pts.reshape(-1, 3)[fresh], pt_row[fresh]
         vals, tops, states = np.empty(len(new)), np.empty(len(new)), np.empty((len(new), d), dtype=complex)
-        for c, mats in _bloch_operators(red, new_row, new):
-            w, top, _ = _top_pairs(mats)
+
+        def solve(c):
+            h, r = red[new_row[c]], new[c, :, None, None]
+            w, top, _ = _top_pairs(h[:, 0] + r[:, 0] * h[:, 1] + r[:, 1] * h[:, 2] + r[:, 2] * h[:, 3])
             # p_i = <beta|H_i|beta>, one (1, d) @ (d, d) product per sample and H_i
-            p = ((top.conj()[:, None, None, :] @ red[new_row[c]])[:, :, 0] * top[:, None, :]).sum(axis=2).real
+            p = ((top.conj()[:, None, None, :] @ h)[:, :, 0] * top[:, None, :]).sum(axis=2).real
             # |p_vec| by the stacked dot product, which rounds as np.linalg.norm of each row
             vals[c] = 0.5 * (p[:, 0] + np.sqrt(p[:, None, 1:] @ p[:, 1:, None])[:, 0, 0])
             tops[c], states[c] = w[:, -1], top
+
+        stack_map(solve, len(new), d, per_row=4)  # chunks write disjoint samples
         if len(new):
             # each row's best sample, the first of equal values, against its lower
             order = np.lexsort((-vals, new_row))
@@ -293,8 +288,7 @@ def qubit_qudit_sep_max(h, dims, directions=SEP_BUDGET):
     dims = check_dims(dims, h.shape[0])
     if dims[0] != 2:
         raise ValueError(f"first local dimension must be 2, got {dims[0]}")
-    if directions < 1:
-        raise ValueError(f"sample budget must be at least 1, got {directions}")
+    _check_counts(directions=directions)
     lower, upper, beta, alpha, evaluations = _qubit_qudit_stack(h[None], directions)
     meta = {"method": "bloch-branch-and-bound", "evaluations": int(evaluations[0]),
             "converged": bool(upper[0] - lower[0] <= SEP_TOL)}
@@ -307,24 +301,26 @@ def sep_max(h, dims, restarts=32, seed=0, directions=SEP_BUDGET):
     A (2, d) split takes the two-sided qubit_qudit_sep_max with `directions`
     as its sphere-sample budget; every other split takes the see-saw lower
     bound seesaw_product_max over `restarts` seeded restarts, with upper None.
+    Both counts must be at least 1 on every split.
     """
+    _check_counts(restarts, directions)
     if len(dims) == 2 and dims[0] == 2:
         return qubit_qudit_sep_max(h, dims, directions=directions)
     return seesaw_product_max(h, dims, restarts=restarts, seed=seed)
 
 
-def _range_body(ops, dims, directions, solve):
+def _range_body(ops, dims, directions, solve, per_row=1):
     """A range's body from a stacked bracket solver: solve(hs, dims) takes
-    H_n = sum_i n_i X_i over the unit directions, in chunks of
-    core.STACK_ENTRIES entries, and returns offsets, states (n, d, d) and
-    any extras per row.  The inner vertices are Tr(X_i rho_n), and the body
-    is unbounded when the normals do not positively span; returns the body
-    (empty meta) and the extras."""
+    H_n = sum_i n_i X_i over the unit directions, in the chunks of
+    `core.stack_map` with per_row matrices per direction, and returns
+    offsets, states (n, d, d) and any extras per row.  The inner vertices are
+    Tr(X_i rho_n), and the body is unbounded when the normals do not
+    positively span; returns the body (empty meta) and the extras."""
     ops = [as_hermitian(x) for x in ops]
     dims = check_dims(dims, ops[0].shape[0])
-    normals = np.array([unit(n) for n in np.atleast_2d(directions)])
-    parts = [solve(sum(normals[c][:, i, None, None] * x for i, x in enumerate(ops)), dims)
-             for c in stack_chunks(len(normals), ops[0].shape[0])]
+    normals = unit(np.atleast_2d(directions))
+    parts = stack_map(lambda c: solve(sum(normals[c][:, i, None, None] * x for i, x in enumerate(ops)), dims),
+                      len(normals), ops[0].shape[0], per_row=per_row)
     offsets, states, *extras = (np.concatenate(p) for p in zip(*parts))
     inner = np.einsum("kij,nji->nk", np.array(ops), states).real
     body = ConvexBodyApprox(inner_vertices=inner, outer_normals=normals, outer_offsets=offsets,
@@ -336,16 +332,17 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
     """Separable numerical range by per-direction product maximization.
 
     On a (2, d) split every direction's branch and bound runs in lockstep,
-    one stack of at most core.STACK_ENTRIES // SEP_BUDGET directions at a
-    time, and each outer offset is its certified `upper`, so the outer
-    half-spaces are rigorous; meta adds the evaluations (sphere samples)
-    summed over directions and whether every bracket closed to SEP_TOL.
-    Other splits run every direction's see-saw starts in lockstep and take
-    their lower values, flagged heuristic; meta adds their sweeps summed over
-    directions and whether every see-saw converged.  One factor is the joint
-    numerical range itself.
+    a stack of directions at a time, and each outer offset is its certified
+    `upper`, so the outer half-spaces are rigorous; meta adds the evaluations
+    (sphere samples) summed over directions and whether every bracket closed
+    to SEP_TOL.  Other splits run every direction's see-saw starts in
+    lockstep and take their lower values, flagged heuristic; meta adds their
+    sweeps summed over directions and whether every see-saw converged.  One
+    factor is the joint numerical range itself.  restarts must be at least 1
+    on every split.
     """
     dims = check_dims(dims, len(ops[0]))
+    _check_counts(restarts=restarts)
     if len(dims) == 1:
         body = jnr_approximate(ops, directions)
         body.meta["outer_rigorous"] = True
@@ -354,18 +351,16 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
 
     def solve(hs, dims):
         if bloch:
-            # a row holds at most SEP_BUDGET samples and, as a midpoint serves at most two
-            # splits, 2 SEP_BUDGET + 8 triangles while it runs
-            rows = max(1, core.STACK_ENTRIES // SEP_BUDGET)
-            parts = [_qubit_qudit_stack(hs[i:i + rows], SEP_BUDGET) for i in range(0, len(hs), rows)]
-            lower, offsets, beta, alpha, work = (np.concatenate(p) for p in zip(*parts))
+            lower, offsets, beta, alpha, work = _qubit_qudit_stack(hs, SEP_BUDGET)
             factors, closed = (alpha, beta), offsets - lower <= SEP_TOL
         else:
             offsets, work, closed, *factors = _seesaw_stack(hs, dims, restarts, seed)
         vs = reduce(lambda v, f: (v[:, :, None] * f[:, None, :]).reshape(len(hs), -1), factors)  # kron per row
         return offsets, vs[:, :, None] * vs[:, None, :].conj(), work, closed
 
-    body, (work, closed) = _range_body(ops, dims, directions, solve)
+    # a row holds SEP_BUDGET sphere samples while its branch and bound runs, or one gathered H per see-saw start
+    per_row = -(-SEP_BUDGET // len(ops[0]) ** 2) if bloch else restarts + 1
+    body, (work, closed) = _range_body(ops, dims, directions, solve, per_row)
     if not bloch:  # heuristic offsets may undercut other directions' witnesses: lift them to keep inner inside outer
         body.outer_offsets = np.maximum(body.outer_offsets, (body.outer_normals @ body.inner_vertices.T).max(axis=1))
     body.meta = {"outer_rigorous": bloch, "method": "bloch-branch-and-bound" if bloch else "seesaw",

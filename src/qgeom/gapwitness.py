@@ -19,8 +19,8 @@ Two ground-state solvers share the curve and the bisection:
   Lanczos search of the complement of the levels found, repeated per extra
   copy of a degenerate level, which one Krylov space cannot hold.  The
   Lanczos path never densifies; full spectra are capped at 2^12.  Both run
-  through `core.stack_map`: a dense stack in chunks that share
-  core.STACK_ENTRIES entries among the threads running them, and each
+  through `core.stack_map`: a dense stack in the chunks it sizes, which
+  share one entry budget among the threads running them, and each
   Lanczos pass over the blocks from LANCZOS_THREAD_DIM states on
   concurrently; every block rounds the same on any thread.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas

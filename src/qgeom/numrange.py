@@ -48,9 +48,11 @@ SPAN_MARGIN = 1e-8  # relative: the least null-vector entry that certifies posit
 
 
 def unit(v):
+    """v over its norm along the last axis: each row of a stack over its own, by a
+    stacked dot product that rounds as the dot product of one vector does."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-300:
+    n = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    if np.any(n < 1e-300):
         raise ValueError("zero direction")
     return v / n
 
@@ -169,9 +171,9 @@ def support_batch(ops, directions):
     Each row is normalised; its value is lambda_max(sum n_i X_i) and its
     point the tuple Re<v|X_i|v> over the top eigenvector v, both from the
     top-pair kernel `_top_pairs`.  The operators are validated once per
-    call, and the solves run stacked through `core.stack_map`: in chunks
-    that share core.STACK_ENTRIES matrix entries among the threads that run
-    them, threaded from d = core.THREAD_MIN_DIM on.  Every row rounds the
+    call, and the solves run stacked through `core.stack_map`: in the
+    chunks it sizes, which share one entry budget among the threads that
+    run them, threaded from d = core.THREAD_MIN_DIM on.  Every row rounds the
     same in any chunk, so the sweep does not depend on the worker count.  A
     set of zero rows gives empty arrays.
     """
@@ -183,12 +185,8 @@ def support_batch(ops, directions):
     rows = np.atleast_2d(np.asarray(directions, dtype=float))
     if rows.shape[1] != len(ops):
         raise ValueError(f"direction length {rows.shape[1]} != number of operators {len(ops)}")
-    # the stacked dot product rounds as unit()'s norm does, row for row
-    norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
-    if np.any(norms < 1e-300):
-        raise ValueError("zero direction")
     sweep = SupportSweep(
-        directions=rows / norms,
+        directions=unit(rows),
         values=np.empty(len(rows)),
         points=np.empty((len(rows), len(ops))),
         witnesses=np.empty((len(rows), d), dtype=complex),

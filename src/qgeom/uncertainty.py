@@ -150,7 +150,7 @@ def min_sum_variances(x, y):
 def _lambda_min(sq, x, y, pts):
     """h(a, b) = lambda_min(X^2 + Y^2 - 2aX - 2bY) at each row (a, b) of pts."""
     out = np.empty(len(pts))
-    for c in stack_chunks(len(pts), sq.shape[0]):
+    for c in stack_chunks(len(pts), sq.shape[0]):  # serial: threads slow a round's few solves (dim 40: 44 -> 53 ms)
         a, b = pts[c, 0, None, None], pts[c, 1, None, None]
         out[c] = np.linalg.eigvalsh(sq - 2 * (a * x + b * y))[:, 0]
     return out

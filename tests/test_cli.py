@@ -766,6 +766,31 @@ def test_sep_jnr_seesaw_needs_a_restart(tmp_path, capsys):
     assert "need at least one restart" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sep-jnr", "--dims", "2,2", "--restarts", 0], "need at least one restart"),
+        (["sep-max", "--dims", "2,3", "--restarts", -5], "need at least one restart"),
+        (["sep-max", "--dims", "3,3", "--dirs", 0], "sample budget must be at least 1"),
+    ],
+)
+def test_sep_commands_reject_counts_below_one_on_every_split(tmp_path, capsys, argv, message):
+    # the branch and bound never reads --restarts and the see-saw never reads --dirs: both are checked anyway
+    command, dims = argv[0], [int(d) for d in argv[2].split(",")]
+    h = core.random_hermitian(int(np.prod(dims)), np.random.default_rng(0))
+    if command == "sep-jnr":
+        write_ops(tmp_path / "in.json", [h, core.random_hermitian(len(h), np.random.default_rng(1))])
+        source = ["--ops", tmp_path / "in.json"]
+    else:
+        (tmp_path / "in.json").write_text(json.dumps(core.operator_to_json(h)))
+        source = ["--op", tmp_path / "in.json"]
+    out = tmp_path / "r.json"
+    assert run([*argv, *source, "--out", out]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["jnr", "sep-jnr", "ppt-jnr"])
 @pytest.mark.parametrize("dirs", [0, -1])
 def test_range_commands_reject_empty_direction_sets(tmp_path, capsys, command, dirs):

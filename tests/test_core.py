@@ -1,7 +1,11 @@
+import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +348,44 @@ def test_stack_map_finishes_every_chunk_then_raises_the_first_error(monkeypatch,
     others = set(core.stack_map(lambda c: threading.current_thread(), count, dim))
     assert all(t.name.startswith("qgeom-stack") for t in threads | others)
     assert not others & threads
+
+
+NESTED = """
+import json, threading
+from qgeom import core
+
+core.cpu_workers = lambda: 2
+both = threading.Barrier(2, timeout=30)
+
+def outer(c):
+    both.wait()  # each pool thread holds one outer chunk
+    inner = core.stack_map(lambda i: threading.current_thread().name, 4, core.THREAD_MIN_DIM)
+    return threading.current_thread().name, inner
+
+print(json.dumps(core.stack_map(outer, 4, core.THREAD_MIN_DIM)))
+"""
+
+
+def test_stack_map_inside_a_pool_chunk_runs_serially():
+    # both pool threads run an outer chunk and wait on their inner stack: a
+    # nested stack queued on the same pool would never start
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NESTED], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    chunks = json.loads(proc.stdout)
+    assert len(chunks) == 2 and len({name for name, _ in chunks}) == 2
+    for name, inner in chunks:
+        assert name.startswith("qgeom-stack") and inner == [name] * len(inner)
+
+
+@pytest.mark.parametrize("per_row", [1, 3])
+def test_stack_chunks_budget_every_matrix_of_a_row(per_row):
+    count, dim = 700, 16
+    rows = [range(count)[c] for c in core.stack_chunks(count, dim, 2, per_row)]
+    assert [i for r in rows for i in r] == list(range(count))
+    assert all(len(r) * per_row * dim * dim <= core.STACK_ENTRIES // 2 for r in rows)
+    assert max(map(len, rows)) == min(core.STACK_ENTRIES // 2 // (per_row * dim * dim), -(-count // 2))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,3 @@
-from unittest.mock import patch
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -145,16 +143,13 @@ def test_lockstep_seesaw_matches_per_restart_loop(seed, dims, restarts):
     st.sampled_from([(4,), (2, 2), (3, 3), (2, 2, 2), (3, 4)]),
     st.integers(1, 32),
     st.integers(1, 5),
-    st.sampled_from([None, 1, 2]),
 )
-def test_seesaw_stack_rows_equal_one_row_calls(seed, dims, restarts, rows, chunk):
-    # every row of a stack rounds as seesaw_product_max does alone; a STACK_ENTRIES of `chunk` rows'
-    # gathered H per start cuts the stack into several chunks (None: one chunk)
+def test_seesaw_stack_rows_equal_one_row_calls(seed, dims, restarts, rows):
+    # every row of a stack rounds as seesaw_product_max does alone
     rng = np.random.default_rng(seed)
     d = int(np.prod(dims))
     hs = np.array([core.random_hermitian(d, rng) for _ in range(rows)])
-    with patch.object(core, "STACK_ENTRIES", chunk * (restarts + 1) * d * d if chunk else core.STACK_ENTRIES):
-        lower, sweeps, stopped, *factors = entangle._seesaw_stack(hs, dims, restarts, seed)
+    lower, sweeps, stopped, *factors = entangle._seesaw_stack(hs, dims, restarts, seed)
     for i, h in enumerate(hs):
         one = seesaw_product_max(h, dims, restarts=restarts, seed=seed)
         assert lower[i] == one.lower
@@ -358,24 +353,55 @@ def test_lockstep_branch_and_bound_matches_one_row_calls(seed, dims, budget):
 
 
 def test_sep_range_runs_directions_in_bounded_lockstep_stacks(monkeypatch):
-    # two directions per lockstep stack and small kernel chunks: every row still
-    # rounds as its own sep-max, and each offset is that call's certified upper
+    # two directions per lockstep stack (a direction budgets SEP_BUDGET samples) and small
+    # kernel chunks: every row still rounds as its own sep-max, and each offset is that
+    # call's certified upper
     ops = [core.random_hermitian(6, np.random.default_rng(k)) for k in range(2)]
     dirs = sphere_directions(2, 5)
-    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * entangle.SEP_BUDGET)
-    calls = []
-    kernel = entangle._top_pairs
+    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * -(-entangle.SEP_BUDGET // 36) * 36)
+    calls, stacks = [], []
+    kernel, lockstep = entangle._top_pairs, entangle._qubit_qudit_stack
     monkeypatch.setattr(entangle, "_top_pairs", lambda mats: calls.append(len(mats)) or kernel(mats))
+    monkeypatch.setattr(entangle, "_qubit_qudit_stack", lambda hs, b: stacks.append(len(hs)) or lockstep(hs, b))
     body = sep_numerical_range(ops, (2, 3), dirs)
+    assert stacks == [2, 2, 1]
     hs = np.array([sum(c * x for c, x in zip(n, ops)) for n in body.outer_normals])
     runs = [qubit_qudit_sep_max(h, (2, 3)) for h in hs]
     assert body.outer_offsets.tolist() == [b.upper for b in runs]
-    assert max(calls) <= 2 * entangle.SEP_BUDGET // 36
+    # a sample gathers its row's four 3 x 3 reductions
+    assert max(calls) <= core.STACK_ENTRIES // (4 * 9)
     assert body.meta == {"outer_rigorous": True, "method": "bloch-branch-and-bound",
                          "evaluations": sum(b.meta["evaluations"] for b in runs), "converged": True}
     for vertex, b in zip(body.inner_vertices, runs):
         v = b.witness.vector()
         assert np.abs(vertex - [np.vdot(v, x @ v).real for x in ops]).max() < 1e-12
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, dims", [("seesaw", (2, 2, 8)), ("bloch", (2, 16)), ("ppt", (4, 8))])
+def test_range_bodies_do_not_depend_on_chunks_or_workers(monkeypatch, kind, dims, workers):
+    # a STACK_ENTRIES of two rows' budget cuts the range stack into chunks of one row (two workers)
+    # or two rows (one worker), from D = THREAD_MIN_DIM on, where chunks run on threads
+    d = int(np.prod(dims))
+    assert d >= core.THREAD_MIN_DIM
+    ops = [core.random_hermitian(d, np.random.default_rng(k)) for k in range(2)]
+    dirs = sphere_directions(2, 5)
+    restarts = 2
+    per_row = {"seesaw": restarts + 1, "bloch": -(-entangle.SEP_BUDGET // d**2), "ppt": 1}[kind]
+
+    def body():
+        if kind == "ppt":
+            b = ppt_numerical_range(ops, dims, dirs)
+        else:
+            b = sep_numerical_range(ops, dims, dirs, restarts=restarts, seed=3)
+        return b.outer_offsets.tobytes(), b.inner_vertices.tobytes(), b.meta
+
+    want = body()
+    monkeypatch.setattr(core, "cpu_workers", lambda: workers)
+    monkeypatch.setattr(core, "STACK_ENTRIES", 2 * per_row * d * d)
+    rows = [len(range(5)[c]) for c in core.stack_chunks(len(dirs), d, workers, per_row)]
+    assert rows == ([2, 2, 1] if workers == 1 else [1] * 5)
+    assert body() == want
 
 
 def test_sep_range_single_subsystem_equals_jnr(rng):
@@ -704,7 +730,7 @@ def test_reduced_operator_matches_dense_contraction(seed, dims, data):
     rows = data.draw(st.integers(1, 4))
     factors = [np.array([core.random_pure(d, rng) for _ in range(rows)]) for d in dims]
     k = data.draw(st.integers(0, len(dims) - 1))
-    red = entangle._reduced_operator(h.reshape(dims + dims), dims, factors, k)
+    red = entangle._reduced_operator(np.broadcast_to(h.reshape(dims + dims), (rows,) + dims * 2), dims, factors, k)
     assert red.shape == (rows, dims[k], dims[k])
     for r in range(rows):
         # <others|: the product of the other factors' columns with the identity on k

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -220,23 +220,11 @@ def apply_channel(ch: KrausChannel, rho):
     return out
 
 
-def max_entangled(d):
-    """|omega> = 1/sqrt(d) sum_i |ii>, carrying the normalisation explicitly."""
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
 def choi_state(ch: KrausChannel):
     """Unit-trace Choi state Phi = (id (x) E)(|omega><omega|) of a square channel."""
     if ch.dim_in != ch.dim_out:
         raise ValueError("Choi state requires a square channel")
-    d = ch.dim_in
-    phi = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        m = tensor(np.eye(d), k) @ max_entangled(d)
-        phi += np.outer(m, m.conj())
-    return phi
+    return choi_matrix_of_map(lambda e: sum(k @ e @ k.conj().T for k in ch.kraus), ch.dim_in)
 
 
 def is_prime(n):
@@ -254,14 +242,15 @@ def choi_matrix_of_map(apply_fn, d):
     """Choi matrix (id (x) F)(|omega><omega|) of an arbitrary linear map F.
 
     Not necessarily PSD; useful for probing non-CP maps such as transpose.
+    With |omega> = sum_i |ii> / sqrt(d), block (i, j) is F(|i><j|) / d.
     """
-    phi = np.zeros((d * d, d * d), dtype=complex)
+    phi = np.zeros((d, d, d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
             e = np.zeros((d, d), dtype=complex)
             e[i, j] = 1.0
-            phi += tensor(e, apply_fn(e)) / d
-    return phi
+            phi[i, :, j, :] = apply_fn(e) / d
+    return phi.reshape(d * d, d * d)
 
 
 def as_half_integer(x):
@@ -329,6 +318,8 @@ def operator_from_json(doc):
     dim = int(doc["dim"])
     re = np.array(doc["re"], dtype=float)
     im = np.array(doc.get("im", np.zeros_like(re)), dtype=float)
+    if im.shape != re.shape:
+        raise ValueError(f"operator payload 'im' has shape {im.shape}, 're' has {re.shape}")
     a = re + 1j * im
     if a.shape != (dim, dim):
         raise ValueError(f"operator payload shape {a.shape} != declared dim {dim}")

@@ -140,6 +140,20 @@ class SpinKet:
         return ms.pop() if len(ms) == 1 else None
 
 
+def _couplings(a: SpinKet, b: SpinKet):
+    """(j, m, j1, j2, c, a1, a2) for each amplitude pair a1 |j1 m1>, a2 |j2 m2> of a and b
+    and each total spin j the selection rules allow, m = m1 + m2 and c = <j1 m1; j2 m2 | j m>;
+    c is 0.0 where it vanishes by accident (<1 0; 1 0 | 1 0>, say), yielded all the same: jz_convert
+    sums its blocks in the order it first meets them, so its rounding depends on that order."""
+    for (j1, m1, _), a1 in a.amps:
+        for (j2, m2, _), a2 in b.amps:
+            m = m1 + m2
+            j = max(abs(j1 - j2), abs(m))
+            while j <= j1 + j2:
+                yield j, m, j1, j2, clebsch_gordan(j1, m1, j2, m2, j, m), a1, a2
+                j += 1
+
+
 def spin_combine(a: SpinKet, b: SpinKet):
     """Tensor product expanded in the coupled total-spin basis.
 
@@ -150,17 +164,10 @@ def spin_combine(a: SpinKet, b: SpinKet):
         if any(tag != "" for (_, _, tag), _ in s.amps):
             raise ValueError("inputs must carry plain (pre-combination) tags")
     out = {}
-    for (j1, m1, _), a1 in a.amps:
-        for (j2, m2, _), a2 in b.amps:
-            m = m1 + m2
-            j = abs(j1 - j2)
-            while j <= j1 + j2:
-                if abs(m) <= j:
-                    c = clebsch_gordan(j1, m1, j2, m2, j, m)
-                    if c != 0.0:
-                        key = (j, m, f"({j1},{j2})")
-                        out[key] = out.get(key, 0) + c * a1 * a2
-                j += 1
+    for j, m, j1, j2, c, a1, a2 in _couplings(a, b):
+        if c != 0.0:
+            key = (j, m, f"({j1},{j2})")
+            out[key] = out.get(key, 0) + c * a1 * a2
     return SpinKet(tuple(out.items()))
 
 
@@ -259,16 +266,8 @@ def jz_convert(phi: SpinKet, omega: SpinKet):
         if not _one_m_per_j(s):
             raise ValueError("inputs must carry a single m per total spin j")
     p = {}
-    for (j1, mm1, _), a1 in phi.amps:
-        for (j2, mm2, _), a2 in omega.amps:
-            m = mm1 + mm2
-            j = abs(j1 - j2)
-            while j <= j1 + j2:
-                if abs(m) <= j:
-                    c = clebsch_gordan(j1, mm1, j2, mm2, j, m)
-                    key = (j, m)
-                    p[key] = p.get(key, 0.0) + (c * abs(a1) * abs(a2)) ** 2
-                j += 1
+    for j, m, _, _, c, a1, a2 in _couplings(phi, omega):
+        p[j, m] = p.get((j, m), 0.0) + (c * abs(a1) * abs(a2)) ** 2
     blocks = {}
     for (j, m), v in p.items():
         if v > 1e-30:

@@ -169,6 +169,25 @@ def test_operator_file_missing_key_is_usage_error(tmp_path, capsys, drop):
     assert repr(drop) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "im",
+    [[[0, 0]], [0], 0, [[0], [0]], [[0, 1]]],
+    ids=["row", "vector", "scalar", "column", "nonzero-row"],
+)
+def test_operator_file_with_a_mis_shaped_im_is_usage_error(tmp_path, capsys, im):
+    # numpy would broadcast these against re: the zero ones would load as the identity
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"dim": 2, "re": [[1, 0], [0, 1]], "im": im}))
+    with pytest.raises(ValueError, match="'im' has shape"):
+        core.operator_from_json(json.loads(op.read_text()))
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run(["sep-max", "--op", op, "--dims", "1,2", "--out", work / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: operator payload 'im' has shape") and "Hermitian" not in err
+    assert not any(work.iterdir())
+
+
 def test_interconvert_example_exact(tmp_path):
     psi = tmp_path / "psi.json"
     phi = tmp_path / "phi.json"
@@ -271,13 +290,14 @@ def test_gap_cli_coarse_grid_reports_failure(tmp_path):
         (["--lambda-max", "inf"], "--lambda-max"),
         (["--lambda-max", 0], "--lambda-max"),
         (["--lambda-max", -1], "--lambda-max"),
+        (["--lambda-max", 1e308], "--lambda-max"),  # finite, but lambda * V overflows
         (["--gamma", "nan"], "--gamma"),
         (["--gamma", "inf"], "--gamma"),
         (["--n", 2], "--n"),
         (["--n", gapwitness.MAX_XY_SITES + 1], "--n"),
     ],
-    ids=["steps-0", "steps-1", "lambda-nan", "lambda-inf", "lambda-0", "lambda-negative", "gamma-nan", "gamma-inf",
-         "n-2", "n-301"],
+    ids=["steps-0", "steps-1", "lambda-nan", "lambda-inf", "lambda-0", "lambda-negative", "lambda-overflow",
+         "gamma-nan", "gamma-inf", "n-2", "n-301"],
 )
 def test_gap_cli_rejects_a_bad_grid_before_writing(tmp_path, capsys, grid, option):
     work = tmp_path / "work"
@@ -913,12 +933,12 @@ def test_body_reports_same_in_every_process(tmp_path, command):
                         "converged": all(b.meta["converged"] for b in runs)}
 
 
-def test_ppt_jnr_exits_1_on_an_open_bracket(tmp_path, monkeypatch):
+def test_ppt_jnr_exits_0_on_an_open_bracket(tmp_path, monkeypatch):
     ops = tmp_path / "ops.json"
     write_ops(ops, [core.random_hermitian(4, np.random.default_rng(k)) for k in range(2)])
     out = tmp_path / "ppt.json"
     monkeypatch.setattr(entangle, "PPT_MAX_ITER", 2)
-    assert run(["ppt-jnr", "--ops", ops, "--dims", "2,2", "--dirs", 12, "--out", out]) == 1
+    assert run(["ppt-jnr", "--ops", ops, "--dims", "2,2", "--dirs", 12, "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["meta"]["converged"] is False and doc["meta"]["outer_rigorous"] is True
     assert doc["meta"]["max_bracket"] > 1e-8 and doc["meta"]["iterations"] <= 2 * 12
@@ -1105,6 +1125,41 @@ def test_no_option_value_carries_over_between_calls():
     assert (plain.mesh, plain.dirs, plain.seed, plain.out) == (None, 1000, 0, None)
     assert parser.parse_args(["uncertainty", "--table-j", "1"]).ops is None
     assert parser.parse_args(["su2", "combine"]).samples == 200
+
+
+SEEDLESS = {
+    "classify": ["--ops", "ops.json"],
+    "distinguish": ["--u", "u.json", "--v", "v.json"],
+    "uncertainty": ["--table-j", "1"],
+    "gap": ["--n", "6"],
+    "interconvert": ["--psi", "psi.json", "--phi", "phi.json"],
+    "wigner": ["--state", "rho.json", "--dims", "3"],
+    "wh-convert": ["--rho", "rho.json", "--sigma", "sigma.json", "--dims", "3"],
+}
+SEEDED = {
+    "jnr": ["--ops", "ops.json"],
+    "sep-max": ["--op", "h.json", "--dims", "2,2"],
+    "sep-jnr": ["--ops", "ops.json"],
+    "ppt-jnr": ["--ops", "ops.json"],
+    "su2": ["marvian", "--a", "a.json", "--b", "b.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDLESS))
+def test_a_subcommand_that_draws_nothing_rejects_seed(tmp_path, capsys, command):
+    argv = [command, *SEEDLESS[command], "--out", str(tmp_path / "r.json")]
+    assert "seed" not in vars(cli.build_parser().parse_args(argv))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2 and "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_sampling_subcommands_take_seed():
+    parser = cli.build_parser()
+    for command, argv in SEEDED.items():
+        assert parser.parse_args([command, *argv]).seed == 0
+        assert parser.parse_args([command, *argv, "--seed", "1"]).seed == 1
 
 
 def test_two_subcommands_on_two_threads_write_their_serial_reports(tmp_path):

@@ -24,12 +24,18 @@ from qgeom.core import (
     choi_matrix_of_map,
     choi_state,
     hs_distance,
-    max_entangled,
     partial_trace,
     partial_transpose,
     spin_operators,
     tensor,
 )
+
+
+def max_entangled(d):
+    """|omega> = 1/sqrt(d) sum_i |ii>, carrying the normalisation explicitly."""
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1.0 / np.sqrt(d)
+    return v
 
 
 def test_as_hermitian_rejects_bad_input():
@@ -196,6 +202,47 @@ def test_choi_of_transpose_map_not_cp():
             swap[i * d + j, j * d + i] = 1.0
     assert np.abs(phi - swap / d).max() < 1e-12
     assert np.linalg.eigvalsh(phi)[0] == pytest.approx(-1 / d, abs=1e-12)
+
+
+def _choi_kron_sum(apply_fn, d):
+    # the former construction: the d^2 Kronecker products |i><j| (x) F(|i><j|) / d, summed
+    phi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            phi += tensor(e, apply_fn(e)) / d
+    return phi
+
+
+def test_choi_of_transpose_map_is_the_kron_sum_bit_for_bit():
+    for d in (1, 2, 3, 5, 15):
+        phi = choi_matrix_of_map(lambda e: e.T, d)
+        assert phi.tobytes() == _choi_kron_sum(lambda e: e.T, d).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10**6))
+def test_choi_matrix_of_map_matches_the_kron_sum(d, seed):
+    # a random superoperator S acting on row-major vec(X): F(X) = unvec(S vec(X))
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+
+    def apply_fn(x):
+        return (s @ x.ravel()).reshape(d, d)
+
+    assert np.array_equal(choi_matrix_of_map(apply_fn, d), _choi_kron_sum(apply_fn, d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 10**6))
+def test_choi_state_is_the_sum_of_kraus_vectorizations(d, n_kraus, seed):
+    # (1 (x) K)|omega> = vec(K) / sqrt(d), vec stacking columns, so Phi = sum_k vec(K) vec(K)^dag / d
+    rng = np.random.default_rng(seed)
+    u = core.random_unitary(d * n_kraus, rng)[:, :d]  # an isometry: its d x d blocks are a Kraus set
+    ch = KrausChannel(tuple(u.reshape(n_kraus, d, d)))
+    expected = sum(np.outer(k.T.ravel(), k.T.ravel().conj()) for k in ch.kraus) / d
+    assert np.abs(choi_state(ch) - expected).max() <= 1e-15
 
 
 def _choi_apply(choi, rho):

@@ -1,7 +1,11 @@
 from fractions import Fraction as F
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qgeom import core
@@ -202,6 +206,100 @@ def test_jz_convert_rejects_non_eigenstate():
     omega = SpinKet.from_terms([(0, 0, 1.0)])
     with pytest.raises(ValueError):
         jz_convert(phi, omega)
+
+
+def _spin_combine_loop(a, b):
+    # the former spin_combine body: its own (j1, m1) x (j2, m2) x j loop over clebsch_gordan
+    out = {}
+    for (j1, m1, _), a1 in a.amps:
+        for (j2, m2, _), a2 in b.amps:
+            m = m1 + m2
+            j = abs(j1 - j2)
+            while j <= j1 + j2:
+                if abs(m) <= j:
+                    c = clebsch_gordan(j1, m1, j2, m2, j, m)
+                    if c != 0.0:
+                        key = (j, m, f"({j1},{j2})")
+                        out[key] = out.get(key, 0) + c * a1 * a2
+                j += 1
+    return SpinKet(tuple(out.items()))
+
+
+def _jz_convert_loop(phi, omega):
+    # the former jz_convert after its input checks, with its own coupling loop
+    p = {}
+    for (j1, mm1, _), a1 in phi.amps:
+        for (j2, mm2, _), a2 in omega.amps:
+            m = mm1 + mm2
+            j = abs(j1 - j2)
+            while j <= j1 + j2:
+                if abs(m) <= j:
+                    c = clebsch_gordan(j1, mm1, j2, mm2, j, m)
+                    key = (j, m)
+                    p[key] = p.get(key, 0.0) + (c * abs(a1) * abs(a2)) ** 2
+                j += 1
+    blocks = {}
+    for (j, m), v in p.items():
+        if v > 1e-30:
+            if j in blocks and blocks[j][0] != m:
+                raise ValueError("combination mixes m values within one j block")
+            blocks[j] = (m, blocks.get(j, (m, 0.0))[1] + v)
+    total = sum(v for _, v in blocks.values())
+    terms = [(j, m, "", math.sqrt(v / total)) for j, (m, v) in blocks.items()]
+    return SpinKet.from_terms(terms)
+
+
+_AMP = st.tuples(st.floats(-1, 1), st.floats(-1, 1)).filter(lambda z: abs(complex(*z)) > 1e-3).map(lambda z: complex(*z))
+
+
+@st.composite
+def _plain_kets(draw):
+    """Random plain-tagged kets with spins up to 5/2."""
+    keys = draw(st.lists(st.integers(0, 5).flatmap(lambda two_j: st.tuples(
+        st.just(F(two_j, 2)), st.integers(0, two_j).map(lambda k: F(two_j, 2) - k))), min_size=1, max_size=5, unique=True))
+    return SpinKet.from_terms([(j, m, draw(_AMP)) for j, m in keys], normalize=True)
+
+
+@st.composite
+def _jz_inputs(draw):
+    """Kets jz_convert accepts: one global m, or m = j throughout, a tag of two chosen per entry."""
+    terms = []
+    if draw(st.booleans()):  # a J_Z eigenstate: one m, at several j
+        two_m = draw(st.integers(-3, 3))
+        for two_j in draw(st.lists(st.integers(abs(two_m), 6).filter(lambda t: (t - two_m) % 2 == 0),
+                                   min_size=1, max_size=3, unique=True)):
+            terms.append((F(two_j, 2), F(two_m, 2)))
+    else:  # the coherent family
+        for two_j in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True)):
+            terms.append((F(two_j, 2), F(two_j, 2)))
+    return SpinKet.from_terms([(j, m, draw(st.sampled_from(["", "(1,1)"])), draw(_AMP)) for j, m in terms],
+                              normalize=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plain_kets(), _plain_kets())
+def test_spin_combine_matches_its_former_loop_bit_for_bit(a, b):
+    assert repr(spin_combine(a, b).amps) == repr(_spin_combine_loop(a, b).amps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_jz_inputs(), _jz_inputs())
+def test_jz_convert_matches_its_former_loop_bit_for_bit(phi, omega):
+    try:
+        want = repr(_jz_convert_loop(phi, omega).amps)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            jz_convert(phi, omega)
+    else:
+        assert repr(jz_convert(phi, omega).amps) == want
+
+
+def test_jz_convert_with_accidentally_vanishing_couplings_keeps_its_sum_order():
+    # <1 0; 1 0 | 1 0> = 0: the j = 1 block first appears with a zero coupling, before j = 2 and
+    # after j = 0, so skipping zero couplings would sum the blocks in another order (and round otherwise)
+    phi = SpinKet.from_terms([(1, 0, 0.6), (2, 0, 0.8)])
+    omega = SpinKet.from_terms([(1, 0, "(1,1)", 0.28), (2, 0, 0.96)])
+    assert repr(jz_convert(phi, omega).amps) == repr(_jz_convert_loop(phi, omega).amps)
 
 
 def test_pair_products_compose_like_expm():

@@ -20,6 +20,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
+ROUNDING = 4 * np.finfo(float).eps  # times dim * scale: float error of one lambda_min
 # matrix entries per stacked eigensolve, shared by the chunks that run at once; bounds their memory
 STACK_ENTRIES = 2**18
 # smallest matrix dimension whose stacks run on threads (x86-64, 2 CPUs, one BLAS thread; threaded against serial):
@@ -224,7 +225,9 @@ def choi_state(ch: KrausChannel):
     """Unit-trace Choi state Phi = (id (x) E)(|omega><omega|) of a square channel."""
     if ch.dim_in != ch.dim_out:
         raise ValueError("Choi state requires a square channel")
-    return choi_matrix_of_map(lambda e: sum(k @ e @ k.conj().T for k in ch.kraus), ch.dim_in)
+    k, d = np.array(ch.kraus), ch.dim_in
+    # block (i, j) is E(|i><j|) / d = sum_k K[:, i] K[:, j]^dag / d
+    return (np.einsum("kai,kbj->iajb", k, k.conj()) / d).reshape(d * d, d * d)
 
 
 def is_prime(n):

@@ -22,9 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import as_hermitian, check_dims, partial_transpose, random_pure, stack_map
+from .core import ROUNDING, as_hermitian, check_dims, partial_transpose, random_pure, stack_map
 from .numrange import ConvexBodyApprox, _positively_spanning, _top_pairs, jnr_approximate, unit
-from .uncertainty import ROUNDING
 
 # an alternating-ascent restart stops when a sweep gains less than its TOL, or after SWEEPS sweeps
 SEESAW_TOL, SEESAW_SWEEPS = 1e-10, 500
@@ -372,6 +371,11 @@ def sep_numerical_range(ops, dims, directions, restarts=8, seed=0):
 # PPT maximization: two-set ADMM bracketed by a weak-duality certificate
 
 PPT_MAX_ITER = 20000
+# steps between evaluations of the primal rounding, the dual bound and the stop test (two eigvalsh per row, beside
+# the two eigh every step takes); x86-64, one BLAS thread, in process, a random 3x3 triple over 200 directions:
+# 0.72 s checked every step, 0.60 every 2nd, 0.55 every 4th and 0.53 every 8th, for 16255, 16350, 16536 and 16968
+# row-steps; offsets moved by at most 4.4e-15
+PPT_CHECK_EVERY = 4
 
 
 @dataclass
@@ -385,8 +389,12 @@ class PPTMaxResult:
 
 def _ppt_max_stack(hs, dims, tol):
     """ppt_max on each row of a stack (n, d, d) in lockstep, each row with its
-    own scale and beta, leaving the live arrays once its bracket closes; returns
-    upper, states, value and iterations per row (RuntimeError as ppt_max)."""
+    own scale and beta.  The X, Z and U updates and the beta balancing run on
+    every step; the rounding into `value`, the bound `upper` and the stop test
+    run on check steps only (1, 1 + PPT_CHECK_EVERY, ... and PPT_MAX_ITER),
+    where a row whose bracket has closed leaves the live arrays.  Returns
+    upper, states, value and iterations (every step, checked or not) per row
+    (RuntimeError as ppt_max)."""
     if len(dims) != 2:
         raise ValueError("ppt_max requires a bipartite dimension split")
     n, d = hs.shape[:2]
@@ -411,22 +419,26 @@ def _ppt_max_stack(hs, dims, tol):
         k = d - np.argmax(((wx[:, ::-1] - (css - 1) / np.arange(1, d + 1)) > 0)[:, ::-1], axis=1)
         tau = (css[np.arange(len(k)), k - 1] - 1) / k
         x = (vx * np.maximum(wx - tau[:, None], 0)[:, None, :]) @ vx.conj().swapaxes(1, 2)
-        low = np.minimum(np.linalg.eigvalsh(pt(x))[:, 0], 0)
-        t = (low / (low - 1 / d))[:, None, None]
-        cand = (1 - t) * x + t * mixed
-        v = np.trace(h @ cand, axis1=1, axis2=2).real
-        better = v > value
-        value, rho = np.where(better, v, value), np.where(better[:, None, None], cand, rho)
         wt, vt = np.linalg.eigh(pt(x + u))
         vth = vt.conj().swapaxes(1, 2)
         z_prev = z
         # Moreau: X + U = Z + (its negative part), so U += X - Z in exact form
         z = pt((vt * np.maximum(wt, 0)[:, None, :]) @ vth)
         u = pt((vt * np.minimum(wt, 0)[:, None, :]) @ vth)
-        upper = np.minimum(upper, np.linalg.eigvalsh(h - (beta * scale)[:, None, None] * u)[:, -1])
         r, s = np.sqrt((np.abs(x - z) ** 2).sum((1, 2))), beta * np.sqrt((np.abs(z - z_prev) ** 2).sum((1, 2)))
         f = np.where(r > 10 * s, 2.0, np.where(s > 10 * r, 0.5, 1.0))
         beta, u = beta * f, u / f[:, None, None]
+        if (it - 1) % PPT_CHECK_EVERY and it < PPT_MAX_ITER:
+            continue
+        # a check step: X mixed with 1/d until X^G >= 0 is a PPT state, and beta U (which the power-of-two
+        # balancing leaves unchanged) gives the dual bound
+        upper = np.minimum(upper, np.linalg.eigvalsh(h - (beta * scale)[:, None, None] * u)[:, -1])
+        low = np.minimum(np.linalg.eigvalsh(pt(x))[:, 0], 0)
+        t = (low / (low - 1 / d))[:, None, None]
+        cand = (1 - t) * x + t * mixed
+        v = np.trace(h @ cand, axis1=1, axis2=2).real
+        better = v > value
+        value, rho = np.where(better, v, value), np.where(better[:, None, None], cand, rho)
         done = upper - value <= tol
         if done.any():
             rows = live[done]
@@ -454,8 +466,12 @@ def ppt_max(h, dims, tol=1e-9):
     is a PPT state, and `state` is the best of them (`value` = Tr(state H)).
     U is the negative part of X + U in the PPT cone, so Q = -beta |H| U^G
     >= 0, and weak duality gives Tr(rho H) <= lambda_max(H + Q^G) = `upper`
-    for every PPT state rho.  Stops when upper - value <= tol (`converged`)
-    or after PPT_MAX_ITER iterations.  The state is checked (eigenvalues of
+    for every PPT state rho.  The rounding, the bound and the stop test run
+    on check steps only: step 1, every PPT_CHECK_EVERY-th step after it and
+    step PPT_MAX_ITER, so `value` is the best rounded iterate and `upper`
+    the least bound over those steps.  Stops on the first check step with
+    upper - value <= tol (`converged`) or after PPT_MAX_ITER iterations;
+    `iterations` counts every step.  The state is checked (eigenvalues of
     rho and rho^G above -1e-8, |Tr rho - 1| <= 1e-8); RuntimeError otherwise.
     """
     h = as_hermitian(h)

@@ -17,14 +17,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import as_density, as_hermitian, stack_chunks
+from .core import ROUNDING, as_density, as_hermitian, stack_chunks
 
 
 BRACKET_TOL = 1e-11  # relative to max(1, |upper|): the bracket the search closes to
 FLOOR = 2  # times the allowance: the narrowest bracket the search aims for
 EVALUATION_CAP = 2**15  # eigensolves, after which the search stops unconverged
 RADIAL_TOL = 1e-9  # relative to the operator scale: largest residual of an accepted rotation
-ROUNDING = 4 * np.finfo(float).eps  # times dim * scale: float error of one lambda_min
 
 
 @dataclass

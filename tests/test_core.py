@@ -245,6 +245,17 @@ def test_choi_state_is_the_sum_of_kraus_vectorizations(d, n_kraus, seed):
     assert np.abs(choi_state(ch) - expected).max() <= 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 10**6))
+def test_choi_state_matches_the_choi_matrix_of_its_kraus_map(d, n_kraus, seed):
+    # the one-einsum Choi state against the map it stands for, applied to each |i><j|
+    rng = np.random.default_rng(seed)
+    u = core.random_unitary(d * n_kraus, rng)[:, :d]
+    ch = KrausChannel(tuple(u.reshape(n_kraus, d, d)))
+    want = choi_matrix_of_map(lambda e: sum(k @ e @ k.conj().T for k in ch.kraus), d)
+    assert np.abs(choi_state(ch) - want).max() <= 1e-15
+
+
 def _choi_apply(choi, rho):
     """E(rho) = d * Tr_A[(rho^T (x) 1) Phi] from a unit-trace Choi state."""
     d = rho.shape[0]

@@ -665,9 +665,10 @@ def _project_state(m):
     return (v * lam) @ v.conj().T
 
 
-def _ppt_max_loop(h, dims, tol):
-    """The ADMM of entangle.ppt_max on one matrix, one step at a time:
-    (value, upper, iterations, state), RuntimeError if the state fails its checks."""
+def _ppt_max_loop(h, dims, tol, every=1):
+    """The ADMM of entangle.ppt_max on one matrix, one step at a time, with the rounding,
+    the dual bound and the stop test on step 1, every `every`-th step after it and the
+    last: (value, upper, iterations, state), RuntimeError if the state fails its checks."""
     d = h.shape[0]
     w = np.linalg.eigvalsh(h)
     scale = max(-w[0], w[-1]) or 1.0
@@ -675,20 +676,23 @@ def _ppt_max_loop(h, dims, tol):
     z, u, beta = mixed, np.zeros_like(mixed), 1.0
     value, upper, rho = -np.inf, w[-1], mixed
     for it in range(1, entangle.PPT_MAX_ITER + 1):
+        check = (it - 1) % every == 0 or it == entangle.PPT_MAX_ITER
         x = _project_state(z - u + h / (scale * beta))
-        m = np.linalg.eigvalsh(partial_transpose(x, dims, 0))[0]
-        t = -m / (1 / d - m) if m < 0 else 0.0
-        cand = (1 - t) * x + t * mixed
-        v = expectation(h, cand)
-        if v > value:
-            value, rho = v, cand
+        if check:
+            m = np.linalg.eigvalsh(partial_transpose(x, dims, 0))[0]
+            t = -m / (1 / d - m) if m < 0 else 0.0
+            cand = (1 - t) * x + t * mixed
+            v = expectation(h, cand)
+            if v > value:
+                value, rho = v, cand
         wt, vt = np.linalg.eigh(partial_transpose(x + u, dims, 0))
         z_prev = z
         z = partial_transpose((vt * np.maximum(wt, 0)) @ vt.conj().T, dims, 0)
         u = partial_transpose((vt * np.minimum(wt, 0)) @ vt.conj().T, dims, 0)
-        upper = min(upper, np.linalg.eigvalsh(h - beta * scale * u)[-1])
-        if upper - value <= tol:
-            break
+        if check:
+            upper = min(upper, np.linalg.eigvalsh(h - beta * scale * u)[-1])
+            if upper - value <= tol:
+                break
         r, s = np.linalg.norm(x - z), beta * np.linalg.norm(z - z_prev)
         if r > 10 * s:
             beta, u = 2 * beta, u / 2
@@ -712,13 +716,31 @@ def test_stacked_ppt_max_matches_per_direction_loop(seed, dims):
     tol = 1e-8
     upper, states, value, iterations = entangle._ppt_max_stack(hs, dims, tol)
     for i, h in enumerate(hs):
-        want_value, want_upper, want_iterations, _ = _ppt_max_loop(h, dims, tol)
+        want_value, want_upper, want_iterations, _ = _ppt_max_loop(h, dims, tol, every=entangle.PPT_CHECK_EVERY)
         scale = np.abs(np.linalg.eigvalsh(h)).max()
         assert iterations[i] == want_iterations
         assert abs(upper[i] - want_upper) <= 1e-14 * scale
         assert abs(value[i] - want_value) <= 1e-14 * scale
         assert value[i] <= upper[i]
         assert_ppt_state(states[i], dims, 1e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_strided_ppt_max_brackets_overlap_the_per_step_loop(seed, dims):
+    # the stop test every PPT_CHECK_EVERY steps against the per-step test it replaced: the iterates
+    # agree until a row stops, so the strided row stops no earlier, and both brackets hold the maximum
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    triple = [core.random_hermitian(d, rng) for _ in range(3)]
+    hs = np.array([sum(c * x for c, x in zip(n, triple)) for n in sphere_directions(3, 6, seed=seed)])
+    tol = 1e-8
+    upper, _, value, iterations = entangle._ppt_max_stack(hs, dims, tol)
+    for i, h in enumerate(hs):
+        step_value, step_upper, step_iterations, _ = _ppt_max_loop(h, dims, tol)
+        assert iterations[i] >= step_iterations
+        assert upper[i] - value[i] <= tol and step_upper - step_value <= tol
+        assert max(value[i], step_value) <= min(upper[i], step_upper) + 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,12 +17,19 @@ Two ground-state solvers share the curve and the bisection:
   per block from a seeded random start.  Only a block whose lowest level
   lies in the window of the lowest level over all blocks then runs a loose
   Lanczos search of the complement of the levels found, repeated per extra
-  copy of a degenerate level, which one Krylov space cannot hold.  The
-  Lanczos path never densifies; full spectra are capped at 2^12.  Both run
-  through `core.stack_map`: a dense stack in the chunks it sizes, which
-  share one entry budget among the threads running them, and each
-  Lanczos pass over the blocks from LANCZOS_THREAD_DIM states on
-  concurrently; every block rounds the same on any thread.
+  copy of a degenerate level, which one Krylov space cannot hold.  Lanczos
+  is one in-house recurrence (`_lanczos`): a single vector without restarts
+  or full reorthogonalization, its lowest Ritz pair tested by ARPACK's rule
+  |beta_j s_j| <= tol |theta|, floored at eps ||T||, and its Ritz vector
+  built from the kept vectors, so a run holds steps x dim entries (about
+  140 x 16384 at 14 sites).  It never densifies: a run that meets no stop
+  test in LANCZOS_MAX_STEPS steps falls back to a dense eigh of its block
+  up to FULL_SPECTRUM_LIMIT states and raises above it, and full spectra
+  are capped at 2^12.  Both run through `core.stack_map`: a dense stack in
+  the chunks it sizes, which share one entry budget among the threads
+  running them, and each Lanczos pass over the blocks from
+  LANCZOS_THREAD_DIM states on concurrently; every block rounds the same
+  on any thread.
 - Free fermions for operators quadratic in Jordan-Wigner Majoranas
   (`MajoranaForm`; the XY chain and its witness up to MAX_XY_SITES sites,
   Lieb, Schultz, Mattis 1961).  A state is the covariance matrix
@@ -44,18 +51,21 @@ from .core import stack_map
 
 MAX_SITES = 14
 MAX_XY_SITES = 300  # free-fermion XY chains: one solve is an eigh of a 2n x 2n matrix
-# largest block diagonalized densely (x86-64, 2 CPUs, one BLAS thread, pairs of XY blocks at lambda =
-# 0.3, the pair's dense stack on two threads and its Lanczos passes serial; magnetization pairs at
-# gamma = 0 tie, so both search their complement, parity pairs at gamma = 1/2 search one): dense and
-# Lanczos cross near 250 states on real pairs (1.3 vs 2.7 ms at 128, 2.5 vs 3.9 at 210, 2.9 vs 3.5 at
-# 220, 3.5 vs 3.3 at 256, 24 vs 4.8 at 512) and near 215 on complex ones (3.7 vs 5.9 ms at 165, 6.3 vs
-# 6.9 at 210, 7.3 vs 6.3 at 220, 10 vs 6.7 at 256); a single block, which one thread diagonalizes,
-# crosses near 180 (real) and 150 (complex)
-DENSE_LIMIT = 224
-# smallest Lanczos block whose windows run on threads: ARPACK's loop holds the GIL between its
-# solves, and two threads contending for it lose below a few thousand states (pairs of XY blocks,
-# serial vs threaded: 5.5 vs 8.4 ms at 512, 7.5 vs 10.3 at 924, 15 vs 14 at 2048, 26 vs 18 at 4096)
-LANCZOS_THREAD_DIM = 2048
+# largest block diagonalized densely (x86-64, 2 vCPUs, one BLAS thread; one solve at lambda = 0.3 of an
+# XY chain with one pair of equal blocks dense or by Lanczos and every other block the same way in both,
+# medians of 31 alternating solves: magnetization pairs at gamma = 0, parity pairs at gamma = 1/2, and
+# complex ones with a z field on site 0 added to V): real pairs cross near 165 states (4.0 vs 6.5 ms at
+# 126, 2.3 vs 3.5 at 128, 14.8 vs 15.0 at 165, 13.1 vs 8.7 at 210, 23.7 vs 18.4 at 220), complex pairs
+# between 120 and 165 (13.8 vs 11.1 ms at 120, 7.7 vs 9.8 at 126, 5.0 vs 6.4 at 128, 28.7 vs 24.7 at 165)
+DENSE_LIMIT = 160
+# smallest Lanczos block whose windows run on threads.  Pairs of XY parity blocks at lambda = 0.3,
+# serial vs threaded, medians of 21 in two rounds: 13.5 vs 16.9 and 11.8 vs 12.2 ms at 2048, 25.0 vs
+# 26.2 and 23.0 vs 23.9 at 4096, 50.6 vs 51.4 and 47.9 vs 49.4 at 8192 (x86-64, 2 vCPUs, one BLAS
+# thread, a host where two threads of a 400 x 400 GEMM also ran no faster than one).  The products
+# alone overlap when both vCPUs are free (800 of the 8192-state blocks: 219 ms serial, 118 on two
+# threads), so blocks from 8192 states keep threads, for 25 MB more peak memory on a 14-site curve
+# (155 against 130 MB); smaller blocks would only add a second kept basis
+LANCZOS_THREAD_DIM = 8192
 # levels within DEGENERACY_TOL * max(scale, 1) of the ground level count as degenerate with it
 DEGENERACY_TOL = 1e-9
 # block minima this close (relative) are one level: exact ties round to about 1e-14 relative, and a
@@ -65,10 +75,22 @@ OVERLAP_THRESHOLD = 0.5  # squared overlap with the lambda = 0 ground state belo
 FULL_SPECTRUM_LIMIT = 4096
 # relative tolerance of the loose Lanczos search for levels that a block's first Lanczos missed
 COMPLEMENT_TOL = 1e-4
+# steps after which a Lanczos run has not converged: runs on the ED curves of XY chains (n = 10-14,
+# gamma = 0, 1/2 and 1) took at most 144, and a run keeps steps x dim entries (1000 x 8192 real: 66 MB)
+LANCZOS_MAX_STEPS = 1000
+# steps between the stop tests of a Lanczos run (one eigh_tridiagonal each, 40-60 us).  Over the ED
+# curves of XY chains at n = 10, 12 and 13 (370 runs; totals within 3% of 1.40 s): 8 took 22418 steps
+# and 3299 tests, 16 took 22697 and 1970, and 32 took 27401 and 1567, as it misses stop windows (346
+# steps in one run against 113)
+LANCZOS_CHECK_EVERY = 16
 
 
 class ChainTooLargeError(ValueError):
     pass
+
+
+class _NoConvergence(RuntimeError):
+    """A Lanczos run met no stop test in LANCZOS_MAX_STEPS steps."""
 
 
 class PlateauError(RuntimeError):
@@ -235,14 +257,12 @@ def _lowest_pair(m):
 
     A uniform start would be orthogonal to every state odd under a symmetry
     that fixes it (a spin flip, say), and Lanczos from it would miss a ground
-    level there; a random start is unlikely to miss one.  Where ARPACK does
+    level there; a random start is unlikely to miss one.  Where Lanczos does
     not converge, the block is diagonalized densely and every level returned.
     """
-    import scipy.sparse.linalg as spla
-
     try:
-        return _lanczos(m, _start(m.shape[0]), 0.0)
-    except spla.ArpackNoConvergence:
+        return _lanczos(m.dot, _start(m.shape[0]), 0.0)
+    except _NoConvergence:
         if m.shape[0] > FULL_SPECTRUM_LIMIT:
             raise
         return np.linalg.eigh(m.toarray())
@@ -262,8 +282,6 @@ def _ground_window(m, w, v):
     whose lowest level lies above the window over all blocks would add none,
     so `_SparseGround` skips its search.
     """
-    import scipy.sparse.linalg as spla
-
     dim = m.shape[0]
     try:
         # not the first solve's start: Lanczos from s returns the ground vector along P s, so
@@ -273,7 +291,10 @@ def _ground_window(m, w, v):
             scale = max(abs(w.min()), 1.0)
             top = w.min() + DEGENERACY_TOL * scale
             q, _ = np.linalg.qr(v)
-            rest = spla.LinearOperator(m.shape, matvec=lambda x: m @ x + scale * (q @ (q.conj().T @ x)), dtype=m.dtype)
+
+            def rest(x):
+                return m @ x + scale * (q @ (q.conj().T @ x))
+
             x0 = start - q @ (q.conj().T @ start)
             low, _ = _lanczos(rest, x0, COMPLEMENT_TOL)
             if low[0] > top + COMPLEMENT_TOL * scale:
@@ -282,7 +303,7 @@ def _ground_window(m, w, v):
             if low[0] > top:
                 break
             w, v = np.append(w, low), np.column_stack([v, x])
-    except spla.ArpackNoConvergence:
+    except _NoConvergence:
         if dim > FULL_SPECTRUM_LIMIT:
             raise
         w, v = np.linalg.eigh(m.toarray())
@@ -296,10 +317,64 @@ def _map_lanczos(fn, items, dim):
 
 
 def _lanczos(op, v0, tol):
-    """The lowest eigenpair of a Hermitian operator by ARPACK."""
-    import scipy.sparse.linalg as spla
+    """The lowest eigenpair ([w], x as a column) of a Hermitian operator x -> op(x), by Lanczos from v0.
 
-    return spla.eigsh(op, k=1, which="SA", v0=v0, maxiter=5000, tol=tol)
+    One vector, without restarts or full reorthogonalization: step j takes
+    w = op(v_j) - beta_{j-1} v_{j-1}, alpha_j = <v_j, w>, one more pass of w
+    against v_j, and v_{j+1} = w / beta_j.  The lowest Ritz pair (theta, s)
+    of the tridiagonal matrix T stays accurate as orthogonality is lost
+    (Paige 1980).  It is tested on step 1, then every LANCZOS_CHECK_EVERY
+    steps, or sooner where the estimate |beta_j s_j|, which falls
+    geometrically, is due to meet the stop rule
+    |beta_j s_j| <= max(tol |theta|, eps ||T||): ARPACK's rule, floored at
+    eps ||T|| (||T|| by Gershgorin), as without reorthogonalization the
+    estimate falls to about eps ||A|| and then rises while a copy of theta
+    forms.  Where exact arithmetic would have exhausted the Krylov space
+    (beta below sqrt(eps) ||T||, or dim steps) the rule holds for a step or
+    two, so every such step is tested; a beta within the rounding of one
+    product, sqrt(dim) eps ||T||, ends the run.  The Ritz vector sum s_i v_i
+    is built from the kept vectors, so a run holds steps x dim entries.
+    Raises `_NoConvergence` after LANCZOS_MAX_STEPS steps.
+    """
+    from scipy.linalg import eigh_tridiagonal  # deferred: ED already loads scipy.linalg
+
+    eps = np.finfo(float).eps
+    dim = len(v0)
+    alphas, betas, blocks = [], [], []  # the vectors v_j, in blocks of LANCZOS_CHECK_EVERY rows
+    prev, beta, norm = None, 0.0, 0.0  # norm: the largest Gershgorin row sum of T so far, >= ||T||
+    check, last = 0, None  # the step of the next stop test; (step, estimate / bound) at the last one
+    v = v0 / np.linalg.norm(v0)
+    for j in range(LANCZOS_MAX_STEPS):
+        w = op(v)
+        row = j % LANCZOS_CHECK_EVERY
+        if row == 0:
+            blocks.append(np.empty((LANCZOS_CHECK_EVERY, dim), dtype=np.result_type(w, v)))
+        blocks[-1][row] = v
+        v = blocks[-1][row]
+        if prev is not None:
+            w -= beta * prev
+        alpha = np.vdot(v, w).real
+        w -= alpha * v
+        c = np.vdot(v, w)
+        w -= c * v
+        alphas.append(alpha + c.real)
+        prev, beta_prev, beta = v, beta, np.linalg.norm(w)
+        norm = max(norm, beta_prev + abs(alphas[-1]) + beta)
+        if j >= min(check, dim - 1) or beta <= np.sqrt(eps) * norm:
+            theta, s = eigh_tridiagonal(np.array(alphas), np.array(betas), select="i", select_range=(0, 0))
+            estimate, bound = beta * abs(s[-1, 0]), max(tol * abs(theta[0]), eps * norm)
+            if estimate <= bound or beta <= np.sqrt(dim) * eps * norm:
+                parts = np.split(s[:, 0], range(LANCZOS_CHECK_EVERY, len(s), LANCZOS_CHECK_EVERY))
+                x = sum(part @ b[: len(part)] for part, b in zip(parts, blocks))
+                return theta, (x / np.linalg.norm(x))[:, None]
+            ratio, ahead = estimate / bound, LANCZOS_CHECK_EVERY
+            if last is not None and ratio < last[1]:
+                rate = np.log(last[1] / ratio) / (j - last[0])
+                ahead = min(ahead, max(1, int(np.ceil(np.log(ratio) / rate))))
+            check, last = j + ahead, (j, ratio)
+        betas.append(beta)
+        v = w / beta
+    raise _NoConvergence(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps")
 
 
 def _invariant_blocks(*mats):
@@ -400,7 +475,7 @@ def _real_form(mats, blocks):
     cols = np.concatenate([plain, fixed, pair, pair, rev[pair], rev[pair]])
     vals = np.repeat([1, 1, c, c, 1j * c, -1j * c], [len(plain), len(fixed)] + [len(pair)] * 4)
     u = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    mats = [u.conj().T @ (m @ u) for m in mats]
+    mats = [(u.conj().T @ (m @ u)).tocsr() for m in mats]  # CSR: its products run 1.1-1.3x faster than CSC's
     for m in mats:
         coo = m.tocoo()
         assert not rk[label[coo.row[coo.data.imag != 0]]].any(), "real form has an imaginary part"

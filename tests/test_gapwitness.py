@@ -310,8 +310,10 @@ def test_lowest_pair_lanczos_never_densifies():
     # which starts from the seeded random vector
     start = np.random.default_rng(0).standard_normal(dim)
     ref_w, ref_g = spla.eigsh(m, k=1, which="SA", v0=start, maxiter=5000)
-    assert np.array_equal(w, ref_w)
-    assert np.array_equal(g, ref_g)
+    tol = 1e-12 * max(abs(w[0]), 1.0)
+    assert w.shape == (1,) and abs(w[0] - ref_w[0]) <= tol
+    assert np.linalg.norm(m @ g[:, 0] - w[0] * g[:, 0]) <= tol
+    assert abs(np.vdot(ref_g[:, 0], g[:, 0])) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -327,6 +329,85 @@ def test_ground_window_finds_both_copies_of_a_doubled_level(seed):
     assert len(w) == 2
     assert np.abs(w - ref[:2]).max() <= 1e-10 * abs(ref).max()
     assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-9
+
+
+@st.composite
+def _sparse_hermitians(draw):
+    """A random sparse Hermitian matrix of 2-400 states (real or complex), or one with two levels."""
+    dim = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([float, complex]))
+    if draw(st.booleans()):
+        # a + b S for a signed-permutation involution S (S^2 = 1, entries exact): two levels, a - b and a + b
+        perm = rng.permutation(dim)
+        rows = np.concatenate([perm[0:-1:2], perm[1::2], perm[dim - dim % 2 :]])
+        cols = np.concatenate([perm[1::2], perm[0:-1:2], perm[dim - dim % 2 :]])
+        phase = rng.choice([1, -1, 1j, -1j] if dtype is complex else [1, -1], dim // 2)
+        vals = np.concatenate([phase, phase.conj(), rng.choice([1, -1], dim % 2)])
+        s = sp.csr_matrix((vals.astype(dtype), (rows, cols)), shape=(dim, dim))
+        return 0.25 * sp.identity(dim, dtype=dtype, format="csr") - 1.5 * s, True
+    a = sp.random(dim, dim, density=draw(st.floats(0.02, 1.0)), random_state=rng, data_rvs=rng.standard_normal)
+    if dtype is complex:
+        a = a + 1j * sp.random(dim, dim, density=0.1, random_state=rng, data_rvs=rng.standard_normal)
+    return ((a + a.conj().T) / 2).tocsr(), False
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_hermitians(), st.sampled_from([0.0, gapwitness.COMPLEMENT_TOL]))
+def test_lanczos_matches_dense_eigh(case, tol):
+    m, two_levels = case
+    ref = np.linalg.eigvalsh(m.toarray())
+    calls = []
+
+    def op(x):
+        calls.append(None)
+        return m @ x
+
+    w, x = gapwitness._lanczos(op, gapwitness._start(m.shape[0]), tol)
+    assert w.shape == (1,) and x.shape == (m.shape[0], 1)
+    assert abs(np.linalg.norm(x) - 1) <= 1e-12
+    scale = max(abs(w[0]), 1.0)
+    residual = np.linalg.norm(m @ x[:, 0] - w[0] * x[:, 0])
+    assert residual <= max(tol, 1e-12) * scale
+    # a Ritz value is never below the lowest level, and reaches it within the tolerance
+    assert ref[0] - 1e-12 * scale <= w[0] <= ref[0] + max(tol, 1e-12) * scale
+    if two_levels and len(np.unique(np.round(ref, 9))) == 2:
+        # the Krylov space of a random start holds one vector per level: the run ends at its breakdown
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_lanczos_run_finds_one_copy_and_the_window_both(seed):
+    # test_ground_window_finds_both_copies_of_a_doubled_level's matrix: every level exactly two-fold
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((150, 150))
+    q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    m = q @ np.kron(np.eye(2), a + a.T) @ q.T
+    m = sp.csr_matrix((m + m.T) / 2)
+    ref = np.linalg.eigvalsh(m.toarray())
+    w, v = _lowest_pair(m)
+    assert w.shape == (1,) and abs(w[0] - ref[0]) <= 1e-10 * abs(ref).max()
+    w, v = _ground_window(m, w, v)
+    assert len(w) == 2 and np.abs(w - ref[:2]).max() <= 1e-10 * abs(ref).max()
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-9
+
+
+def test_lanczos_at_the_step_cap_falls_back_to_dense_or_raises(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = sp.random(300, 300, density=0.05, random_state=rng, data_rvs=rng.standard_normal)
+    m = ((a + a.T) / 2).tocsr()
+    ref, vecs = np.linalg.eigh(m.toarray())
+    monkeypatch.setattr(gapwitness, "LANCZOS_MAX_STEPS", 3)
+    with pytest.raises(gapwitness._NoConvergence):
+        gapwitness._lanczos(m.dot, gapwitness._start(300), 0.0)
+    # up to FULL_SPECTRUM_LIMIT the block is diagonalized densely, and every level returned
+    for w, _ in (_lowest_pair(m), _ground_window(m, ref[:1], vecs[:, :1])):
+        assert len(w) == 300 and np.abs(w - ref).max() <= 1e-12 * abs(ref).max()
+    monkeypatch.setattr(gapwitness, "FULL_SPECTRUM_LIMIT", 299)
+    with pytest.raises(gapwitness._NoConvergence):
+        _lowest_pair(m)
+    with pytest.raises(gapwitness._NoConvergence):
+        _ground_window(m, ref[:1], vecs[:, :1])
 
 
 def _field(n, label, coeffs):

@@ -75,14 +75,13 @@ def _reduced_operator(ht, dims, factors, k):
     return np.einsum(*args, [row, k, n + k])
 
 
-def _schmidt_start(hs, dims):
-    """Product starts (n, d_i) from the top eigenvector of each row of hs by
+def _schmidt_factors(vs, dims):
+    """The leading product term of each row of vs (n, D) as factors (n, d_i), by
     sequential SVDs: factor i is the leading left singular vector of the
     remainder reshaped to (d_i, -1), the leading right one the next remainder."""
-    rest = np.linalg.eigh(hs)[1][:, :, -1]
-    factors = []
+    factors, rest = [], vs
     for d in dims[:-1]:
-        u, _, vh = np.linalg.svd(rest.reshape(len(hs), d, -1), full_matrices=False)
+        u, _, vh = np.linalg.svd(rest.reshape(len(vs), d, -1), full_matrices=False)
         factors.append(u[:, :, 0])
         rest = vh[:, 0]
     return factors + [rest]
@@ -100,7 +99,7 @@ def _seesaw_stack(hs, dims, restarts, seed):
     seeded = [[random_pure(d, rng) for d in dims] for _ in range(restarts)]
     # start j of row r sits at j * n + r, the Schmidt starts (j = restarts) last
     factors = [np.concatenate([np.repeat([s[i] for s in seeded], n, axis=0), f])
-               for i, f in enumerate(_schmidt_start(hs, dims))]
+               for i, f in enumerate(_schmidt_factors(np.linalg.eigh(hs)[1][:, :, -1], dims))]
     hts, val = hs.reshape((n,) + dims + dims), np.full(n * (restarts + 1), -np.inf)
     live, last = np.arange(len(val)), np.empty(len(val), dtype=int)  # last: the last sweep a start ran
     for sweep in range(1, SEESAW_SWEEPS + 1):
@@ -390,9 +389,11 @@ class PPTMaxResult:
 def _ppt_max_stack(hs, dims, tol):
     """ppt_max on each row of a stack (n, d, d) in lockstep, each row with its
     own scale and beta.  The X, Z and U updates and the beta balancing run on
-    every step; the rounding into `value`, the bound `upper` and the stop test
-    run on check steps only (1, 1 + PPT_CHECK_EVERY, ... and PPT_MAX_ITER),
-    where a row whose bracket has closed leaves the live arrays.  Returns
+    every step; the two roundings into `value` (X mixed with 1/d, and the top
+    Schmidt term of X's top eigenvector from the X update's eigh, by one
+    stacked svd), the bound `upper` and the stop test run on check steps only
+    (1, 1 + PPT_CHECK_EVERY, ... and PPT_MAX_ITER), where a row whose bracket
+    has closed leaves the live arrays.  Returns
     upper, states, value and iterations (every step, checked or not) per row
     (RuntimeError as ppt_max)."""
     if len(dims) != 2:
@@ -404,13 +405,18 @@ def _ppt_max_stack(hs, dims, tol):
     def pt(m):
         return m.reshape(len(m), -1)[:, flip].reshape(m.shape)
 
+    def bound(w):
+        # lambda_max from eigvalsh's spectra w, raised by its rounding allowance to hold in floating point
+        return w[:, -1] + ROUNDING * d * np.maximum(-w[:, 0], w[:, -1])
+
     w = np.linalg.eigvalsh(hs)
+    upper = bound(w)  # U = 0 certifies lambda_max(H)
     scale = np.maximum(-w[:, 0], w[:, -1])
     scale[scale == 0] = 1.0
     mixed = np.eye(d, dtype=complex) / d
     out_value, out_upper, out_iters, out_rho = np.empty(n), np.empty(n), np.full(n, PPT_MAX_ITER), np.empty_like(hs)
     live, h, z, u, beta = np.arange(n), hs, np.broadcast_to(mixed, hs.shape), np.zeros_like(hs), np.ones(n)
-    value, upper, rho = np.full(n, -np.inf), w[:, -1], z  # U = 0 certifies lambda_max(H)
+    value, rho = np.full(n, -np.inf), z
     for it in range(1, PPT_MAX_ITER + 1):
         # X = P_states(Z - U + H / (scale beta)): shift the spectrum by the simplex threshold tau, clip at 0
         m = z - u + h / (scale * beta)[:, None, None]
@@ -430,13 +436,19 @@ def _ppt_max_stack(hs, dims, tol):
         beta, u = beta * f, u / f[:, None, None]
         if (it - 1) % PPT_CHECK_EVERY and it < PPT_MAX_ITER:
             continue
-        # a check step: X mixed with 1/d until X^G >= 0 is a PPT state, and beta U (which the power-of-two
-        # balancing leaves unchanged) gives the dual bound
-        upper = np.minimum(upper, np.linalg.eigvalsh(h - (beta * scale)[:, None, None] * u)[:, -1])
+        # a check step: beta U (which the power-of-two balancing leaves unchanged) gives the dual bound, and X
+        # rounds two ways into a PPT state: mixed with 1/d until X^G >= 0, and the top Schmidt term a (x) b of its
+        # top eigenvector, a product state; a row keeps the better
+        upper = np.minimum(upper, bound(np.linalg.eigvalsh(h - (beta * scale)[:, None, None] * u)))
         low = np.minimum(np.linalg.eigvalsh(pt(x))[:, 0], 0)
         t = (low / (low - 1 / d))[:, None, None]
         cand = (1 - t) * x + t * mixed
         v = np.trace(h @ cand, axis1=1, axis2=2).real
+        a, b = _schmidt_factors(vx[:, :, -1], dims)
+        ab = (a[:, :, None] * b[:, None, :]).reshape(-1, d)
+        vp = ((ab.conj()[:, None, :] @ h)[:, 0] * ab).sum(axis=1).real
+        cand = np.where((vp > v)[:, None, None], ab[:, :, None] * ab[:, None, :].conj(), cand)
+        v = np.maximum(v, vp)
         better = v > value
         value, rho = np.where(better, v, value), np.where(better[:, None, None], cand, rho)
         done = upper - value <= tol
@@ -462,17 +474,23 @@ def ppt_max(h, dims, tol=1e-9):
     Two-set ADMM (Boyd et al. 2011, Wen-Goldfarb-Yin 2010) on H scaled to
     unit norm: X = P_states(Z - U + H/beta), Z = G P_PSD G (X + U), U += X - Z,
     with G the partial transpose (an involutive isometry) and beta balanced
-    by the primal and dual residuals.  Each X mixed with 1/d until X^G >= 0
-    is a PPT state, and `state` is the best of them (`value` = Tr(state H)).
+    by the primal and dual residuals.  Each X rounds two ways into a PPT
+    state: mixed with 1/d until X^G >= 0, and a (x) b, the top Schmidt term
+    of X's top eigenvector, a pure product state (PPT whatever X is), which
+    meets a product optimum to second order in the distance of X from it.
+    `state` is the better rounding of the best step (`value` = Tr(state H)).
     U is the negative part of X + U in the PPT cone, so Q = -beta |H| U^G
     >= 0, and weak duality gives Tr(rho H) <= lambda_max(H + Q^G) = `upper`
-    for every PPT state rho.  The rounding, the bound and the stop test run
-    on check steps only: step 1, every PPT_CHECK_EVERY-th step after it and
-    step PPT_MAX_ITER, so `value` is the best rounded iterate and `upper`
-    the least bound over those steps.  Stops on the first check step with
-    upper - value <= tol (`converged`) or after PPT_MAX_ITER iterations;
-    `iterations` counts every step.  The state is checked (eigenvalues of
-    rho and rho^G above -1e-8, |Tr rho - 1| <= 1e-8); RuntimeError otherwise.
+    for every PPT state rho; each lambda_max is raised by eigvalsh's rounding
+    allowance core.ROUNDING * d * (the matrix's largest |eigenvalue|), so
+    `upper` holds in floating point.  The roundings, the bound and the stop
+    test run on check steps only: step 1, every PPT_CHECK_EVERY-th step
+    after it and step PPT_MAX_ITER, so `value` is the best rounded iterate
+    and `upper` the least bound over those steps.  Stops on the first check
+    step with upper - value <= tol (`converged`) or after PPT_MAX_ITER
+    iterations; `iterations` counts every step.  The state is checked
+    (eigenvalues of rho and rho^G above -1e-8, |Tr rho - 1| <= 1e-8);
+    RuntimeError otherwise.
     """
     h = as_hermitian(h)
     dims = check_dims(dims, h.shape[0])

@@ -127,7 +127,8 @@ def test_lockstep_seesaw_matches_per_restart_loop(seed, dims, restarts):
     h = core.random_hermitian(int(np.prod(dims)), rng)
     draws = np.random.default_rng(seed)
     starts = [[core.random_pure(d, draws) for d in dims] for _ in range(restarts)]
-    runs = _per_restart_seesaw(h, dims, starts + [[f[0] for f in entangle._schmidt_start(h[None], dims)]])
+    schmidt = entangle._schmidt_factors(np.linalg.eigh(h)[1][None, :, -1], dims)
+    runs = _per_restart_seesaw(h, dims, starts + [[f[0] for f in schmidt]])
     best = max(runs[:-1], key=lambda run: run[0])  # max keeps the first of equal values
     if runs[-1][0] - best[0] > entangle.SEESAW_TOL:
         best = runs[-1]
@@ -652,8 +653,55 @@ def test_ppt_max_of_a_multiple_of_the_identity_closes_at_once(dims, c):
     assert_ppt_state(res.state, dims, 1e-10)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_ppt_max_of_a_local_sum_returns_its_product_optimum(rng, dims):
+    # the maximum of A (x) 1 + 1 (x) B is lambda_max(A) + lambda_max(B), at the product of the top
+    # eigenvectors, which is X's top eigenvector from the first step on: its product rounding closes the
+    # bracket on that step with a pure state of Schmidt rank 1
+    a, b = (core.random_hermitian(k, rng) for k in dims)
+    h = np.kron(a, np.eye(dims[1])) + np.kron(np.eye(dims[0]), b)
+    res = ppt_max(h, dims)
+    assert res.converged and res.iterations == 1 and res.value <= res.upper
+    assert res.value == pytest.approx(np.linalg.eigvalsh(a)[-1] + np.linalg.eigvalsh(b)[-1], abs=1e-9)
+    assert res.value == pytest.approx(np.trace(res.state @ h).real, abs=1e-12)
+    assert_ppt_state(res.state, dims, 1e-10)
+    w, v = np.linalg.eigh(res.state)
+    assert w[-1] == pytest.approx(1, abs=1e-12)
+    schmidt = np.linalg.svd(v[:, -1].reshape(dims), compute_uv=False)
+    assert schmidt[1] <= 1e-12
+
+
+def test_ppt_max_closes_on_the_entangled_tiles_optimum():
+    # Tiles UPB (Bennett et al., PRL 82, 5385 (1999)): no product state is orthogonal to all five tiles, so
+    # H = 1 - sum tiles, the projector onto their complement, stays below 1 on product states (0.9716), while
+    # its normalised projector is a PPT entangled state with <H> = 1: the X rounding closes the bracket
+    e, s2 = np.eye(3), np.sqrt(2)
+    tiles = [np.kron(e[0], e[0] - e[1]) / s2, np.kron(e[0] - e[1], e[2]) / s2, np.kron(e[2], e[1] - e[2]) / s2,
+             np.kron(e[1] - e[2], e[0]) / s2, np.kron(e.sum(0), e.sum(0)) / 3]
+    h = np.eye(9) - sum(np.outer(t, t) for t in tiles)
+    res = ppt_max(h, (3, 3))
+    assert res.converged and res.value <= res.upper
+    assert res.value == pytest.approx(1.0, abs=1e-8)
+    assert_ppt_state(res.state, (3, 3), 1e-10)
+    assert np.linalg.matrix_rank(res.state, tol=1e-8) == 4
+    assert seesaw_product_max(h, (3, 3), restarts=16, seed=0).lower < 0.972 < res.value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3)]), st.floats(0.0, 1.0), st.floats(0.1, 10.0))
+def test_ppt_and_bloch_brackets_overlap_where_ppt_is_sep(seed, dims, local, size):
+    # PPT = SEP on 2x2 and 2x3 (Horodecki), so two certified solvers bracket one maximum; `local` weights
+    # a sum of local terms, whose optimum is a product state, against a generic Hermitian
+    rng = np.random.default_rng(seed)
+    a, b, g = (core.random_hermitian(k, rng) for k in (2, dims[1], 2 * dims[1]))
+    h = size * (local * (np.kron(a, np.eye(dims[1])) + np.kron(np.eye(2), b)) + (1 - local) * g)
+    ppt, sep = ppt_max(h, dims), qubit_qudit_sep_max(h, dims)
+    assert max(ppt.value, sep.lower) <= min(ppt.upper, sep.upper) + 1e-9
+
+
 def _project_state(m):
-    """Frobenius projection onto {rho >= 0, Tr rho = 1} (eigenvalue simplex)."""
+    """Frobenius projection onto {rho >= 0, Tr rho = 1} (eigenvalue simplex), and the top
+    eigenvector of m, which is also the projection's."""
     m = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(m)
     u = np.sort(w)[::-1]
@@ -662,7 +710,7 @@ def _project_state(m):
     k = ks[u - (css - 1) / ks > 0][-1]
     tau = (css[k - 1] - 1) / k
     lam = np.maximum(w - tau, 0)
-    return (v * lam) @ v.conj().T
+    return (v * lam) @ v.conj().T, v[:, -1]
 
 
 def _ppt_max_loop(h, dims, tol, every=1):
@@ -670,19 +718,28 @@ def _ppt_max_loop(h, dims, tol, every=1):
     the dual bound and the stop test on step 1, every `every`-th step after it and the
     last: (value, upper, iterations, state), RuntimeError if the state fails its checks."""
     d = h.shape[0]
+
+    def bound(w):
+        return w[-1] + core.ROUNDING * d * max(-w[0], w[-1])
+
     w = np.linalg.eigvalsh(h)
     scale = max(-w[0], w[-1]) or 1.0
     mixed = np.eye(d, dtype=complex) / d
     z, u, beta = mixed, np.zeros_like(mixed), 1.0
-    value, upper, rho = -np.inf, w[-1], mixed
+    value, upper, rho = -np.inf, bound(w), mixed
     for it in range(1, entangle.PPT_MAX_ITER + 1):
         check = (it - 1) % every == 0 or it == entangle.PPT_MAX_ITER
-        x = _project_state(z - u + h / (scale * beta))
+        x, top = _project_state(z - u + h / (scale * beta))
         if check:
+            # two roundings: X mixed with 1/d until X^G >= 0, and the top Schmidt term of X's top eigenvector
             m = np.linalg.eigvalsh(partial_transpose(x, dims, 0))[0]
             t = -m / (1 / d - m) if m < 0 else 0.0
             cand = (1 - t) * x + t * mixed
             v = expectation(h, cand)
+            a, _, b = np.linalg.svd(top.reshape(dims))
+            ab = np.kron(a[:, 0], b[0])
+            if (vp := (ab.conj() @ h @ ab).real) > v:
+                v, cand = vp, np.outer(ab, ab.conj())
             if v > value:
                 value, rho = v, cand
         wt, vt = np.linalg.eigh(partial_transpose(x + u, dims, 0))
@@ -690,7 +747,7 @@ def _ppt_max_loop(h, dims, tol, every=1):
         z = partial_transpose((vt * np.maximum(wt, 0)) @ vt.conj().T, dims, 0)
         u = partial_transpose((vt * np.minimum(wt, 0)) @ vt.conj().T, dims, 0)
         if check:
-            upper = min(upper, np.linalg.eigvalsh(h - beta * scale * u)[-1])
+            upper = min(upper, bound(np.linalg.eigvalsh(h - beta * scale * u)))
             if upper - value <= tol:
                 break
         r, s = np.linalg.norm(x - z), beta * np.linalg.norm(z - z_prev)
